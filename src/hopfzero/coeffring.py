@@ -5,11 +5,19 @@ denominator).  A `ParamPolynomial` is a sparse polynomial over Q in a fixed
 ordered tuple of parameter names; it is the coefficient ring for every graded
 object in this package.  Values are immutable by convention: no operation
 mutates its arguments, so instances are safe to share between workers.
+
+Invariant: a `ParamPolynomial`'s `terms` are always zero-free and in canonical
+order (`_term_sort_key`); printing, hashing and rerun comparisons read that
+order.  `ParamPolynomial(...)` is the constructor for outside input: it checks
+exponent lengths, coerces coefficients and merges and sorts terms.  Ring
+operations build their results through the private `_wrap`, which trusts its
+caller to pass a term dict that already holds the invariant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Union
 
 from .errors import ParameterError
@@ -31,9 +39,21 @@ def rat(value: RationalLike) -> Fraction:
 
 
 def _term_sort_key(exps):
-    # graded lexicographic, printed largest-first: higher total degree first,
-    # then lexicographically larger exponent vector first
+    # the canonical term order, graded lexicographic, printed largest-first:
+    # higher total degree first, then lexicographically larger exponent
+    # vector first
     return (-sum(exps), tuple(-e for e in exps))
+
+
+def _degree_lex(exps):
+    # with reverse=True, the same order as _term_sort_key on distinct
+    # exponent tuples of one length, without building a negated tuple
+    return (sum(exps), exps)
+
+
+def _canonical(terms: dict) -> dict:
+    """`terms` with zero coefficients dropped, in canonical order."""
+    return {e: terms[e] for e in sorted(terms, key=_degree_lex, reverse=True) if terms[e]}
 
 
 class ParamPolynomial:
@@ -41,7 +61,9 @@ class ParamPolynomial:
 
     `terms` maps exponent tuples (one entry per declared parameter) to nonzero
     Rationals.  Terms are stored in a fixed graded-lexicographic order so that
-    iteration, printing, and hashing are deterministic.
+    iteration, printing, and hashing are deterministic.  The constructor
+    validates and canonicalizes outside input; `_wrap` builds a result from a
+    term dict its caller guarantees is already zero-free and in that order.
     """
 
     __slots__ = ("terms", "params")
@@ -57,10 +79,21 @@ class ParamPolynomial:
                     f"exponent vector {exps} does not match {n} declared parameters")
             coeff = rat(coeff)
             if coeff:
-                clean[exps] = clean.get(exps, Fraction(0)) + coeff
-        object.__setattr__(self, "terms",
-                           {e: c for e, c in sorted(clean.items(), key=lambda kv: _term_sort_key(kv[0])) if c})
+                # keys such as [1, 0] and (1, 0) normalize equal and merge
+                prev = clean.get(exps)
+                clean[exps] = coeff if prev is None else prev + coeff
+        object.__setattr__(self, "terms", _canonical(clean))
         object.__setattr__(self, "params", params)
+
+    @classmethod
+    def _wrap(cls, terms: dict, params: tuple) -> "ParamPolynomial":
+        """A polynomial on `terms` as given: the caller guarantees that they
+        are zero-free, in canonical order, and keyed by exponent tuples of
+        `len(params)` entries, and that nothing else holds the dict."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "params", params)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("ParamPolynomial is immutable")
@@ -69,7 +102,7 @@ class ParamPolynomial:
 
     @classmethod
     def zero(cls, params: Iterable[str]) -> "ParamPolynomial":
-        return cls({}, params)
+        return cls._wrap({}, tuple(params))
 
     @classmethod
     def constant(cls, value: RationalLike, params: Iterable[str]) -> "ParamPolynomial":
@@ -93,31 +126,47 @@ class ParamPolynomial:
 
     def __add__(self, other: "ParamPolynomial") -> "ParamPolynomial":
         self._check_ring(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return ParamPolynomial(out, self.params)
+            prev = out.get(e)
+            out[e] = c if prev is None else prev + c
+        return ParamPolynomial._wrap(_canonical(out), self.params)
 
     def __sub__(self, other: "ParamPolynomial") -> "ParamPolynomial":
-        return self + (-other)
+        self._check_ring(other)
+        if not other.terms:
+            return self
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            prev = out.get(e)
+            out[e] = -c if prev is None else prev - c
+        return ParamPolynomial._wrap(_canonical(out), self.params)
 
     def __neg__(self) -> "ParamPolynomial":
-        return ParamPolynomial({e: -c for e, c in self.terms.items()}, self.params)
+        return ParamPolynomial._wrap({e: -c for e, c in self.terms.items()}, self.params)
 
     def __mul__(self, other: "ParamPolynomial") -> "ParamPolynomial":
         self._check_ring(other)
         out = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, Fraction(0)) + ca * cb
-        return ParamPolynomial(out, self.params)
+                e = tuple(map(add, ea, eb))
+                prev = out.get(e)
+                out[e] = ca * cb if prev is None else prev + ca * cb
+        return ParamPolynomial._wrap(_canonical(out), self.params)
 
     def scale(self, factor: RationalLike) -> "ParamPolynomial":
         factor = rat(factor)
         if not factor:
             return ParamPolynomial.zero(self.params)
-        return ParamPolynomial({e: c * factor for e, c in self.terms.items()}, self.params)
+        if factor == 1:
+            return self
+        return ParamPolynomial._wrap({e: c * factor for e, c in self.terms.items()},
+                                     self.params)
 
     def __pow__(self, n: int) -> "ParamPolynomial":
         if n < 0:
@@ -167,12 +216,13 @@ class ParamPolynomial:
     def coefficient_of_power(self, name: str, power: int) -> "ParamPolynomial":
         """Coefficient of name**power, as a polynomial in the full ring."""
         idx = self._param_index(name)
+        # zeroing one entry that is `power` in every kept term keeps the
+        # reduced tuples distinct and in canonical order
         out = {}
         for e, c in self.terms.items():
             if e[idx] == power:
-                reduced = tuple(0 if i == idx else x for i, x in enumerate(e))
-                out[reduced] = out.get(reduced, Fraction(0)) + c
-        return ParamPolynomial(out, self.params)
+                out[e[:idx] + (0,) + e[idx + 1:]] = c
+        return ParamPolynomial._wrap(out, self.params)
 
     def _param_index(self, name: str) -> int:
         try:
@@ -191,8 +241,9 @@ class ParamPolynomial:
                 factor *= v ** e[i]
                 new[i] = 0
             key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + c * factor
-        return ParamPolynomial(out, self.params)
+            prev = out.get(key)
+            out[key] = c * factor if prev is None else prev + c * factor
+        return ParamPolynomial._wrap(_canonical(out), self.params)
 
     # -- printing ----------------------------------------------------------
 

@@ -3,9 +3,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hopfzero as hz
 from hopfzero import ParamPolynomial, ParameterError
+from hopfzero.coeffring import _term_sort_key
 
 from conftest import random_ppoly
 
@@ -153,3 +156,118 @@ class TestPrinting:
     def test_substitute(self):
         p = var("a") ** 2 + var("b").scale(3)
         assert p.substitute({"a": 2, "b": -1}) == const(1)
+
+
+# -- canonical form of every result, over random polynomials --------------
+
+class _Pairs:
+    """A term map whose items are the given (exponents, coefficient) pairs as
+    they are: repeated keys and list keys included, as outside input can be."""
+
+    def __init__(self, pairs):
+        self._pairs = pairs
+
+    def items(self):
+        return iter(self._pairs)
+
+
+_EXPONENTS = st.tuples(st.integers(0, 3), st.integers(0, 3))
+_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_COEFFS = st.one_of(_FRACTIONS, st.integers(-3, 3), _FRACTIONS.map(str))
+
+
+@st.composite
+def _raw_terms(draw):
+    """(exponents, coefficient) pairs on few monomials, so keys repeat and
+    coefficients cancel; exponents come as tuples or lists."""
+    pairs = draw(st.lists(st.tuples(_EXPONENTS, _COEFFS), max_size=7))
+    return [(list(e) if draw(st.booleans()) else e, c) for e, c in pairs]
+
+
+ppolys = _raw_terms().map(lambda pairs: P(_Pairs(pairs)))
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+_FEW = settings(max_examples=40, deadline=None)
+
+
+def assert_canonical(r):
+    keys = list(r.terms)
+    assert keys == sorted(keys, key=_term_sort_key)
+    assert all(type(e) is tuple and len(e) == len(r.params) for e in keys)
+    assert all(isinstance(c, Fraction) and c for c in r.terms.values())
+    rebuilt = ParamPolynomial(dict(r.terms), r.params)
+    assert rebuilt == r
+    assert list(rebuilt.terms) == keys
+    assert hash(rebuilt) == hash(r)
+
+
+class TestCanonicalResults:
+    @_FEW
+    @given(_raw_terms())
+    def test_constructor_merges_and_purges(self, pairs):
+        p = P(_Pairs(pairs))
+        assert_canonical(p)
+        model = {}
+        for e, c in pairs:
+            model[tuple(e)] = model.get(tuple(e), 0) + hz.rat(c)
+        assert p.terms == {e: c for e, c in model.items() if c}
+
+    @_FEW
+    @given(ppolys, ppolys)
+    def test_ring_operations(self, p, q):
+        zero = ParamPolynomial.zero(PARAMS)
+        for r in (p + q, p - q, q - p, p * q, -p, p + (-p), p - p, p * zero,
+                  zero - p, (p + q) - q, p * q - q * p):
+            assert_canonical(r)
+        assert p - q == p + (-q)
+        assert (p + q) - q == p
+        assert (p - p).terms == {}
+        assert p + zero is p and p - zero is p
+
+    @_FEW
+    @given(ppolys, rationals)
+    def test_scale(self, p, factor):
+        for f in (0, 1, -1, factor):
+            r = p.scale(f)
+            assert_canonical(r)
+            assert r == p * const(f)
+        assert p.scale(1) is p
+        assert p.scale(Fraction(1)) is p
+
+    @_FEW
+    @given(ppolys, st.integers(0, 3))
+    def test_power(self, p, n):
+        r = p ** n
+        assert_canonical(r)
+        expect = const(1)
+        for _ in range(n):
+            expect = expect * p
+        assert r == expect
+
+    @_FEW
+    @given(ppolys, st.dictionaries(st.sampled_from(PARAMS), rationals))
+    def test_substitute(self, p, values):
+        r = p.substitute(values)
+        assert_canonical(r)
+        assert all(e[PARAMS.index(name)] == 0 for e in r.terms for name in values)
+
+    @_FEW
+    @given(ppolys, st.sampled_from(PARAMS))
+    def test_coefficient_of_power(self, p, name):
+        total = ParamPolynomial.zero(PARAMS)
+        for power in range(max(p.degree_in(name), 0) + 1):
+            r = p.coefficient_of_power(name, power)
+            assert_canonical(r)
+            assert r.degree_in(name) <= 0
+            total = total + r * var(name) ** power
+        assert total == p
+
+    @_FEW
+    @given(ppolys, ppolys, st.integers(1, 2))
+    def test_pseudo_remainder(self, p, q, d):
+        constraint = var("a") ** d * (const(1) + var("b")) + q.substitute({"a": 0})
+        r, steps = hz.pseudo_remainder(p, constraint, "a")
+        assert_canonical(r)
+        assert r.degree_in("a") < d
+        lc = constraint.coefficient_of_power("a", d)
+        assert hz.ppoly_reduce(lc ** steps * p - r, constraint, "a").is_zero()

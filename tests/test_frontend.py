@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import jsonschema
@@ -191,3 +195,35 @@ class TestCli:
                                 "JACOBI_H2", "--max-degree", "4"])
         assert code == 0
         assert "z^3 (quasi-homogeneous degree 6)" in out
+
+
+def _run_module(*args):
+    """Run `python -m hopfzero ARGS` on the package these tests import."""
+    src = str(pathlib.Path(hz.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=300)
+
+
+class TestModuleEntryPoint:
+    def test_normal_form_json_matches_run_cli(self, tmp_path):
+        case = next(c for c in hz.load_cases() if c.name == "family38_nf")
+        path = tmp_path / "family38_nf.hz"
+        path.write_text(case.system_text, encoding="utf-8")
+        args = ["normal-form", str(path), "--max-degree", str(case.max_index), "--json"]
+        proc = _run_module("-m", "hopfzero", *args)
+        assert (proc.returncode, proc.stdout) == hz.run_cli(args)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
+    def test_missing_file_exits_nonzero_with_message_on_stderr(self, tmp_path):
+        missing = str(tmp_path / "missing.hz")
+        proc = _run_module("-m", "hopfzero", "analyze", missing)
+        assert proc.returncode == hz.run_cli(["analyze", missing])[0] != 0
+        assert proc.stdout == ""
+        assert "cannot read input" in proc.stderr
+
+    def test_import_has_no_side_effects(self):
+        proc = _run_module("-c", "import hopfzero.__main__, hopfzero.frontend")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
