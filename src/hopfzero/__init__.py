@@ -30,10 +30,8 @@ from .normalform import (GeneratorStep, NormalFormResult, ResonanceData,
                          first_resonance, normal_form_field,
                          orbital_normal_form, planar_reduction, principal_part)
 from .parsing import SystemSource, parse_polynomial, parse_system
-from .vectorfield import (ConDisSplit, PlanarVectorField, Poly2, VectorField3,
-                          condis_split, directional_derivative, divergence,
-                          hamiltonian_field, lie_bracket, planar_divergence,
-                          radial_field, wedge2)
+from .vectorfield import (PlanarVectorField, Poly2, VectorField3,
+                          directional_derivative, divergence, lie_bracket)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "1.0.0"

@@ -6,6 +6,10 @@ the degree-k slice to itself.  On even slices its kernel is spanned by
 slices it is bijective.  These facts are verified, not assumed, every time a
 degree is first analyzed, and the elimination record is cached so the many
 repeated solves of the obstruction recurrences are cheap.
+
+This module is the one place that knows the operator (`_apply_operator_monomial`)
+and how to eliminate over it (`_Elimination`, for any rectangular matrix).  The
+normal-form degree solve builds its system from both.
 """
 
 from __future__ import annotations
@@ -51,39 +55,46 @@ class LieOperatorMatrix:
     col_basis: GradedSliceBasis
 
 
-def lie_operator_matrix(k: int) -> LieOperatorMatrix:
-    if k < 0:
-        raise DegreeError(f"negative degree {k}")
+def _slice_rows(k: int) -> Tuple[GradedSliceBasis, List[Dict[int, Fraction]]]:
+    """Basis of the degree-k slice and the operator's sparse rows over it."""
     basis = slice_basis(k)
     index = {m: i for i, m in enumerate(basis.monomials)}
-    n = len(basis)
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows: List[Dict[int, Fraction]] = [{} for _ in basis.monomials]
     for c, m in enumerate(basis.monomials):
         for image, coeff in _apply_operator_monomial(m).items():
             rows[index[image]][c] = Fraction(coeff)
-    return LieOperatorMatrix(degree=k,
-                             matrix=tuple(tuple(r) for r in rows),
-                             row_basis=basis, col_basis=basis)
+    return basis, rows
+
+
+def lie_operator_matrix(k: int) -> LieOperatorMatrix:
+    basis, sparse_rows = _slice_rows(k)
+    n = len(basis)
+    matrix = tuple(tuple(row.get(c, Fraction(0)) for c in range(n)) for row in sparse_rows)
+    return LieOperatorMatrix(degree=k, matrix=matrix, row_basis=basis, col_basis=basis)
 
 
 class _Elimination:
     """Row echelon form of a sparse rational matrix with a replayable op log.
 
-    The forward-elimination operations are recorded once; solving for a new
-    right-hand side replays them on the vector (whose entries may be parameter
-    polynomials) and back-substitutes against the stored echelon rows.
+    The matrix has len(sparse_rows) rows and n_cols columns.  Columns are
+    pivoted in order, each on its first nonzero remaining row; a column with
+    none is free, and its unknown is set to zero.  The forward-elimination
+    operations are recorded once; solving for a new right-hand side replays
+    them on the vector (whose entries may be parameter polynomials) and
+    back-substitutes against the stored echelon rows.
     """
 
-    def __init__(self, sparse_rows: List[Dict[int, Fraction]], n: int):
-        self.n = n
+    def __init__(self, sparse_rows: List[Dict[int, Fraction]], n_cols: int):
+        n_rows = len(sparse_rows)
+        self.n_cols = n_cols
         self.rows = [dict(r) for r in sparse_rows]
         self.ops: List[tuple] = []  # ("swap", i, j) | ("axpy", target, source, factor)
         self.pivots: List[Tuple[int, int]] = []
         self.free_columns: List[int] = []
         r = 0
-        for c in range(n):
+        for c in range(n_cols):
             pivot_row = None
-            for i in range(r, n):
+            for i in range(r, n_rows):
                 if self.rows[i].get(c):
                     pivot_row = i
                     break
@@ -94,7 +105,7 @@ class _Elimination:
                 self.rows[r], self.rows[pivot_row] = self.rows[pivot_row], self.rows[r]
                 self.ops.append(("swap", r, pivot_row))
             pivot = self.rows[r][c]
-            for i in range(r + 1, n):
+            for i in range(r + 1, n_rows):
                 value = self.rows[i].get(c)
                 if not value:
                     continue
@@ -111,7 +122,7 @@ class _Elimination:
             self.pivots.append((r, c))
             r += 1
         self.rank = r
-        self.zero_rows = list(range(r, n))
+        self.zero_rows = list(range(r, n_rows))
 
     def replay_rational(self, vector: List[Fraction]) -> List[Fraction]:
         v = list(vector)
@@ -138,7 +149,7 @@ class _Elimination:
 
     def back_substitute(self, reduced: List[ParamPolynomial],
                         zero_poly: ParamPolynomial) -> List[ParamPolynomial]:
-        x = [zero_poly] * self.n
+        x = [zero_poly] * self.n_cols
         for r, c in reversed(self.pivots):
             acc = reduced[r]
             row = self.rows[r]
@@ -151,11 +162,10 @@ class _Elimination:
     def kernel_vectors(self) -> List[List[Fraction]]:
         out = []
         for free in self.free_columns:
-            rhs = [Fraction(0)] * self.n
-            x = [Fraction(0)] * self.n
+            x = [Fraction(0)] * self.n_cols
             x[free] = Fraction(1)
             for r, c in reversed(self.pivots):
-                acc = rhs[r]
+                acc = Fraction(0)
                 for cc, vv in self.rows[r].items():
                     if cc > c and x[cc]:
                         acc -= vv * x[cc]
@@ -200,13 +210,8 @@ def analyze_operator(k: int) -> OperatorAnalysis:
 
 
 def _build_analysis(k: int) -> OperatorAnalysis:
-    basis = slice_basis(k)
-    index = {m: i for i, m in enumerate(basis.monomials)}
+    basis, sparse_rows = _slice_rows(k)
     n = len(basis)
-    sparse_rows: List[Dict[int, Fraction]] = [{} for _ in range(n)]
-    for c, m in enumerate(basis.monomials):
-        for image, coeff in _apply_operator_monomial(m).items():
-            sparse_rows[index[image]][c] = Fraction(coeff)
     elim = _Elimination(sparse_rows, n)
 
     params: Tuple[str, ...] = ()
@@ -230,7 +235,7 @@ def _build_analysis(k: int) -> OperatorAnalysis:
 
     cok_monomial = Monomial3(0, 0, k // 2)
     e_c = [Fraction(0)] * n
-    e_c[index[cok_monomial]] = Fraction(1)
+    e_c[basis.monomials.index(cok_monomial)] = Fraction(1)
     transformed = elim.replay_rational(e_c)
     zero_row = elim.zero_rows[0]
     if not transformed[zero_row]:

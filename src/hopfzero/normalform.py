@@ -25,8 +25,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .coeffring import ParamPolynomial, Rational
 from .errors import DegreeError, PrincipalPartError, StructureError
 from .gradedpoly import Monomial3, QHPolynomial, slice_basis
-from .vectorfield import (PlanarVectorField, Poly2, VectorField3,
-                          directional_derivative, lie_bracket)
+from .homological import _apply_operator_monomial, _Elimination
+from .vectorfield import PlanarVectorField, Poly2, VectorField3, lie_bracket
 
 
 def principal_part(params: Iterable[str] = ()) -> VectorField3:
@@ -106,136 +106,65 @@ def _resonant_field(s: int, a: ParamPolynomial, b: ParamPolynomial,
     return VectorField3(fx, fy, fz)
 
 
-def _bracket_with_principal(u: VectorField3) -> VectorField3:
-    """[F0, U] expanded: (L(ux) + 2 uy, L(uy) - 2 ux, L(uz) - 2x ux - 2y uy)
-    with L the slice operator of the principal part."""
-    params = u.params
-    f0 = principal_part(params)
-    two_x = QHPolynomial.monomial((1, 0, 0), 2, params)
-    two_y = QHPolynomial.monomial((0, 1, 0), 2, params)
-    rx = directional_derivative(u.fx, f0) + u.fy.scale(2)
-    ry = directional_derivative(u.fy, f0) - u.fx.scale(2)
-    rz = directional_derivative(u.fz, f0) - two_x * u.fx - two_y * u.fy
-    return VectorField3(rx, ry, rz)
-
-
 def _solve_degree(known: VectorField3, s: int):
     """Solve [F0,U] - mu*F0 + a*R1 + b*R2 = known for (U, mu, a, b).
 
-    Free variables of the underdetermined system are set to zero under the
-    fixed column order (ux, uy, uz, mu, a, b).  Raises StructureError if the
-    known term cannot be matched, which would contradict the normal-form
-    structure theorem.
+    The columns are the images of unit unknowns in the fixed order
+    (ux, uy, uz, mu, a, b); each component of [F0, U] is the slice operator
+    of `homological` plus the couplings (2 uy, -2 ux, -2x ux - 2y uy).  Free
+    variables of the underdetermined system are set to zero.  Raises
+    StructureError if the known term cannot be matched, which would
+    contradict the normal-form structure theorem.
     """
     params = known.params
     zero_p = ParamPolynomial.zero(params)
-    basis1 = slice_basis(s + 1)
-    basis2 = slice_basis(s + 2)
-    basis_mu = slice_basis(s)
-    row_index = {}
-    for m in basis1.monomials:
-        row_index[(0, m)] = len(row_index)
-    for m in basis1.monomials:
-        row_index[(1, m)] = len(row_index)
-    for m in basis2.monomials:
-        row_index[(2, m)] = len(row_index)
-    n_rows = len(row_index)
-
-    def field_column(g: VectorField3) -> Dict[int, Fraction]:
-        col = {}
-        for ci, comp in enumerate(g.components):
-            for m, c in comp.terms.items():
-                col[row_index[(ci, m)]] = c.constant_value()
-        return col
-
-    f0 = principal_part(params)
-    zero_q = QHPolynomial.zero(params)
-    columns: List[Dict[int, Fraction]] = []
-    for ci, bas in ((0, basis1), (1, basis1), (2, basis2)):
-        for m in bas.monomials:
-            unit = QHPolynomial.monomial(m, 1, params)
-            comps = [zero_q, zero_q, zero_q]
-            comps[ci] = unit
-            columns.append(field_column(_bracket_with_principal(VectorField3(*comps))))
-    for m in basis_mu.monomials:
-        unit = QHPolynomial.monomial(m, 1, params)
-        scaled = f0.scale_poly(unit)
-        columns.append({r: -v for r, v in field_column(scaled).items()})
+    bases = (slice_basis(s + 1), slice_basis(s + 1), slice_basis(s + 2), slice_basis(s))
+    row_index: Dict[Tuple[int, Monomial3], int] = {}
+    # each column lists its (component, monomial, value) entries
+    columns: List[List[Tuple[int, Monomial3, int]]] = []
+    for ci, basis in enumerate(bases[:3]):
+        for m in basis.monomials:
+            row_index[(ci, m)] = len(row_index)
+            i, j, l = m
+            column = [(ci, image, v) for image, v in _apply_operator_monomial(m).items()]
+            if ci == 0:    # a unit of ux adds -2 to y and -2x to z
+                column += [(1, m, -2), (2, Monomial3(i + 1, j, l), -2)]
+            elif ci == 1:  # a unit of uy adds 2 to x and -2y to z
+                column += [(0, m, 2), (2, Monomial3(i, j + 1, l), -2)]
+            columns.append(column)
+    for i, j, l in bases[3].monomials:  # a unit of mu gives -mu F0
+        columns.append([(0, Monomial3(i, j + 1, l), 2), (1, Monomial3(i + 1, j, l), -2),
+                        (2, Monomial3(i + 2, j, l), -1), (2, Monomial3(i, j + 2, l), -1)])
     resonant = s % 2 == 0
     if resonant:
         k = s // 2
-        r1 = VectorField3(QHPolynomial.monomial((1, 0, k), 1, params),
-                          QHPolynomial.monomial((0, 1, k), 1, params), zero_q)
-        r2 = VectorField3(zero_q, zero_q, QHPolynomial.monomial((0, 0, k + 1), 1, params))
-        columns.append(field_column(r1))
-        columns.append(field_column(r2))
-    n_cols = len(columns)
+        columns.append([(0, Monomial3(1, 0, k), 1), (1, Monomial3(0, 1, k), 1)])  # R1
+        columns.append([(2, Monomial3(0, 0, k + 1), 1)])  # R2
 
-    rows: List[Dict[int, Fraction]] = [{} for _ in range(n_rows)]
-    for ci, col in enumerate(columns):
-        for r, v in col.items():
-            rows[r][ci] = v
-    rhs: List[ParamPolynomial] = [zero_p] * n_rows
+    rows: List[Dict[int, Fraction]] = [{} for _ in row_index]
+    for c, column in enumerate(columns):
+        for ci, m, v in column:
+            rows[row_index[(ci, m)]][c] = Fraction(v)
+    rhs: List[ParamPolynomial] = [zero_p] * len(rows)
     for ci, comp in enumerate(known.components):
         for m, c in comp.terms.items():
             rhs[row_index[(ci, m)]] = c
 
-    pivot_of_column: Dict[int, int] = {}
-    r = 0
-    for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if rows[i].get(c):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            rhs[r], rhs[pivot_row] = rhs[pivot_row], rhs[r]
-        pivot = rows[r][c]
-        for i in range(r + 1, n_rows):
-            value = rows[i].get(c)
-            if not value:
-                continue
-            factor = -value / pivot
-            target = rows[i]
-            for cc, vv in rows[r].items():
-                acc = target.get(cc)
-                acc = acc + factor * vv if acc is not None else factor * vv
-                if acc:
-                    target[cc] = acc
-                elif cc in target:
-                    del target[cc]
-            if rhs[r]:
-                rhs[i] = rhs[i] + rhs[r].scale(factor)
-        pivot_of_column[c] = r
-        r += 1
-    for i in range(r, n_rows):
-        if rhs[i]:
-            raise StructureError(
-                f"degree-{s} homological system is inconsistent; the known term "
-                "is not reducible to the resonant span")
+    elim = _Elimination(rows, len(columns))
+    reduced = elim.replay_poly(rhs)
+    if any(reduced[i] for i in elim.zero_rows):
+        raise StructureError(
+            f"degree-{s} homological system is inconsistent; the known term "
+            "is not reducible to the resonant span")
+    x = elim.back_substitute(reduced, zero_p)
 
-    x: List[ParamPolynomial] = [zero_p] * n_cols
-    for c in sorted(pivot_of_column, reverse=True):
-        rr = pivot_of_column[c]
-        acc = rhs[rr]
-        for cc, vv in rows[rr].items():
-            if cc > c and x[cc]:
-                acc = acc - x[cc].scale(vv)
-        x[c] = acc.scale(1 / rows[rr][c])
-
+    parts = []
     pos = 0
-    n1, n2, nmu = len(basis1), len(basis2), len(basis_mu)
-    ux = QHPolynomial({m: x[pos + i] for i, m in enumerate(basis1.monomials) if x[pos + i]}, params)
-    pos += n1
-    uy = QHPolynomial({m: x[pos + i] for i, m in enumerate(basis1.monomials) if x[pos + i]}, params)
-    pos += n1
-    uz = QHPolynomial({m: x[pos + i] for i, m in enumerate(basis2.monomials) if x[pos + i]}, params)
-    pos += n2
-    mu = QHPolynomial({m: x[pos + i] for i, m in enumerate(basis_mu.monomials) if x[pos + i]}, params)
-    pos += nmu
+    for basis in bases:
+        parts.append(QHPolynomial(
+            {m: x[pos + i] for i, m in enumerate(basis.monomials) if x[pos + i]}, params))
+        pos += len(basis)
+    ux, uy, uz, mu = parts
     a = x[pos] if resonant else zero_p
     b = x[pos + 1] if resonant else zero_p
     return VectorField3(ux, uy, uz), mu, a, b

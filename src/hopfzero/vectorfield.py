@@ -2,19 +2,16 @@
 
 A `VectorField3` of quasi-homogeneous degree k has x- and y-components in the
 degree-(k+1) slice and z-component in the degree-(k+2) slice.  The planar
-types live in two variables (u, v) and carry the wedge product and the
-conservative-dissipative splitting.
+types live in two variables (u, v) and hold the reduced planar system of the
+normal form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
 
-from .coeffring import ParamPolynomial, RationalLike, rat
-from .errors import DegreeError
-from .gradedpoly import Monomial3, QHPolynomial
+from .coeffring import ParamPolynomial, RationalLike
+from .gradedpoly import QHPolynomial
 
 
 class VectorField3:
@@ -155,56 +152,6 @@ class Poly2:
     def __setattr__(self, name, value):
         raise AttributeError("Poly2 is immutable")
 
-    @classmethod
-    def zero(cls, params: Iterable[str]) -> "Poly2":
-        return cls({}, params)
-
-    @classmethod
-    def monomial(cls, m, coeff, params: Iterable[str]) -> "Poly2":
-        return cls({tuple(m): coeff}, params)
-
-    def __add__(self, other: "Poly2") -> "Poly2":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            prev = out.get(m)
-            out[m] = prev + c if prev is not None else c
-        return Poly2(out, self.params)
-
-    def __sub__(self, other: "Poly2") -> "Poly2":
-        return self + (-other)
-
-    def __neg__(self) -> "Poly2":
-        return Poly2({m: -c for m, c in self.terms.items()}, self.params)
-
-    def __mul__(self, other: "Poly2") -> "Poly2":
-        out = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = (ma[0] + mb[0], ma[1] + mb[1])
-                prod = ca * cb
-                prev = out.get(m)
-                out[m] = prev + prod if prev is not None else prod
-        return Poly2(out, self.params)
-
-    def scale(self, factor: RationalLike) -> "Poly2":
-        factor = rat(factor)
-        return Poly2({m: c.scale(factor) for m, c in self.terms.items()}, self.params)
-
-    def partial(self, var: str) -> "Poly2":
-        idx = PLANAR_VARS.index(var)
-        out = {}
-        for m, c in self.terms.items():
-            e = m[idx]
-            if not e:
-                continue
-            lowered = list(m)
-            lowered[idx] = e - 1
-            key = tuple(lowered)
-            contrib = c.scale(e)
-            prev = out.get(key)
-            out[key] = prev + contrib if prev is not None else contrib
-        return Poly2(out, self.params)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -277,55 +224,3 @@ class PlanarVectorField:
 
     def __repr__(self) -> str:
         return f"PlanarVectorField{self}"
-
-
-@dataclass(frozen=True)
-class ConDisSplit:
-    """Hamiltonian-plus-radial decomposition of a planar graded field."""
-
-    hamiltonian: Poly2
-    radial_factor: Poly2
-
-
-def wedge2(f: PlanarVectorField, g: PlanarVectorField) -> Poly2:
-    """Planar wedge product: f /\\ g = f_u g_v - f_v g_u."""
-    return f.pu * g.pv - f.pv * g.pu
-
-
-def planar_divergence(f: PlanarVectorField) -> Poly2:
-    return f.pu.partial("u") + f.pv.partial("v")
-
-
-def hamiltonian_field(h: Poly2) -> PlanarVectorField:
-    """The planar Hamiltonian field (-dh/dv, dh/du)."""
-    return PlanarVectorField(-h.partial("v"), h.partial("u"))
-
-
-def radial_field(params: Iterable[str]) -> PlanarVectorField:
-    """The planar radial field (u, v)."""
-    return PlanarVectorField(Poly2.monomial((1, 0), 1, params),
-                             Poly2.monomial((0, 1), 1, params))
-
-
-def condis_split(pk: PlanarVectorField, k: int) -> ConDisSplit:
-    """Unique splitting of a degree-k planar field into X_h + mu * (u, v).
-
-    h has degree k+2 and mu degree k; h = (u,v) /\\ pk / (k+2) and
-    mu = div(pk) / (k+2).  Raises DegreeError naming an offending monomial
-    when the input is not quasi-homogeneous of degree k under type (1, 1).
-    """
-    for comp, name in ((pk.pu, "u"), (pk.pv, "v")):
-        for m in comp.terms:
-            if m[0] + m[1] != k + 1:
-                raise DegreeError(
-                    f"component d{name} contains u^{m[0]}*v^{m[1]}, which has "
-                    f"degree {m[0] + m[1]} instead of {k + 1}")
-    d0 = radial_field(pk.params)
-    h = wedge2(d0, pk).scale(Fraction(1, k + 2))
-    mu = planar_divergence(pk).scale(Fraction(1, k + 2))
-    reconstructed = hamiltonian_field(h)
-    rebuilt = PlanarVectorField(reconstructed.pu + mu * d0.pu,
-                                reconstructed.pv + mu * d0.pv)
-    if rebuilt != pk:
-        raise DegreeError("conservative-dissipative reconstruction failed")
-    return ConDisSplit(hamiltonian=h, radial_factor=mu)

@@ -6,8 +6,10 @@ import sympy as sp
 import hopfzero as hz
 from hopfzero import (ParamPolynomial, PrincipalPartError, QHPolynomial,
                       VectorField3)
+from hopfzero.normalform import _solve_degree
 
-from conftest import field_from_text, random_perturbed_field
+from conftest import (field_from_text, random_field_component,
+                      random_perturbed_field, random_ppoly)
 from oracle import degree2_orbital_normal_form, field_to_sympy, ppoly_to_sympy
 
 
@@ -93,6 +95,42 @@ class TestOrbitalNormalForm:
         assert first.a_coeffs == second.a_coeffs
         assert first.b_coeffs == second.b_coeffs
         assert first.field == second.field
+
+
+class TestSolveDegree:
+    """The degree solve meets its defining equation, checked with the generic
+    Lie bracket: [F0, U] - mu F0 + a R1 + b R2 == known."""
+
+    @staticmethod
+    def check(known, s):
+        params = known.params
+        u, mu, a, b = _solve_degree(known, s)
+        f0 = hz.principal_part(params)
+        achieved = hz.lie_bracket(f0, u) - f0.scale_poly(mu)
+        if s % 2 == 0:
+            k = s // 2
+            achieved = achieved + VectorField3(
+                QHPolynomial({(1, 0, k): a}, params), QHPolynomial({(0, 1, k): a}, params),
+                QHPolynomial({(0, 0, k + 1): b}, params))
+        else:
+            assert not a and not b
+        assert achieved == known
+
+    @pytest.mark.parametrize("s", range(1, 9))
+    def test_rational_slices(self, rng, s):
+        for _ in range(2):
+            self.check(random_field_component(rng, s), s)
+
+    @pytest.mark.parametrize("s", range(1, 9))
+    def test_one_parameter_slices(self, rng, s):
+        params = ("p",)
+
+        def component(degree):
+            return QHPolynomial({m: random_ppoly(rng, params, max_degree=2, terms=2)
+                                 for m in hz.slice_basis(degree).monomials
+                                 if rng.random() < 0.7}, params)
+
+        self.check(VectorField3(component(s + 1), component(s + 1), component(s + 2)), s)
 
 
 class TestFirstResonance:

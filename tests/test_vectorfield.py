@@ -1,10 +1,5 @@
-from fractions import Fraction
-
-import pytest
-
 import hopfzero as hz
-from hopfzero import (DegreeError, PlanarVectorField, Poly2, QHPolynomial,
-                      VectorField3)
+from hopfzero import QHPolynomial, VectorField3
 
 from conftest import random_field_component
 from oracle import (directional_derivative_sympy, divergence_sympy,
@@ -118,74 +113,3 @@ class TestLieBracket:
                     - sp.diff(fe[comp], var) * ge[i]
                     for i, var in enumerate((X, Y, Z))))
             assert sp.expand(got[comp] - expected) == 0
-
-
-class TestPlanar:
-    def test_wedge_examples(self):
-        d0 = hz.radial_field(())
-        assert hz.wedge2(d0, d0).is_zero()
-        xh = PlanarVectorField(Poly2.monomial((0, 1), -2, ()),
-                               Poly2.monomial((1, 0), 2, ()))
-        two_h = Poly2({(2, 0): 2, (0, 2): 2}, ())
-        assert hz.wedge2(d0, xh) == two_h
-        e1 = PlanarVectorField(Poly2.monomial((0, 0), 1, ()), Poly2.zero(()))
-        e2 = PlanarVectorField(Poly2.zero(()), Poly2.monomial((0, 0), 1, ()))
-        assert hz.wedge2(e1, e2) == Poly2.monomial((0, 0), 1, ())
-
-    def test_condis_radial(self):
-        split = hz.condis_split(hz.radial_field(()), 0)
-        assert split.hamiltonian.is_zero()
-        assert split.radial_factor == Poly2.monomial((0, 0), 1, ())
-
-    def test_condis_hamiltonian(self):
-        xh = PlanarVectorField(Poly2.monomial((0, 1), -2, ()),
-                               Poly2.monomial((1, 0), 2, ()))
-        split = hz.condis_split(xh, 0)
-        assert split.hamiltonian == Poly2({(2, 0): 1, (0, 2): 1}, ())
-        assert split.radial_factor.is_zero()
-
-    def test_condis_saddle(self):
-        pk = PlanarVectorField(Poly2.monomial((1, 0), 1, ()),
-                               Poly2.monomial((0, 1), -1, ()))
-        split = hz.condis_split(pk, 0)
-        assert split.hamiltonian == Poly2.monomial((1, 1), -1, ())
-        assert split.radial_factor.is_zero()
-
-    def test_condis_rejects_inhomogeneous(self):
-        bad = PlanarVectorField(Poly2({(1, 0): 1, (2, 0): 1}, ()), Poly2.zero(()))
-        with pytest.raises(DegreeError) as err:
-            hz.condis_split(bad, 0)
-        assert "u^2" in str(err.value)
-
-    def test_condis_reconstruction_random(self, rng):
-        for _ in range(200):
-            k = rng.randint(0, 10)
-            params = ()
-
-            def random_planar_slice(deg):
-                terms = {}
-                for eu in range(deg + 1):
-                    if rng.random() < 0.7:
-                        value = rng.randint(-5, 5)
-                        if value:
-                            terms[(eu, deg - eu)] = hz.ParamPolynomial.constant(value, params)
-                return Poly2(terms, params)
-
-            pk = PlanarVectorField(random_planar_slice(k + 1), random_planar_slice(k + 1))
-            split = hz.condis_split(pk, k)
-            ham = hz.hamiltonian_field(split.hamiltonian)
-            d0 = hz.radial_field(params)
-            rebuilt = PlanarVectorField(ham.pu + split.radial_factor * d0.pu,
-                                        ham.pv + split.radial_factor * d0.pv)
-            assert rebuilt == pk
-
-    def test_condis_split_is_fixed_point(self, rng):
-        pk = PlanarVectorField(Poly2({(2, 0): 3, (1, 1): -1}, ()),
-                               Poly2({(0, 2): 2, (2, 0): 5}, ()))
-        first = hz.condis_split(pk, 1)
-        ham = hz.hamiltonian_field(first.hamiltonian)
-        d0 = hz.radial_field(())
-        rebuilt = PlanarVectorField(ham.pu + first.radial_factor * d0.pu,
-                                    ham.pv + first.radial_factor * d0.pv)
-        second = hz.condis_split(rebuilt, 1)
-        assert second == first
