@@ -5,6 +5,15 @@ are sparse maps from monomials to `ParamPolynomial` coefficients, so a single
 object can hold symbolic-parameter content exactly.  The graded slice of
 degree k, and a deterministic ordered basis of it, underpin all the linear
 algebra downstream.
+
+Invariant: a `QHPolynomial`'s `terms` are always zero-free and in canonical
+order (`_mono_sort_key`); printing and rerun comparisons read that order.
+`QHPolynomial(...)` is the constructor for outside input: it coerces keys and
+coefficients, checks the coefficient ring and merges and sorts terms.
+Operations build their results through the private `_wrap`, which trusts its
+caller to pass a term dict that already holds the invariant.  Every product
+(`mul`, and the directional derivatives and Lie brackets of `vectorfield`)
+goes through one multiply-accumulate kernel, `_mul_accumulate`.
 """
 
 from __future__ import annotations
@@ -12,9 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, NamedTuple, Tuple
+from operator import add
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .coeffring import ParamPolynomial, RationalLike, rat
+from .coeffring import ParamPolynomial, RationalLike, _canonical, rat
 from .errors import DegreeError
 
 WEIGHTS = (1, 1, 2)
@@ -72,12 +82,27 @@ def slice_dimension(k: int) -> int:
     return sum(k - 2 * l + 1 for l in range(k // 2 + 1)) if k >= 0 else 0
 
 
-def _mono_sort_key(m: Monomial3):
-    return (m.degree, m.ez, -m.ex)
+def _mono_sort_key(m):
+    # on a Monomial3 or a plain (ex, ey, ez) tuple alike
+    ex, ey, ez = m
+    return (ex + ey + 2 * ez, ez, -ex)
+
+
+def _sorted_terms(terms: dict) -> dict:
+    """`terms`, whose keys are distinct and coefficients nonzero, in
+    canonical order."""
+    return {m: terms[m] for m in sorted(terms, key=_mono_sort_key)}
 
 
 class QHPolynomial:
-    """Sparse polynomial in x, y, z with ParamPolynomial coefficients."""
+    """Sparse polynomial in x, y, z with ParamPolynomial coefficients.
+
+    `terms` maps `Monomial3` keys to nonzero coefficients over `params`, in
+    `_mono_sort_key` order: ascending degree, then ascending z exponent, then
+    descending x exponent.  The constructor validates and canonicalizes
+    outside input; `_wrap` builds a result from a term dict its caller
+    guarantees is already in that form.
+    """
 
     __slots__ = ("terms", "params")
 
@@ -97,9 +122,18 @@ class QHPolynomial:
                     clean[m] = c
                 elif m in clean:
                     del clean[m]
-        object.__setattr__(self, "terms",
-                           dict(sorted(clean.items(), key=lambda kv: _mono_sort_key(kv[0]))))
+        object.__setattr__(self, "terms", _sorted_terms(clean))
         object.__setattr__(self, "params", params)
+
+    @classmethod
+    def _wrap(cls, terms: dict, params: tuple) -> "QHPolynomial":
+        """A polynomial on `terms` as given: the caller guarantees that they
+        are zero-free, in canonical order, keyed by `Monomial3` and with
+        coefficients over `params`, and that nothing else holds the dict."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "params", params)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("QHPolynomial is immutable")
@@ -108,7 +142,7 @@ class QHPolynomial:
 
     @classmethod
     def zero(cls, params: Iterable[str]) -> "QHPolynomial":
-        return cls({}, params)
+        return cls._wrap({}, tuple(params))
 
     @classmethod
     def constant(cls, value: RationalLike, params: Iterable[str]) -> "QHPolynomial":
@@ -138,17 +172,38 @@ class QHPolynomial:
 
     def __add__(self, other: "QHPolynomial") -> "QHPolynomial":
         self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for m, c in other.terms.items():
             prev = out.get(m)
-            out[m] = prev + c if prev is not None else c
-        return QHPolynomial(out, self.params)
+            if prev is None:
+                out[m] = c
+            elif c := prev + c:
+                out[m] = c
+            else:
+                del out[m]
+        return QHPolynomial._wrap(_sorted_terms(out), self.params)
 
     def __sub__(self, other: "QHPolynomial") -> "QHPolynomial":
-        return self + (-other)
+        self._check(other)
+        if not other.terms:
+            return self
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            prev = out.get(m)
+            if prev is None:
+                out[m] = -c
+            elif c := prev - c:
+                out[m] = c
+            else:
+                del out[m]
+        return QHPolynomial._wrap(_sorted_terms(out), self.params)
 
     def __neg__(self) -> "QHPolynomial":
-        return QHPolynomial({m: -c for m, c in self.terms.items()}, self.params)
+        return QHPolynomial._wrap({m: -c for m, c in self.terms.items()}, self.params)
 
     def __mul__(self, other: "QHPolynomial") -> "QHPolynomial":
         return self.mul(other)
@@ -159,30 +214,21 @@ class QHPolynomial:
         Truncating during multiplication keeps high-order normal-form updates
         from generating garbage far beyond the working degree.
         """
-        self._check(other)
-        out: Dict[Monomial3, ParamPolynomial] = {}
-        bterms = [(m, m.degree, c) for m, c in other.terms.items()]
-        for ma, ca in self.terms.items():
-            da = ma.degree
-            for mb, db, cb in bterms:
-                if max_degree is not None and da + db > max_degree:
-                    continue
-                m = Monomial3(ma.ex + mb.ex, ma.ey + mb.ey, ma.ez + mb.ez)
-                prod = ca * cb
-                prev = out.get(m)
-                out[m] = prev + prod if prev is not None else prod
-        return QHPolynomial(out, self.params)
+        return _mul_accumulate([(self, other)], (), self.params, max_degree)
 
     def scale(self, factor: RationalLike) -> "QHPolynomial":
         factor = rat(factor)
         if not factor:
             return QHPolynomial.zero(self.params)
-        return QHPolynomial({m: c.scale(factor) for m, c in self.terms.items()}, self.params)
+        return QHPolynomial._wrap({m: c.scale(factor) for m, c in self.terms.items()},
+                                  self.params)
 
     def scale_param(self, factor: ParamPolynomial) -> "QHPolynomial":
         if not factor:
             return QHPolynomial.zero(self.params)
-        return QHPolynomial({m: c * factor for m, c in self.terms.items()}, self.params)
+        # Q[params] has no zero divisors, so no product vanishes
+        return QHPolynomial._wrap({m: c * factor for m, c in self.terms.items()},
+                                  self.params)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QHPolynomial):
@@ -201,12 +247,12 @@ class QHPolynomial:
         return tuple(sorted({m.degree for m in self.terms}))
 
     def slice(self, k: int) -> "QHPolynomial":
-        return QHPolynomial({m: c for m, c in self.terms.items() if m.degree == k},
-                            self.params)
+        return QHPolynomial._wrap({m: c for m, c in self.terms.items() if m.degree == k},
+                                  self.params)
 
     def truncate(self, max_degree: int) -> "QHPolynomial":
-        return QHPolynomial({m: c for m, c in self.terms.items() if m.degree <= max_degree},
-                            self.params)
+        return QHPolynomial._wrap(
+            {m: c for m, c in self.terms.items() if m.degree <= max_degree}, self.params)
 
     def is_quasi_homogeneous(self, k: int) -> bool:
         return all(m.degree == k for m in self.terms)
@@ -215,22 +261,24 @@ class QHPolynomial:
 
     def partial(self, var: str) -> "QHPolynomial":
         idx = VAR_NAMES.index(var)
+        # lowering one exponent is injective and keeps `_mono_sort_key` order,
+        # and e * c is nonzero, so the result needs no merge and no sort
         out = {}
         for m, c in self.terms.items():
             e = m[idx]
-            if not e:
-                continue
-            lowered = list(m)
-            lowered[idx] = e - 1
-            key = Monomial3(*lowered)
-            contrib = c.scale(e)
-            prev = out.get(key)
-            out[key] = prev + contrib if prev is not None else contrib
-        return QHPolynomial(out, self.params)
+            if e:
+                lowered = list(m)
+                lowered[idx] = e - 1
+                out[tuple.__new__(Monomial3, lowered)] = c.scale(e)
+        return QHPolynomial._wrap(out, self.params)
 
     def substitute_params(self, values: Mapping[str, RationalLike]) -> "QHPolynomial":
-        return QHPolynomial({m: c.substitute(values) for m, c in self.terms.items()},
-                            self.params)
+        out = {}
+        for m, c in self.terms.items():
+            c = c.substitute(values)
+            if c:
+                out[m] = c
+        return QHPolynomial._wrap(out, self.params)
 
     def coefficient(self, m) -> ParamPolynomial:
         return self.terms.get(Monomial3(*m), ParamPolynomial.zero(self.params))
@@ -278,12 +326,75 @@ def _signed(text: str):
     return text, "+"
 
 
+def _degree_buckets(f: QHPolynomial) -> List[Tuple[int, list]]:
+    """The terms of `f` as (degree, [(ex, ey, ez, coefficient items)]) in
+    ascending degree."""
+    buckets: List[Tuple[int, list]] = []
+    for m, c in f.terms.items():
+        ex, ey, ez = m
+        d = ex + ey + 2 * ez
+        if not buckets or buckets[-1][0] != d:
+            buckets.append((d, []))
+        buckets[-1][1].append((ex, ey, ez, list(c.terms.items())))
+    return buckets
+
+
+def _mul_accumulate(plus: Sequence[Tuple[QHPolynomial, QHPolynomial]],
+                    minus: Sequence[Tuple[QHPolynomial, QHPolynomial]],
+                    params: Tuple[str, ...],
+                    max_degree: Optional[int] = None) -> QHPolynomial:
+    """sum(a * b for a, b in plus) - sum(a * b for a, b in minus), without
+    the monomials of degree above `max_degree` when a cap is given.
+
+    Every coefficient product goes straight into one exponent -> Rational map
+    per output monomial; the monomials are sorted, and each map made a
+    canonical `ParamPolynomial`, once at the end.  Each `b` is bucketed by
+    degree, and the terms of `a` come in ascending degree, so the pairs above
+    the cap are cut off with a `break` rather than tested one by one.
+    """
+    cap = math.inf if max_degree is None else max_degree
+    acc: Dict[tuple, dict] = {}
+    for negate, pairs in ((False, plus), (True, minus)):
+        for a, b in pairs:
+            if a.params != params or b.params != params:
+                raise ValueError("parameter tables differ")
+            if not a.terms or not b.terms:
+                continue
+            buckets = _degree_buckets(b)
+            lowest = buckets[0][0]
+            for (ax, ay, az), ca in a.terms.items():
+                room = cap - (ax + ay + 2 * az)
+                if room < lowest:
+                    break
+                a_items = [(e, -c) for e, c in ca.terms.items()] if negate \
+                    else list(ca.terms.items())
+                for db, bucket in buckets:
+                    if db > room:
+                        break
+                    for bx, by, bz, b_items in bucket:
+                        key = (ax + bx, ay + by, az + bz)
+                        out = acc.get(key)
+                        if out is None:
+                            out = acc[key] = {}
+                        for ea, fa in a_items:
+                            for eb, fb in b_items:
+                                e = tuple(map(add, ea, eb))
+                                prev = out.get(e)
+                                out[e] = fa * fb if prev is None else prev + fa * fb
+    terms = {}
+    for key in sorted(acc, key=_mono_sort_key):
+        coeff = _canonical(acc[key])
+        if coeff:
+            terms[tuple.__new__(Monomial3, key)] = ParamPolynomial._wrap(coeff, params)
+    return QHPolynomial._wrap(terms, params)
+
+
 def qh_decompose(f: QHPolynomial) -> Dict[int, QHPolynomial]:
     """Split into quasi-homogeneous slices, keyed by degree (sum equals f)."""
     buckets: Dict[int, Dict[Monomial3, ParamPolynomial]] = {}
     for m, c in f.terms.items():
         buckets.setdefault(m.degree, {})[m] = c
-    return {k: QHPolynomial(t, f.params) for k, t in sorted(buckets.items())}
+    return {k: QHPolynomial._wrap(t, f.params) for k, t in sorted(buckets.items())}
 
 
 def partial(f: QHPolynomial, var: str) -> QHPolynomial:

@@ -77,8 +77,11 @@ class _Elimination:
     """Row echelon form of a sparse rational matrix with a replayable op log.
 
     The matrix has len(sparse_rows) rows and n_cols columns.  Columns are
-    pivoted in order, each on its first nonzero remaining row; a column with
-    none is free, and its unknown is set to zero.  The forward-elimination
+    pivoted in order, each on its sparsest remaining row with a nonzero in
+    that column (the first of those on a tie), which keeps fill-in low; a
+    column with none is free, and its unknown is set to zero.  Which columns
+    are free depends on the column order alone, so solutions and residuals
+    do not depend on the choice of pivot row.  The forward-elimination
     operations are recorded once; solving for a new right-hand side replays
     them on the vector (whose entries may be parameter polynomials) and
     back-substitutes against the stored echelon rows.
@@ -95,9 +98,9 @@ class _Elimination:
         for c in range(n_cols):
             pivot_row = None
             for i in range(r, n_rows):
-                if self.rows[i].get(c):
-                    pivot_row = i
-                    break
+                row = self.rows[i]
+                if row.get(c) and (pivot_row is None or len(row) < fewest):
+                    pivot_row, fewest = i, len(row)
             if pivot_row is None:
                 self.free_columns.append(c)
                 continue

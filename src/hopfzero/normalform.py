@@ -78,9 +78,11 @@ def apply_generator_step(field: VectorField3, step: GeneratorStep,
     """Apply one step: scale time by (1 + reparam), then push along the
     generator's flow via the exponential of the adjoint action, truncating
     above the working degree."""
-    params = field.params
-    one = QHPolynomial.constant(1, params)
-    current = field.scale_poly(one + step.reparam, max_field_degree)
+    if step.reparam:
+        one = QHPolynomial.constant(1, field.params)
+        current = field.scale_poly(one + step.reparam, max_field_degree)
+    else:  # scaling by 1 only truncates
+        current = field.truncate(max_field_degree)
     result = current
     term = current
     j = 1

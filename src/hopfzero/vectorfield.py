@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping, Tuple
 
 from .coeffring import ParamPolynomial, RationalLike
-from .gradedpoly import QHPolynomial
+from .gradedpoly import VAR_NAMES, QHPolynomial, _mul_accumulate
 
 
 class VectorField3:
@@ -103,20 +103,23 @@ def divergence(field: VectorField3) -> QHPolynomial:
 def directional_derivative(f: QHPolynomial, field: VectorField3,
                            max_degree: int | None = None) -> QHPolynomial:
     """grad(f) . field, optionally truncated above a quasi-homogeneous cap."""
-    return (f.partial("x").mul(field.fx, max_degree)
-            + f.partial("y").mul(field.fy, max_degree)
-            + f.partial("z").mul(field.fz, max_degree))
+    pairs = [(f.partial(v), c) for v, c in zip(VAR_NAMES, field.components)]
+    return _mul_accumulate(pairs, (), f.params, max_degree)
 
 
 def lie_bracket(f: VectorField3, g: VectorField3,
                 max_field_degree: int | None = None) -> VectorField3:
-    """[f, g] = Dg.f - Df.g; maps degrees (j, k) into degree j + k."""
+    """[f, g] = Dg.f - Df.g; maps degrees (j, k) into degree j + k.
+
+    Each component is one multiply-accumulate: grad(g_i) . f - grad(f_i) . g.
+    """
     cap1 = None if max_field_degree is None else max_field_degree + 1
     cap2 = None if max_field_degree is None else max_field_degree + 2
-    rx = directional_derivative(g.fx, f, cap1) - directional_derivative(f.fx, g, cap1)
-    ry = directional_derivative(g.fy, f, cap1) - directional_derivative(f.fy, g, cap1)
-    rz = directional_derivative(g.fz, f, cap2) - directional_derivative(f.fz, g, cap2)
-    return VectorField3(rx, ry, rz)
+    return VectorField3(*(
+        _mul_accumulate([(gi.partial(v), fv) for v, fv in zip(VAR_NAMES, f.components)],
+                        [(fi.partial(v), gv) for v, gv in zip(VAR_NAMES, g.components)],
+                        f.params, cap)
+        for fi, gi, cap in zip(f.components, g.components, (cap1, cap1, cap2))))
 
 
 # --------------------------------------------------------------------------

@@ -26,6 +26,17 @@ dz = x^2 + y^2 + c030*y^3
 """
 
 
+class Pairs:
+    """A term map whose items are the given (key, coefficient) pairs as they
+    are: repeated keys and list keys included, as outside input can be."""
+
+    def __init__(self, pairs):
+        self._pairs = pairs
+
+    def items(self):
+        return iter(self._pairs)
+
+
 def field_from_text(text: str) -> hz.VectorField3:
     source = hz.parse_system(text)
     field, _ = hz.normalize_principal_part(source.to_field())

@@ -10,7 +10,7 @@ import hopfzero as hz
 from hopfzero import ParamPolynomial, ParameterError
 from hopfzero.coeffring import _term_sort_key
 
-from conftest import random_ppoly
+from conftest import Pairs, random_ppoly
 
 PARAMS = ("a", "b")
 
@@ -160,17 +160,6 @@ class TestPrinting:
 
 # -- canonical form of every result, over random polynomials --------------
 
-class _Pairs:
-    """A term map whose items are the given (exponents, coefficient) pairs as
-    they are: repeated keys and list keys included, as outside input can be."""
-
-    def __init__(self, pairs):
-        self._pairs = pairs
-
-    def items(self):
-        return iter(self._pairs)
-
-
 _EXPONENTS = st.tuples(st.integers(0, 3), st.integers(0, 3))
 _FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 _COEFFS = st.one_of(_FRACTIONS, st.integers(-3, 3), _FRACTIONS.map(str))
@@ -184,7 +173,7 @@ def _raw_terms(draw):
     return [(list(e) if draw(st.booleans()) else e, c) for e, c in pairs]
 
 
-ppolys = _raw_terms().map(lambda pairs: P(_Pairs(pairs)))
+ppolys = _raw_terms().map(lambda pairs: P(Pairs(pairs)))
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 _FEW = settings(max_examples=40, deadline=None)
@@ -205,7 +194,7 @@ class TestCanonicalResults:
     @_FEW
     @given(_raw_terms())
     def test_constructor_merges_and_purges(self, pairs):
-        p = P(_Pairs(pairs))
+        p = P(Pairs(pairs))
         assert_canonical(p)
         model = {}
         for e, c in pairs:

@@ -1,9 +1,15 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hopfzero as hz
-from hopfzero import DegreeError, Monomial3, QHPolynomial
+from hopfzero import DegreeError, Monomial3, ParamPolynomial, QHPolynomial, VectorField3
+from hopfzero.coeffring import _term_sort_key
+from hopfzero.gradedpoly import _mono_sort_key
 
-from conftest import random_qh_slice
+from conftest import Pairs, random_qh_slice
 
 
 def QH(terms, params=()):
@@ -130,3 +136,169 @@ class TestHComponent:
         # laplacian^2 x^4 = 24; normalization 4^2 * (2!)^2 = 64
         assert got == hz.ParamPolynomial.constant(5, ()) + \
             hz.ParamPolynomial.constant(hz.rat("24/64"), ())
+
+
+# -- canonical form of every result, over random polynomials --------------
+
+_PARAM_TABLES = st.sampled_from([(), ("a",), ("a", "b")])
+_MONOMIALS = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2))
+_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _coefficient(draw, params):
+    exponents = st.tuples(*[st.integers(0, 2)] * len(params))
+    pairs = draw(st.lists(st.tuples(exponents, _FRACTIONS), min_size=1, max_size=3))
+    return ParamPolynomial(Pairs(pairs), params)
+
+
+@st.composite
+def _graded(draw, params):
+    """A polynomial over several degrees; few monomials, so keys repeat and
+    coefficients cancel."""
+    pairs = draw(st.lists(st.tuples(_MONOMIALS, _coefficient(params)), max_size=6))
+    return QHPolynomial(Pairs(pairs), params)
+
+
+@st.composite
+def _polys(draw, count):
+    """`count` random polynomials over one random table of 0 to 2 parameters."""
+    params = draw(_PARAM_TABLES)
+    return [draw(_graded(params)) for _ in range(count)]
+
+
+_CAPS = st.one_of(st.none(), st.integers(0, 12))
+_FEW = settings(max_examples=40, deadline=None)
+
+
+def assert_canonical(r):
+    keys = list(r.terms)
+    assert all(type(m) is Monomial3 for m in keys)
+    assert keys == sorted(keys, key=_mono_sort_key)
+    for c in r.terms.values():
+        assert isinstance(c, ParamPolynomial) and c and c.params == r.params
+        exps = list(c.terms)
+        assert exps == sorted(exps, key=_term_sort_key)
+        assert all(isinstance(v, Fraction) and v for v in c.terms.values())
+    rebuilt = QHPolynomial(dict(r.terms), r.params)
+    assert rebuilt == r
+    assert list(rebuilt.terms) == keys
+
+
+def model_product(plus, minus, params, cap=None):
+    """sum(a * b) over `plus` minus sum(a * b) over `minus`, term by term
+    through the coefficient ring and the validating constructor."""
+    out = []
+    for sign, pairs in ((1, plus), (-1, minus)):
+        for a, b in pairs:
+            for ma, ca in a.terms.items():
+                for mb, cb in b.terms.items():
+                    m = Monomial3(ma.ex + mb.ex, ma.ey + mb.ey, ma.ez + mb.ez)
+                    if cap is None or m.degree <= cap:
+                        out.append((m, (ca * cb).scale(sign)))
+    return QHPolynomial(Pairs(out), params)
+
+
+def model_partial(f, var):
+    idx = hz.gradedpoly.VAR_NAMES.index(var)
+    out = []
+    for m, c in f.terms.items():
+        if m[idx]:
+            lowered = list(m)
+            lowered[idx] -= 1
+            out.append((lowered, c.scale(m[idx])))
+    return QHPolynomial(Pairs(out), f.params)
+
+
+class TestCanonicalResults:
+    @_FEW
+    @given(_polys(2), _CAPS)
+    def test_mul(self, polys, cap):
+        f, g = polys
+        for r, c in ((f.mul(g), None), (f * g, None), (f.mul(g, cap), cap),
+                     (g.mul(f, cap), cap)):
+            assert_canonical(r)
+            assert r == model_product([(f, g)], [], f.params, c)
+
+    @_FEW
+    @given(_polys(1))
+    def test_partial(self, polys):
+        (f,) = polys
+        for var in ("x", "y", "z"):
+            r = f.partial(var)
+            assert_canonical(r)
+            assert r == model_partial(f, var)
+
+    @_FEW
+    @given(_polys(2))
+    def test_sums(self, polys):
+        f, g = polys
+        zero = QHPolynomial.zero(f.params)
+        for r in (f + g, f - g, g - f, -f, f + (-f), f - f, zero - f, (f + g) - g):
+            assert_canonical(r)
+        both = list(f.terms.items()) + list(g.terms.items())
+        assert f + g == QHPolynomial(Pairs(both), f.params)
+        assert f - g == f + (-g)
+        assert -f == QHPolynomial({m: -c for m, c in f.terms.items()}, f.params)
+        assert (f + g) - g == f
+        assert (f - f).terms == {}
+
+    @_FEW
+    @given(_polys(1), st.fractions(min_value=-5, max_value=5, max_denominator=6))
+    def test_scale(self, polys, factor):
+        (f,) = polys
+        for v in (0, 1, factor):
+            r = f.scale(v)
+            assert_canonical(r)
+            assert r == QHPolynomial({m: c.scale(v) for m, c in f.terms.items()}, f.params)
+        for factor in f.terms.values():
+            r = f.scale_param(factor)
+            assert_canonical(r)
+            assert r == QHPolynomial({m: c * factor for m, c in f.terms.items()}, f.params)
+
+    @_FEW
+    @given(_polys(1), st.integers(0, 8))
+    def test_grading(self, polys, k):
+        (f,) = polys
+        for r, keep in ((f.slice(k), lambda d: d == k),
+                        (f.truncate(k), lambda d: d <= k)):
+            assert_canonical(r)
+            assert r == QHPolynomial({m: c for m, c in f.terms.items() if keep(m.degree)},
+                                     f.params)
+        parts = hz.qh_decompose(f)
+        for part in parts.values():
+            assert_canonical(part)
+        assert sum(parts.values(), QHPolynomial.zero(f.params)) == f
+
+    @_FEW
+    @given(_polys(1), st.integers(-1, 1))
+    def test_substitute_params(self, polys, value):
+        (f,) = polys
+        values = {name: value for name in f.params}
+        r = f.substitute_params(values)
+        assert_canonical(r)
+        assert r == QHPolynomial({m: c.substitute(values) for m, c in f.terms.items()},
+                                 f.params)
+
+    @_FEW
+    @given(_polys(4), _CAPS)
+    def test_directional_derivative(self, polys, cap):
+        f, *components = polys
+        field = VectorField3(*components)
+        r = hz.directional_derivative(f, field, cap)
+        assert_canonical(r)
+        pairs = [(f.partial(v), c) for v, c in zip("xyz", components)]
+        assert r == model_product(pairs, [], f.params, cap)
+
+    @_FEW
+    @given(_polys(6), _CAPS)
+    def test_lie_bracket(self, polys, cap):
+        f, g = VectorField3(*polys[:3]), VectorField3(*polys[3:])
+        r = hz.lie_bracket(f, g, cap)
+        for i, comp in enumerate(r.components):
+            assert_canonical(comp)
+            c = None if cap is None else cap + (2 if i == 2 else 1)
+            plus = [(g.components[i].partial(v), fv) for v, fv in zip("xyz", f.components)]
+            minus = [(f.components[i].partial(v), gv) for v, gv in zip("xyz", g.components)]
+            assert comp == model_product(plus, minus, f.params, c)
+        assert hz.lie_bracket(f, f, cap).is_zero()

@@ -6,6 +6,8 @@ import sympy as sp
 import hopfzero as hz
 from hopfzero import (ParamPolynomial, PrincipalPartError, QHPolynomial,
                       VectorField3)
+from hopfzero import normalform
+from hopfzero.homological import _Elimination
 from hopfzero.normalform import _solve_degree
 
 from conftest import (field_from_text, random_field_component,
@@ -131,6 +133,43 @@ class TestSolveDegree:
                                  if rng.random() < 0.7}, params)
 
         self.check(VectorField3(component(s + 1), component(s + 1), component(s + 2)), s)
+
+    def test_free_columns_match_first_row_pivoting(self, rng, monkeypatch):
+        # the pivot row choice must not change which unknowns are free, since
+        # free unknowns are set to zero
+        systems = []
+
+        class Recording(_Elimination):
+            def __init__(self, sparse_rows, n_cols):
+                super().__init__(sparse_rows, n_cols)
+                systems.append((sparse_rows, n_cols, self))
+
+        monkeypatch.setattr(normalform, "_Elimination", Recording)
+        for s in range(1, 11):
+            _solve_degree(random_field_component(rng, s), s)
+            sparse_rows, n_cols, elim = systems[-1]
+            assert elim.free_columns == first_row_free_columns(sparse_rows, n_cols), s
+
+
+def first_row_free_columns(sparse_rows, n_cols):
+    """Free columns of Gaussian elimination that pivots each column, in
+    order, on its first remaining row with a nonzero there."""
+    rows = [dict(r) for r in sparse_rows]
+    free = []
+    r = 0
+    for c in range(n_cols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i].get(c)), None)
+        if pivot is None:
+            free.append(c)
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(r + 1, len(rows)):
+            if rows[i].get(c):
+                factor = rows[i][c] / rows[r][c]
+                for cc, v in rows[r].items():
+                    rows[i][cc] = rows[i].get(cc, 0) - factor * v
+        r += 1
+    return free
 
 
 class TestFirstResonance:

@@ -1,9 +1,11 @@
 import hopfzero as hz
 from hopfzero import QHPolynomial, VectorField3
 
-from conftest import random_field_component
+from conftest import random_field_component, random_ppoly
 from oracle import (directional_derivative_sympy, divergence_sympy,
-                    field_to_sympy, qh_to_sympy)
+                    field_to_sympy, qh_to_sympy, truncate_sympy)
+
+PARAMS = ("a", "b")
 
 
 def QH(terms, params=()):
@@ -12,6 +14,20 @@ def QH(terms, params=()):
 
 def F0():
     return hz.principal_part(())
+
+
+def param_field(rng, degrees):
+    """Random field over PARAMS with parameter-polynomial coefficients and a
+    component in each of the given field degrees."""
+    def component(degree):
+        return QHPolynomial({m: random_ppoly(rng, PARAMS, max_degree=2, terms=2)
+                             for m in hz.slice_basis(degree).monomials
+                             if rng.random() < 0.5}, PARAMS)
+
+    field = VectorField3.zero(PARAMS)
+    for d in degrees:
+        field = field + VectorField3(component(d + 1), component(d + 1), component(d + 2))
+    return field
 
 
 class TestDivergence:
@@ -65,6 +81,16 @@ class TestDirectionalDerivative:
                 g * hz.directional_derivative(f, field)
             assert lhs == rhs
 
+    def test_against_sympy_with_params_and_cap(self, rng):
+        import sympy as sp
+        h = param_field(rng, (1, 2)).fz  # degrees 3 and 4
+        field = param_field(rng, (0, 2))
+        full = directional_derivative_sympy(qh_to_sympy(h), field_to_sympy(field))
+        for cap in (None, 3, 5):
+            got = qh_to_sympy(hz.directional_derivative(h, field, cap))
+            expected = full if cap is None else truncate_sympy(full, cap)
+            assert sp.expand(got - expected) == 0
+
 
 class TestLieBracket:
     def test_antisymmetry_with_self(self, rng):
@@ -113,3 +139,19 @@ class TestLieBracket:
                     - sp.diff(fe[comp], var) * ge[i]
                     for i, var in enumerate((X, Y, Z))))
             assert sp.expand(got[comp] - expected) == 0
+
+    def test_against_sympy_with_params_and_cap(self, rng):
+        import sympy as sp
+        from oracle import X, Y, Z
+        f = param_field(rng, (0, 1, 2))
+        g = param_field(rng, (1, 3))
+        fe, ge = field_to_sympy(f), field_to_sympy(g)
+        full = [sp.expand(sum(sp.diff(ge[comp], var) * fe[i] - sp.diff(fe[comp], var) * ge[i]
+                              for i, var in enumerate((X, Y, Z))))
+                for comp in range(3)]
+        for cap in (None, 1, 3, 4):
+            got = field_to_sympy(hz.lie_bracket(f, g, cap))
+            for comp in range(3):
+                expected = full[comp] if cap is None else \
+                    truncate_sympy(full[comp], cap + (2 if comp == 2 else 1))
+                assert sp.expand(got[comp] - expected) == 0
