@@ -17,14 +17,12 @@ from .errors import (DegreeError, HopfZeroError, ParameterError, ParseError,
                      PrincipalPartError, StructureError)
 from .frontend import (AnalysisConfig, REPORT_SCHEMA, Scalings, build_report,
                        main, normalize_principal_part, run_cli)
-from .gradedpoly import (GradedSliceBasis, Monomial3, QHPolynomial,
-                         h_component, partial, qh_decompose, slice_basis,
-                         slice_dimension)
+from .gradedpoly import (GradedSliceBasis, Monomial3, QHPolynomial, partial,
+                         qh_decompose, slice_basis, slice_dimension)
 from .goldens import (GoldenCase, GoldenResult, load_cases, parse_fixture,
                       run_golden, run_goldens)
-from .homological import (HomologicalSolution, LieOperatorMatrix,
-                          OperatorAnalysis, analyze_operator,
-                          lie_operator_matrix, solve_homological)
+from .homological import (HomologicalSolution, OperatorAnalysis,
+                          analyze_operator, solve_homological)
 from .normalform import (GeneratorStep, NormalFormResult, ResonanceData,
                          apply_generator_step, coprime_resonance,
                          first_resonance, normal_form_field,

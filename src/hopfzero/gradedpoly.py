@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -52,9 +51,6 @@ class GradedSliceBasis:
 
     def __len__(self):
         return len(self.monomials)
-
-    def index(self, m: Monomial3) -> int:
-        return self.monomials.index(m)
 
 
 _slice_cache: Dict[int, GradedSliceBasis] = {}
@@ -400,33 +396,3 @@ def qh_decompose(f: QHPolynomial) -> Dict[int, QHPolynomial]:
 def partial(f: QHPolynomial, var: str) -> QHPolynomial:
     """Exact partial derivative; maps degree k into degree k - weight(var)."""
     return f.partial(var)
-
-
-def h_component(f: QHPolynomial, m: int) -> ParamPolynomial:
-    """Coefficient of (x^2+y^2)^m in the degree-2m part of f.
-
-    Uses the harmonic projection: m applications of the plane Laplacian kill
-    every degree-2m plane polynomial except multiples of (x^2+y^2)^m, and
-    Laplacian^m (x^2+y^2)^m = 4^m (m!)^2.  Only z-free terms can contribute.
-    """
-    params = f.params
-    current = {mm: c for mm, c in f.terms.items() if mm.ez == 0 and mm.degree == 2 * m}
-    for _ in range(m):
-        nxt: Dict[Monomial3, ParamPolynomial] = {}
-        for mm, c in current.items():
-            i, j, _ = mm
-            if i >= 2:
-                key = Monomial3(i - 2, j, 0)
-                contrib = c.scale(i * (i - 1))
-                prev = nxt.get(key)
-                nxt[key] = prev + contrib if prev is not None else contrib
-            if j >= 2:
-                key = Monomial3(i, j - 2, 0)
-                contrib = c.scale(j * (j - 1))
-                prev = nxt.get(key)
-                nxt[key] = prev + contrib if prev is not None else contrib
-        current = {mm: c for mm, c in nxt.items() if c}
-    const = current.get(Monomial3(0, 0, 0))
-    if const is None:
-        return ParamPolynomial.zero(params)
-    return const.scale(Fraction(1, 4 ** m * math.factorial(m) ** 2))

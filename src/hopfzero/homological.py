@@ -1,28 +1,37 @@
 """The Lie-derivative operator of the principal part on each graded slice.
 
-For the principal field (-2y, 2x, x^2 + y^2), the map f -> grad(f) . F0 sends
-the degree-k slice to itself.  On even slices its kernel is spanned by
-(x^2+y^2)^(k/2) and z^(k/2) represents the one-dimensional cokernel; on odd
-slices it is bijective.  These facts are verified, not assumed, every time a
-degree is first analyzed, and the elimination record is cached so the many
-repeated solves of the obstruction recurrences are cheap.
+For the principal field F0 = (-2y, 2x, x^2 + y^2), the operator
+L f = grad(f) . F0 sends the degree-k slice to itself.  On even slices its
+kernel is spanned by (x^2+y^2)^(k/2) and z^(k/2) represents the
+one-dimensional cokernel; on odd slices it is bijective.  `analyze_operator`
+verifies these facts for a degree, without assuming them.
 
-This module is the one place that knows the operator (`_apply_operator_monomial`)
-and how to eliminate over it (`_Elimination`, for any rectangular matrix).  The
-normal-form degree solve builds its system from both.
+Written level by level, f = sum z^l f_l with plane polynomials f_l,
+
+    L f = sum z^l (R f_l + (l+1) h f_(l+1)),
+
+where R = 2(x d/dy - y d/dx) rotates the plane and h = x^2 + y^2: rotation
+blocks per z-power plus a z-lowering term (Algaba, Freire, Gamero & Garcia,
+"Quasi-homogeneous normal forms", J. Comput. Appl. Math. 150, 2003).
+`solve_homological` solves the slice equation along that chain, from the top
+z-power down, in O(1) coefficient operations per unknown.
+
+This module is also the one place that knows the operator monomial by
+monomial (`_apply_operator_monomial`) and holds the exact sparse elimination
+(`_Elimination`) that the normal-form degree solve runs on systems built
+from it.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .coeffring import ParamPolynomial
 from .errors import DegreeError, StructureError
-from .gradedpoly import (GradedSliceBasis, Monomial3, QHPolynomial, h_component,
-                         slice_basis)
+from .gradedpoly import GradedSliceBasis, Monomial3, QHPolynomial, slice_basis
 
 
 def _apply_operator_monomial(m: Monomial3) -> Dict[Monomial3, int]:
@@ -40,21 +49,6 @@ def _apply_operator_monomial(m: Monomial3) -> Dict[Monomial3, int]:
     return {k: v for k, v in out.items() if v}
 
 
-@dataclass(frozen=True)
-class LieOperatorMatrix:
-    """Exact matrix of the slice operator in the `slice_basis` ordering.
-
-    entry (r, c) is the coefficient of row_basis[r] in the image of
-    col_basis[c]; entries are plain rationals because the principal part is
-    parameter-free.
-    """
-
-    degree: int
-    matrix: Tuple[Tuple[Fraction, ...], ...]
-    row_basis: GradedSliceBasis
-    col_basis: GradedSliceBasis
-
-
 def _slice_rows(k: int) -> Tuple[GradedSliceBasis, List[Dict[int, Fraction]]]:
     """Basis of the degree-k slice and the operator's sparse rows over it."""
     basis = slice_basis(k)
@@ -66,25 +60,19 @@ def _slice_rows(k: int) -> Tuple[GradedSliceBasis, List[Dict[int, Fraction]]]:
     return basis, rows
 
 
-def lie_operator_matrix(k: int) -> LieOperatorMatrix:
-    basis, sparse_rows = _slice_rows(k)
-    n = len(basis)
-    matrix = tuple(tuple(row.get(c, Fraction(0)) for c in range(n)) for row in sparse_rows)
-    return LieOperatorMatrix(degree=k, matrix=matrix, row_basis=basis, col_basis=basis)
-
-
 class _Elimination:
-    """Row echelon form of a sparse rational matrix with a replayable op log.
+    """Row echelon form of a sparse rational matrix, for the normal-form
+    degree solve; `analyze_operator` reads only its rank.
 
     The matrix has len(sparse_rows) rows and n_cols columns.  Columns are
     pivoted in order, each on its sparsest remaining row with a nonzero in
     that column (the first of those on a tie), which keeps fill-in low; a
     column with none is free, and its unknown is set to zero.  Which columns
-    are free depends on the column order alone, so solutions and residuals
-    do not depend on the choice of pivot row.  The forward-elimination
-    operations are recorded once; solving for a new right-hand side replays
-    them on the vector (whose entries may be parameter polynomials) and
-    back-substitutes against the stored echelon rows.
+    are free depends on the column order alone, so solutions do not depend
+    on the choice of pivot row.  The forward-elimination operations are
+    recorded; `replay_poly` applies them to a right-hand side whose entries
+    may be parameter polynomials, and `back_substitute` solves the reduced
+    system against the stored echelon rows.
     """
 
     def __init__(self, sparse_rows: List[Dict[int, Fraction]], n_cols: int):
@@ -127,17 +115,6 @@ class _Elimination:
         self.rank = r
         self.zero_rows = list(range(r, n_rows))
 
-    def replay_rational(self, vector: List[Fraction]) -> List[Fraction]:
-        v = list(vector)
-        for op in self.ops:
-            if op[0] == "swap":
-                _, i, j = op
-                v[i], v[j] = v[j], v[i]
-            else:
-                _, target, source, factor = op
-                v[target] = v[target] + factor * v[source]
-        return v
-
     def replay_poly(self, vector: List[ParamPolynomial]) -> List[ParamPolynomial]:
         v = list(vector)
         for op in self.ops:
@@ -162,106 +139,52 @@ class _Elimination:
             x[c] = acc.scale(1 / row[c])
         return x
 
-    def kernel_vectors(self) -> List[List[Fraction]]:
-        out = []
-        for free in self.free_columns:
-            x = [Fraction(0)] * self.n_cols
-            x[free] = Fraction(1)
-            for r, c in reversed(self.pivots):
-                acc = Fraction(0)
-                for cc, vv in self.rows[r].items():
-                    if cc > c and x[cc]:
-                        acc -= vv * x[cc]
-                x[c] = acc / self.rows[r][c]
-            out.append(x)
-        return out
-
 
 @dataclass(frozen=True)
 class OperatorAnalysis:
-    """Kernel/cokernel data plus the elimination record for fast re-solves."""
+    """Kernel basis and cokernel representative of one slice operator."""
 
     degree: int
     kernel_basis: Tuple[QHPolynomial, ...]
     cokernel_representative: Optional[QHPolynomial]
-    elimination: _Elimination = field(repr=False)
-    cokernel_transformed: Optional[Tuple[Fraction, ...]] = field(repr=False, default=None)
-
-
-_analysis_cache: Dict[int, OperatorAnalysis] = {}
-_cache_lock = threading.Lock()
 
 
 def analyze_operator(k: int) -> OperatorAnalysis:
     """Kernel basis and cokernel representative of the degree-k operator.
 
-    Asserts the expected structure (one-dimensional kernel spanned by
-    (x^2+y^2)^(k/2) and cokernel represented by z^(k/2) for even k, bijective
-    for odd k) and raises StructureError on any violation.  Results are cached
-    per degree; the cache is built at most once under a lock.
+    Verifies the expected structure and raises StructureError on any
+    violation: for odd k the operator is bijective; for even k its rank is
+    one short, (x^2+y^2)^(k/2) is in its kernel, and no image has a z^(k/2)
+    term, so z^(k/2) represents the cokernel.  The rank comes from an exact
+    elimination of the slice matrix; nothing is cached.  A negative k raises
+    DegreeError.
     """
-    cached = _analysis_cache.get(k)
-    if cached is not None:
-        return cached
-    with _cache_lock:
-        cached = _analysis_cache.get(k)
-        if cached is not None:
-            return cached
-        analysis = _build_analysis(k)
-        _analysis_cache[k] = analysis
-        return analysis
+    return _build_analysis(k)
 
 
 def _build_analysis(k: int) -> OperatorAnalysis:
-    basis, sparse_rows = _slice_rows(k)
+    basis, rows = _slice_rows(k)
     n = len(basis)
-    elim = _Elimination(sparse_rows, n)
-
-    params: Tuple[str, ...] = ()
+    rank = _Elimination(rows, n).rank
     if k % 2 == 1:
-        if elim.rank != n:
-            raise StructureError(f"degree-{k} operator is not bijective (rank {elim.rank})")
-        return OperatorAnalysis(degree=k, kernel_basis=(),
-                                cokernel_representative=None, elimination=elim)
+        if rank != n:
+            raise StructureError(f"degree-{k} operator is not bijective (rank {rank})")
+        return OperatorAnalysis(degree=k, kernel_basis=(), cokernel_representative=None)
 
-    # even degree: expect exactly one kernel direction and z^(k/2) outside range
-    if len(elim.free_columns) != 1 or len(elim.zero_rows) != 1:
-        raise StructureError(
-            f"degree-{k} operator has corank {len(elim.zero_rows)}, expected 1")
-    kernel_vec = elim.kernel_vectors()[0]
-    kernel_poly = QHPolynomial(
-        {basis.monomials[i]: kernel_vec[i] for i in range(n) if kernel_vec[i]}, params)
-    h_m = QHPolynomial.h_power(k // 2, params)
-    if not _proportional(kernel_poly, h_m):
-        raise StructureError(
-            f"degree-{k} kernel is not spanned by (x^2+y^2)^{k // 2}")
-
-    cok_monomial = Monomial3(0, 0, k // 2)
-    e_c = [Fraction(0)] * n
-    e_c[basis.monomials.index(cok_monomial)] = Fraction(1)
-    transformed = elim.replay_rational(e_c)
-    zero_row = elim.zero_rows[0]
-    if not transformed[zero_row]:
-        raise StructureError(f"z^{k // 2} lies in the range of the degree-{k} operator")
-    cok_poly = QHPolynomial({cok_monomial: 1}, params)
-    return OperatorAnalysis(degree=k, kernel_basis=(h_m,),
-                            cokernel_representative=cok_poly, elimination=elim,
-                            cokernel_transformed=tuple(transformed))
-
-
-def _proportional(f: QHPolynomial, g: QHPolynomial) -> bool:
-    if f.is_zero() or g.is_zero():
-        return f.is_zero() and g.is_zero()
-    if set(f.terms) != set(g.terms):
-        return False
-    ratio = None
-    for m, c in f.terms.items():
-        r = c.constant_value() / g.terms[m].constant_value()
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return False
-    return True
+    if rank != n - 1:
+        raise StructureError(f"degree-{k} operator has corank {n - rank}, expected 1")
+    m = k // 2
+    image: Dict[Monomial3, int] = {}
+    for i in range(m + 1):
+        for mono, v in _apply_operator_monomial(Monomial3(2 * i, 2 * (m - i), 0)).items():
+            image[mono] = image.get(mono, 0) + math.comb(m, i) * v
+    if any(image.values()):
+        raise StructureError(f"degree-{k} kernel is not spanned by (x^2+y^2)^{m}")
+    cok_monomial = Monomial3(0, 0, m)
+    if rows[basis.monomials.index(cok_monomial)]:
+        raise StructureError(f"z^{m} lies in the range of the degree-{k} operator")
+    return OperatorAnalysis(degree=k, kernel_basis=(QHPolynomial.h_power(m, ()),),
+                            cokernel_representative=QHPolynomial({cok_monomial: 1}, ()))
 
 
 @dataclass(frozen=True)
@@ -272,56 +195,99 @@ class HomologicalSolution:
     residual: ParamPolynomial
 
 
+def _circle_mean(u: List[ParamPolynomial], d: int,
+                 zero: ParamPolynomial) -> ParamPolynomial:
+    """Mean over the unit circle of the plane polynomial sum u_b x^(d-b) y^b
+    of even degree d: the sum over even b of u_b (d-b-1)!! (b-1)!! / d!!.
+    It is the coefficient of h^(d/2) in the harmonic decomposition."""
+    weight = Fraction(math.prod(range(1, d, 2)), math.prod(range(2, d + 1, 2)))
+    mean = zero
+    for b in range(0, d + 1, 2):
+        if b:
+            weight = weight * (b - 1) / (d - b + 1)
+        if u[b]:
+            mean = mean + u[b].scale(weight)
+    return mean
+
+
 def solve_homological(k: int, rhs: QHPolynomial) -> HomologicalSolution:
     """Solve the degree-k slice equation with the canonical normalization.
 
-    The residual is the coefficient of z^(k/2) in the unsolvable part (zero
-    for odd k); the solution carries no (x^2+y^2)^(k/2) component, where that
-    component is read off by the harmonic projection `h_component`.  Pivoting
-    is exact over Q; parameter coefficients ride along linearly, so no
-    division by a parameter ever occurs.
+    The residual is the z^(k/2) coefficient of the right-hand side (zero for
+    odd k), since no image of the operator has a z^(k/2) term.  The solution
+    f = sum z^l f_l satisfies R f_l + (l+1) h f_(l+1) = g_l on each level l
+    of the rest; the levels are solved from the top down.  On the
+    coefficients u_b of x^(d-b) y^b of a degree-d level, R u = v reads
+    v_b = 2(b+1) u_(b+1) - 2(d-b+1) u_(b-1): a forward recurrence over even
+    b gives the odd-indexed unknowns, a backward one over odd b the
+    even-indexed unknowns.  For even k, R has the kernel h^(d/2): the circle
+    mean of each f_l (l >= 1) is fixed to that of g_(l-1), divided by l, which
+    makes level l-1 solvable, and f_0 has circle mean 0, so the solution
+    carries no (x^2+y^2)^(k/2) component.  The equation b = d of each even
+    level is then implied; it is checked, and StructureError raised if it
+    fails.  Coefficients are only scaled by rationals and added, so
+    parameter coefficients ride along linearly.
     """
-    analysis = analyze_operator(k)
-    basis = slice_basis(k)
+    if k < 0:
+        raise DegreeError(f"negative degree {k}")
     params = rhs.params
     zero = ParamPolynomial.zero(params)
-    index = {m: i for i, m in enumerate(basis.monomials)}
-    vector = [zero] * len(basis)
+    top = k // 2
+    g = [[zero] * (k - 2 * l + 1) for l in range(top + 1)]
     for m, c in rhs.terms.items():
         if m.degree != k:
             raise DegreeError(
                 f"right-hand side contains {tuple(m)} of degree {m.degree}, expected {k}")
-        vector[index[m]] = c
-
-    elim = analysis.elimination
-    reduced = elim.replay_poly(vector)
+        g[m.ez][m.ey] = c
+    even = k % 2 == 0
     residual = zero
-    if k % 2 == 0:
-        zero_row = elim.zero_rows[0]
-        transformed = analysis.cokernel_transformed
-        if reduced[zero_row]:
-            residual = reduced[zero_row].scale(1 / transformed[zero_row])
-            reduced = [reduced[i] - residual.scale(transformed[i]) if transformed[i] else reduced[i]
-                       for i in range(len(reduced))]
-        if reduced[zero_row]:
-            raise StructureError("residual extraction left an inconsistent row")
-    else:
-        for row in elim.zero_rows:
-            if reduced[row]:
-                raise StructureError(f"odd degree {k} produced a nonzero residual")
+    if even:
+        residual, g[top] = g[top][0], [zero]
 
-    x = elim.back_substitute(reduced, zero)
-    solution = QHPolynomial(
-        {basis.monomials[i]: x[i] for i in range(len(basis)) if x[i]}, params)
-    if k % 2 == 0 and k >= 2:
-        kernel_coeff = h_component(solution, k // 2)
-        if kernel_coeff:
-            h_m = QHPolynomial.h_power(k // 2, params)
-            solution = solution - h_m.scale_param(kernel_coeff)
-    return HomologicalSolution(solution=solution, residual=residual)
+    levels: List[List[ParamPolynomial]] = [[] for _ in range(top + 2)]
+    for l in range(top, -1, -1):
+        d = k - 2 * l
+        v = list(g[l])
+        for b, c in enumerate(levels[l + 1]):  # v = g_l - (l+1) h f_(l+1)
+            if c:
+                c = c.scale(l + 1)
+                v[b] = v[b] - c
+                v[b + 2] = v[b + 2] - c
+        u = [zero] * (d + 2)  # u[d + 1] = 0 closes the recurrences
+        for b in range(0, d, 2):  # u_(b+1) from u_(b-1)
+            acc = v[b]
+            if b and u[b - 1]:
+                acc = acc + u[b - 1].scale(2 * (d - b + 1))
+            u[b + 1] = acc.scale(Fraction(1, 2 * (b + 1)))
+        # u_(b-1) from u_(b+1); on even d this starts from u_d = 0
+        for b in range(d if d % 2 else d - 1, 0, -2):
+            acc = -v[b]
+            if u[b + 1]:
+                acc = acc + u[b + 1].scale(2 * (b + 1))
+            u[b - 1] = acc.scale(Fraction(1, 2 * (d - b + 1)))
+        del u[d + 1:]
+        if even:
+            if d and v[d] != u[d - 1].scale(-2):
+                raise StructureError(
+                    f"degree-{k} slice solve left level z^{l} inconsistent")
+            mean = _circle_mean(g[l - 1], d + 2, zero).scale(Fraction(1, l)) if l else zero
+            shift = mean - _circle_mean(u, d, zero)
+            if shift:  # add the multiple of h^(d/2) that gives f_l that mean
+                for b in range(0, d + 1, 2):
+                    u[b] = u[b] + shift.scale(math.comb(d // 2, b // 2))
+        levels[l] = u
+
+    terms = {}
+    for l in range(top + 1):
+        d = k - 2 * l
+        for b, c in enumerate(levels[l]):
+            if c:
+                terms[Monomial3(d - b, b, l)] = c
+    return HomologicalSolution(solution=QHPolynomial._wrap(terms, params),
+                               residual=residual)
 
 
 def clear_cache() -> None:
-    """Drop all cached eliminations (mainly for tests and benchmarks)."""
-    with _cache_lock:
-        _analysis_cache.clear()
+    """Do nothing.  Slice solves and operator analyses keep no cache; the
+    function stays because the benchmark runner calls it before each timed
+    operation."""

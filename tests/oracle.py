@@ -1,10 +1,20 @@
-"""Independent symbolic cross-checks built on sympy.
+"""Independent cross-checks and test references.
 
-These helpers re-derive derivative identities from scratch so the main
-engine's calculus is never used to verify itself.
+The sympy helpers re-derive derivative identities from scratch so the main
+engine's calculus is never used to verify itself.  `lie_operator_matrix` and
+`h_component` are references for the slice operator and its kernel
+normalization, which the engine itself no longer builds.
 """
 
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Dict, Tuple
+
 import sympy as sp
+
+import hopfzero as hz
+from hopfzero import GradedSliceBasis, Monomial3, ParamPolynomial
 
 X, Y, Z = sp.symbols("x y z")
 
@@ -168,3 +178,65 @@ def degree2_orbital_normal_form(field_exprs):
     if any(v.free_symbols & gauge for v in values):
         raise ValueError("a1, b1 depend on the choice of transformation")
     return values
+
+
+@dataclass(frozen=True)
+class LieOperatorMatrix:
+    """Exact matrix of the slice operator in the `slice_basis` ordering.
+
+    entry (r, c) is the coefficient of row_basis[r] in the image of
+    col_basis[c]; entries are plain rationals because the principal part is
+    parameter-free.
+    """
+
+    degree: int
+    matrix: Tuple[Tuple[Fraction, ...], ...]
+    row_basis: GradedSliceBasis
+    col_basis: GradedSliceBasis
+
+
+def lie_operator_matrix(k):
+    """The degree-k slice operator f -> grad(f) . (-2y, 2x, x^2+y^2), with
+    every column differentiated by sympy."""
+    basis = hz.slice_basis(k)
+    index = {m: r for r, m in enumerate(basis.monomials)}
+    columns = []
+    for m in basis.monomials:
+        image = directional_derivative_sympy(X ** m.ex * Y ** m.ey * Z ** m.ez,
+                                             (-2 * Y, 2 * X, X ** 2 + Y ** 2))
+        column = [Fraction(0)] * len(basis)
+        for mono, coeff in _terms(image).items():
+            column[index[mono]] = Fraction(int(coeff))
+        columns.append(column)
+    matrix = tuple(tuple(col[r] for col in columns) for r in range(len(basis)))
+    return LieOperatorMatrix(degree=k, matrix=matrix, row_basis=basis, col_basis=basis)
+
+
+def h_component(f, m):
+    """Coefficient of (x^2+y^2)^m in the degree-2m part of f.
+
+    Uses the harmonic projection: m applications of the plane Laplacian kill
+    every degree-2m plane polynomial except multiples of (x^2+y^2)^m, and
+    Laplacian^m (x^2+y^2)^m = 4^m (m!)^2.  Only z-free terms can contribute.
+    """
+    params = f.params
+    current = {mm: c for mm, c in f.terms.items() if mm.ez == 0 and mm.degree == 2 * m}
+    for _ in range(m):
+        nxt: Dict[Monomial3, ParamPolynomial] = {}
+        for mm, c in current.items():
+            i, j, _ = mm
+            if i >= 2:
+                key = Monomial3(i - 2, j, 0)
+                contrib = c.scale(i * (i - 1))
+                prev = nxt.get(key)
+                nxt[key] = prev + contrib if prev is not None else contrib
+            if j >= 2:
+                key = Monomial3(i, j - 2, 0)
+                contrib = c.scale(j * (j - 1))
+                prev = nxt.get(key)
+                nxt[key] = prev + contrib if prev is not None else contrib
+        current = {mm: c for mm, c in nxt.items() if c}
+    const = current.get(Monomial3(0, 0, 0))
+    if const is None:
+        return ParamPolynomial.zero(params)
+    return const.scale(Fraction(1, 4 ** m * math.factorial(m) ** 2))

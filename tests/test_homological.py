@@ -3,26 +3,80 @@ from fractions import Fraction
 import pytest
 
 import hopfzero as hz
-from hopfzero import DegreeError, ParamPolynomial, QHPolynomial
+from hopfzero import DegreeError, Monomial3, ParamPolynomial, QHPolynomial, StructureError
+from hopfzero import homological
 from hopfzero.homological import _Elimination, _slice_rows
 
-from conftest import random_qh_slice
+from conftest import random_ppoly, random_qh_slice
+from oracle import h_component, lie_operator_matrix
 
 
 def QH(terms, params=()):
     return QHPolynomial(terms, params)
 
 
+def random_param_slice(rng, k, params, density=0.6):
+    """Random slice whose coefficients are rational polynomials in `params`."""
+    terms = {}
+    for m in hz.slice_basis(k).monomials:
+        if rng.random() < density:
+            terms[m] = random_ppoly(rng, params, max_degree=2, terms=3).scale(
+                Fraction(1, rng.randint(1, 6)))
+    return QHPolynomial(terms, params)
+
+
+def elimination_solve(k, rhs):
+    """The slice solve by generic elimination: the operator's rows from
+    `_slice_rows`, reduced by `_Elimination`; the residual is read off the
+    zero row, and the kernel part removed by the harmonic projection."""
+    basis, rows = _slice_rows(k)
+    n = len(basis)
+    elim = _Elimination(rows, n)
+    params = rhs.params
+    zero = ParamPolynomial.zero(params)
+    index = {m: i for i, m in enumerate(basis.monomials)}
+    vector = [zero] * n
+    for m, c in rhs.terms.items():
+        vector[index[m]] = c
+    reduced = elim.replay_poly(vector)
+    residual = zero
+    if k % 2 == 0:
+        (zero_row,) = elim.zero_rows
+        e_c = [ParamPolynomial.zero(())] * n
+        e_c[index[Monomial3(0, 0, k // 2)]] = ParamPolynomial.constant(1, ())
+        transformed = [t.constant_value() for t in elim.replay_poly(e_c)]
+        if reduced[zero_row]:
+            residual = reduced[zero_row].scale(1 / transformed[zero_row])
+            reduced = [r - residual.scale(t) if t else r
+                       for r, t in zip(reduced, transformed)]
+        assert not reduced[zero_row]
+    else:
+        assert not elim.zero_rows
+    x = elim.back_substitute(reduced, zero)
+    solution = QHPolynomial({basis.monomials[i]: x[i] for i in range(n) if x[i]}, params)
+    if k % 2 == 0 and k >= 2:
+        kernel_coeff = h_component(solution, k // 2)
+        if kernel_coeff:
+            solution = solution - QHPolynomial.h_power(k // 2, params).scale_param(
+                kernel_coeff)
+    return solution, residual
+
+
+def stored_form(f):
+    """The terms of `f` in stored order, with each coefficient's terms."""
+    return [(m, list(c.terms.items())) for m, c in f.terms.items()]
+
+
 class TestOperatorMatrix:
     def test_degree_one(self):
-        m = hz.lie_operator_matrix(1)
+        m = lie_operator_matrix(1)
         assert m.matrix == ((Fraction(0), Fraction(2)), (Fraction(-2), Fraction(0)))
 
     def test_degree_zero(self):
-        assert hz.lie_operator_matrix(0).matrix == ((Fraction(0),),)
+        assert lie_operator_matrix(0).matrix == ((Fraction(0),),)
 
     def test_degree_two_images(self):
-        m = hz.lie_operator_matrix(2)
+        m = lie_operator_matrix(2)
         basis = m.col_basis.monomials
         index = {mono: i for i, mono in enumerate(basis)}
 
@@ -39,7 +93,7 @@ class TestOperatorMatrix:
     def test_matrix_matches_operator_action(self, rng):
         # columns agree with the directional derivative along the principal part
         k = 4
-        m = hz.lie_operator_matrix(k)
+        m = lie_operator_matrix(k)
         f0 = hz.principal_part(())
         for c, mono in enumerate(m.col_basis.monomials):
             image = hz.directional_derivative(QH({mono: 1}), f0)
@@ -47,6 +101,12 @@ class TestOperatorMatrix:
                         for r in range(len(m.row_basis)) if m.matrix[r][c]}
             got = {mm: cc.constant_value() for mm, cc in image.terms.items()}
             assert got == expected
+        # and rows agree with the engine's sparse rows, which analyze_operator
+        # and the normal-form degree solve are built from
+        for k in range(9):
+            m = lie_operator_matrix(k)
+            _, rows = _slice_rows(k)
+            assert rows == [{c: v for c, v in enumerate(row) if v} for row in m.matrix]
 
 
 class TestAnalyze:
@@ -93,7 +153,7 @@ class TestSolve:
         # independent check: apply the operator directly
         f0 = hz.principal_part(())
         assert hz.directional_derivative(sol.solution, f0) == rhs
-        assert hz.h_component(sol.solution, 1).is_zero()
+        assert h_component(sol.solution, 1).is_zero()
 
     def test_odd_degree_never_has_residual(self, rng):
         for _ in range(10):
@@ -107,20 +167,57 @@ class TestSolve:
         with pytest.raises(DegreeError):
             hz.solve_homological(4, QH({(1, 0, 0): 1}))
 
+    def test_negative_degree_rejected(self):
+        with pytest.raises(DegreeError):
+            hz.solve_homological(-2, QH({}))
+        with pytest.raises(DegreeError):
+            hz.analyze_operator(-1)
+
     def test_random_recombination(self, rng):
         # operator(solution) + residual * z^(k/2) reconstructs the right-hand
         # side exactly, and the solution is kernel-free
-        f0 = hz.principal_part(())
-        for k in range(1, 13):
-            for _ in range(100):
-                rhs = random_qh_slice(rng, k, density=0.5)
-                sol = hz.solve_homological(k, rhs)
-                image = hz.directional_derivative(sol.solution, f0)
-                if sol.residual:
-                    image = image + QHPolynomial({(0, 0, k // 2): sol.residual}, ())
-                assert image == rhs
-                if k % 2 == 0 and k >= 2:
-                    assert hz.h_component(sol.solution, k // 2).is_zero()
+        for params, count in (((), 100), (("a", "b"), 10)):
+            f0 = hz.principal_part(params)
+            for k in range(1, 13):
+                for _ in range(count):
+                    if params:
+                        rhs = random_param_slice(rng, k, params, density=0.5)
+                    else:
+                        rhs = random_qh_slice(rng, k, density=0.5)
+                    sol = hz.solve_homological(k, rhs)
+                    image = hz.directional_derivative(sol.solution, f0)
+                    if sol.residual:
+                        image = image + QHPolynomial({(0, 0, k // 2): sol.residual},
+                                                     params)
+                    assert image == rhs
+                    if k % 2 == 0 and k >= 2:
+                        assert h_component(sol.solution, k // 2).is_zero()
+
+    def test_matches_elimination_solve_bit_for_bit(self, rng):
+        # the same solution and residual as generic elimination with the
+        # harmonic normalization, down to the stored order of every
+        # coefficient's terms
+        for params in ((), ("a",), ("a", "b")):
+            for k in range(25):
+                for _ in range(3):
+                    rhs = random_param_slice(rng, k, params)
+                    sol = hz.solve_homological(k, rhs)
+                    solution, residual = elimination_solve(k, rhs)
+                    assert stored_form(sol.solution) == stored_form(solution), (k, params)
+                    assert list(sol.residual.terms.items()) == \
+                        list(residual.terms.items()), (k, params)
+
+    def test_self_check_catches_a_wrong_circle_mean(self, monkeypatch):
+        # a circle mean off by one leaves the next level's last equation
+        # unsatisfied, and the solve refuses to return
+        mean = homological._circle_mean
+
+        def wrong(u, d, zero):
+            return mean(u, d, zero) + ParamPolynomial.constant(1, zero.params)
+
+        monkeypatch.setattr(homological, "_circle_mean", wrong)
+        with pytest.raises(StructureError):
+            hz.solve_homological(4, QH({(2, 2, 0): 1}))
 
     def test_parameter_rhs_rides_linearly(self):
         params = ("s", "t")
@@ -152,27 +249,3 @@ class TestElimination:
             _, rows = _slice_rows(k)
             elim = _Elimination(rows, len(rows))
             assert sum(map(len, elim.rows)) <= 1.10 * sum(map(len, rows)), k
-
-
-class TestCache:
-    def test_concurrent_first_build_is_single(self):
-        # many readers racing on a cold degree must all see one analysis object
-        import threading
-
-        from hopfzero.homological import clear_cache
-
-        clear_cache()
-        results = [None] * 16
-        barrier = threading.Barrier(16)
-
-        def worker(i):
-            barrier.wait()
-            results[i] = hz.analyze_operator(14)
-
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(16)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert all(r is results[0] for r in results)
-        assert len(results[0].kernel_basis) == 1

@@ -1,0 +1,80 @@
+"""Fingerprint the engine's outputs, so two checkouts can be compared byte for byte.
+
+    PYTHONHASHSEED=0 python3 tools/dump_outputs.py [DUMP_FILE]
+
+Runs, from the checkout's `src/`:
+- the `--json` report of every golden fixture through `run_cli`;
+- the family-37 `orbital_normal_form`, symbolic at index 4 and at the
+  benchmark's `seed_point(1..3)` at index 5;
+- the symbolic JACOBI_H2, JACOBI_H and FIRST_INTEGRAL sequences of family 37
+  to z^10, entries and witness.
+
+Each polynomial is written as its `str`, its terms in stored order (with each
+coefficient's terms) and its `hash`.  The script prints one SHA-256 line over
+all of it; with DUMP_FILE it also writes the dump there, for a diff.
+"""
+
+import hashlib
+import pathlib
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import hopfzero as hz  # noqa: E402
+from hzbench.checks import cli_args  # noqa: E402
+from hzbench.workloads import family37_field, seed_point  # noqa: E402
+
+
+def describe(value) -> str:
+    if isinstance(value, hz.ParamPolynomial):
+        return f"{value} | {list(value.terms.items())!r} | {hash(value)}"
+    if isinstance(value, hz.QHPolynomial):
+        items = tuple(value.terms.items())
+        order = [(tuple(m), list(c.terms.items())) for m, c in items]
+        return f"{value} | {order!r} | {hash(items)}"
+    if isinstance(value, hz.VectorField3):
+        return " ; ".join(describe(c) for c in value.components)
+    return f"{value} | {hash(value)}"
+
+
+def dump_lines():
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in hz.load_cases():
+            path = pathlib.Path(tmp) / f"{case.name}.hz"
+            path.write_text(case.system_text, encoding="utf-8")
+            code, text = hz.run_cli(cli_args(case, str(path)))
+            yield f"golden {case.name} exit {code}: {describe(text)}"
+
+    symbolic = family37_field(hz)
+    runs = [("symbolic", symbolic, 4)]
+    runs += [(f"seed_point({seed})", symbolic.substitute_params(seed_point(seed)), 5)
+             for seed in (1, 2, 3)]
+    for label, field, index in runs:
+        nf = hz.orbital_normal_form(field, index)
+        for k in sorted(nf.a_coeffs):
+            yield f"nf {label} a_{k}: {describe(nf.a_coeffs[k])}"
+            yield f"nf {label} b_{k}: {describe(nf.b_coeffs[k])}"
+        for step in nf.generators:
+            yield f"nf {label} step {step.degree} generator: {describe(step.generator)}"
+            yield f"nf {label} step {step.degree} reparam: {describe(step.reparam)}"
+        yield f"nf {label} field: {describe(nf.field)}"
+
+    for method in (hz.Method.JACOBI_H2, hz.Method.JACOBI_H, hz.Method.FIRST_INTEGRAL):
+        seq = hz.obstruction_sequence(symbolic, 10, method)
+        for k in sorted(seq.entries):
+            yield f"{method.value} entry {k}: {describe(seq.entries[k])}"
+        yield f"{method.value} witness: {describe(seq.witness)}"
+
+
+def main(argv) -> int:
+    text = "".join(line + "\n" for line in dump_lines())
+    if argv:
+        pathlib.Path(argv[0]).write_text(text, encoding="utf-8")
+    print("sha256", hashlib.sha256(text.encode("utf-8")).hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
