@@ -22,7 +22,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from .coeffring import ParamPolynomial, Rational, rat
 from .errors import DegreeError, ParameterError, StructureError
-from .gradedpoly import Monomial3, QHPolynomial
+from .gradedpoly import Monomial3, QHPolynomial, _integer_terms, _mul_accumulate
 from .homological import solve_homological
 from .normalform import (NormalFormResult, ResonanceData, coprime_resonance,
                          first_resonance, orbital_normal_form, principal_part,
@@ -72,6 +72,12 @@ class ObstructionSequence:
         return next((k for k in sorted(self.entries) if self.entries[k]), None)
 
 
+def _converted_piece(piece: QHPolynomial) -> tuple:
+    """`piece` and its x, y and z partial derivatives, converted by
+    `_integer_terms` for the driver's known terms."""
+    return tuple(_integer_terms(piece, v) for v in (None, "x", "y", "z"))
+
+
 def _obstruction_driver(field: VectorField3, max_index: int, method: Method,
                         seed_power: Optional[int] = None) -> ObstructionSequence:
     """Continue the seed (x^2+y^2)^m of `method` and collect its residuals.
@@ -79,6 +85,15 @@ def _obstruction_driver(field: VectorField3, max_index: int, method: Method,
     seed_power overrides m (default: 1, or 2 for JACOBI_H2).  The continuation
     is linear in its seed, so the h^m-seeded runs span the kernel components
     that a different normalization of the method's own witness may add.
+
+    At each degree d the known part of the defining expression, the sum of
+    grad(W_j) . F_k - W_j div(F_k) over field components F_k and solved
+    pieces W_j with j + k = d, is one `_mul_accumulate` call with the
+    two sides swapped, which gives its negation, the slice solve's
+    right-hand side, directly.  The components, their divergences and each
+    solved piece with its three partials are converted by `_integer_terms`
+    once; a piece's converted forms are dropped when no later degree can
+    read them.
     """
     if max_index < 1:
         raise DegreeError("max_index must be at least 1")
@@ -92,7 +107,6 @@ def _obstruction_driver(field: VectorField3, max_index: int, method: Method,
     use_div = _USES_DIV[method]
 
     components = {k: f for k, f in field.decompose().items() if k >= 1}
-    divergences = {k: divergence(f) for k, f in components.items()} if use_div else {}
 
     # the defining expression must vanish identically at the seed degree
     f0 = principal_part(params)
@@ -103,28 +117,32 @@ def _obstruction_driver(field: VectorField3, max_index: int, method: Method,
         raise StructureError("seed term fails the defining identity at its own degree")
 
     pieces: Dict[int, QHPolynomial] = {seed_degree: seed}
-    gradients: Dict[int, Tuple[QHPolynomial, QHPolynomial, QHPolynomial]] = {
-        seed_degree: (seed.partial("x"), seed.partial("y"), seed.partial("z"))}
+    converted = {seed_degree: _converted_piece(seed)}
+    comp_terms = {k: [_integer_terms(c) for c in f.components]
+                  for k, f in components.items()}
+    div_terms = {k: _integer_terms(divergence(f))
+                 for k, f in components.items()} if use_div else {}
+    reach = max(components, default=0)
     entries: Dict[int, ParamPolynomial] = {}
     zero_p = ParamPolynomial.zero(params)
     for degree in range(seed_degree + 1, 2 * max_index + 1):
-        known = QHPolynomial.zero(params)
+        converted.pop(degree - reach - 1, None)  # no later degree reads it
+        # the sides are swapped, so the accumulate yields -known
+        plus, minus = [], []
         for fdeg in sorted(components):
-            j = degree - fdeg
-            piece = pieces.get(j)
+            piece = converted.get(degree - fdeg)
             if piece is None:
                 continue
-            gx, gy, gz = gradients[j]
-            fk = components[fdeg]
-            term = gx * fk.fx + gy * fk.fy + gz * fk.fz
+            whole, *gradient = piece
+            minus += zip(gradient, comp_terms[fdeg])
             if use_div:
-                term = term - piece * divergences[fdeg]
-            known = known + term
-        if known.is_zero():
+                plus.append((whole, div_terms[fdeg]))
+        rhs = _mul_accumulate(plus, minus, params)
+        if rhs.is_zero():
             if degree % 2 == 0:
                 entries[degree // 2] = zero_p
             continue
-        solved = solve_homological(degree, -known)
+        solved = solve_homological(degree, rhs)
         if degree % 2 == 1:
             if solved.residual:
                 raise StructureError(
@@ -133,9 +151,7 @@ def _obstruction_driver(field: VectorField3, max_index: int, method: Method,
             entries[degree // 2] = -solved.residual
         if solved.solution:
             pieces[degree] = solved.solution
-            gradients[degree] = (solved.solution.partial("x"),
-                                 solved.solution.partial("y"),
-                                 solved.solution.partial("z"))
+            converted[degree] = _converted_piece(solved.solution)
 
     witness = QHPolynomial.zero(params)
     for piece in pieces.values():

@@ -449,7 +449,3 @@ def main() -> None:
     stream = sys.stdout if code == 0 else sys.stderr
     stream.write(text)
     sys.exit(code)
-
-
-if __name__ == "__main__":
-    main()

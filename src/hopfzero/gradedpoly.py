@@ -12,18 +12,23 @@ order (`_mono_sort_key`); printing and rerun comparisons read that order.
 coefficients, checks the coefficient ring and merges and sorts terms.
 Operations build their results through the private `_wrap`, which trusts its
 caller to pass a term dict that already holds the invariant.  Every product
-(`mul`, and the directional derivatives and Lie brackets of `vectorfield`)
-goes through one multiply-accumulate kernel, `_mul_accumulate`.
+(`mul`, the directional derivatives and Lie brackets of `vectorfield`, and
+the obstruction driver's known terms) goes through one multiply-accumulate
+kernel, `_mul_accumulate`.  Its operands are first converted by
+`_integer_terms` to integer numerators over one common denominator, taking a
+partial derivative on the way when asked; the kernel sums Python `int`s and
+builds one `Fraction` per output term.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import add
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .coeffring import ParamPolynomial, RationalLike, _canonical, rat
+from .coeffring import ParamPolynomial, RationalLike, _degree_lex, rat
 from .errors import DegreeError
 
 WEIGHTS = (1, 1, 2)
@@ -210,7 +215,9 @@ class QHPolynomial:
         Truncating during multiplication keeps high-order normal-form updates
         from generating garbage far beyond the working degree.
         """
-        return _mul_accumulate([(self, other)], (), self.params, max_degree)
+        self._check(other)
+        return _mul_accumulate([(_integer_terms(self), _integer_terms(other))], (),
+                               self.params, max_degree)
 
     def scale(self, factor: RationalLike) -> "QHPolynomial":
         factor = rat(factor)
@@ -322,64 +329,90 @@ def _signed(text: str):
     return text, "+"
 
 
-def _degree_buckets(f: QHPolynomial) -> List[Tuple[int, list]]:
-    """The terms of `f` as (degree, [(ex, ey, ez, coefficient items)]) in
-    ascending degree."""
-    buckets: List[Tuple[int, list]] = []
+IntegerTerms = Tuple[int, List[Tuple[int, int, int, List[Tuple[tuple, int]]]]]
+
+
+def _integer_terms(f: QHPolynomial, var: Optional[str] = None) -> IntegerTerms:
+    """`f`, or its partial derivative in `var`, as integer numerators over
+    one common denominator: (D, [(ex, ey, ez, [(exponents, numerator)])]).
+
+    D is the lcm of every coefficient denominator of `f`, and the terms are
+    in canonical order.  A derivative multiplies each numerator by the
+    exponent it lowers; lowering keeps canonical order, and the terms free
+    of `var` drop out.
+    """
+    common = math.lcm(*{q.denominator for c in f.terms.values() for q in c.terms.values()})
+    idx = None if var is None else VAR_NAMES.index(var)
+    terms = []
     for m, c in f.terms.items():
-        ex, ey, ez = m
-        d = ex + ey + 2 * ez
-        if not buckets or buckets[-1][0] != d:
-            buckets.append((d, []))
-        buckets[-1][1].append((ex, ey, ez, list(c.terms.items())))
-    return buckets
+        if idx is None:
+            e, (ex, ey, ez) = 1, m
+        else:
+            e = m[idx]
+            if not e:
+                continue
+            lowered = list(m)
+            lowered[idx] = e - 1
+            ex, ey, ez = lowered
+        terms.append((ex, ey, ez, [(p, e * q.numerator * (common // q.denominator))
+                                   for p, q in c.terms.items()]))
+    return common, terms
 
 
-def _mul_accumulate(plus: Sequence[Tuple[QHPolynomial, QHPolynomial]],
-                    minus: Sequence[Tuple[QHPolynomial, QHPolynomial]],
+def _mul_accumulate(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
+                    minus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
                     params: Tuple[str, ...],
                     max_degree: Optional[int] = None) -> QHPolynomial:
-    """sum(a * b for a, b in plus) - sum(a * b for a, b in minus), without
-    the monomials of degree above `max_degree` when a cap is given.
+    """sum(a * b for a, b in plus) - sum(a * b for a, b in minus) over
+    operands converted by `_integer_terms`, without the monomials of degree
+    above `max_degree` when a cap is given.
 
-    Every coefficient product goes straight into one exponent -> Rational map
-    per output monomial; the monomials are sorted, and each map made a
-    canonical `ParamPolynomial`, once at the end.  Each `b` is bucketed by
-    degree, and the terms of `a` come in ascending degree, so the pairs above
-    the cap are cut off with a `break` rather than tested one by one.
+    The products are exact in integers: with `common` the lcm of the pairs'
+    `Da * Db`, each pair's numerator products are scaled by
+    `common // (Da * Db)` (negated for `minus`) and summed into one
+    exponent -> int map per output monomial.  At the end each nonzero sum
+    becomes one `Fraction(n, common)`, which reduces to lowest terms, and the
+    monomials are sorted once.  Each `b` is bucketed by degree, and the terms
+    of `a` come in ascending degree, so the pairs above the cap are cut off
+    with a `break` rather than tested one by one.
     """
     cap = math.inf if max_degree is None else max_degree
+    common = math.lcm(*(a[0] * b[0] for pairs in (plus, minus) for a, b in pairs))
     acc: Dict[tuple, dict] = {}
-    for negate, pairs in ((False, plus), (True, minus)):
-        for a, b in pairs:
-            if a.params != params or b.params != params:
-                raise ValueError("parameter tables differ")
-            if not a.terms or not b.terms:
+    for sign, pairs in ((1, plus), (-1, minus)):
+        for (da, a_terms), (db, b_terms) in pairs:
+            if not a_terms or not b_terms:
                 continue
-            buckets = _degree_buckets(b)
+            scale = sign * (common // (da * db))
+            buckets: List[Tuple[int, list]] = []
+            for term in b_terms:
+                d = term[0] + term[1] + 2 * term[2]
+                if not buckets or buckets[-1][0] != d:
+                    buckets.append((d, []))
+                buckets[-1][1].append(term)
             lowest = buckets[0][0]
-            for (ax, ay, az), ca in a.terms.items():
+            for ax, ay, az, a_items in a_terms:
                 room = cap - (ax + ay + 2 * az)
                 if room < lowest:
                     break
-                a_items = [(e, -c) for e, c in ca.terms.items()] if negate \
-                    else list(ca.terms.items())
-                for db, bucket in buckets:
-                    if db > room:
+                a_items = [(e, n * scale) for e, n in a_items]
+                for d, bucket in buckets:
+                    if d > room:
                         break
                     for bx, by, bz, b_items in bucket:
                         key = (ax + bx, ay + by, az + bz)
                         out = acc.get(key)
                         if out is None:
                             out = acc[key] = {}
-                        for ea, fa in a_items:
-                            for eb, fb in b_items:
+                        for ea, na in a_items:
+                            for eb, nb in b_items:
                                 e = tuple(map(add, ea, eb))
-                                prev = out.get(e)
-                                out[e] = fa * fb if prev is None else prev + fa * fb
+                                out[e] = out.get(e, 0) + na * nb
     terms = {}
     for key in sorted(acc, key=_mono_sort_key):
-        coeff = _canonical(acc[key])
+        out = acc[key]
+        coeff = {e: Fraction(out[e], common)
+                 for e in sorted(out, key=_degree_lex, reverse=True) if out[e]}
         if coeff:
             terms[tuple.__new__(Monomial3, key)] = ParamPolynomial._wrap(coeff, params)
     return QHPolynomial._wrap(terms, params)

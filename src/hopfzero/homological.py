@@ -224,9 +224,10 @@ def solve_homological(k: int, rhs: QHPolynomial) -> HomologicalSolution:
     mean of each f_l (l >= 1) is fixed to that of g_(l-1), divided by l, which
     makes level l-1 solvable, and f_0 has circle mean 0, so the solution
     carries no (x^2+y^2)^(k/2) component.  The equation b = d of each even
-    level is then implied; it is checked, and StructureError raised if it
-    fails.  Coefficients are only scaled by rationals and added, so
-    parameter coefficients ride along linearly.
+    level is then implied; it is checked, and so is the equation b = 1 of
+    every level of degree d >= 1, which the backward recurrence used last;
+    StructureError is raised if either fails.  Coefficients are only scaled
+    by rationals and added, so parameter coefficients ride along linearly.
     """
     if k < 0:
         raise DegreeError(f"negative degree {k}")
@@ -275,6 +276,11 @@ def solve_homological(k: int, rhs: QHPolynomial) -> HomologicalSolution:
             if shift:  # add the multiple of h^(d/2) that gives f_l that mean
                 for b in range(0, d + 1, 2):
                     u[b] = u[b] + shift.scale(math.comb(d // 2, b // 2))
+        # read back equation b = 1, v_1 = 4 u_2 - 2d u_0, from which the
+        # backward recurrence took u_0
+        if d and v[1] != (u[2].scale(4) if d > 1 else zero) - u[0].scale(2 * d):
+            raise StructureError(
+                f"degree-{k} slice solve left level z^{l} inconsistent at b = 1")
         levels[l] = u
 
     terms = {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping, Tuple
 
 from .coeffring import ParamPolynomial, RationalLike
-from .gradedpoly import VAR_NAMES, QHPolynomial, _mul_accumulate
+from .gradedpoly import VAR_NAMES, QHPolynomial, _integer_terms, _mul_accumulate
 
 
 class VectorField3:
@@ -103,7 +103,10 @@ def divergence(field: VectorField3) -> QHPolynomial:
 def directional_derivative(f: QHPolynomial, field: VectorField3,
                            max_degree: int | None = None) -> QHPolynomial:
     """grad(f) . field, optionally truncated above a quasi-homogeneous cap."""
-    pairs = [(f.partial(v), c) for v, c in zip(VAR_NAMES, field.components)]
+    if f.params != field.params:
+        raise ValueError("parameter tables differ")
+    pairs = [(_integer_terms(f, v), _integer_terms(c))
+             for v, c in zip(VAR_NAMES, field.components)]
     return _mul_accumulate(pairs, (), f.params, max_degree)
 
 
@@ -112,12 +115,18 @@ def lie_bracket(f: VectorField3, g: VectorField3,
     """[f, g] = Dg.f - Df.g; maps degrees (j, k) into degree j + k.
 
     Each component is one multiply-accumulate: grad(g_i) . f - grad(f_i) . g.
+    The six components are converted to integer numerators once, and each
+    of the 18 partial derivatives is taken once, during its conversion.
     """
+    if f.params != g.params:
+        raise ValueError("parameter tables differ")
     cap1 = None if max_field_degree is None else max_field_degree + 1
     cap2 = None if max_field_degree is None else max_field_degree + 2
+    f_terms = [_integer_terms(c) for c in f.components]
+    g_terms = [_integer_terms(c) for c in g.components]
     return VectorField3(*(
-        _mul_accumulate([(gi.partial(v), fv) for v, fv in zip(VAR_NAMES, f.components)],
-                        [(fi.partial(v), gv) for v, gv in zip(VAR_NAMES, g.components)],
+        _mul_accumulate([(_integer_terms(gi, v), fv) for v, fv in zip(VAR_NAMES, f_terms)],
+                        [(_integer_terms(fi, v), gv) for v, gv in zip(VAR_NAMES, g_terms)],
                         f.params, cap)
         for fi, gi, cap in zip(f.components, g.components, (cap1, cap1, cap2))))
 

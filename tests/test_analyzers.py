@@ -144,6 +144,52 @@ class TestSeedPower:
                                 seed_power=0)
 
 
+def driver_by_polynomial_products(field, max_index, method):
+    """(entries, witness) of `method`, each degree's known term built as
+    polynomials: gradients by `partial`, products by `*`, sums by `+`, and
+    the slice solve's right-hand side as `-known`."""
+    params = field.params
+    power = 2 if method is Method.JACOBI_H2 else 1
+    use_div = method is not Method.FIRST_INTEGRAL
+    components = {k: f for k, f in field.decompose().items() if k >= 1}
+    pieces = {2 * power: QHPolynomial.h_power(power, params)}
+    entries = {}
+    for degree in range(2 * power + 1, 2 * max_index + 1):
+        known = QHPolynomial.zero(params)
+        for fdeg, fk in sorted(components.items()):
+            piece = pieces.get(degree - fdeg)
+            if piece is None:
+                continue
+            term = piece.partial("x") * fk.fx + piece.partial("y") * fk.fy \
+                + piece.partial("z") * fk.fz
+            if use_div:
+                term = term - piece * hz.divergence(fk)
+            known = known + term
+        solved = hz.solve_homological(degree, -known)
+        if degree % 2 == 0:
+            entries[degree // 2] = -solved.residual
+        if solved.solution:
+            pieces[degree] = solved.solution
+    witness = QHPolynomial.zero(params)
+    for piece in pieces.values():
+        witness = witness + piece
+    return entries, witness
+
+
+class TestKnownTermAccumulation:
+    @pytest.mark.parametrize("method", list(Method))
+    def test_family37_symbolic_matches_polynomial_products(self, family37, method):
+        seq = _obstruction_driver(family37, 10, method)
+        entries, witness = driver_by_polynomial_products(family37, 10, method)
+        assert list(seq.entries) == list(entries)
+        for k, value in entries.items():
+            assert seq.entries[k] == value
+            assert list(seq.entries[k].terms.items()) == list(value.terms.items())
+        assert seq.witness == witness
+        assert [(m, list(c.terms.items())) for m, c in seq.witness.terms.items()] == \
+            [(m, list(c.terms.items())) for m, c in witness.terms.items()]
+
+
 class TestCrossMethodConsistency:
     def test_integrable_strata_draws(self, rng, family37_integrable, family38):
         # on strata with a first integral, the first-integral and the

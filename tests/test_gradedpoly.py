@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 import hopfzero as hz
 from hopfzero import DegreeError, Monomial3, ParamPolynomial, QHPolynomial, VectorField3
 from hopfzero.coeffring import _term_sort_key
-from hopfzero.gradedpoly import _mono_sort_key
+from hopfzero.gradedpoly import _integer_terms, _mono_sort_key, _mul_accumulate
 
 from conftest import Pairs, random_qh_slice
 from oracle import h_component
@@ -146,7 +147,13 @@ class TestHComponent:
 
 _PARAM_TABLES = st.sampled_from([(), ("a",), ("a", "b")])
 _MONOMIALS = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2))
-_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+# besides small fractions, numerators of +-1 or +-2 over large pairwise coprime
+# denominators: operands then need a large common denominator, and with so
+# few distinct values, products of one monomial often cancel to exact zero
+_FRACTIONS = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.builds(Fraction, st.sampled_from([-2, -1, 1, 2]),
+              st.sampled_from([3125, 6561, 7919, 8192, 9973])))
 
 
 @st.composite
@@ -223,6 +230,31 @@ class TestCanonicalResults:
                      (g.mul(f, cap), cap)):
             assert_canonical(r)
             assert r == model_product([(f, g)], [], f.params, c)
+        # f g - g f: every output sum cancels to an exact zero inside the kernel
+        tf, tg = _integer_terms(f), _integer_terms(g)
+        assert _mul_accumulate([(tf, tg)], [(tg, tf)], f.params, cap).terms == {}
+
+    def test_mul_cancels_to_exact_zero_over_coprime_denominators(self):
+        f = QH({(1, 0, 0): Fraction(1, 9973), (0, 1, 0): Fraction(1, 7919)})
+        g = QH({(1, 0, 0): Fraction(1, 9973), (0, 1, 0): Fraction(-1, 7919)})
+        r = f * g
+        assert_canonical(r)
+        assert r == QH({(2, 0, 0): Fraction(1, 9973 ** 2),
+                        (0, 2, 0): Fraction(-1, 7919 ** 2)})
+
+    @_FEW
+    @given(_polys(1))
+    def test_integer_terms(self, polys):
+        (f,) = polys
+        denominators = [q.denominator for c in f.terms.values() for q in c.terms.values()]
+        for var, expected in ((None, f), ("x", f.partial("x")), ("y", f.partial("y")),
+                              ("z", f.partial("z"))):
+            common, terms = _integer_terms(f, var)
+            assert common == math.lcm(*denominators)
+            rebuilt = [(Monomial3(ex, ey, ez), [(e, Fraction(n, common)) for e, n in items])
+                       for ex, ey, ez, items in terms]
+            assert all(type(n) is int for *_, items in terms for _, n in items)
+            assert rebuilt == [(m, list(c.terms.items())) for m, c in expected.terms.items()]
 
     @_FEW
     @given(_polys(1))
