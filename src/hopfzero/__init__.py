@@ -11,8 +11,8 @@ from .analyzers import (CaseTag, Classification, Method, ObstructionSequence,
                         classify, first_integral_obstructions,
                         jacobi_obstructions, obstruction_sequence,
                         recombination_defect)
-from .coeffring import (ParamPolynomial, Rational, congruent_mod,
-                        ppoly_normalize, ppoly_reduce, pseudo_remainder, rat)
+from .coeffring import (ParamPolynomial, Rational, congruent_mod, ppoly_reduce,
+                        pseudo_remainder, rat)
 from .errors import (DegreeError, HopfZeroError, ParameterError, ParseError,
                      PrincipalPartError, StructureError)
 from .frontend import (AnalysisConfig, REPORT_SCHEMA, Scalings, build_report,

@@ -276,15 +276,6 @@ class ParamPolynomial:
         return f"ParamPolynomial({self})"
 
 
-def ppoly_normalize(p: ParamPolynomial) -> ParamPolynomial:
-    """Return the canonical form of `p` (zero terms purged, fixed term order).
-
-    Construction already canonicalizes, so this is idempotent and cheap; it
-    exists so callers can normalize values assembled from raw term maps.
-    """
-    return ParamPolynomial(p.terms, p.params)
-
-
 def ppoly_reduce(p: ParamPolynomial, constraint: ParamPolynomial,
                  var: str) -> ParamPolynomial:
     """Pseudo-remainder of `p` by `constraint` with respect to parameter `var`.

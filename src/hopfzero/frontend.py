@@ -449,3 +449,8 @@ def main() -> None:
     stream = sys.stdout if code == 0 else sys.stderr
     stream.write(text)
     sys.exit(code)
+
+
+if __name__ == "__main__":  # python -m hopfzero.frontend
+    sys.exit("error: hopfzero.frontend is not a command; "
+             "run `python -m hopfzero` or `hopfzero` instead")

@@ -16,10 +16,10 @@ blocks per z-power plus a z-lowering term (Algaba, Freire, Gamero & Garcia,
 `solve_homological` solves the slice equation along that chain, from the top
 z-power down, in O(1) coefficient operations per unknown.
 
-This module is also the one place that knows the operator monomial by
-monomial (`_apply_operator_monomial`) and holds the exact sparse elimination
-(`_Elimination`) that the normal-form degree solve runs on systems built
-from it.
+`analyze_operator` builds the operator monomial by monomial
+(`_apply_operator_monomial`) and reads its rank off an exact elimination
+(`_rank`), independently of the chain.  The normal-form degree solve is
+three calls of `solve_homological` (`normalform._solve_degree`).
 """
 
 from __future__ import annotations
@@ -60,84 +60,26 @@ def _slice_rows(k: int) -> Tuple[GradedSliceBasis, List[Dict[int, Fraction]]]:
     return basis, rows
 
 
-class _Elimination:
-    """Row echelon form of a sparse rational matrix, for the normal-form
-    degree solve; `analyze_operator` reads only its rank.
-
-    The matrix has len(sparse_rows) rows and n_cols columns.  Columns are
-    pivoted in order, each on its sparsest remaining row with a nonzero in
-    that column (the first of those on a tie), which keeps fill-in low; a
-    column with none is free, and its unknown is set to zero.  Which columns
-    are free depends on the column order alone, so solutions do not depend
-    on the choice of pivot row.  The forward-elimination operations are
-    recorded; `replay_poly` applies them to a right-hand side whose entries
-    may be parameter polynomials, and `back_substitute` solves the reduced
-    system against the stored echelon rows.
-    """
-
-    def __init__(self, sparse_rows: List[Dict[int, Fraction]], n_cols: int):
-        n_rows = len(sparse_rows)
-        self.n_cols = n_cols
-        self.rows = [dict(r) for r in sparse_rows]
-        self.ops: List[tuple] = []  # ("swap", i, j) | ("axpy", target, source, factor)
-        self.pivots: List[Tuple[int, int]] = []
-        self.free_columns: List[int] = []
-        r = 0
-        for c in range(n_cols):
-            pivot_row = None
-            for i in range(r, n_rows):
-                row = self.rows[i]
-                if row.get(c) and (pivot_row is None or len(row) < fewest):
-                    pivot_row, fewest = i, len(row)
-            if pivot_row is None:
-                self.free_columns.append(c)
-                continue
-            if pivot_row != r:
-                self.rows[r], self.rows[pivot_row] = self.rows[pivot_row], self.rows[r]
-                self.ops.append(("swap", r, pivot_row))
-            pivot = self.rows[r][c]
-            for i in range(r + 1, n_rows):
-                value = self.rows[i].get(c)
-                if not value:
-                    continue
-                factor = -value / pivot
-                target = self.rows[i]
-                for cc, vv in self.rows[r].items():
-                    acc = target.get(cc)
-                    acc = acc + factor * vv if acc is not None else factor * vv
-                    if acc:
-                        target[cc] = acc
-                    elif cc in target:
-                        del target[cc]
-                self.ops.append(("axpy", i, r, factor))
-            self.pivots.append((r, c))
-            r += 1
-        self.rank = r
-        self.zero_rows = list(range(r, n_rows))
-
-    def replay_poly(self, vector: List[ParamPolynomial]) -> List[ParamPolynomial]:
-        v = list(vector)
-        for op in self.ops:
-            if op[0] == "swap":
-                _, i, j = op
-                v[i], v[j] = v[j], v[i]
-            else:
-                _, target, source, factor = op
-                if v[source]:
-                    v[target] = v[target] + v[source].scale(factor)
-        return v
-
-    def back_substitute(self, reduced: List[ParamPolynomial],
-                        zero_poly: ParamPolynomial) -> List[ParamPolynomial]:
-        x = [zero_poly] * self.n_cols
-        for r, c in reversed(self.pivots):
-            acc = reduced[r]
-            row = self.rows[r]
-            for cc, vv in row.items():
-                if cc > c and x[cc]:
-                    acc = acc - x[cc].scale(vv)
-            x[c] = acc.scale(1 / row[c])
-        return x
+def _rank(rows: List[Dict[int, Fraction]], n_cols: int) -> int:
+    """Rank of a sparse rational matrix, by elimination on sparsest pivots."""
+    rows = [dict(r) for r in rows if r]
+    n_rows = len(rows)
+    for c in range(n_cols):
+        hits = [r for r in rows if c in r]
+        if not hits:
+            continue
+        pivot = min(hits, key=len)
+        rows = [r for r in rows if r is not pivot]  # the rank counts pivot rows removed
+        for r in hits:
+            if r is not pivot:
+                factor = r[c] / pivot[c]
+                for cc, v in pivot.items():
+                    value = r.get(cc, 0) - factor * v
+                    if value:
+                        r[cc] = value
+                    else:
+                        del r[cc]
+    return n_rows - len(rows)
 
 
 @dataclass(frozen=True)
@@ -156,8 +98,9 @@ def analyze_operator(k: int) -> OperatorAnalysis:
     violation: for odd k the operator is bijective; for even k its rank is
     one short, (x^2+y^2)^(k/2) is in its kernel, and no image has a z^(k/2)
     term, so z^(k/2) represents the cokernel.  The rank comes from an exact
-    elimination of the slice matrix; nothing is cached.  A negative k raises
-    DegreeError.
+    elimination of the slice matrix (`_rank`), not from the level chain that
+    `solve_homological` walks, so the check is independent of the solver;
+    nothing is cached.  A negative k raises DegreeError.
     """
     return _build_analysis(k)
 
@@ -165,7 +108,7 @@ def analyze_operator(k: int) -> OperatorAnalysis:
 def _build_analysis(k: int) -> OperatorAnalysis:
     basis, rows = _slice_rows(k)
     n = len(basis)
-    rank = _Elimination(rows, n).rank
+    rank = _rank(rows, n)
     if k % 2 == 1:
         if rank != n:
             raise StructureError(f"degree-{k} operator is not bijective (rank {rank})")

@@ -2,17 +2,17 @@
 
 The field is simplified degree by degree.  At quasi-homogeneous field degree
 s the unknowns are a generator U in the degree-s field slice and a
-time-reparametrization slice mu of scalar degree s; the linear map
-
-    (U, mu)  ->  [F0, U] - mu * F0
-
-is assembled over Q and the known degree-s term is reduced against its range.
-For even s = 2k the range has a two-dimensional complement spanned by
+time-reparametrization slice mu of scalar degree s; the known degree-s term
+is reduced against the range of (U, mu) -> [F0, U] - mu * F0.  For even
+s = 2k the range has a two-dimensional complement spanned by
 (z^k x, z^k y, 0) and (0, 0, z^(k+1)); the coordinates of the reduced slice in
-that complement are the normal-form coefficients a_k, b_k.  After each solve
-the actual transformation (time factor 1 + mu, then the exponential of the
-generator's adjoint action) is applied and the achieved slice is checked
-exactly, so the returned coefficients are verified, not inferred.
+that complement are the normal-form coefficients a_k, b_k.  The map is never
+assembled: contracted with x dx + y dy, x dy - y dx and dz, the equation is
+three slice solves plus a division by x^2 + y^2 (`_solve_degree`).  After
+each solve the actual transformation (time factor 1 + mu, then the
+exponential of the generator's adjoint action) is applied and the achieved
+slice is checked exactly, so the returned coefficients are verified, not
+inferred.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .coeffring import ParamPolynomial, Rational
 from .errors import DegreeError, PrincipalPartError, StructureError
-from .gradedpoly import Monomial3, QHPolynomial, slice_basis
-from .homological import _apply_operator_monomial, _Elimination
+from .gradedpoly import Monomial3, QHPolynomial
+from .homological import solve_homological
 from .vectorfield import PlanarVectorField, Poly2, VectorField3, lie_bracket
 
 
@@ -108,67 +108,84 @@ def _resonant_field(s: int, a: ParamPolynomial, b: ParamPolynomial,
     return VectorField3(fx, fy, fz)
 
 
+def _shifted(f: QHPolynomial, i: int, j: int, l: int = 0) -> QHPolynomial:
+    """f times x^i y^j z^l; the shift keeps the canonical term order."""
+    return QHPolynomial._wrap({Monomial3(m.ex + i, m.ey + j, m.ez + l): c
+                               for m, c in f.terms.items()}, f.params)
+
+
+def _divide_by_h(p: QHPolynomial, k: int) -> QHPolynomial:
+    """The degree-k quotient q with (x^2 + y^2) q = p.  On each level z^l the
+    coefficients of y^b satisfy p_b = q_b + q_(b-2), which gives q_b up to
+    b = k - 2l and leaves two equations; StructureError if they fail."""
+    zero = ParamPolynomial.zero(p.params)
+    terms = {}
+    for l in range(k // 2 + 2):
+        e = k + 2 - 2 * l
+        q = []
+        for b in range(e + 1):
+            rest = p.terms.get(Monomial3(e - b, b, l), zero) - (q[b - 2] if b >= 2 else zero)
+            if b <= e - 2:
+                q.append(rest)
+            elif rest:
+                raise StructureError(f"degree-{k + 2} polynomial is not a multiple of x^2 + y^2")
+        terms.update((Monomial3(e - 2 - b, b, l), c) for b, c in enumerate(q) if c)
+    return QHPolynomial._wrap(terms, p.params)
+
+
 def _solve_degree(known: VectorField3, s: int):
     """Solve [F0,U] - mu*F0 + a*R1 + b*R2 = known for (U, mu, a, b).
 
-    The columns are the images of unit unknowns in the fixed order
-    (ux, uy, uz, mu, a, b); each component of [F0, U] is the slice operator
-    of `homological` plus the couplings (2 uy, -2 ux, -2x ux - 2y uy).  Free
-    variables of the underdetermined system are set to zero.  Raises
-    StructureError if the known term cannot be matched, which would
-    contradict the normal-form structure theorem.
+    With L = grad(.) . F0, w1(V) = x Vx + y Vy, w2(V) = x Vy - y Vx and
+    h = x^2 + y^2, every field U satisfies
+
+        L w1(U) = w1([F0,U]),  L w2(U) = w2([F0,U]),  dz([F0,U]) = L uz - 2 w1(U),
+
+    while w1(F0) = 0, w2(F0) = 2h, w1(R1) = h z^k and R2 meets dz alone.  So
+    the equation is three slice solves of degree s+2: A = w2(U) and
+    B = w1(U), whose z^(k+1) coefficients, which A and B cannot have, give
+    mu = c z^k and a; then uz, with b the residual.  Exact division by h
+    gives ux = (x B - y A)/h and uy = (y B + x A)/h and checks the solve.
+
+    The kernel of (U, mu) -> [F0,U] - mu F0 is spanned by (g F0, L g) for
+    degree-s scalars g and, for even s = 2k, by h^k (-y, x, 0),
+    h^k (x, y, 2z) and h^(k+1) (0, 0, 1).  The solution returned sets the
+    matching free unknowns to zero: mu's coefficients other than z^k's and,
+    for even s, uy's x y^s and uz's z y^s and y^(s+2).  StructureError means
+    a residual or remainder was left, which contradicts the normal-form
+    structure theorem.
     """
     params = known.params
-    zero_p = ParamPolynomial.zero(params)
-    bases = (slice_basis(s + 1), slice_basis(s + 1), slice_basis(s + 2), slice_basis(s))
-    row_index: Dict[Tuple[int, Monomial3], int] = {}
-    # each column lists its (component, monomial, value) entries
-    columns: List[List[Tuple[int, Monomial3, int]]] = []
-    for ci, basis in enumerate(bases[:3]):
-        for m in basis.monomials:
-            row_index[(ci, m)] = len(row_index)
-            i, j, l = m
-            column = [(ci, image, v) for image, v in _apply_operator_monomial(m).items()]
-            if ci == 0:    # a unit of ux adds -2 to y and -2x to z
-                column += [(1, m, -2), (2, Monomial3(i + 1, j, l), -2)]
-            elif ci == 1:  # a unit of uy adds 2 to x and -2y to z
-                column += [(0, m, 2), (2, Monomial3(i, j + 1, l), -2)]
-            columns.append(column)
-    for i, j, l in bases[3].monomials:  # a unit of mu gives -mu F0
-        columns.append([(0, Monomial3(i, j + 1, l), 2), (1, Monomial3(i + 1, j, l), -2),
-                        (2, Monomial3(i + 2, j, l), -1), (2, Monomial3(i, j + 2, l), -1)])
-    resonant = s % 2 == 0
-    if resonant:
+    kx, ky, kz = known.components
+    sols = [solve_homological(s + 2, _shifted(ky, 1, 0) - _shifted(kx, 0, 1)),  # w2(known)
+            solve_homological(s + 2, _shifted(kx, 1, 0) + _shifted(ky, 0, 1))]  # w1(known)
+    if any(sol.residual for sol in sols):
+        raise StructureError(f"degree-{s} contracted equation has a z-power residual")
+    big_a, big_b = (sol.solution for sol in sols)
+    mu, a = QHPolynomial.zero(params), ParamPolynomial.zero(params)
+    if s % 2 == 0:
         k = s // 2
-        columns.append([(0, Monomial3(1, 0, k), 1), (1, Monomial3(0, 1, k), 1)])  # R1
-        columns.append([(2, Monomial3(0, 0, k + 1), 1)])  # R2
-
-    rows: List[Dict[int, Fraction]] = [{} for _ in row_index]
-    for c, column in enumerate(columns):
-        for ci, m, v in column:
-            rows[row_index[(ci, m)]][c] = Fraction(v)
-    rhs: List[ParamPolynomial] = [zero_p] * len(rows)
-    for ci, comp in enumerate(known.components):
-        for m, c in comp.terms.items():
-            rhs[row_index[(ci, m)]] = c
-
-    elim = _Elimination(rows, len(columns))
-    reduced = elim.replay_poly(rhs)
-    if any(reduced[i] for i in elim.zero_rows):
-        raise StructureError(
-            f"degree-{s} homological system is inconsistent; the known term "
-            "is not reducible to the resonant span")
-    x = elim.back_substitute(reduced, zero_p)
-
-    parts = []
-    pos = 0
-    for basis in bases:
-        parts.append(QHPolynomial(
-            {m: x[pos + i] for i, m in enumerate(basis.monomials) if x[pos + i]}, params))
-        pos += len(basis)
-    ux, uy, uz, mu = parts
-    a = x[pos] if resonant else zero_p
-    b = x[pos + 1] if resonant else zero_p
+        top = Monomial3(0, 0, k + 1)
+        c = big_a.coefficient(top).scale(Fraction(-(k + 1), 2))
+        a = big_b.coefficient(top).scale(k + 1)
+        big_a, big_b = (QHPolynomial._wrap({m: v for m, v in f.terms.items() if m != top},
+                                           params) for f in (big_a, big_b))
+        if c:
+            mu = QHPolynomial._wrap({Monomial3(0, 0, k): c}, params)
+    sol = solve_homological(s + 2, kz + mu * QHPolynomial.h_power(1, params) + big_b.scale(2))
+    uz, b = sol.solution, sol.residual
+    ux = _divide_by_h(_shifted(big_b, 1, 0) - _shifted(big_a, 0, 1), s + 1)
+    uy = _divide_by_h(_shifted(big_b, 0, 1) + _shifted(big_a, 1, 0), s + 1)
+    if s % 2 == 0:  # add the kernel fields that zero uy[x y^s], uz[z y^s], uz[y^(s+2)]
+        t1 = uy.coefficient(Monomial3(1, s, 0))
+        t2 = uz.coefficient(Monomial3(0, s, 1)).scale(Fraction(1, 2))
+        t3 = uz.coefficient(Monomial3(0, s + 2, 0))
+        hk = QHPolynomial.h_power(k, params)
+        xh, yh = _shifted(hk, 1, 0), _shifted(hk, 0, 1)
+        ux = ux + yh.scale_param(t1) - xh.scale_param(t2)
+        uy = uy - xh.scale_param(t1) - yh.scale_param(t2)
+        uz = (uz - _shifted(hk, 0, 0, 1).scale_param(t2.scale(2))
+              - QHPolynomial.h_power(k + 1, params).scale_param(t3))
     return VectorField3(ux, uy, uz), mu, a, b
 
 

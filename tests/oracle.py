@@ -3,18 +3,22 @@
 The sympy helpers re-derive derivative identities from scratch so the main
 engine's calculus is never used to verify itself.  `lie_operator_matrix` and
 `h_component` are references for the slice operator and its kernel
-normalization, which the engine itself no longer builds.
+normalization, which the engine itself no longer builds.  `Elimination` and
+`elimination_solve_degree` are the generic sparse elimination and the
+normal-form degree solve built on it, which the engine's structured solves
+replaced; the tests pin those solves against them.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import sympy as sp
 
 import hopfzero as hz
-from hopfzero import GradedSliceBasis, Monomial3, ParamPolynomial
+from hopfzero import GradedSliceBasis, Monomial3, ParamPolynomial, QHPolynomial, VectorField3
+from hopfzero.homological import _apply_operator_monomial
 
 X, Y, Z = sp.symbols("x y z")
 
@@ -240,3 +244,152 @@ def h_component(f, m):
     if const is None:
         return ParamPolynomial.zero(params)
     return const.scale(Fraction(1, 4 ** m * math.factorial(m) ** 2))
+
+
+class Elimination:
+    """Row echelon form of a sparse rational matrix: the generic solver the
+    structured slice and degree solves are pinned against.
+
+    The matrix has len(sparse_rows) rows and n_cols columns.  Columns are
+    pivoted in order, each on its sparsest remaining row with a nonzero in
+    that column (the first of those on a tie), which keeps fill-in low; a
+    column with none is free, and its unknown is set to zero.  Which columns
+    are free depends on the column order alone, so solutions do not depend
+    on the choice of pivot row.  The forward-elimination operations are
+    recorded; `replay_poly` applies them to a right-hand side whose entries
+    may be parameter polynomials, and `back_substitute` solves the reduced
+    system against the stored echelon rows.
+    """
+
+    def __init__(self, sparse_rows: List[Dict[int, Fraction]], n_cols: int):
+        n_rows = len(sparse_rows)
+        self.n_cols = n_cols
+        self.rows = [dict(r) for r in sparse_rows]
+        self.ops: List[tuple] = []  # ("swap", i, j) | ("axpy", target, source, factor)
+        self.pivots: List[Tuple[int, int]] = []
+        self.free_columns: List[int] = []
+        r = 0
+        for c in range(n_cols):
+            pivot_row = None
+            for i in range(r, n_rows):
+                row = self.rows[i]
+                if row.get(c) and (pivot_row is None or len(row) < fewest):
+                    pivot_row, fewest = i, len(row)
+            if pivot_row is None:
+                self.free_columns.append(c)
+                continue
+            if pivot_row != r:
+                self.rows[r], self.rows[pivot_row] = self.rows[pivot_row], self.rows[r]
+                self.ops.append(("swap", r, pivot_row))
+            pivot = self.rows[r][c]
+            for i in range(r + 1, n_rows):
+                value = self.rows[i].get(c)
+                if not value:
+                    continue
+                factor = -value / pivot
+                target = self.rows[i]
+                for cc, vv in self.rows[r].items():
+                    acc = target.get(cc)
+                    acc = acc + factor * vv if acc is not None else factor * vv
+                    if acc:
+                        target[cc] = acc
+                    elif cc in target:
+                        del target[cc]
+                self.ops.append(("axpy", i, r, factor))
+            self.pivots.append((r, c))
+            r += 1
+        self.rank = r
+        self.zero_rows = list(range(r, n_rows))
+
+    def replay_poly(self, vector: List[ParamPolynomial]) -> List[ParamPolynomial]:
+        v = list(vector)
+        for op in self.ops:
+            if op[0] == "swap":
+                _, i, j = op
+                v[i], v[j] = v[j], v[i]
+            else:
+                _, target, source, factor = op
+                if v[source]:
+                    v[target] = v[target] + v[source].scale(factor)
+        return v
+
+    def back_substitute(self, reduced: List[ParamPolynomial],
+                        zero_poly: ParamPolynomial) -> List[ParamPolynomial]:
+        x = [zero_poly] * self.n_cols
+        for r, c in reversed(self.pivots):
+            acc = reduced[r]
+            row = self.rows[r]
+            for cc, vv in row.items():
+                if cc > c and x[cc]:
+                    acc = acc - x[cc].scale(vv)
+            x[c] = acc.scale(1 / row[c])
+        return x
+
+
+def degree_system(s):
+    """The normal-form degree-s system [F0,U] - mu*F0 + a*R1 + b*R2 as sparse
+    rows: (bases, row_index, rows, n_cols).
+
+    The columns are the images of unit unknowns in the fixed order
+    (ux, uy, uz, mu, a, b), over `bases` = the slices of degree s+1, s+1,
+    s+2 and s (a and b for even s only); `row_index` maps (component,
+    monomial) to a row.  Each component of [F0, U] is the slice operator plus
+    the couplings (2 uy, -2 ux, -2x ux - 2y uy).
+    """
+    bases = (hz.slice_basis(s + 1), hz.slice_basis(s + 1), hz.slice_basis(s + 2),
+             hz.slice_basis(s))
+    row_index: Dict[Tuple[int, Monomial3], int] = {}
+    # each column lists its (component, monomial, value) entries
+    columns: List[List[Tuple[int, Monomial3, int]]] = []
+    for ci, basis in enumerate(bases[:3]):
+        for m in basis.monomials:
+            row_index[(ci, m)] = len(row_index)
+            i, j, l = m
+            column = [(ci, image, v) for image, v in _apply_operator_monomial(m).items()]
+            if ci == 0:    # a unit of ux adds -2 to y and -2x to z
+                column += [(1, m, -2), (2, Monomial3(i + 1, j, l), -2)]
+            elif ci == 1:  # a unit of uy adds 2 to x and -2y to z
+                column += [(0, m, 2), (2, Monomial3(i, j + 1, l), -2)]
+            columns.append(column)
+    for i, j, l in bases[3].monomials:  # a unit of mu gives -mu F0
+        columns.append([(0, Monomial3(i, j + 1, l), 2), (1, Monomial3(i + 1, j, l), -2),
+                        (2, Monomial3(i + 2, j, l), -1), (2, Monomial3(i, j + 2, l), -1)])
+    if s % 2 == 0:
+        k = s // 2
+        columns.append([(0, Monomial3(1, 0, k), 1), (1, Monomial3(0, 1, k), 1)])  # R1
+        columns.append([(2, Monomial3(0, 0, k + 1), 1)])  # R2
+
+    rows: List[Dict[int, Fraction]] = [{} for _ in row_index]
+    for c, column in enumerate(columns):
+        for ci, m, v in column:
+            rows[row_index[(ci, m)]][c] = Fraction(v)
+    return bases, row_index, rows, len(columns)
+
+
+def elimination_solve_degree(known, s):
+    """Solve [F0,U] - mu*F0 + a*R1 + b*R2 = known for (U, mu, a, b) by
+    `Elimination` of `degree_system(s)`, free unknowns set to zero.  An
+    inconsistent system raises AssertionError."""
+    params = known.params
+    zero_p = ParamPolynomial.zero(params)
+    bases, row_index, rows, n_cols = degree_system(s)
+    rhs: List[ParamPolynomial] = [zero_p] * len(rows)
+    for ci, comp in enumerate(known.components):
+        for m, c in comp.terms.items():
+            rhs[row_index[(ci, m)]] = c
+
+    elim = Elimination(rows, n_cols)
+    reduced = elim.replay_poly(rhs)
+    assert not any(reduced[i] for i in elim.zero_rows), f"degree-{s} system inconsistent"
+    x = elim.back_substitute(reduced, zero_p)
+
+    parts = []
+    pos = 0
+    for basis in bases:
+        parts.append(QHPolynomial(
+            {m: x[pos + i] for i, m in enumerate(basis.monomials) if x[pos + i]}, params))
+        pos += len(basis)
+    ux, uy, uz, mu = parts
+    a = x[pos] if s % 2 == 0 else zero_p
+    b = x[pos + 1] if s % 2 == 0 else zero_p
+    return VectorField3(ux, uy, uz), mu, a, b

@@ -224,6 +224,12 @@ class TestModuleEntryPoint:
         assert proc.stdout == ""
         assert "cannot read input" in proc.stderr
 
+    def test_frontend_module_refuses_to_run(self):
+        proc = _run_module("-m", "hopfzero.frontend", "analyze", "any.hz")
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        assert "python -m hopfzero`" in proc.stderr
+
     def test_import_has_no_side_effects(self):
         proc = _run_module("-c", "import hopfzero.__main__, hopfzero.frontend")
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")

@@ -4,15 +4,14 @@ import pytest
 import sympy as sp
 
 import hopfzero as hz
-from hopfzero import (ParamPolynomial, PrincipalPartError, QHPolynomial,
-                      VectorField3)
-from hopfzero import normalform
-from hopfzero.homological import _Elimination
-from hopfzero.normalform import _solve_degree
+from hopfzero import (Monomial3, ParamPolynomial, PrincipalPartError,
+                      QHPolynomial, StructureError, VectorField3)
+from hopfzero.normalform import _divide_by_h, _solve_degree
 
-from conftest import (field_from_text, random_field_component,
-                      random_perturbed_field, random_ppoly)
-from oracle import degree2_orbital_normal_form, field_to_sympy, ppoly_to_sympy
+from conftest import (random_field_component, random_perturbed_field,
+                      random_ppoly)
+from oracle import (Elimination, degree2_orbital_normal_form, degree_system,
+                    elimination_solve_degree, field_to_sympy, ppoly_to_sympy)
 
 
 def conjugate_scaling(field, lam, sigma):
@@ -118,58 +117,88 @@ class TestSolveDegree:
             assert not a and not b
         assert achieved == known
 
-    @pytest.mark.parametrize("s", range(1, 9))
+    @pytest.mark.parametrize("s", range(1, 17))
     def test_rational_slices(self, rng, s):
         for _ in range(2):
             self.check(random_field_component(rng, s), s)
 
-    @pytest.mark.parametrize("s", range(1, 9))
+    @pytest.mark.parametrize("s", range(1, 17))
     def test_one_parameter_slices(self, rng, s):
-        params = ("p",)
+        self.check(param_field_component(rng, s, ("p",)), s)
 
-        def component(degree):
-            return QHPolynomial({m: random_ppoly(rng, params, max_degree=2, terms=2)
-                                 for m in hz.slice_basis(degree).monomials
-                                 if rng.random() < 0.7}, params)
-
-        self.check(VectorField3(component(s + 1), component(s + 1), component(s + 2)), s)
-
-    def test_free_columns_match_first_row_pivoting(self, rng, monkeypatch):
-        # the pivot row choice must not change which unknowns are free, since
-        # free unknowns are set to zero
-        systems = []
-
-        class Recording(_Elimination):
-            def __init__(self, sparse_rows, n_cols):
-                super().__init__(sparse_rows, n_cols)
-                systems.append((sparse_rows, n_cols, self))
-
-        monkeypatch.setattr(normalform, "_Elimination", Recording)
-        for s in range(1, 11):
-            _solve_degree(random_field_component(rng, s), s)
-            sparse_rows, n_cols, elim = systems[-1]
-            assert elim.free_columns == first_row_free_columns(sparse_rows, n_cols), s
+    def test_division_by_h_rejects_a_non_multiple(self):
+        h = QHPolynomial.h_power(1, ())
+        p = h * QHPolynomial({(1, 2, 0): 3, (0, 1, 1): Fraction(1, 2)}, ())
+        assert _divide_by_h(p, 3) == QHPolynomial({(1, 2, 0): 3, (0, 1, 1): Fraction(1, 2)}, ())
+        for extra in ({(5, 0, 0): 1}, {(0, 5, 0): 1}, {(0, 1, 2): 1}, {(2, 1, 1): 1}):
+            with pytest.raises(StructureError):
+                _divide_by_h(p + QHPolynomial(extra, ()), 3)
 
 
-def first_row_free_columns(sparse_rows, n_cols):
-    """Free columns of Gaussian elimination that pivots each column, in
-    order, on its first remaining row with a nonzero there."""
-    rows = [dict(r) for r in sparse_rows]
-    free = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i].get(c)), None)
-        if pivot is None:
-            free.append(c)
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(r + 1, len(rows)):
-            if rows[i].get(c):
-                factor = rows[i][c] / rows[r][c]
-                for cc, v in rows[r].items():
-                    rows[i][cc] = rows[i].get(cc, 0) - factor * v
-        r += 1
-    return free
+class TestSolveDegreeMatchesElimination:
+    """The structured degree solve returns the solution of the generic
+    elimination of the full system (`oracle.elimination_solve_degree`),
+    whose free unknowns are set to zero, down to each coefficient's term
+    order."""
+
+    @staticmethod
+    def assert_same(known, s):
+        new = _solve_degree(known, s)
+        old = elimination_solve_degree(known, s)
+        for name, got, want in zip(("ux", "uy", "uz"), new[0].components,
+                                   old[0].components):
+            assert stored_form(got) == stored_form(want), (s, name)
+        assert stored_form(new[1]) == stored_form(old[1]), (s, "mu")
+        assert list(new[2].terms.items()) == list(old[2].terms.items()), (s, "a")
+        assert list(new[3].terms.items()) == list(old[3].terms.items()), (s, "b")
+
+    @pytest.mark.parametrize("s", range(1, 25))
+    def test_rational_slices(self, rng, s):
+        self.assert_same(rational_field_component(rng, s), s)
+
+    @pytest.mark.parametrize("s", range(1, 13))
+    def test_two_parameter_slices(self, rng, s):
+        self.assert_same(param_field_component(rng, s, ("p", "q")), s)
+
+    def test_free_unknowns(self):
+        # the unknowns the elimination leaves free, and so sets to zero, are
+        # the ones the structured solve's gauge fix sets to zero
+        for s in range(1, 17):
+            bases, _, rows, n_cols = degree_system(s)
+            labels = [(name, m) for name, basis in zip(("ux", "uy", "uz", "mu"), bases)
+                      for m in basis.monomials]
+            free = {labels[c] for c in Elimination(rows, n_cols).free_columns}
+            expected = {("mu", m) for m in bases[3].monomials}
+            if s % 2 == 0:
+                expected.discard(("mu", Monomial3(0, 0, s // 2)))
+                expected |= {("uy", Monomial3(1, s, 0)), ("uz", Monomial3(0, s + 2, 0)),
+                             ("uz", Monomial3(0, s, 1))}
+            assert free == expected, s
+
+
+def stored_form(f):
+    """The terms of `f` in stored order, with each coefficient's terms."""
+    return [(m, list(c.terms.items())) for m, c in f.terms.items()]
+
+
+def rational_field_component(rng, s):
+    """Random degree-s field slice with rational coefficients."""
+    def component(degree):
+        return QHPolynomial({m: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                             for m in hz.slice_basis(degree).monomials
+                             if rng.random() < 0.8}, ())
+
+    return VectorField3(component(s + 1), component(s + 1), component(s + 2))
+
+
+def param_field_component(rng, s, params):
+    """Random degree-s field slice with coefficients polynomial in `params`."""
+    def component(degree):
+        return QHPolynomial({m: random_ppoly(rng, params, max_degree=2, terms=2)
+                             for m in hz.slice_basis(degree).monomials
+                             if rng.random() < 0.7}, params)
+
+    return VectorField3(component(s + 1), component(s + 1), component(s + 2))
 
 
 class TestFirstResonance:

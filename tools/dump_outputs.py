@@ -4,8 +4,9 @@
 
 Runs, from the checkout's `src/`:
 - the `--json` report of every golden fixture through `run_cli`;
-- the family-37 `orbital_normal_form`, symbolic at index 4 and at the
-  benchmark's `seed_point(1..3)` at index 5;
+- the family-37 `orbital_normal_form`, symbolic at index 4, at the
+  benchmark's `seed_point(1..3)` at index 5, and at `seed_point(1)` at
+  index 8, which covers the degree solves up to s = 16;
 - the symbolic JACOBI_H2, JACOBI_H and FIRST_INTEGRAL sequences of family 37
   to z^10, entries and witness.
 
@@ -51,6 +52,7 @@ def dump_lines():
     runs = [("symbolic", symbolic, 4)]
     runs += [(f"seed_point({seed})", symbolic.substitute_params(seed_point(seed)), 5)
              for seed in (1, 2, 3)]
+    runs.append(("seed_point(1) index 8", symbolic.substitute_params(seed_point(1)), 8))
     for label, field, index in runs:
         nf = hz.orbital_normal_form(field, index)
         for k in sorted(nf.a_coeffs):
