@@ -22,7 +22,8 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from .coeffring import ParamPolynomial, Rational, rat
 from .errors import DegreeError, ParameterError, StructureError
-from .gradedpoly import Monomial3, QHPolynomial, _integer_terms, _mul_accumulate
+from .gradedpoly import (Monomial3, QHPolynomial, _integer_partial, _integer_terms,
+                         _mul_accumulate)
 from .homological import solve_homological
 from .normalform import (NormalFormResult, ResonanceData, coprime_resonance,
                          first_resonance, orbital_normal_form, principal_part,
@@ -74,8 +75,9 @@ class ObstructionSequence:
 
 def _converted_piece(piece: QHPolynomial) -> tuple:
     """`piece` and its x, y and z partial derivatives, converted by
-    `_integer_terms` for the driver's known terms."""
-    return tuple(_integer_terms(piece, v) for v in (None, "x", "y", "z"))
+    `_integer_terms` once for the driver's known terms."""
+    whole = _integer_terms(piece)
+    return (whole, *(_integer_partial(whole, v) for v in ("x", "y", "z")))
 
 
 def _obstruction_driver(field: VectorField3, max_index: int, method: Method,
@@ -91,9 +93,9 @@ def _obstruction_driver(field: VectorField3, max_index: int, method: Method,
     pieces W_j with j + k = d, is one `_mul_accumulate` call with the
     two sides swapped, which gives its negation, the slice solve's
     right-hand side, directly.  The components, their divergences and each
-    solved piece with its three partials are converted by `_integer_terms`
-    once; a piece's converted forms are dropped when no later degree can
-    read them.
+    solved piece are converted by `_integer_terms` once, and a piece's three
+    partials are taken from its converted form; a piece's converted forms
+    are dropped when no later degree can read them.
     """
     if max_index < 1:
         raise DegreeError("max_index must be at least 1")

@@ -205,9 +205,6 @@ class ParamPolynomial:
             raise ParameterError(f"{self} is not constant")
         return next(iter(self.terms.values()), Fraction(0))
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def degree_in(self, name: str) -> int:
         """Degree in one parameter; -1 for the zero polynomial."""
         idx = self._param_index(name)

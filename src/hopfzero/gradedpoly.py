@@ -15,9 +15,10 @@ caller to pass a term dict that already holds the invariant.  Every product
 (`mul`, the directional derivatives and Lie brackets of `vectorfield`, and
 the obstruction driver's known terms) goes through one multiply-accumulate
 kernel, `_mul_accumulate`.  Its operands are first converted by
-`_integer_terms` to integer numerators over one common denominator, taking a
-partial derivative on the way when asked; the kernel sums Python `int`s and
-builds one `Fraction` per output term.
+`_integer_terms` to integer numerators over one common denominator, and
+partial derivatives are taken from the converted form (`_integer_partial`),
+so each coefficient is read once; the kernel sums Python `int`s and builds
+one `Fraction` per output term.
 """
 
 from __future__ import annotations
@@ -257,9 +258,6 @@ class QHPolynomial:
         return QHPolynomial._wrap(
             {m: c for m, c in self.terms.items() if m.degree <= max_degree}, self.params)
 
-    def is_quasi_homogeneous(self, k: int) -> bool:
-        return all(m.degree == k for m in self.terms)
-
     # -- calculus and evaluation -------------------------------------------
 
     def partial(self, var: str) -> "QHPolynomial":
@@ -332,31 +330,31 @@ def _signed(text: str):
 IntegerTerms = Tuple[int, List[Tuple[int, int, int, List[Tuple[tuple, int]]]]]
 
 
-def _integer_terms(f: QHPolynomial, var: Optional[str] = None) -> IntegerTerms:
-    """`f`, or its partial derivative in `var`, as integer numerators over
-    one common denominator: (D, [(ex, ey, ez, [(exponents, numerator)])]).
-
-    D is the lcm of every coefficient denominator of `f`, and the terms are
-    in canonical order.  A derivative multiplies each numerator by the
-    exponent it lowers; lowering keeps canonical order, and the terms free
-    of `var` drop out.
-    """
+def _integer_terms(f: QHPolynomial) -> IntegerTerms:
+    """`f` as integer numerators over one common denominator:
+    (D, [(ex, ey, ez, [(exponents, numerator)])]), D the lcm of every
+    coefficient denominator of `f`, the terms in canonical order."""
     common = math.lcm(*{q.denominator for c in f.terms.values() for q in c.terms.values()})
-    idx = None if var is None else VAR_NAMES.index(var)
-    terms = []
-    for m, c in f.terms.items():
-        if idx is None:
-            e, (ex, ey, ez) = 1, m
-        else:
-            e = m[idx]
-            if not e:
-                continue
-            lowered = list(m)
+    return common, [(*m, [(p, q.numerator * (common // q.denominator))
+                           for p, q in c.terms.items()])
+                    for m, c in f.terms.items()]
+
+
+def _integer_partial(converted: IntegerTerms, var: str) -> IntegerTerms:
+    """The partial derivative in `var` of a polynomial converted by
+    `_integer_terms`, over the same denominator.  It multiplies each
+    numerator by the exponent it lowers; lowering keeps canonical order, and
+    the terms free of `var` drop out."""
+    common, terms = converted
+    idx = VAR_NAMES.index(var)
+    out = []
+    for term in terms:
+        e = term[idx]
+        if e:
+            lowered = list(term[:3])
             lowered[idx] = e - 1
-            ex, ey, ez = lowered
-        terms.append((ex, ey, ez, [(p, e * q.numerator * (common // q.denominator))
-                                   for p, q in c.terms.items()]))
-    return common, terms
+            out.append((*lowered, [(p, e * n) for p, n in term[3]]))
+    return common, out
 
 
 def _mul_accumulate(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],

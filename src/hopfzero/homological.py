@@ -14,7 +14,11 @@ where R = 2(x d/dy - y d/dx) rotates the plane and h = x^2 + y^2: rotation
 blocks per z-power plus a z-lowering term (Algaba, Freire, Gamero & Garcia,
 "Quasi-homogeneous normal forms", J. Comput. Appl. Math. 150, 2003).
 `solve_homological` solves the slice equation along that chain, from the top
-z-power down, in O(1) coefficient operations per unknown.
+z-power down, in O(1) coefficient operations per unknown.  It works on
+integers: each coefficient of the right-hand side is converted once to
+integer numerators over its own denominator, every step is an integer
+combination of such values with one division, and each output coefficient
+becomes one `Fraction` per term at the end.
 
 `analyze_operator` builds the operator monomial by monomial
 (`_apply_operator_monomial`) and reads its rank off an exact elimination
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .coeffring import ParamPolynomial
+from .coeffring import ParamPolynomial, _degree_lex
 from .errors import DegreeError, StructureError
 from .gradedpoly import GradedSliceBasis, Monomial3, QHPolynomial, slice_basis
 
@@ -138,19 +142,62 @@ class HomologicalSolution:
     residual: ParamPolynomial
 
 
-def _circle_mean(u: List[ParamPolynomial], d: int,
-                 zero: ParamPolynomial) -> ParamPolynomial:
+_Integers = Tuple[int, Dict[tuple, int]]
+_ZERO: _Integers = (1, {})
+
+
+def _integers(c: ParamPolynomial) -> _Integers:
+    """`c` as (D, {exponents: numerator}): integer numerators over D, the lcm
+    of its coefficient denominators."""
+    den = math.lcm(*(q.denominator for q in c.terms.values()))
+    return den, {e: q.numerator * (den // q.denominator) for e, q in c.terms.items()}
+
+
+def _combine(parts: List[Tuple[int, _Integers]], divisor: int = 1) -> _Integers:
+    """sum(n * p for n, p in parts) / divisor, for integers n and divisor > 0,
+    zero-free and reduced: the gcd of D and every numerator is 1.  Each part's
+    numerators are scaled to the lcm of the parts' denominators, so a sum
+    costs one lcm and one gcd, not one per term."""
+    parts = [(n, den, nums) for n, (den, nums) in parts if nums]
+    if not parts:
+        return _ZERO
+    common = math.lcm(*(den for _, den, _ in parts))
+    out: Dict[tuple, int] = {}
+    for n, den, nums in parts:
+        factor = n * (common // den)
+        for e, v in nums.items():
+            out[e] = out.get(e, 0) + factor * v
+    out = {e: v for e, v in out.items() if v}
+    if not out:
+        return _ZERO
+    common *= divisor
+    g = math.gcd(common, *out.values())
+    if g > 1:
+        common //= g
+        out = {e: v // g for e, v in out.items()}
+    return common, out
+
+
+def _circle_mean(u: List[_Integers], d: int) -> _Integers:
     """Mean over the unit circle of the plane polynomial sum u_b x^(d-b) y^b
     of even degree d: the sum over even b of u_b (d-b-1)!! (b-1)!! / d!!.
     It is the coefficient of h^(d/2) in the harmonic decomposition."""
-    weight = Fraction(math.prod(range(1, d, 2)), math.prod(range(2, d + 1, 2)))
-    mean = zero
+    weight = math.prod(range(1, d, 2))  # (d-b-1)!! (b-1)!! at b = 0
+    parts = []
     for b in range(0, d + 1, 2):
         if b:
-            weight = weight * (b - 1) / (d - b + 1)
-        if u[b]:
-            mean = mean + u[b].scale(weight)
-    return mean
+            weight = weight * (b - 1) // (d - b + 1)
+        parts.append((weight, u[b]))
+    return _combine(parts, math.prod(range(2, d + 1, 2)))
+
+
+def _param_polynomial(c: _Integers, params: tuple) -> ParamPolynomial:
+    """The canonical `ParamPolynomial` of a nonzero `c`: one `Fraction` per
+    term, which reduces to lowest terms, in canonical term order."""
+    den, nums = c
+    return ParamPolynomial._wrap(
+        {e: Fraction(nums[e], den) for e in sorted(nums, key=_degree_lex, reverse=True)},
+        params)
 
 
 def solve_homological(k: int, rhs: QHPolynomial) -> HomologicalSolution:
@@ -169,59 +216,61 @@ def solve_homological(k: int, rhs: QHPolynomial) -> HomologicalSolution:
     carries no (x^2+y^2)^(k/2) component.  The equation b = d of each even
     level is then implied; it is checked, and so is the equation b = 1 of
     every level of degree d >= 1, which the backward recurrence used last;
-    StructureError is raised if either fails.  Coefficients are only scaled
-    by rationals and added, so parameter coefficients ride along linearly.
+    StructureError is raised if either fails.
+
+    Coefficients are integer numerators over one positive denominator each:
+    every right-hand-side coefficient is converted once (`_integers`), and
+    every step is an integer combination of such values followed by one
+    division (`_combine`), so parameter coefficients ride along linearly and
+    the two checks compare by cross-multiplication.  Each output coefficient
+    becomes one `Fraction` per term at the end (`_param_polynomial`).
     """
     if k < 0:
         raise DegreeError(f"negative degree {k}")
     params = rhs.params
-    zero = ParamPolynomial.zero(params)
     top = k // 2
-    g = [[zero] * (k - 2 * l + 1) for l in range(top + 1)]
+    g = [[_ZERO] * (k - 2 * l + 1) for l in range(top + 1)]
     for m, c in rhs.terms.items():
         if m.degree != k:
             raise DegreeError(
                 f"right-hand side contains {tuple(m)} of degree {m.degree}, expected {k}")
-        g[m.ez][m.ey] = c
+        g[m.ez][m.ey] = _integers(c)
     even = k % 2 == 0
-    residual = zero
+    residual = ParamPolynomial.zero(params)
     if even:
-        residual, g[top] = g[top][0], [zero]
+        residual, g[top] = rhs.coefficient(Monomial3(0, 0, top)), [_ZERO]
 
-    levels: List[List[ParamPolynomial]] = [[] for _ in range(top + 2)]
+    levels: List[List[_Integers]] = [[] for _ in range(top + 2)]
     for l in range(top, -1, -1):
         d = k - 2 * l
-        v = list(g[l])
-        for b, c in enumerate(levels[l + 1]):  # v = g_l - (l+1) h f_(l+1)
-            if c:
-                c = c.scale(l + 1)
-                v[b] = v[b] - c
-                v[b + 2] = v[b + 2] - c
-        u = [zero] * (d + 2)  # u[d + 1] = 0 closes the recurrences
+        above = levels[l + 1]
+        if above:  # v = g_l - (l+1) h f_(l+1)
+            v = [_combine([(1, g[l][b])] + [(-(l + 1), above[a])
+                                            for a in (b, b - 2) if 0 <= a < d - 1])
+                 for b in range(d + 1)]
+        else:
+            v = g[l]
+        u = [_ZERO] * (d + 2)  # u[d + 1] = 0 closes the recurrences
         for b in range(0, d, 2):  # u_(b+1) from u_(b-1)
-            acc = v[b]
-            if b and u[b - 1]:
-                acc = acc + u[b - 1].scale(2 * (d - b + 1))
-            u[b + 1] = acc.scale(Fraction(1, 2 * (b + 1)))
+            u[b + 1] = _combine([(1, v[b]), (2 * (d - b + 1), u[b - 1] if b else _ZERO)],
+                                2 * (b + 1))
         # u_(b-1) from u_(b+1); on even d this starts from u_d = 0
         for b in range(d if d % 2 else d - 1, 0, -2):
-            acc = -v[b]
-            if u[b + 1]:
-                acc = acc + u[b + 1].scale(2 * (b + 1))
-            u[b - 1] = acc.scale(Fraction(1, 2 * (d - b + 1)))
+            u[b - 1] = _combine([(-1, v[b]), (2 * (b + 1), u[b + 1])], 2 * (d - b + 1))
         del u[d + 1:]
         if even:
-            if d and v[d] != u[d - 1].scale(-2):
+            if d and _combine([(1, v[d]), (2, u[d - 1])])[1]:  # v_d = -2 u_(d-1)
                 raise StructureError(
                     f"degree-{k} slice solve left level z^{l} inconsistent")
-            mean = _circle_mean(g[l - 1], d + 2, zero).scale(Fraction(1, l)) if l else zero
-            shift = mean - _circle_mean(u, d, zero)
-            if shift:  # add the multiple of h^(d/2) that gives f_l that mean
+            # shift = mean(g_(l-1)) / l - mean(u), or -mean(u) on level 0
+            mean = _circle_mean(g[l - 1], d + 2) if l else _ZERO
+            shift = _combine([(1, mean), (-(l or 1), _circle_mean(u, d))], l or 1)
+            if shift[1]:  # add the multiple of h^(d/2) that gives f_l that mean
                 for b in range(0, d + 1, 2):
-                    u[b] = u[b] + shift.scale(math.comb(d // 2, b // 2))
+                    u[b] = _combine([(1, u[b]), (math.comb(d // 2, b // 2), shift)])
         # read back equation b = 1, v_1 = 4 u_2 - 2d u_0, from which the
         # backward recurrence took u_0
-        if d and v[1] != (u[2].scale(4) if d > 1 else zero) - u[0].scale(2 * d):
+        if d and _combine([(1, v[1]), (-4, u[2] if d > 1 else _ZERO), (2 * d, u[0])])[1]:
             raise StructureError(
                 f"degree-{k} slice solve left level z^{l} inconsistent at b = 1")
         levels[l] = u
@@ -230,8 +279,8 @@ def solve_homological(k: int, rhs: QHPolynomial) -> HomologicalSolution:
     for l in range(top + 1):
         d = k - 2 * l
         for b, c in enumerate(levels[l]):
-            if c:
-                terms[Monomial3(d - b, b, l)] = c
+            if c[1]:
+                terms[Monomial3(d - b, b, l)] = _param_polynomial(c, params)
     return HomologicalSolution(solution=QHPolynomial._wrap(terms, params),
                                residual=residual)
 

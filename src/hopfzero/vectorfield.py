@@ -11,7 +11,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping, Tuple
 
 from .coeffring import ParamPolynomial, RationalLike
-from .gradedpoly import VAR_NAMES, QHPolynomial, _integer_terms, _mul_accumulate
+from .gradedpoly import (VAR_NAMES, QHPolynomial, _integer_partial, _integer_terms,
+                         _mul_accumulate)
 
 
 class VectorField3:
@@ -105,7 +106,8 @@ def directional_derivative(f: QHPolynomial, field: VectorField3,
     """grad(f) . field, optionally truncated above a quasi-homogeneous cap."""
     if f.params != field.params:
         raise ValueError("parameter tables differ")
-    pairs = [(_integer_terms(f, v), _integer_terms(c))
+    whole = _integer_terms(f)
+    pairs = [(_integer_partial(whole, v), _integer_terms(c))
              for v, c in zip(VAR_NAMES, field.components)]
     return _mul_accumulate(pairs, (), f.params, max_degree)
 
@@ -115,8 +117,8 @@ def lie_bracket(f: VectorField3, g: VectorField3,
     """[f, g] = Dg.f - Df.g; maps degrees (j, k) into degree j + k.
 
     Each component is one multiply-accumulate: grad(g_i) . f - grad(f_i) . g.
-    The six components are converted to integer numerators once, and each
-    of the 18 partial derivatives is taken once, during its conversion.
+    The six components are converted to integer numerators once, and the 18
+    partial derivatives are taken from those converted forms.
     """
     if f.params != g.params:
         raise ValueError("parameter tables differ")
@@ -125,10 +127,10 @@ def lie_bracket(f: VectorField3, g: VectorField3,
     f_terms = [_integer_terms(c) for c in f.components]
     g_terms = [_integer_terms(c) for c in g.components]
     return VectorField3(*(
-        _mul_accumulate([(_integer_terms(gi, v), fv) for v, fv in zip(VAR_NAMES, f_terms)],
-                        [(_integer_terms(fi, v), gv) for v, gv in zip(VAR_NAMES, g_terms)],
+        _mul_accumulate([(_integer_partial(gi, v), fv) for v, fv in zip(VAR_NAMES, f_terms)],
+                        [(_integer_partial(fi, v), gv) for v, gv in zip(VAR_NAMES, g_terms)],
                         f.params, cap)
-        for fi, gi, cap in zip(f.components, g.components, (cap1, cap1, cap2))))
+        for fi, gi, cap in zip(f_terms, g_terms, (cap1, cap1, cap2))))
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import hopfzero as hz
 from hopfzero import DegreeError, Monomial3, ParamPolynomial, QHPolynomial, VectorField3
 from hopfzero.coeffring import _term_sort_key
-from hopfzero.gradedpoly import _integer_terms, _mono_sort_key, _mul_accumulate
+from hopfzero.gradedpoly import (_integer_partial, _integer_terms, _mono_sort_key,
+                                 _mul_accumulate)
 
 from conftest import Pairs, random_qh_slice
 from oracle import h_component
@@ -249,7 +250,9 @@ class TestCanonicalResults:
         denominators = [q.denominator for c in f.terms.values() for q in c.terms.values()]
         for var, expected in ((None, f), ("x", f.partial("x")), ("y", f.partial("y")),
                               ("z", f.partial("z"))):
-            common, terms = _integer_terms(f, var)
+            common, terms = _integer_terms(f)
+            if var is not None:
+                common, terms = _integer_partial((common, terms), var)
             assert common == math.lcm(*denominators)
             rebuilt = [(Monomial3(ex, ey, ez), [(e, Fraction(n, common)) for e, n in items])
                        for ex, ey, ez, items in terms]

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hopfzero as hz
 from hopfzero import DegreeError, Monomial3, ParamPolynomial, QHPolynomial, StructureError
@@ -60,6 +62,30 @@ def elimination_solve(k, rhs):
             solution = solution - QHPolynomial.h_power(k // 2, params).scale_param(
                 kernel_coeff)
     return solution, residual
+
+
+# numerators of either sign over large, mixed denominators: powers of 3 and
+# 7, 2^40, and their products, so the chain's values need large common
+# denominators and often cancel
+_DENOMINATORS = st.sampled_from([1, 3 ** 9, 7 ** 8, 2 ** 40, 3 ** 5 * 7 ** 4,
+                                 2 ** 40 * 3 ** 7, 2 ** 40 * 7 ** 5])
+_RATIONALS = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12).filter(bool),
+                       _DENOMINATORS)
+
+
+@st.composite
+def _integer_path_slices(draw):
+    """(k, rhs): a random degree-k slice, k <= 16, over 0 to 2 parameters."""
+    params = draw(st.sampled_from([(), ("a",), ("a", "b")]))
+    k = draw(st.integers(0, 16))
+    monomials = hz.slice_basis(k).monomials
+    exponents = st.tuples(*[st.integers(0, 2)] * len(params))
+    terms = draw(st.dictionaries(st.sampled_from(monomials),
+                                 st.dictionaries(exponents, _RATIONALS,
+                                                 min_size=1, max_size=3),
+                                 max_size=len(monomials)))
+    return k, QHPolynomial({m: ParamPolynomial(c, params) for m, c in terms.items()},
+                           params)
 
 
 def stored_form(f):
@@ -207,13 +233,29 @@ class TestSolve:
                     assert list(sol.residual.terms.items()) == \
                         list(residual.terms.items()), (k, params)
 
+    @settings(max_examples=60, deadline=None)
+    @given(_integer_path_slices())
+    def test_integer_path_matches_elimination(self, case):
+        # large mixed denominators and negative numerators: the integer
+        # chain gives generic elimination's solution and residual, down to
+        # each coefficient's term order, and L f + r z^(k/2) = g holds
+        k, rhs = case
+        sol = hz.solve_homological(k, rhs)
+        solution, residual = elimination_solve(k, rhs)
+        assert stored_form(sol.solution) == stored_form(solution)
+        assert list(sol.residual.terms.items()) == list(residual.terms.items())
+        image = hz.directional_derivative(sol.solution, hz.principal_part(rhs.params))
+        if sol.residual:
+            image = image + QHPolynomial({(0, 0, k // 2): sol.residual}, rhs.params)
+        assert image == rhs
+
     def test_self_check_catches_a_wrong_circle_mean(self, monkeypatch):
         # a circle mean off by one leaves the next level's last equation
         # unsatisfied, and the solve refuses to return
         mean = homological._circle_mean
 
-        def wrong(u, d, zero):
-            return mean(u, d, zero) + ParamPolynomial.constant(1, zero.params)
+        def wrong(u, d):
+            return homological._combine([(1, mean(u, d)), (1, (1, {(): 1}))])
 
         monkeypatch.setattr(homological, "_circle_mean", wrong)
         with pytest.raises(StructureError):

@@ -8,7 +8,9 @@ Runs, from the checkout's `src/`:
   benchmark's `seed_point(1..3)` at index 5, and at `seed_point(1)` at
   index 8, which covers the degree solves up to s = 16;
 - the symbolic JACOBI_H2, JACOBI_H and FIRST_INTEGRAL sequences of family 37
-  to z^10, entries and witness.
+  to z^10, entries and witness;
+- the symbolic JACOBI_H2 sequence of family 37 to z^12, entries and witness,
+  whose slice solves reach degree 24 with many-term coefficients.
 
 Each polynomial is written as its `str`, its terms in stored order (with each
 coefficient's terms) and its `hash`.  The script prints one SHA-256 line over
@@ -63,11 +65,14 @@ def dump_lines():
             yield f"nf {label} step {step.degree} reparam: {describe(step.reparam)}"
         yield f"nf {label} field: {describe(nf.field)}"
 
-    for method in (hz.Method.JACOBI_H2, hz.Method.JACOBI_H, hz.Method.FIRST_INTEGRAL):
-        seq = hz.obstruction_sequence(symbolic, 10, method)
+    sequences = [(method, 10, "") for method in
+                 (hz.Method.JACOBI_H2, hz.Method.JACOBI_H, hz.Method.FIRST_INTEGRAL)]
+    sequences.append((hz.Method.JACOBI_H2, 12, " to z^12"))
+    for method, index, label in sequences:
+        seq = hz.obstruction_sequence(symbolic, index, method)
         for k in sorted(seq.entries):
-            yield f"{method.value} entry {k}: {describe(seq.entries[k])}"
-        yield f"{method.value} witness: {describe(seq.witness)}"
+            yield f"{method.value}{label} entry {k}: {describe(seq.entries[k])}"
+        yield f"{method.value}{label} witness: {describe(seq.witness)}"
 
 
 def main(argv) -> int:
