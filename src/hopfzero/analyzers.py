@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from .coeffring import ParamPolynomial, Rational, rat
 from .errors import DegreeError, ParameterError, StructureError
@@ -292,17 +291,13 @@ def classify(field: VectorField3, max_index: int,
 
     shape = _resonant_shape(field)
     if shape is not None:
-        verdict = _classify_resonant_shape(field, shape, max_index, require_definitive)
+        verdict = _classify_resonant_shape(shape, max_index)
         if verdict is not None:
             return verdict
 
     nf = orbital_normal_form(field, max_index, stop_at_first_resonance=True)
     res = first_resonance(nf)
-    s = None
-    for k in sorted(nf.a_coeffs):
-        if nf.a_coeffs[k] or nf.b_coeffs[k]:
-            s = k
-            break
+    s = min((k for k in (res.l0, res.m0) if k is not None), default=None)
 
     if s is None:
         # no resonant term through max_index: test the first-integral candidate
@@ -332,10 +327,9 @@ def classify(field: VectorField3, max_index: int,
     return _verdict_from_sequences(field, (seq,), max_index, res, nf, None)
 
 
-def _classify_resonant_shape(field, shape, max_index, require_definitive):
+def _classify_resonant_shape(shape, max_index):
     """Verdicts available when the field is syntactically its own normal form."""
     p, q = shape
-    params = field.params
     constant = all(c.is_constant() for c in p.values()) and \
         all(c.is_constant() for c in q.values())
     if not p and not q:

@@ -5,13 +5,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .analyzers import (CaseTag, Classification, Method, classify,
-                        first_integral_obstructions, jacobi_obstructions,
-                        obstruction_sequence)
+from .analyzers import CaseTag, Classification, Method, classify, obstruction_sequence
 from .coeffring import ParamPolynomial, ppoly_reduce, rat
 from .errors import HopfZeroError, ParseError, PrincipalPartError
 from .gradedpoly import Monomial3, QHPolynomial
@@ -94,15 +92,17 @@ def _substitute_z(field: VectorField3, gamma: Fraction) -> VectorField3:
     return VectorField3(sub(field.fx), sub(field.fy), sub(field.fz))
 
 
+MODES = ("AUTO", "FIRST_INTEGRAL", "JACOBI_H", "JACOBI_H2", "NORMAL_FORM", "REDUCE")
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
     """Settings shared by the CLI subcommands."""
 
     max_index: int = 30
-    mode: str = "AUTO"  # AUTO | FIRST_INTEGRAL | JACOBI_H | JACOBI_H2 | NORMAL_FORM | REDUCE
+    mode: str = "AUTO"  # one of MODES
     parameter_values: Optional[Dict[str, Fraction]] = None
     constraint: Optional[Tuple[ParamPolynomial, str]] = None
-    json_output: bool = False
 
 
 REPORT_SCHEMA = {
@@ -279,23 +279,18 @@ def _render_text(report: Dict[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_field(path: str) -> Tuple[SystemSource, VectorField3, Scalings]:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+def load_system(text: str) -> Tuple[SystemSource, VectorField3, Scalings]:
+    """Parse an input text and bring its principal part to standard form."""
     source = parse_system(text)
     field, scalings = normalize_principal_part(source.to_field())
     return source, field, scalings
 
 
-def _bind(field: VectorField3, values: Optional[Mapping[str, Fraction]]) -> VectorField3:
-    if values:
-        return field.substitute_params(values)
-    return field
-
-
 def build_report(source: SystemSource, field: VectorField3, scalings: Scalings,
                  config: AnalysisConfig) -> Dict[str, object]:
     """Run the configured analysis and assemble the report dictionary."""
+    if config.mode not in MODES:
+        raise ValueError(f"unknown mode {config.mode!r}")
     report: Dict[str, object] = {
         "schema_version": "1",
         "system": {"parameters": list(source.parameter_names)},
@@ -306,32 +301,30 @@ def build_report(source: SystemSource, field: VectorField3, scalings: Scalings,
             name: str(v) for name, v in sorted(config.parameter_values.items())}
     mode = config.mode
     n = config.max_index
-    if mode == "NORMAL_FORM":
-        nf = orbital_normal_form(_bind(field, config.parameter_values), n)
-        report["normal_form"] = _normal_form_dict(nf)
-        report["resonance"] = _resonance_dict(first_resonance(nf))
+    if mode == "AUTO":
+        verdict = classify(field, n, parameter_values=config.parameter_values)
+        if verdict.resonance is not None:
+            report["resonance"] = _resonance_dict(verdict.resonance)
+        if verdict.normal_form is not None:
+            report["normal_form"] = _normal_form_dict(verdict.normal_form)
+        if verdict.obstructions:
+            report["obstructions"] = [_sequence_dict(s, config.constraint)
+                                      for s in verdict.obstructions]
+        report["classification"] = _classification_dict(verdict)
         return report
-    if mode == "REDUCE":
-        nf = orbital_normal_form(_bind(field, config.parameter_values), n)
-        planar = planar_reduction(nf)
-        report["planar_reduction"] = {"du": str(planar.pu), "dv": str(planar.pv)}
+    if config.parameter_values:
+        field = field.substitute_params(config.parameter_values)
+    if mode in ("NORMAL_FORM", "REDUCE"):
+        nf = orbital_normal_form(field, n)
+        if mode == "NORMAL_FORM":
+            report["normal_form"] = _normal_form_dict(nf)
+        else:
+            planar = planar_reduction(nf)
+            report["planar_reduction"] = {"du": str(planar.pu), "dv": str(planar.pv)}
         report["resonance"] = _resonance_dict(first_resonance(nf))
-        return report
-    if mode in ("FIRST_INTEGRAL", "JACOBI_H", "JACOBI_H2"):
-        bound = _bind(field, config.parameter_values)
-        seq = obstruction_sequence(bound, n, Method(mode))
+    else:
+        seq = obstruction_sequence(field, n, Method(mode))
         report["obstructions"] = [_sequence_dict(seq, config.constraint)]
-        return report
-    # AUTO: full classification
-    verdict = classify(field, n, parameter_values=config.parameter_values)
-    if verdict.resonance is not None:
-        report["resonance"] = _resonance_dict(verdict.resonance)
-    if verdict.normal_form is not None:
-        report["normal_form"] = _normal_form_dict(verdict.normal_form)
-    if verdict.obstructions:
-        report["obstructions"] = [_sequence_dict(s, config.constraint)
-                                  for s in verdict.obstructions]
-    report["classification"] = _classification_dict(verdict)
     return report
 
 
@@ -410,7 +403,8 @@ def run_cli(args: List[str]) -> Tuple[int, str]:
     if ns.max_index < 1:
         return 2, "usage error: --max-degree must be at least 1\n"
     try:
-        source, field, scalings = _load_field(ns.file)
+        with open(ns.file, "r", encoding="utf-8") as handle:
+            source, field, scalings = load_system(handle.read())
     except ParseError as exc:
         return 2, f"parse error: {exc}\n"
     except OSError as exc:
@@ -433,13 +427,12 @@ def run_cli(args: List[str]) -> Tuple[int, str]:
             "obstructions": getattr(ns, "mode", "JACOBI_H"),
             "reduce": "REDUCE"}[ns.command]
     config = AnalysisConfig(max_index=ns.max_index, mode=mode,
-                            parameter_values=bindings, constraint=constraint,
-                            json_output=ns.json)
+                            parameter_values=bindings, constraint=constraint)
     try:
         report = build_report(source, field, scalings, config)
     except HopfZeroError as exc:
         return 1, f"error: {exc}\n"
-    if config.json_output:
+    if ns.json:
         return 0, json.dumps(report, indent=2, sort_keys=True) + "\n"
     return 0, _render_text(report)
 

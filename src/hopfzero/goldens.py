@@ -22,7 +22,12 @@ Fixture files use the frontend input grammar followed by an `expect` block:
       dv = -1/2*u*v
     }
 
-Every comparison is exact; there are no tolerances anywhere in the corpus.
+Each fixture is checked on the report that `build_report` makes, the one
+`hopfzero --json` prints: polynomial strings of the report are parsed back and
+compared as polynomials, `reduced` entries are compared modulo the constraint,
+and resonance, planar and verdict fields are compared as the report holds
+them.  Every comparison is exact; there are no tolerances anywhere in the
+corpus.
 """
 
 from __future__ import annotations
@@ -31,12 +36,10 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .analyzers import CaseTag, Method, classify, obstruction_sequence
-from .coeffring import ParamPolynomial, congruent_mod, ppoly_reduce, rat
+from .coeffring import ParamPolynomial, congruent_mod, rat
 from .errors import ParseError
-from .frontend import normalize_principal_part
-from .normalform import first_resonance, orbital_normal_form, planar_reduction
-from .parsing import parse_polynomial, parse_system
+from .frontend import MODES, AnalysisConfig, build_report, load_system
+from .parsing import parse_polynomial
 
 DATA_DIR = pathlib.Path(__file__).parent / "goldens_data"
 
@@ -79,7 +82,7 @@ def parse_fixture(text: str, name: str) -> GoldenCase:
     expectations: List[tuple] = []
     constraint = None
     eliminate = None
-    for lineno, raw in enumerate(body.splitlines(), start=1):
+    for lineno, raw in enumerate(body.splitlines(), start=system_text.count("\n") + 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -92,6 +95,8 @@ def parse_fixture(text: str, name: str) -> GoldenCase:
         if head == "origin":
             origin = value
         elif head == "mode":
+            if value not in MODES:
+                raise ParseError(f"fixture {name}: unknown mode {value!r}", lineno)
             mode = value
         elif head == "max_index":
             max_index = int(value)
@@ -132,99 +137,76 @@ def parse_fixture(text: str, name: str) -> GoldenCase:
 
 
 def run_golden(case: GoldenCase) -> GoldenResult:
+    """Build the case's report with `build_report`, as `hopfzero --json` does,
+    and check every expectation against it."""
     result = GoldenResult(name=case.name, origin=case.origin)
-    source = parse_system(case.system_text)
-    params = source.parameter_names
-    field3, _ = normalize_principal_part(source.to_field())
-    if case.bindings:
-        field3 = field3.substitute_params(case.bindings)
+    source, field3, scalings = load_system(case.system_text)
 
-    def expect_poly(text: str) -> ParamPolynomial:
-        return parse_polynomial(text, params)
+    def poly(text: str) -> ParamPolynomial:
+        return parse_polynomial(text, source.parameter_names)
 
-    sequence = None
-    verdict = None
-    nf = None
-    planar = None
-    if case.mode in ("FIRST_INTEGRAL", "JACOBI_H", "JACOBI_H2"):
-        sequence = obstruction_sequence(field3, case.max_index, Method(case.mode))
-    elif case.mode == "NORMAL_FORM":
-        nf = orbital_normal_form(field3, case.max_index)
-    elif case.mode == "REDUCE":
-        nf = orbital_normal_form(field3, case.max_index)
-        planar = planar_reduction(nf)
-    elif case.mode == "AUTO":
-        verdict = classify(field3, case.max_index)
-    else:
-        result.failures.append(f"unknown mode {case.mode!r}")
-        return result
-
-    constraint_poly = expect_poly(case.constraint) if case.constraint else None
-
+    constraint = (poly(case.constraint), case.eliminate) if case.constraint else None
+    config = AnalysisConfig(max_index=case.max_index, mode=case.mode,
+                            parameter_values=case.bindings, constraint=constraint)
+    report = build_report(source, field3, scalings, config)
     for expectation in case.expectations:
-        kind = expectation[0]
-        if kind == "zero_entries":
-            for k in expectation[1]:
-                got = sequence.entries[k]
-                if got:
-                    result.failures.append(f"entry {k}: expected 0, got {got}")
-        elif kind == "entry":
-            _, k, text = expectation
-            want = expect_poly(text)
-            got = sequence.entries[k]
-            if got != want:
-                result.failures.append(f"entry {k}: expected {want}, got {got}")
-        elif kind == "zero_reduced":
-            for k in expectation[1]:
-                got = ppoly_reduce(sequence.entries[k], constraint_poly, case.eliminate)
-                if got:
-                    result.failures.append(
-                        f"entry {k} mod constraint: expected 0, got {got}")
-        elif kind == "reduced":
-            _, k, text = expectation
-            want = expect_poly(text)
-            if not congruent_mod(sequence.entries[k], want, constraint_poly,
-                                 case.eliminate):
-                got = ppoly_reduce(sequence.entries[k], constraint_poly, case.eliminate)
-                result.failures.append(
-                    f"entry {k} mod constraint: expected {want}, reduced form {got}")
-        elif kind == "coeff":
-            _, which, k, text = expectation
-            want = expect_poly(text)
-            coeffs = nf.a_coeffs if which == "a" else nf.b_coeffs
-            got = coeffs.get(k)
-            if got != want:
-                result.failures.append(f"{which}_{k}: expected {want}, got {got}")
-        elif kind == "resonance":
-            _, which, text = expectation
-            res = first_resonance(nf) if nf is not None else verdict.resonance
-            got = getattr(res, which)
-            shown = str(got) if got is not None else f">={res.max_index + 1}"
-            if shown != text:
-                result.failures.append(f"{which}: expected {text}, got {shown}")
-        elif kind == "case":
-            if verdict.case_tag != CaseTag(expectation[1]):
-                result.failures.append(
-                    f"case: expected {expectation[1]}, got {verdict.case_tag.value}")
-        elif kind == "witness_method":
-            got = verdict.witness_method.value if verdict.witness_method else None
-            if got != expectation[1]:
-                result.failures.append(
-                    f"witness method: expected {expectation[1]}, got {got}")
-        elif kind == "witness_index":
-            if verdict.witness_index != expectation[1]:
-                result.failures.append(
-                    f"witness index: expected {expectation[1]}, got {verdict.witness_index}")
-        elif kind == "coprime_pair":
-            if verdict.coprime_pair != expectation[1]:
-                result.failures.append(
-                    f"coprime pair: expected {expectation[1]}, got {verdict.coprime_pair}")
-        elif kind == "planar":
-            _, which, text = expectation
-            got = str(planar.pu if which == "du" else planar.pv)
-            if got != text:
-                result.failures.append(f"{which}: expected {text!r}, got {got!r}")
+        try:
+            result.failures.extend(_failures(report, expectation, poly, constraint))
+        except KeyError as exc:
+            result.failures.append(f"{expectation[0]}: report lacks {exc}")
     return result
+
+
+def _failures(report, expectation, poly, constraint):
+    """Messages for what the report misses of one expectation."""
+    kind = expectation[0]
+    if kind in ("zero_entries", "entry", "zero_reduced", "reduced"):
+        sequences = report["obstructions"]
+        if len(sequences) != 1:
+            yield f"{kind}: expected one obstruction sequence, got {len(sequences)}"
+            return
+        entries, reduced = sequences[0]["entries"], sequences[0].get("reduced_entries")
+    if kind == "zero_entries":
+        for k in expectation[1]:
+            if poly(entries[str(k)]):
+                yield f"entry {k}: expected 0, got {entries[str(k)]}"
+    elif kind == "entry":
+        _, k, text = expectation
+        want = poly(text)
+        if poly(entries[str(k)]) != want:
+            yield f"entry {k}: expected {want}, got {entries[str(k)]}"
+    elif kind == "zero_reduced":
+        for k in expectation[1]:
+            if poly(reduced[str(k)]):
+                yield f"entry {k} mod constraint: expected 0, got {reduced[str(k)]}"
+    elif kind == "reduced":
+        _, k, text = expectation
+        want = poly(text)
+        if not congruent_mod(poly(entries[str(k)]), want, *constraint):
+            yield f"entry {k} mod constraint: expected {want}, reduced form {reduced[str(k)]}"
+    elif kind == "coeff":
+        _, which, k, text = expectation
+        want = poly(text)
+        got = report["normal_form"][which][str(k)]
+        if poly(got) != want:
+            yield f"{which}_{k}: expected {want}, got {got}"
+    elif kind == "resonance":
+        _, which, text = expectation
+        got = str(report["resonance"][which])
+        if got != text:
+            yield f"{which}: expected {text}, got {got}"
+    elif kind == "planar":
+        _, which, text = expectation
+        got = report["planar_reduction"][which]
+        if got != text:
+            yield f"{which}: expected {text!r}, got {got!r}"
+    else:
+        verdict = report["classification"]
+        got = verdict[kind]
+        if kind == "coprime_pair" and got is not None:
+            got = tuple(got)
+        if got != expectation[1]:
+            yield f"{kind.replace('_', ' ')}: expected {expectation[1]}, got {got}"
 
 
 def load_cases(directory: Optional[pathlib.Path] = None) -> List[GoldenCase]:

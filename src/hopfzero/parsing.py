@@ -11,11 +11,16 @@ EXPR is a polynomial expression over x, y, z and the declared parameters with
 operators + - * ^ and parentheses.  Rational literals are written p or p/q;
 division is only allowed by a positive integer literal.  Exponents are
 nonnegative integer literals.
+
+The parser evaluates as it reads: each grammar rule returns the polynomial of
+its subexpression, so no intermediate tree exists.  An undeclared name is
+rejected at its token, with line and column; that is why the params line must
+come before the equations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -66,16 +71,18 @@ def _tokenize_expr(text: str, line: int, col_offset: int) -> List[Token]:
     return tokens
 
 
-# expression trees: ("num", Fraction) | ("var", name) | ("neg", e)
-#                   | ("add", l, r) | ("sub", l, r) | ("mul", l, r)
-#                   | ("pow", e, int)
-
-
 class _ExprParser:
-    def __init__(self, tokens: List[Token], line: int):
+    """Recursive descent over one expression's tokens; each rule returns the
+    QHPolynomial of what it read over `params`.  With `state_vars` false,
+    x, y and z are rejected at their token."""
+
+    def __init__(self, tokens: List[Token], line: int, params: Tuple[str, ...],
+                 state_vars: bool = True):
         self.tokens = tokens
         self.pos = 0
         self.line = line
+        self.params = params
+        self.state_vars = state_vars
 
     def peek(self) -> Optional[Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -93,25 +100,25 @@ class _ExprParser:
             raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.column)
         return tok
 
-    def parse(self):
+    def parse(self) -> QHPolynomial:
         expr = self.parse_sum()
         tok = self.peek()
         if tok is not None:
             raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column)
         return expr
 
-    def parse_sum(self):
+    def parse_sum(self) -> QHPolynomial:
         node = self.parse_term()
         while True:
             tok = self.peek()
             if tok is not None and tok.kind == "op" and tok.text in "+-":
                 self.take()
                 rhs = self.parse_term()
-                node = ("add" if tok.text == "+" else "sub", node, rhs)
+                node = node + rhs if tok.text == "+" else node - rhs
             else:
                 return node
 
-    def parse_term(self):
+    def parse_term(self) -> QHPolynomial:
         node = self.parse_factor()
         while True:
             tok = self.peek()
@@ -119,7 +126,7 @@ class _ExprParser:
                 return node
             self.take()
             if tok.text == "*":
-                node = ("mul", node, self.parse_factor())
+                node = node * self.parse_factor()
             else:
                 denom = self.peek()
                 if denom is None or denom.kind != "int":
@@ -131,17 +138,17 @@ class _ExprParser:
                 value = int(denom.text)
                 if value == 0:
                     raise ParseError("division by zero", denom.line, denom.column)
-                node = ("mul", node, ("num", Fraction(1, value)))
+                node = node * QHPolynomial.constant(Fraction(1, value), self.params)
 
-    def parse_factor(self):
+    def parse_factor(self) -> QHPolynomial:
         tok = self.peek()
         if tok is not None and tok.kind == "op" and tok.text in "+-":
             self.take()
             inner = self.parse_factor()
-            return inner if tok.text == "+" else ("neg", inner)
+            return inner if tok.text == "+" else -inner
         return self.parse_power()
 
-    def parse_power(self):
+    def parse_power(self) -> QHPolynomial:
         base = self.parse_atom()
         tok = self.peek()
         if tok is not None and tok.kind == "op" and tok.text == "^":
@@ -152,33 +159,45 @@ class _ExprParser:
                 raise ParseError("exponent must be a nonnegative integer literal",
                                  bad.line, bad.column)
             self.take()
-            return ("pow", base, int(exp.text))
+            out = QHPolynomial.constant(1, self.params)
+            for _ in range(int(exp.text)):
+                out = out * base
+            return out
         return base
 
-    def parse_atom(self):
+    def parse_atom(self) -> QHPolynomial:
         tok = self.take()
         if tok.kind == "int":
-            return ("num", Fraction(int(tok.text)))
+            return QHPolynomial.constant(Fraction(int(tok.text)), self.params)
         if tok.kind == "name":
-            return ("var", tok.text)
+            return self.parse_name(tok)
         if tok.kind == "op" and tok.text == "(":
             inner = self.parse_sum()
             self.expect_op(")")
             return inner
         raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column)
 
+    def parse_name(self, tok: Token) -> QHPolynomial:
+        if tok.text in _VARS:
+            if not self.state_vars:
+                raise ParseError(f"variable {tok.text!r} not allowed here",
+                                 tok.line, tok.column)
+            return QHPolynomial.variable(tok.text, self.params)
+        if tok.text not in self.params:
+            raise ParseError(f"undeclared identifier {tok.text!r}", tok.line, tok.column)
+        return QHPolynomial.constant(1, self.params).scale_param(
+            ParamPolynomial.variable(tok.text, self.params))
+
 
 @dataclass(frozen=True)
 class SystemSource:
-    """Parsed system: declared parameters and one expression tree per component."""
+    """Parsed system: declared parameters and the polynomial of each component."""
 
     parameter_names: Tuple[str, ...]
-    components: Tuple[object, object, object]  # trees for dx, dy, dz
-    source_locations: Dict[str, Tuple[int, int]] = field(default_factory=dict)
+    components: Tuple[QHPolynomial, QHPolynomial, QHPolynomial]  # dx, dy, dz
 
     def to_field(self) -> VectorField3:
-        polys = [_eval_tree(tree, self.parameter_names) for tree in self.components]
-        return VectorField3(*polys)
+        return VectorField3(*self.components)
 
     def to_text(self) -> str:
         """Canonical textual form; re-parsing yields an equal field."""
@@ -191,53 +210,10 @@ class SystemSource:
         return "\n".join(lines) + "\n"
 
 
-def _eval_tree(tree, params: Tuple[str, ...]) -> QHPolynomial:
-    kind = tree[0]
-    if kind == "num":
-        return QHPolynomial.constant(tree[1], params)
-    if kind == "var":
-        name = tree[1]
-        if name in _VARS:
-            return QHPolynomial.variable(name, params)
-        return QHPolynomial.constant(1, params).scale_param(
-            ParamPolynomial.variable(name, params))
-    if kind == "neg":
-        return -_eval_tree(tree[1], params)
-    if kind == "add":
-        return _eval_tree(tree[1], params) + _eval_tree(tree[2], params)
-    if kind == "sub":
-        return _eval_tree(tree[1], params) - _eval_tree(tree[2], params)
-    if kind == "mul":
-        return _eval_tree(tree[1], params) * _eval_tree(tree[2], params)
-    if kind == "pow":
-        base = _eval_tree(tree[1], params)
-        out = QHPolynomial.constant(1, params)
-        for _ in range(tree[2]):
-            out = out * base
-        return out
-    raise ValueError(f"unknown tree node {kind!r}")
-
-
-def _check_names(tree, declared: Tuple[str, ...], line: int):
-    kind = tree[0]
-    if kind == "var":
-        name = tree[1]
-        if name not in _VARS and name not in declared:
-            raise ParseError(f"undeclared identifier {name!r}", line)
-    elif kind in ("neg",):
-        _check_names(tree[1], declared, line)
-    elif kind in ("add", "sub", "mul"):
-        _check_names(tree[1], declared, line)
-        _check_names(tree[2], declared, line)
-    elif kind == "pow":
-        _check_names(tree[1], declared, line)
-
-
 def parse_system(text: str) -> SystemSource:
     """Parse an input file into a SystemSource; raise ParseError with position."""
     params: Optional[Tuple[str, ...]] = None
-    trees: Dict[str, object] = {}
-    locations: Dict[str, Tuple[int, int]] = {}
+    components: Dict[str, QHPolynomial] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
@@ -246,7 +222,7 @@ def parse_system(text: str) -> SystemSource:
         if head == "params":
             if params is not None:
                 raise ParseError("duplicate params line", lineno)
-            if trees:
+            if components:
                 raise ParseError("params line must precede the equations", lineno)
             names = stripped.split()[1:]
             if not names:
@@ -268,25 +244,20 @@ def parse_system(text: str) -> SystemSource:
             lhs, rhs = stripped.split("=", 1)
             if lhs.strip() != head:
                 raise ParseError(f"malformed left-hand side {lhs.strip()!r}", lineno)
-            if head in trees:
+            if head in components:
                 raise ParseError(f"duplicate {head} line", lineno)
             col_offset = raw.index("=") + 1
             tokens = _tokenize_expr(rhs, lineno, col_offset)
             if not tokens:
                 raise ParseError(f"empty right-hand side for {head}", lineno)
-            trees[head] = _ExprParser(tokens, lineno).parse()
-            locations[head] = (lineno, col_offset + 1)
+            components[head] = _ExprParser(tokens, lineno, params or ()).parse()
             continue
         raise ParseError(f"unrecognized line {stripped!r}", lineno)
-    missing = [name for name in ("dx", "dy", "dz") if name not in trees]
+    missing = [name for name in ("dx", "dy", "dz") if name not in components]
     if missing:
         raise ParseError(f"missing component lines: {', '.join(missing)}")
-    declared = params if params is not None else ()
-    for name in ("dx", "dy", "dz"):
-        _check_names(trees[name], declared, locations[name][0])
-    return SystemSource(parameter_names=declared,
-                        components=(trees["dx"], trees["dy"], trees["dz"]),
-                        source_locations=locations)
+    return SystemSource(parameter_names=params or (),
+                        components=(components["dx"], components["dy"], components["dz"]))
 
 
 def parse_polynomial(text: str, params: Iterable[str]) -> ParamPolynomial:
@@ -295,20 +266,5 @@ def parse_polynomial(text: str, params: Iterable[str]) -> ParamPolynomial:
     tokens = _tokenize_expr(text, 1, 0)
     if not tokens:
         raise ParseError("empty expression", 1)
-    tree = _ExprParser(tokens, 1).parse()
-    _check_params_only(tree)
-    _check_names(tree, params, 1)
-    qh = _eval_tree(tree, params)
-    for m in qh.terms:
-        if m.ex or m.ey or m.ez:
-            raise ParseError("expression must not involve x, y, z", 1)
+    qh = _ExprParser(tokens, 1, params, state_vars=False).parse()
     return qh.coefficient((0, 0, 0))
-
-
-def _check_params_only(tree):
-    kind = tree[0]
-    if kind == "var" and tree[1] in _VARS:
-        raise ParseError(f"variable {tree[1]!r} not allowed here", 1)
-    for child in tree[1:]:
-        if isinstance(child, tuple):
-            _check_params_only(child)

@@ -197,6 +197,12 @@ class TestCli:
         assert "z^3 (quasi-homogeneous degree 6)" in out
 
 
+def test_build_report_rejects_unknown_mode():
+    source, field, scalings = hz.frontend.load_system(FAMILY38)
+    with pytest.raises(ValueError, match="unknown mode 'JACOBI_H3'"):
+        hz.build_report(source, field, scalings, hz.AnalysisConfig(mode="JACOBI_H3"))
+
+
 def _run_module(*args):
     """Run `python -m hopfzero ARGS` on the package these tests import."""
     src = str(pathlib.Path(hz.__file__).resolve().parent.parent)

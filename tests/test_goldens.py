@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import hopfzero as hz
@@ -36,3 +38,51 @@ def test_unterminated_expect_block():
     bad = "dx = -2*y\ndy = 2*x\ndz = x^2 + y^2\nexpect {\n  case = B1\n"
     with pytest.raises(ParseError):
         hz.parse_fixture(bad, "unterminated")
+
+
+def test_fixture_rejects_unknown_mode():
+    bad = "dx = -2*y\ndy = 2*x\ndz = x^2 + y^2\nexpect {\n  mode = JACOBI_H3\n}\n"
+    with pytest.raises(ParseError) as err:
+        hz.parse_fixture(bad, "misspelt")
+    assert "unknown mode 'JACOBI_H3'" in str(err.value)
+    assert err.value.line == 5
+
+
+# one wrong expectation per kind the corpus uses: (fixture, wrong expectation,
+# the one failure run_golden must report)
+WRONG = {
+    "zero_entries": ("family38_b1_h", ("zero_entries", (2, 3, 4)),
+                     "entry 4: expected 0, got 1/32*a001^5*c101"),
+    "entry": ("family38_b1_h", ("entry", 4, "1/16*a001^5*c101"),
+              "entry 4: expected 1/16*a001^5*c101, got 1/32*a001^5*c101"),
+    "zero_reduced": ("family37_h2_reduced", ("zero_reduced", (8, 9, 10, 11)),
+                     "entry 11 mod constraint: expected 0, got -1301485468528346416371/"),
+    "coeff": ("family38_nf", ("coeff", "a", 1, "-1/4*a001^2"),
+              "a_1: expected -1/4*a001^2, got -1/4*a001^2 - 1/4*a001*c011"),
+    "resonance": ("family37_nf", ("resonance", "l0", "2"), "l0: expected 2, got 1"),
+    "case": ("b2_shape", ("case", "B1"), "case: expected B1, got B2"),
+    "witness_method": ("family37_not_integrable", ("witness_method", "JACOBI_H"),
+                       "witness method: expected JACOBI_H, got JACOBI_H2"),
+    "witness_index": ("family37_not_integrable", ("witness_index", 6),
+                      "witness index: expected 6, got 7"),
+    "coprime_pair": ("family37_not_integrable", ("coprime_pair", (1, 2)),
+                     "coprime pair: expected (1, 2), got (1, 1)"),
+    "planar": ("family37_planar", ("planar", "du", "v - 1/4*u^2"),
+               "du: expected 'v - 1/4*u^2', got 'v + 1/4*u^2'"),
+}
+
+
+def test_every_corpus_kind_has_a_wrong_probe():
+    kinds = {e[0] for case in hz.load_cases() for e in case.expectations}
+    assert kinds == set(WRONG)
+
+
+@pytest.mark.parametrize("kind", sorted(WRONG))
+def test_wrong_expectation_is_reported(kind):
+    name, wrong, message = WRONG[kind]
+    case = next(c for c in hz.load_cases() if c.name == name)
+    at = next(i for i, e in enumerate(case.expectations) if e[0] == kind)
+    expectations = case.expectations[:at] + (wrong,) + case.expectations[at + 1:]
+    result = hz.run_golden(dataclasses.replace(case, expectations=expectations))
+    assert len(result.failures) == 1, result.failures
+    assert result.failures[0].startswith(message)

@@ -44,6 +44,11 @@ class TestParseSystem:
             hz.parse_system("dx = -2*y + q*z\ndy = 2*x\ndz = x^2 + y^2\n")
         assert "undeclared identifier 'q'" in str(err.value)
 
+    def test_undeclared_identifier_position(self):
+        with pytest.raises(ParseError) as err:
+            hz.parse_system("params a\ndx = -2*y\ndy = 2*x + q*y\ndz = x^2 + y^2\n")
+        assert (err.value.line, err.value.column) == (3, 12)
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(ParseError) as err:
             hz.parse_system("dx = x^-2\ndy = 2*x\ndz = x^2 + y^2\n")
@@ -107,6 +112,11 @@ class TestParsePolynomial:
     def test_rejects_state_variables(self):
         with pytest.raises(ParseError):
             hz.parse_polynomial("a*x", ("a",))
+
+    def test_rejects_state_variables_that_cancel(self):
+        with pytest.raises(ParseError) as err:
+            hz.parse_polynomial("x - x", ("a",))
+        assert "variable 'x' not allowed here" in str(err.value)
 
     def test_rejects_undeclared(self):
         with pytest.raises((ParseError, hz.ParameterError)):

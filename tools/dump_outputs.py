@@ -3,7 +3,8 @@
     PYTHONHASHSEED=0 python3 tools/dump_outputs.py [DUMP_FILE]
 
 Runs, from the checkout's `src/`:
-- the `--json` report of every golden fixture through `run_cli`;
+- for every golden fixture, the field `parse_system` reads from its text,
+  the text `to_text` prints back, and the `--json` report through `run_cli`;
 - the family-37 `orbital_normal_form`, symbolic at index 4, at the
   benchmark's `seed_point(1..3)` at index 5, and at `seed_point(1)` at
   index 8, which covers the degree solves up to s = 16;
@@ -45,6 +46,9 @@ def describe(value) -> str:
 def dump_lines():
     with tempfile.TemporaryDirectory() as tmp:
         for case in hz.load_cases():
+            source = hz.parse_system(case.system_text)
+            yield f"golden {case.name} parsed: {describe(source.to_field())}"
+            yield f"golden {case.name} to_text: {describe(source.to_text())}"
             path = pathlib.Path(tmp) / f"{case.name}.hz"
             path.write_text(case.system_text, encoding="utf-8")
             code, text = hz.run_cli(cli_args(case, str(path)))
