@@ -283,6 +283,12 @@ def classify(field: VectorField3, max_index: int,
     positions the verdict is SYMBOLIC and the relevant obstruction polynomials
     are returned for the caller to analyze; no branching on symbolic
     (in)equalities ever happens.
+
+    The dispatch reads the normal form up to its first resonant index only,
+    so the normal form is computed by deepening runs that stop there
+    (`_normal_form_to_first_resonance`); the returned `normal_form` has
+    max_index equal to that index, or to max_index when none is resonant.
+    The obstruction sequences always run to max_index.
     """
     require_principal_part(field)
     if parameter_values:
@@ -295,14 +301,13 @@ def classify(field: VectorField3, max_index: int,
         if verdict is not None:
             return verdict
 
-    nf = orbital_normal_form(field, max_index, stop_at_first_resonance=True)
+    nf, s = _normal_form_to_first_resonance(field, max_index)
     res = first_resonance(nf)
-    s = min((k for k in (res.l0, res.m0) if k is not None), default=None)
 
     if s is None:
         # no resonant term through max_index: test the first-integral candidate
         seq = first_integral_obstructions(field, max_index)
-        return _verdict_from_sequences(field, (seq,), max_index, res, nf, None)
+        return _verdict_from_sequences((seq,), max_index, res, nf, None)
 
     a_s, b_s = nf.a_coeffs[s], nf.b_coeffs[s]
     if not (a_s.is_constant() and b_s.is_constant()):
@@ -322,9 +327,35 @@ def classify(field: VectorField3, max_index: int,
             return Classification(case_tag=CaseTag.NOT_INTEGRABLE, max_index=max_index,
                                   resonance=res, normal_form=nf)
         seq = jacobi_obstructions(field, max_index, Method.JACOBI_H2)
-        return _verdict_from_sequences(field, (seq,), max_index, res, nf, pair)
+        return _verdict_from_sequences((seq,), max_index, res, nf, pair)
     seq = jacobi_obstructions(field, max_index, Method.JACOBI_H)
-    return _verdict_from_sequences(field, (seq,), max_index, res, nf, None)
+    return _verdict_from_sequences((seq,), max_index, res, nf, None)
+
+
+def _normal_form_to_first_resonance(field: VectorField3, max_index: int
+                                    ) -> Tuple[NormalFormResult, Optional[int]]:
+    """The orbital normal form up to its first resonant index r, and r.
+
+    Runs `orbital_normal_form` at the working indices ceil(M/2^j), j =
+    bit_length(M) .. 0, for M = max_index (..., ceil(M/4), ceil(M/2), M),
+    and stops at the first run with a nonzero a_k or b_k.  That run is cut at
+    r: a_k and b_k for k <= r, the steps of degrees 1..2r and the field
+    truncated at 2r, which is the run at max_index r exactly, since degree s
+    of a run reads no degree above s.  The run at M is returned whole, with
+    r None, when no index through M is resonant.  Each working index is at
+    most twice the one before, so at about N^5 cost per run the smaller runs
+    add a few per cent to the last.
+    """
+    for w in sorted({-(-max_index >> j) for j in range(max_index.bit_length() + 1)}):
+        nf = orbital_normal_form(field, w)
+        r = next((k for k in range(1, w + 1) if nf.a_coeffs[k] or nf.b_coeffs[k]), None)
+        if r is not None:
+            return NormalFormResult(
+                a_coeffs={k: nf.a_coeffs[k] for k in range(1, r + 1)},
+                b_coeffs={k: nf.b_coeffs[k] for k in range(1, r + 1)},
+                max_index=r, generators=nf.generators[:2 * r],
+                field=nf.field.truncate(2 * r), params=nf.params), r
+    return nf, None
 
 
 def _classify_resonant_shape(shape, max_index):
@@ -352,7 +383,7 @@ def _classify_resonant_shape(shape, max_index):
     return None  # mixed tail: needs the general truncated pipeline
 
 
-def _verdict_from_sequences(field, sequences, max_index, res, nf, pair):
+def _verdict_from_sequences(sequences, max_index, res, nf, pair):
     for seq in sequences:
         first = seq.first_nonzero()
         if first is None:

@@ -82,6 +82,7 @@ def parse_fixture(text: str, name: str) -> GoldenCase:
     expectations: List[tuple] = []
     constraint = None
     eliminate = None
+    first_line: Dict[str, int] = {}
     for lineno, raw in enumerate(body.splitlines(), start=system_text.count("\n") + 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -91,45 +92,57 @@ def parse_fixture(text: str, name: str) -> GoldenCase:
         key, _, value = line.partition("=")
         key_parts = key.split()
         value = value.strip()
-        head = key_parts[0]
-        if head == "origin":
-            origin = value
-        elif head == "mode":
-            if value not in MODES:
-                raise ParseError(f"fixture {name}: unknown mode {value!r}", lineno)
-            mode = value
-        elif head == "max_index":
-            max_index = int(value)
-        elif head == "param":
-            bindings[key_parts[1]] = rat(value)
-        elif head == "constraint":
-            constraint = value
-        elif head == "eliminate":
-            eliminate = value
-        elif head == "zero" and key_parts[1] == "entries":
-            expectations.append(("zero_entries", tuple(int(v) for v in value.split())))
-        elif head == "zero" and key_parts[1] == "reduced":
-            expectations.append(("zero_reduced", tuple(int(v) for v in value.split())))
-        elif head == "entry":
-            expectations.append(("entry", int(key_parts[1]), value))
-        elif head == "reduced":
-            expectations.append(("reduced", int(key_parts[1]), value))
-        elif head in ("a", "b"):
-            expectations.append(("coeff", head, int(key_parts[1]), value))
-        elif head in ("l0", "m0", "n0"):
-            expectations.append(("resonance", head, value))
-        elif head == "case":
-            expectations.append(("case", value))
-        elif head == "witness_method":
-            expectations.append(("witness_method", value))
-        elif head == "witness_index":
-            expectations.append(("witness_index", int(value)))
-        elif head == "coprime_pair":
-            expectations.append(("coprime_pair", tuple(int(v) for v in value.split())))
-        elif head in ("du", "dv"):
-            expectations.append(("planar", head, value))
-        else:
-            raise ParseError(f"fixture {name}: unknown expect key {head!r}", lineno)
+        try:
+            head = key_parts[0]
+            first_line.setdefault(" ".join(key_parts[:2]) if head == "zero" else head, lineno)
+            if head == "origin":
+                origin = value
+            elif head == "mode":
+                if value not in MODES:
+                    raise ParseError(f"fixture {name}: unknown mode {value!r}", lineno)
+                mode = value
+            elif head == "max_index":
+                max_index = int(value)
+            elif head == "param":
+                bindings[key_parts[1]] = rat(value)
+            elif head == "constraint":
+                constraint = value
+            elif head == "eliminate":
+                eliminate = value
+            elif head == "zero" and key_parts[1] == "entries":
+                expectations.append(("zero_entries", tuple(int(v) for v in value.split())))
+            elif head == "zero" and key_parts[1] == "reduced":
+                expectations.append(("zero_reduced", tuple(int(v) for v in value.split())))
+            elif head == "entry":
+                expectations.append(("entry", int(key_parts[1]), value))
+            elif head == "reduced":
+                expectations.append(("reduced", int(key_parts[1]), value))
+            elif head in ("a", "b"):
+                expectations.append(("coeff", head, int(key_parts[1]), value))
+            elif head in ("l0", "m0", "n0"):
+                expectations.append(("resonance", head, value))
+            elif head == "case":
+                expectations.append(("case", value))
+            elif head == "witness_method":
+                expectations.append(("witness_method", value))
+            elif head == "witness_index":
+                expectations.append(("witness_index", int(value)))
+            elif head == "coprime_pair":
+                expectations.append(("coprime_pair", tuple(int(v) for v in value.split())))
+            elif head in ("du", "dv"):
+                expectations.append(("planar", head, value))
+            else:
+                raise ParseError(f"fixture {name}: unknown expect key {head!r}", lineno)
+        except (IndexError, ValueError, ZeroDivisionError):
+            raise ParseError(f"fixture {name}: malformed expect line {line!r}", lineno) from None
+    if (constraint is None) != (eliminate is None):
+        given, missing = ("constraint", "eliminate") if eliminate is None else \
+            ("eliminate", "constraint")
+        raise ParseError(f"fixture {name}: {given} without {missing}", first_line[given])
+    reduced = [first_line[k] for k in ("zero reduced", "reduced") if k in first_line]
+    if reduced and constraint is None:
+        raise ParseError(f"fixture {name}: reduced expectation without constraint",
+                         min(reduced))
     return GoldenCase(name=name, origin=origin, mode=mode, max_index=max_index,
                       system_text=system_text, bindings=bindings,
                       expectations=tuple(expectations),

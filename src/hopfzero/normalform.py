@@ -189,14 +189,14 @@ def _solve_degree(known: VectorField3, s: int):
     return VectorField3(ux, uy, uz), mu, a, b
 
 
-def orbital_normal_form(field: VectorField3, max_index: int,
-                        stop_at_first_resonance: bool = False) -> NormalFormResult:
+def orbital_normal_form(field: VectorField3, max_index: int) -> NormalFormResult:
     """Normalize through quasi-homogeneous field degree 2*max_index.
 
     Returns the coefficient streams a_k, b_k for k = 1..max_index together
-    with the per-degree generators.  With `stop_at_first_resonance` the loop
-    ends as soon as some (a_k, b_k) is nonzero, which is all the
-    classification dispatch needs.
+    with the per-degree generators and the transformed field truncated at
+    degree 2*max_index.  Degree s of the result reads no degree above s, so a
+    run at a smaller max_index is exactly a prefix of this one; `classify`
+    relies on that to stop at the first resonant index.
     """
     if max_index < 1:
         raise DegreeError("max_index must be at least 1")
@@ -225,11 +225,6 @@ def orbital_normal_form(field: VectorField3, max_index: int,
         expected = _resonant_field(s, a, b, params)
         if achieved != expected:
             raise StructureError(f"degree-{s} slice not in normal form after solve")
-        if (stop_at_first_resonance and s % 2 == 0
-                and (a_coeffs[s // 2] or b_coeffs[s // 2])):
-            return NormalFormResult(a_coeffs=a_coeffs, b_coeffs=b_coeffs,
-                                    max_index=s // 2, generators=tuple(steps),
-                                    field=current, params=params)
     return NormalFormResult(a_coeffs=a_coeffs, b_coeffs=b_coeffs,
                             max_index=max_index, generators=tuple(steps),
                             field=current, params=params)

@@ -48,6 +48,34 @@ def test_fixture_rejects_unknown_mode():
     assert err.value.line == 5
 
 
+def fixture_with(*expect_lines):
+    """A fixture whose expect lines start at line 5."""
+    body = "".join(f"  {line}\n" for line in expect_lines)
+    return f"dx = -2*y\ndy = 2*x\ndz = x^2 + y^2\nexpect {{\n{body}}}\n"
+
+
+@pytest.mark.parametrize("line", ["zero = 3", "param = 1", "entry = 0", "reduced = 2",
+                                  "a = 1", "max_index = seven", "zero entries = 3 x"])
+def test_malformed_expect_line_is_a_parse_error(line):
+    with pytest.raises(ParseError) as err:
+        hz.parse_fixture(fixture_with("case = B1", line), "malformed")
+    assert f"fixture malformed: malformed expect line {line!r}" in str(err.value)
+    assert err.value.line == 6
+
+
+@pytest.mark.parametrize("lines, message", [
+    (("zero reduced = 8",), "reduced expectation without constraint"),
+    (("reduced 11 = 0",), "reduced expectation without constraint"),
+    (("constraint = a001", "zero reduced = 8"), "constraint without eliminate"),
+    (("eliminate = a001", "case = B1"), "eliminate without constraint"),
+], ids=["zero-reduced", "reduced-entry", "constraint-only", "eliminate-only"])
+def test_constraint_expectations_are_checked_at_parse_time(lines, message):
+    with pytest.raises(ParseError) as err:
+        hz.parse_fixture(fixture_with(*lines), "unpaired")
+    assert f"fixture unpaired: {message}" in str(err.value)
+    assert err.value.line == 5
+
+
 # one wrong expectation per kind the corpus uses: (fixture, wrong expectation,
 # the one failure run_golden must report)
 WRONG = {

@@ -6,10 +6,11 @@ import sympy as sp
 import hopfzero as hz
 from hopfzero import (Monomial3, ParamPolynomial, PrincipalPartError,
                       QHPolynomial, StructureError, VectorField3)
+from hopfzero import normalform
 from hopfzero.normalform import _divide_by_h, _solve_degree
 
-from conftest import (random_field_component, random_perturbed_field,
-                      random_ppoly)
+from conftest import (field_from_text, random_field_component,
+                      random_perturbed_field, random_ppoly)
 from oracle import (Elimination, degree2_orbital_normal_form, degree_system,
                     elimination_solve_degree, field_to_sympy, ppoly_to_sympy)
 
@@ -83,19 +84,82 @@ class TestOrbitalNormalForm:
             assert sp.expand(ppoly_to_sympy(nf.a_coeffs[1]) - a1) == 0
             assert sp.expand(ppoly_to_sympy(nf.b_coeffs[1]) - b1) == 0
 
-    def test_stop_at_first_resonance_matches_prefix(self, family37):
-        full = hz.orbital_normal_form(family37, 2)
-        short = hz.orbital_normal_form(family37, 2, stop_at_first_resonance=True)
-        assert short.max_index == 1
-        assert short.a_coeffs[1] == full.a_coeffs[1]
-        assert short.b_coeffs[1] == full.b_coeffs[1]
-
     def test_determinism(self, family38):
         first = hz.orbital_normal_form(family38, 2)
         second = hz.orbital_normal_form(family38, 2)
         assert first.a_coeffs == second.a_coeffs
         assert first.b_coeffs == second.b_coeffs
         assert first.field == second.field
+
+
+# a field whose first resonant index is 5: (a_5, b_5) = (1, 0)
+RESONANT_AT_5 = """\
+dx = -2*y + x*z^5 + y^2
+dy = 2*x + y*z^5 + x^2*y
+dz = x^2 + y^2 + y^3
+"""
+
+
+def assert_classify_normal_form_is_a_run(field, max_index):
+    """classify's normal form is `orbital_normal_form` run at its own
+    max_index, the first resonant index (or max_index when none is)."""
+    nf = hz.classify(field, max_index).normal_form
+    assert nf is not None
+    ref = hz.orbital_normal_form(field, nf.max_index)
+    assert nf.a_coeffs == ref.a_coeffs
+    assert nf.b_coeffs == ref.b_coeffs
+    assert nf.generators == ref.generators
+    assert nf.field == ref.field
+    assert nf.max_index == ref.max_index
+    assert nf.field == nf.field.truncate(2 * nf.max_index)
+    return nf
+
+
+class TestClassifyNormalForm:
+    """classify deepens over orbital_normal_form and cuts the first run with
+    a resonance at its first resonant index."""
+
+    def test_family37_resonates_at_one(self, family37):
+        assert assert_classify_normal_form_is_a_run(family37, 3).max_index == 1
+
+    @pytest.mark.parametrize("max_index", [6, 7, 8])
+    def test_cut_below_the_last_run(self, max_index):
+        field = field_from_text(RESONANT_AT_5)
+        assert assert_classify_normal_form_is_a_run(field, max_index).max_index == 5
+
+    def test_no_resonance_returns_the_run_at_max_index(self, family37):
+        # a001 = 0 is the integrable stratum; 5 runs the schedule 1, 2, 3, 5
+        field = family37.substitute_params({"a001": hz.rat(0)})
+        nf = assert_classify_normal_form_is_a_run(field, 5)
+        assert nf.max_index == 5
+        assert not any(nf.a_coeffs.values()) and not any(nf.b_coeffs.values())
+
+    def test_random_fields(self, rng):
+        for _ in range(6):
+            field = random_perturbed_field(rng, max_degree=rng.randint(1, 3))
+            assert_classify_normal_form_is_a_run(field, rng.randint(1, 5))
+
+    def test_work_stops_at_the_first_resonance(self, family37, monkeypatch):
+        # family 37 resonates at index 1, so no degree above 2 is solved or
+        # transformed, however deep the obstruction sequences run
+        solved, transformed = [], []
+        solve, step = normalform._solve_degree, normalform.apply_generator_step
+
+        def counting_solve(known, s):
+            solved.append(s)
+            return solve(known, s)
+
+        def counting_step(field, generator_step, max_field_degree):
+            transformed.append(max_field_degree)
+            return step(field, generator_step, max_field_degree)
+
+        monkeypatch.setattr(normalform, "_solve_degree", counting_solve)
+        monkeypatch.setattr(normalform, "apply_generator_step", counting_step)
+        field = family37.substitute_params(
+            {"a001": hz.rat(1), "b200": hz.rat(2), "c030": hz.rat(3)})
+        hz.classify(field, 30)
+        assert solved and max(solved) <= 2
+        assert transformed and max(transformed) <= 2
 
 
 class TestSolveDegree:

@@ -8,6 +8,10 @@ Runs, from the checkout's `src/`:
 - the family-37 `orbital_normal_form`, symbolic at index 4, at the
   benchmark's `seed_point(1..3)` at index 5, and at `seed_point(1)` at
   index 8, which covers the degree solves up to s = 16;
+- the normal form `classify` reports, for family 37 at `seed_point(1)` with
+  max_index 8 (first resonant index 1) and for a field whose first resonant
+  index is 5 with max_index 7; its field is written truncated at degree
+  2*max_index, the extent `NormalFormResult` documents;
 - the symbolic JACOBI_H2, JACOBI_H and FIRST_INTEGRAL sequences of family 37
   to z^10, entries and witness;
 - the symbolic JACOBI_H2 sequence of family 37 to z^12, entries and witness,
@@ -43,6 +47,23 @@ def describe(value) -> str:
     return f"{value} | {hash(value)}"
 
 
+RESONANT_AT_5 = """\
+dx = -2*y + x*z^5 + y^2
+dy = 2*x + y*z^5 + x^2*y
+dz = x^2 + y^2 + y^3
+"""
+
+
+def normal_form_lines(label, nf):
+    for k in sorted(nf.a_coeffs):
+        yield f"{label} a_{k}: {describe(nf.a_coeffs[k])}"
+        yield f"{label} b_{k}: {describe(nf.b_coeffs[k])}"
+    for step in nf.generators:
+        yield f"{label} step {step.degree} generator: {describe(step.generator)}"
+        yield f"{label} step {step.degree} reparam: {describe(step.reparam)}"
+    yield f"{label} field: {describe(nf.field.truncate(2 * nf.max_index))}"
+
+
 def dump_lines():
     with tempfile.TemporaryDirectory() as tmp:
         for case in hz.load_cases():
@@ -60,14 +81,16 @@ def dump_lines():
              for seed in (1, 2, 3)]
     runs.append(("seed_point(1) index 8", symbolic.substitute_params(seed_point(1)), 8))
     for label, field, index in runs:
-        nf = hz.orbital_normal_form(field, index)
-        for k in sorted(nf.a_coeffs):
-            yield f"nf {label} a_{k}: {describe(nf.a_coeffs[k])}"
-            yield f"nf {label} b_{k}: {describe(nf.b_coeffs[k])}"
-        for step in nf.generators:
-            yield f"nf {label} step {step.degree} generator: {describe(step.generator)}"
-            yield f"nf {label} step {step.degree} reparam: {describe(step.reparam)}"
-        yield f"nf {label} field: {describe(nf.field)}"
+        yield from normal_form_lines(f"nf {label}", hz.orbital_normal_form(field, index))
+
+    resonant_at_5, _ = hz.normalize_principal_part(
+        hz.parse_system(RESONANT_AT_5).to_field())
+    for label, field, index in [
+            ("seed_point(1)", symbolic.substitute_params(seed_point(1)), 8),
+            ("resonant at 5", resonant_at_5, 7)]:
+        nf = hz.classify(field, index).normal_form
+        yield f"classify {label} max_index: {nf.max_index}"
+        yield from normal_form_lines(f"classify {label}", nf)
 
     sequences = [(method, 10, "") for method in
                  (hz.Method.JACOBI_H2, hz.Method.JACOBI_H, hz.Method.FIRST_INTEGRAL)]
