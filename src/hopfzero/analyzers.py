@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 from .coeffring import ParamPolynomial, Rational, rat
-from .errors import DegreeError, ParameterError, StructureError
+from .errors import DegreeError, StructureError
 from .gradedpoly import (Monomial3, QHPolynomial, _integer_partial, _integer_terms,
                          _mul_accumulate)
 from .homological import solve_homological
@@ -274,8 +274,7 @@ def _resonant_shape(field: VectorField3):
 
 
 def classify(field: VectorField3, max_index: int,
-             parameter_values: Optional[Mapping[str, Rational]] = None,
-             require_definitive: bool = False) -> Classification:
+             parameter_values: Optional[Mapping[str, Rational]] = None) -> Classification:
     """Dispatch per the resonance structure and run the matching obstruction test.
 
     The numeric path requires every coefficient that drives a branch decision
@@ -288,8 +287,11 @@ def classify(field: VectorField3, max_index: int,
     so the normal form is computed by deepening runs that stop there
     (`_normal_form_to_first_resonance`); the returned `normal_form` has
     max_index equal to that index, or to max_index when none is resonant.
-    The obstruction sequences always run to max_index.
+    The obstruction sequences always run to max_index.  A max_index below 1
+    raises DegreeError.
     """
+    if max_index < 1:
+        raise DegreeError("max_index must be at least 1")
     require_principal_part(field)
     if parameter_values:
         field = field.substitute_params(
@@ -311,10 +313,6 @@ def classify(field: VectorField3, max_index: int,
 
     a_s, b_s = nf.a_coeffs[s], nf.b_coeffs[s]
     if not (a_s.is_constant() and b_s.is_constant()):
-        if require_definitive:
-            raise ParameterError(
-                "leading normal-form coefficients involve free parameters; "
-                "bind them for a definitive verdict")
         sequences = (jacobi_obstructions(field, max_index, Method.JACOBI_H),
                      jacobi_obstructions(field, max_index, Method.JACOBI_H2))
         return Classification(case_tag=CaseTag.SYMBOLIC, max_index=max_index,

@@ -12,6 +12,12 @@ order.  `ParamPolynomial(...)` is the constructor for outside input: it checks
 exponent lengths, coerces coefficients and merges and sorts terms.  Ring
 operations build their results through the private `_wrap`, which trusts its
 caller to pass a term dict that already holds the invariant.
+
+The module also holds the primitives that every polynomial type of the
+package shares, each written once: `_from_numerators`, which turns the
+integer numerators of the graded product and the slice solve into `Fraction`
+coefficients; `_merged`, the term merge of the `QHPolynomial` and `Poly2`
+constructors; and `_format_terms`, the printer of all three types.
 """
 
 from __future__ import annotations
@@ -95,6 +101,17 @@ class ParamPolynomial:
         object.__setattr__(self, "params", params)
         return self
 
+    @classmethod
+    def _from_numerators(cls, nums: Mapping[tuple, int], den: int,
+                         params: tuple) -> "ParamPolynomial":
+        """The polynomial with coefficients `n / den` for `nums` mapping
+        exponent tuples of `len(params)` entries to integers, `den > 0`: one
+        `Fraction` per nonzero numerator, which reduces to lowest terms, in
+        canonical order.  Integer kernels hand their results back through it."""
+        return cls._wrap({e: Fraction(nums[e], den)
+                          for e in sorted(nums, key=_degree_lex, reverse=True) if nums[e]},
+                         params)
+
     def __setattr__(self, name, value):
         raise AttributeError("ParamPolynomial is immutable")
 
@@ -137,14 +154,7 @@ class ParamPolynomial:
         return ParamPolynomial._wrap(_canonical(out), self.params)
 
     def __sub__(self, other: "ParamPolynomial") -> "ParamPolynomial":
-        self._check_ring(other)
-        if not other.terms:
-            return self
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            prev = out.get(e)
-            out[e] = -c if prev is None else prev - c
-        return ParamPolynomial._wrap(_canonical(out), self.params)
+        return self + -other
 
     def __neg__(self) -> "ParamPolynomial":
         return ParamPolynomial._wrap({e: -c for e, c in self.terms.items()}, self.params)
@@ -245,32 +255,57 @@ class ParamPolynomial:
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, coeff in self.terms.items():
-            factors = []
-            for name, e in zip(self.params, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            mag = abs(coeff)
-            if factors and mag == 1:
-                body = "*".join(factors)
-            elif factors:
-                body = str(mag) + "*" + "*".join(factors)
-            else:
-                body = str(mag)
-            parts.append(("-" if coeff < 0 else "+", body))
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _format_terms(self.terms, self.params)
 
     def __repr__(self) -> str:
         return f"ParamPolynomial({self})"
+
+
+def _merged(terms: Iterable[tuple], key, params: tuple) -> dict:
+    """The (monomial, coefficient) pairs `terms` of a polynomial over
+    `ParamPolynomial` coefficients, as a term dict: coefficients coerced to
+    the ring of `params`, repeated monomials summed, zero sums dropped and
+    the monomials sorted by `key`.  A `ParamPolynomial` coefficient over
+    another parameter table raises ValueError."""
+    out = {}
+    for m, c in terms:
+        if not isinstance(c, ParamPolynomial):
+            c = ParamPolynomial.constant(c, params)
+        elif c.params != params:
+            raise ValueError("coefficient ring mismatch")
+        prev = out.get(m)
+        out[m] = c if prev is None else prev + c
+    return {m: out[m] for m in sorted(out, key=key) if out[m]}
+
+
+def _format_terms(terms: Mapping[tuple, object], names) -> str:
+    """The printed form of a polynomial whose `terms` map exponent tuples over
+    `names` to nonzero `Fraction` or `ParamPolynomial` coefficients, in the
+    order given: `-3/2 + x - a*y^2 + (a - b)*z`.  A coefficient of several
+    terms is put in parentheses before a monomial, and a term after the first
+    whose text starts with a minus sign is joined with ` - `."""
+    text = ""
+    for exps, coeff in terms.items():
+        mono = "*".join(name if e == 1 else f"{name}^{e}"
+                        for name, e in zip(names, exps) if e)
+        ct = str(coeff)
+        if not mono:
+            body = ct
+        elif ct == "1":
+            body = mono
+        elif ct == "-1":
+            body = "-" + mono
+        elif " " in ct:
+            body = f"({ct})*{mono}"
+        else:
+            body = f"{ct}*{mono}"
+        if not text:
+            text = body
+        elif body.startswith("-"):
+            text += " - " + body[1:]
+        else:
+            text += " + " + body
+    return text or "0"
 
 
 def ppoly_reduce(p: ParamPolynomial, constraint: ParamPolynomial,

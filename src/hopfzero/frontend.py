@@ -422,10 +422,10 @@ def run_cli(args: List[str]) -> Tuple[int, str]:
             return 2, f"parse error in --constraint: {exc}\n"
         constraint = (poly, ns.eliminate)
 
-    mode = {"analyze": getattr(ns, "mode", "AUTO"),
-            "normal-form": "NORMAL_FORM",
-            "obstructions": getattr(ns, "mode", "JACOBI_H"),
-            "reduce": "REDUCE"}[ns.command]
+    if ns.command in ("analyze", "obstructions"):
+        mode = ns.mode
+    else:
+        mode = {"normal-form": "NORMAL_FORM", "reduce": "REDUCE"}[ns.command]
     config = AnalysisConfig(max_index=ns.max_index, mode=mode,
                             parameter_values=bindings, constraint=constraint)
     try:

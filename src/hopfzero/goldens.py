@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Tuple
 from .coeffring import ParamPolynomial, congruent_mod, rat
 from .errors import ParseError
 from .frontend import MODES, AnalysisConfig, build_report, load_system
-from .parsing import parse_polynomial
+from .parsing import parse_polynomial, parse_system
 
 DATA_DIR = pathlib.Path(__file__).parent / "goldens_data"
 
@@ -83,6 +83,7 @@ def parse_fixture(text: str, name: str) -> GoldenCase:
     constraint = None
     eliminate = None
     first_line: Dict[str, int] = {}
+    declared = None  # the system's parameter names, read at the first binding
     for lineno, raw in enumerate(body.splitlines(), start=system_text.count("\n") + 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -103,7 +104,15 @@ def parse_fixture(text: str, name: str) -> GoldenCase:
                 mode = value
             elif head == "max_index":
                 max_index = int(value)
+                if max_index < 1:
+                    raise ParseError(f"fixture {name}: malformed expect line {line!r}: "
+                                     "max_index must be at least 1", lineno)
             elif head == "param":
+                if declared is None:
+                    declared = parse_system(system_text).parameter_names
+                if key_parts[1] not in declared:
+                    raise ParseError(f"fixture {name}: malformed expect line {line!r}: "
+                                     f"parameter {key_parts[1]!r} is not declared", lineno)
                 bindings[key_parts[1]] = rat(value)
             elif head == "constraint":
                 constraint = value

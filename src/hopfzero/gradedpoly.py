@@ -9,27 +9,30 @@ algebra downstream.
 Invariant: a `QHPolynomial`'s `terms` are always zero-free and in canonical
 order (`_mono_sort_key`); printing and rerun comparisons read that order.
 `QHPolynomial(...)` is the constructor for outside input: it coerces keys and
-coefficients, checks the coefficient ring and merges and sorts terms.
-Operations build their results through the private `_wrap`, which trusts its
-caller to pass a term dict that already holds the invariant.  Every product
-(`mul`, the directional derivatives and Lie brackets of `vectorfield`, and
-the obstruction driver's known terms) goes through one multiply-accumulate
+coefficients, checks the coefficient ring and merges and sorts terms
+(`coeffring._merged`, which `vectorfield.Poly2` shares).  Operations build
+their results through the private `_wrap`, which trusts its caller to pass a
+term dict that already holds the invariant.  Every product (`mul`, the
+directional derivatives and Lie brackets of `vectorfield`, and the
+obstruction driver's known terms) goes through one multiply-accumulate
 kernel, `_mul_accumulate`.  Its operands are first converted by
 `_integer_terms` to integer numerators over one common denominator, and
-partial derivatives are taken from the converted form (`_integer_partial`),
-so each coefficient is read once; the kernel sums Python `int`s and builds
-one `Fraction` per output term.
+partial derivatives are taken from the converted form (`_integer_partial`,
+which `partial` also uses), so each coefficient is read once; the kernel
+sums Python `int`s, and each output coefficient's numerators become
+`Fraction`s in `ParamPolynomial._from_numerators`.  `QHPolynomial`,
+`Poly2` and `ParamPolynomial` print through one function,
+`coeffring._format_terms`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .coeffring import ParamPolynomial, RationalLike, _degree_lex, rat
+from .coeffring import ParamPolynomial, RationalLike, _format_terms, _merged, rat
 from .errors import DegreeError
 
 WEIGHTS = (1, 1, 2)
@@ -90,12 +93,6 @@ def _mono_sort_key(m):
     return (ex + ey + 2 * ez, ez, -ex)
 
 
-def _sorted_terms(terms: dict) -> dict:
-    """`terms`, whose keys are distinct and coefficients nonzero, in
-    canonical order."""
-    return {m: terms[m] for m in sorted(terms, key=_mono_sort_key)}
-
-
 class QHPolynomial:
     """Sparse polynomial in x, y, z with ParamPolynomial coefficients.
 
@@ -110,21 +107,8 @@ class QHPolynomial:
 
     def __init__(self, terms: Mapping[Monomial3, ParamPolynomial], params: Iterable[str]):
         params = tuple(params)
-        clean = {}
-        for m, c in terms.items():
-            m = Monomial3(*m)
-            if not isinstance(c, ParamPolynomial):
-                c = ParamPolynomial.constant(c, params)
-            if c.params != params:
-                raise ValueError("coefficient ring mismatch")
-            if c:
-                prev = clean.get(m)
-                c = prev + c if prev is not None else c
-                if c:
-                    clean[m] = c
-                elif m in clean:
-                    del clean[m]
-        object.__setattr__(self, "terms", _sorted_terms(clean))
+        merged = _merged(((Monomial3(*m), c) for m, c in terms.items()), _mono_sort_key, params)
+        object.__setattr__(self, "terms", merged)
         object.__setattr__(self, "params", params)
 
     @classmethod
@@ -187,22 +171,11 @@ class QHPolynomial:
                 out[m] = c
             else:
                 del out[m]
-        return QHPolynomial._wrap(_sorted_terms(out), self.params)
+        return QHPolynomial._wrap({m: out[m] for m in sorted(out, key=_mono_sort_key)},
+                                  self.params)
 
     def __sub__(self, other: "QHPolynomial") -> "QHPolynomial":
-        self._check(other)
-        if not other.terms:
-            return self
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            prev = out.get(m)
-            if prev is None:
-                out[m] = -c
-            elif c := prev - c:
-                out[m] = c
-            else:
-                del out[m]
-        return QHPolynomial._wrap(_sorted_terms(out), self.params)
+        return self + -other
 
     def __neg__(self) -> "QHPolynomial":
         return QHPolynomial._wrap({m: -c for m, c in self.terms.items()}, self.params)
@@ -261,17 +234,12 @@ class QHPolynomial:
     # -- calculus and evaluation -------------------------------------------
 
     def partial(self, var: str) -> "QHPolynomial":
-        idx = VAR_NAMES.index(var)
-        # lowering one exponent is injective and keeps `_mono_sort_key` order,
-        # and e * c is nonzero, so the result needs no merge and no sort
-        out = {}
-        for m, c in self.terms.items():
-            e = m[idx]
-            if e:
-                lowered = list(m)
-                lowered[idx] = e - 1
-                out[tuple.__new__(Monomial3, lowered)] = c.scale(e)
-        return QHPolynomial._wrap(out, self.params)
+        # `_integer_partial` keeps canonical order and leaves no zero term
+        den, terms = _integer_partial(_integer_terms(self), var)
+        return QHPolynomial._wrap(
+            {tuple.__new__(Monomial3, t[:3]):
+             ParamPolynomial._from_numerators(dict(t[3]), den, self.params) for t in terms},
+            self.params)
 
     def substitute_params(self, values: Mapping[str, RationalLike]) -> "QHPolynomial":
         out = {}
@@ -287,44 +255,10 @@ class QHPolynomial:
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, coeff in self.terms.items():
-            factors = []
-            for name, e in zip(VAR_NAMES, m):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            mono = "*".join(factors)
-            ct = str(coeff)
-            if not mono:
-                body, sign = _signed(ct)
-            elif ct == "1":
-                body, sign = mono, "+"
-            elif ct == "-1":
-                body, sign = mono, "-"
-            elif " " in ct:
-                body, sign = f"({ct})*{mono}", "+"
-            else:
-                body, sign = _signed(ct)
-                body = f"{body}*{mono}"
-            parts.append((sign, body))
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _format_terms(self.terms, VAR_NAMES)
 
     def __repr__(self) -> str:
         return f"QHPolynomial({self})"
-
-
-def _signed(text: str):
-    if text.startswith("-"):
-        return text[1:], "-"
-    return text, "+"
 
 
 IntegerTerms = Tuple[int, List[Tuple[int, int, int, List[Tuple[tuple, int]]]]]
@@ -408,11 +342,9 @@ def _mul_accumulate(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
                                 out[e] = out.get(e, 0) + na * nb
     terms = {}
     for key in sorted(acc, key=_mono_sort_key):
-        out = acc[key]
-        coeff = {e: Fraction(out[e], common)
-                 for e in sorted(out, key=_degree_lex, reverse=True) if out[e]}
-        if coeff:
-            terms[tuple.__new__(Monomial3, key)] = ParamPolynomial._wrap(coeff, params)
+        coeff = ParamPolynomial._from_numerators(acc[key], common, params)
+        if coeff.terms:
+            terms[tuple.__new__(Monomial3, key)] = coeff
     return QHPolynomial._wrap(terms, params)
 
 

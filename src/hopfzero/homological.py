@@ -17,8 +17,10 @@ blocks per z-power plus a z-lowering term (Algaba, Freire, Gamero & Garcia,
 z-power down, in O(1) coefficient operations per unknown.  It works on
 integers: each coefficient of the right-hand side is converted once to
 integer numerators over its own denominator, every step is an integer
-combination of such values with one division, and each output coefficient
-becomes one `Fraction` per term at the end.
+combination of such values with one division, and at the end each output
+coefficient's numerators become `Fraction`s in
+`ParamPolynomial._from_numerators`, as in the graded product.  Printing goes
+through `coeffring._format_terms`, shared by every polynomial type.
 
 `analyze_operator` builds the operator monomial by monomial
 (`_apply_operator_monomial`) and reads its rank off an exact elimination
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .coeffring import ParamPolynomial, _degree_lex
+from .coeffring import ParamPolynomial
 from .errors import DegreeError, StructureError
 from .gradedpoly import GradedSliceBasis, Monomial3, QHPolynomial, slice_basis
 
@@ -191,15 +193,6 @@ def _circle_mean(u: List[_Integers], d: int) -> _Integers:
     return _combine(parts, math.prod(range(2, d + 1, 2)))
 
 
-def _param_polynomial(c: _Integers, params: tuple) -> ParamPolynomial:
-    """The canonical `ParamPolynomial` of a nonzero `c`: one `Fraction` per
-    term, which reduces to lowest terms, in canonical term order."""
-    den, nums = c
-    return ParamPolynomial._wrap(
-        {e: Fraction(nums[e], den) for e in sorted(nums, key=_degree_lex, reverse=True)},
-        params)
-
-
 def solve_homological(k: int, rhs: QHPolynomial) -> HomologicalSolution:
     """Solve the degree-k slice equation with the canonical normalization.
 
@@ -223,7 +216,8 @@ def solve_homological(k: int, rhs: QHPolynomial) -> HomologicalSolution:
     every step is an integer combination of such values followed by one
     division (`_combine`), so parameter coefficients ride along linearly and
     the two checks compare by cross-multiplication.  Each output coefficient
-    becomes one `Fraction` per term at the end (`_param_polynomial`).
+    becomes one `Fraction` per term at the end
+    (`ParamPolynomial._from_numerators`).
     """
     if k < 0:
         raise DegreeError(f"negative degree {k}")
@@ -278,9 +272,10 @@ def solve_homological(k: int, rhs: QHPolynomial) -> HomologicalSolution:
     terms = {}
     for l in range(top + 1):
         d = k - 2 * l
-        for b, c in enumerate(levels[l]):
-            if c[1]:
-                terms[Monomial3(d - b, b, l)] = _param_polynomial(c, params)
+        for b, (den, nums) in enumerate(levels[l]):
+            if nums:
+                terms[Monomial3(d - b, b, l)] = ParamPolynomial._from_numerators(
+                    nums, den, params)
     return HomologicalSolution(solution=QHPolynomial._wrap(terms, params),
                                residual=residual)
 

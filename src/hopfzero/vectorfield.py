@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, Tuple
 
-from .coeffring import ParamPolynomial, RationalLike
+from .coeffring import ParamPolynomial, RationalLike, _format_terms, _merged
 from .gradedpoly import (VAR_NAMES, QHPolynomial, _integer_partial, _integer_terms,
                          _mul_accumulate)
 
@@ -146,21 +146,9 @@ class Poly2:
 
     def __init__(self, terms: Mapping[tuple, ParamPolynomial], params: Iterable[str]):
         params = tuple(params)
-        clean = {}
-        for m, c in terms.items():
-            m = (int(m[0]), int(m[1]))
-            if not isinstance(c, ParamPolynomial):
-                c = ParamPolynomial.constant(c, params)
-            if c:
-                prev = clean.get(m)
-                c = prev + c if prev is not None else c
-                if c:
-                    clean[m] = c
-                elif m in clean:
-                    del clean[m]
-        object.__setattr__(self, "terms",
-                           dict(sorted(clean.items(),
-                                       key=lambda kv: (sum(kv[0]), kv[0][1]))))
+        merged = _merged((((int(m[0]), int(m[1])), c) for m, c in terms.items()),
+                         lambda m: (sum(m), m[1]), params)
+        object.__setattr__(self, "terms", merged)
         object.__setattr__(self, "params", params)
 
     def __setattr__(self, name, value):
@@ -178,36 +166,7 @@ class Poly2:
         return self.params == other.params and self.terms == other.terms
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, coeff in self.terms.items():
-            factors = []
-            for name, e in zip(PLANAR_VARS, m):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            mono = "*".join(factors)
-            ct = str(coeff)
-            if not mono:
-                body = ct
-            elif ct == "1":
-                body = mono
-            elif ct == "-1":
-                body = "-" + mono
-            elif " " in ct:
-                body = f"({ct})*{mono}"
-            else:
-                body = f"{ct}*{mono}"
-            parts.append(body)
-        text = parts[0]
-        for body in parts[1:]:
-            if body.startswith("-"):
-                text += " - " + body[1:]
-            else:
-                text += " + " + body
-        return text
+        return _format_terms(self.terms, PLANAR_VARS)
 
     def __repr__(self) -> str:
         return f"Poly2({self})"

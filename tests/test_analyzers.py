@@ -235,6 +235,16 @@ class TestClassify:
             QHPolynomial({(0, 0, 2): 1}, ()))
         assert hz.classify(field, 4).case_tag is CaseTag.B2
 
+    @pytest.mark.parametrize("max_index", [0, -1])
+    def test_rejects_max_index_below_one(self, max_index):
+        # before the resonant-shape shortcut, which would answer without it
+        b2 = hz.principal_part(()) + VectorField3(
+            QHPolynomial.zero(()), QHPolynomial.zero(()),
+            QHPolynomial({(0, 0, 2): 1}, ()))
+        for field in (hz.principal_part(()), b2):
+            with pytest.raises(hz.DegreeError):
+                hz.classify(field, max_index)
+
     def test_b3_shape_with_pair(self):
         # a z D0-part and b z^2 with 2a + 2b = 0
         field = hz.principal_part(()) + VectorField3(
@@ -281,10 +291,6 @@ class TestClassify:
         assert verdict.case_tag is CaseTag.SYMBOLIC
         methods = {seq.method for seq in verdict.obstructions}
         assert methods == {Method.JACOBI_H, Method.JACOBI_H2}
-
-    def test_require_definitive_raises_on_symbols(self, family38):
-        with pytest.raises(hz.ParameterError):
-            hz.classify(family38, 3, require_definitive=True)
 
     def test_verdict_determinism(self, family37):
         values = {"a001": 1, "b200": 0, "c030": 0}

@@ -161,6 +161,14 @@ class TestPrinting:
             reparsed = hz.parse_polynomial(str(p), PARAMS)
             assert reparsed == p
 
+    def test_strings(self):
+        p = ParamPolynomial({(2, 0): -1, (1, 1): Fraction(3, 2), (0, 1): 1, (0, 0): -4},
+                            ("a", "b"))
+        assert str(p) == "-a^2 + 3/2*a*b + b - 4"
+        q = ParamPolynomial({(0, 2): Fraction(-1, 3), (1, 0): -1}, ("a", "b"))
+        assert str(q) == "-1/3*b^2 - a"
+        assert str(ParamPolynomial.zero(("a",))) == "0"
+
     def test_substitute(self):
         p = var("a") ** 2 + var("b").scale(3)
         assert p.substitute({"a": 2, "b": -1}) == const(1)

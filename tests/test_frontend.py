@@ -143,6 +143,14 @@ class TestCli:
         assert seq["entries"]["3"] == "0"
         assert seq["reduced_entries"]["8"] == "0"
 
+    def test_obstructions_mode_defaults_to_first_integral(self, family37_file):
+        code, out = hz.run_cli(["obstructions", family37_file, "--max-degree", "4",
+                                "--json"])
+        assert code == 0
+        report = json.loads(out)
+        jsonschema.validate(report, hz.REPORT_SCHEMA)
+        assert [seq["method"] for seq in report["obstructions"]] == ["FIRST_INTEGRAL"]
+
     def test_reduce_subcommand(self, family37_file):
         code, out = hz.run_cli(["reduce", family37_file, "--max-degree", "2",
                                 "--param", "a001=1", "--param", "b200=0",

@@ -55,7 +55,8 @@ def fixture_with(*expect_lines):
 
 
 @pytest.mark.parametrize("line", ["zero = 3", "param = 1", "entry = 0", "reduced = 2",
-                                  "a = 1", "max_index = seven", "zero entries = 3 x"])
+                                  "a = 1", "max_index = seven", "zero entries = 3 x",
+                                  "max_index = 0", "max_index = -2", "param q = 1"])
 def test_malformed_expect_line_is_a_parse_error(line):
     with pytest.raises(ParseError) as err:
         hz.parse_fixture(fixture_with("case = B1", line), "malformed")

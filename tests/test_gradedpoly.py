@@ -103,6 +103,32 @@ class TestPartial:
             assert euler == f.scale(k)
 
 
+class TestPrinting:
+    """Every branch of the printer: a constant term, coefficients 1 and -1, a
+    negative rational, one-term and multi-term parameter coefficients, the
+    latter leading and not leading."""
+
+    PARAMS = ("a", "b")
+
+    def test_strings(self):
+        a = ParamPolynomial.variable("a", self.PARAMS)
+        b = ParamPolynomial.variable("b", self.PARAMS)
+        f = QH({(0, 0, 0): Fraction(-3, 2), (1, 0, 0): 1, (0, 1, 0): -1,
+                (2, 0, 0): Fraction(-5, 7), (1, 1, 0): -a, (0, 2, 0): a.scale(Fraction(2, 3)),
+                (0, 0, 1): b.scale(2) - a}, self.PARAMS)
+        assert str(f) == "-3/2 + x - y - 5/7*x^2 - a*x*y + 2/3*a*y^2 + (-a + 2*b)*z"
+        g = QH({(0, 1, 0): a - b.scale(2), (0, 0, 1): 2}, self.PARAMS)
+        assert str(g) == "(a - 2*b)*y + 2*z"
+        h = QH({(0, 0, 0): b - a, (1, 0, 0): Fraction(-1, 2)}, self.PARAMS)
+        assert str(h) == "-a + b - 1/2*x"
+        assert str(QH({}, self.PARAMS)) == "0"
+        assert str(QH({(0, 0, 2): -1})) == "-z^2"
+
+    def test_coefficient_ring_is_checked(self):
+        with pytest.raises(ValueError):
+            QH({(1, 0, 0): ParamPolynomial.constant(1, ("a",))}, ())
+
+
 class TestMultiplication:
     def test_grading_respects_product(self, rng):
         f = random_qh_slice(rng, 2) + random_qh_slice(rng, 4)

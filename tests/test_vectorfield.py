@@ -1,7 +1,11 @@
-import hopfzero as hz
-from hopfzero import QHPolynomial, VectorField3
+from fractions import Fraction
 
-from conftest import random_field_component, random_ppoly
+import pytest
+
+import hopfzero as hz
+from hopfzero import ParamPolynomial, Poly2, QHPolynomial, VectorField3
+
+from conftest import Pairs, random_field_component, random_ppoly
 from oracle import (directional_derivative_sympy, divergence_sympy,
                     field_to_sympy, qh_to_sympy, truncate_sympy)
 
@@ -155,3 +159,29 @@ class TestLieBracket:
                 expected = full[comp] if cap is None else \
                     truncate_sympy(full[comp], cap + (2 if comp == 2 else 1))
                 assert sp.expand(got[comp] - expected) == 0
+
+
+class TestPoly2:
+    def test_strings(self):
+        # the branches of the printer, as for QHPolynomial
+        params = ("a", "b")
+        a = ParamPolynomial.variable("a", params)
+        b = ParamPolynomial.variable("b", params)
+        p = Poly2({(0, 0): Fraction(-3, 2), (1, 0): 1, (0, 1): -1, (2, 0): Fraction(-5, 7),
+                   (1, 1): -a, (0, 2): a.scale(Fraction(2, 3)), (3, 0): b.scale(2) - a},
+                  params)
+        assert str(p) == "-3/2 + u - v - 5/7*u^2 - a*u*v + 2/3*a*v^2 + (-a + 2*b)*u^3"
+        assert str(Poly2({(1, 0): a - b.scale(2), (0, 1): 2}, params)) == "(a - 2*b)*u + 2*v"
+        assert str(Poly2({(0, 0): b - a, (1, 0): Fraction(-1, 2)}, params)) == "-a + b - 1/2*u"
+        assert str(Poly2({}, params)) == "0"
+        assert str(Poly2({(0, 2): -1}, ())) == "-v^2"
+
+    def test_terms_merge_and_sort(self):
+        p = Poly2({(0, 1): 1, (2, 0): 3, (1, 0): -1}, ())
+        assert list(p.terms) == [(1, 0), (0, 1), (2, 0)]
+        assert Poly2(Pairs([((1, 0), 1), ([1, 0], -1)]), ()).is_zero()
+        assert Poly2(Pairs([((1, 0), 1), ([1, 0], 1)]), ()) == Poly2({(1, 0): 2}, ())
+
+    def test_coefficient_ring_is_checked(self):
+        with pytest.raises(ValueError):
+            Poly2({(1, 0): ParamPolynomial.constant(1, ("a",))}, ())

@@ -8,6 +8,8 @@ Runs, from the checkout's `src/`:
 - the family-37 `orbital_normal_form`, symbolic at index 4, at the
   benchmark's `seed_point(1..3)` at index 5, and at `seed_point(1)` at
   index 8, which covers the degree solves up to s = 16;
+- the `planar_reduction` of the symbolic family-37 normal form at index 3,
+  whose `Poly2` components print multi-term parameter coefficients;
 - the normal form `classify` reports, for family 37 at `seed_point(1)` with
   max_index 8 (first resonant index 1) and for a field whose first resonant
   index is 5 with max_index 7; its field is written truncated at degree
@@ -38,7 +40,7 @@ from hzbench.workloads import family37_field, seed_point  # noqa: E402
 def describe(value) -> str:
     if isinstance(value, hz.ParamPolynomial):
         return f"{value} | {list(value.terms.items())!r} | {hash(value)}"
-    if isinstance(value, hz.QHPolynomial):
+    if isinstance(value, (hz.QHPolynomial, hz.Poly2)):
         items = tuple(value.terms.items())
         order = [(tuple(m), list(c.terms.items())) for m, c in items]
         return f"{value} | {order!r} | {hash(items)}"
@@ -82,6 +84,10 @@ def dump_lines():
     runs.append(("seed_point(1) index 8", symbolic.substitute_params(seed_point(1)), 8))
     for label, field, index in runs:
         yield from normal_form_lines(f"nf {label}", hz.orbital_normal_form(field, index))
+
+    planar = hz.planar_reduction(hz.orbital_normal_form(symbolic, 3))
+    yield f"planar symbolic index 3 du: {describe(planar.pu)}"
+    yield f"planar symbolic index 3 dv: {describe(planar.pv)}"
 
     resonant_at_5, _ = hz.normalize_principal_part(
         hz.parse_system(RESONANT_AT_5).to_field())
