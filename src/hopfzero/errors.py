@@ -9,6 +9,7 @@ class ParseError(HopfZeroError):
     """Syntax or grammar error in an input file, with source position."""
 
     def __init__(self, message, line=None, column=None):
+        self.message = message
         self.line = line
         self.column = column
         loc = ""

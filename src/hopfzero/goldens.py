@@ -33,6 +33,7 @@ corpus.
 from __future__ import annotations
 
 import pathlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -66,6 +67,16 @@ class GoldenResult:
     @property
     def passed(self) -> bool:
         return not self.failures
+
+
+@contextmanager
+def _naming(name: str):
+    """Re-raise a ParseError of the fixture's system text with the fixture's
+    name, at the same line and column."""
+    try:
+        yield
+    except ParseError as exc:
+        raise ParseError(f"fixture {name}: {exc.message}", exc.line, exc.column) from None
 
 
 def parse_fixture(text: str, name: str) -> GoldenCase:
@@ -109,7 +120,8 @@ def parse_fixture(text: str, name: str) -> GoldenCase:
                                      "max_index must be at least 1", lineno)
             elif head == "param":
                 if declared is None:
-                    declared = parse_system(system_text).parameter_names
+                    with _naming(name):
+                        declared = parse_system(system_text).parameter_names
                 if key_parts[1] not in declared:
                     raise ParseError(f"fixture {name}: malformed expect line {line!r}: "
                                      f"parameter {key_parts[1]!r} is not declared", lineno)
@@ -162,7 +174,8 @@ def run_golden(case: GoldenCase) -> GoldenResult:
     """Build the case's report with `build_report`, as `hopfzero --json` does,
     and check every expectation against it."""
     result = GoldenResult(name=case.name, origin=case.origin)
-    source, field3, scalings = load_system(case.system_text)
+    with _naming(case.name):
+        source, field3, scalings = load_system(case.system_text)
 
     def poly(text: str) -> ParamPolynomial:
         return parse_polynomial(text, source.parameter_names)

@@ -13,16 +13,20 @@ coefficients, checks the coefficient ring and merges and sorts terms
 (`coeffring._merged`, which `vectorfield.Poly2` shares).  Operations build
 their results through the private `_wrap`, which trusts its caller to pass a
 term dict that already holds the invariant.  Every product (`mul`, the
-directional derivatives and Lie brackets of `vectorfield`, and the
-obstruction driver's known terms) goes through one multiply-accumulate
-kernel, `_mul_accumulate`.  Its operands are first converted by
-`_integer_terms` to integer numerators over one common denominator, and
-partial derivatives are taken from the converted form (`_integer_partial`,
-which `partial` also uses), so each coefficient is read once; the kernel
-sums Python `int`s, and each output coefficient's numerators become
-`Fraction`s in `ParamPolynomial._from_numerators`.  `QHPolynomial`,
-`Poly2` and `ParamPolynomial` print through one function,
-`coeffring._format_terms`.
+directional derivatives and Lie brackets of `vectorfield`, the normal-form
+Lie series and the known terms of the obstruction sequences) goes through
+one multiply-accumulate kernel, `_accumulate`.  Its operands are first
+converted by `_integer_terms` to integer numerators over one common
+denominator, and partial derivatives are taken from the converted form
+(`_integer_partial`, which `partial` also uses), so each coefficient is read
+once; the kernel sums Python `int`s, one per output monomial when every
+operand coefficient is a constant.  It has two tails: `_mul_accumulate`
+makes each output coefficient's numerators `Fraction`s in
+`ParamPolynomial._from_numerators`, and `_mul_integer` leaves them
+integers, divided by their content gcd, for a caller that feeds the result
+into the next product, as the Lie series does.  `_from_integer_terms` turns
+a converted form back into a `QHPolynomial`.  `QHPolynomial`, `Poly2` and
+`ParamPolynomial` print through one function, `coeffring._format_terms`.
 """
 
 from __future__ import annotations
@@ -235,11 +239,7 @@ class QHPolynomial:
 
     def partial(self, var: str) -> "QHPolynomial":
         # `_integer_partial` keeps canonical order and leaves no zero term
-        den, terms = _integer_partial(_integer_terms(self), var)
-        return QHPolynomial._wrap(
-            {tuple.__new__(Monomial3, t[:3]):
-             ParamPolynomial._from_numerators(dict(t[3]), den, self.params) for t in terms},
-            self.params)
+        return _from_integer_terms(_integer_partial(_integer_terms(self), var), self.params)
 
     def substitute_params(self, values: Mapping[str, RationalLike]) -> "QHPolynomial":
         out = {}
@@ -291,26 +291,47 @@ def _integer_partial(converted: IntegerTerms, var: str) -> IntegerTerms:
     return common, out
 
 
-def _mul_accumulate(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
-                    minus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
-                    params: Tuple[str, ...],
-                    max_degree: Optional[int] = None) -> QHPolynomial:
-    """sum(a * b for a, b in plus) - sum(a * b for a, b in minus) over
-    operands converted by `_integer_terms`, without the monomials of degree
-    above `max_degree` when a cap is given.
+def _from_integer_terms(converted: IntegerTerms, params: Tuple[str, ...]) -> QHPolynomial:
+    """The polynomial of a zero-free converted form, in its monomial order:
+    one `Fraction` per numerator, through `ParamPolynomial._from_numerators`."""
+    den, terms = converted
+    return QHPolynomial._wrap(
+        {tuple.__new__(Monomial3, t[:3]):
+         ParamPolynomial._from_numerators(dict(t[3]), den, params) for t in terms},
+        params)
 
-    The products are exact in integers: with `common` the lcm of the pairs'
-    `Da * Db`, each pair's numerator products are scaled by
-    `common // (Da * Db)` (negated for `minus`) and summed into one
-    exponent -> int map per output monomial.  At the end each nonzero sum
-    becomes one `Fraction(n, common)`, which reduces to lowest terms, and the
-    monomials are sorted once.  Each `b` is bucketed by degree, and the terms
-    of `a` come in ascending degree, so the pairs above the cap are cut off
-    with a `break` rather than tested one by one.
+
+def _is_constant(converted: IntegerTerms) -> bool:
+    """Whether every coefficient is one term with all-zero exponents, as in a
+    field bound to a numeric point, whatever its parameter table."""
+    for term in converted[1]:
+        items = term[3]
+        if len(items) != 1 or any(items[0][0]):
+            return False
+    return True
+
+
+def _accumulate(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
+                minus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
+                max_degree: Optional[int]) -> Tuple[int, Dict[tuple, dict]]:
+    """The integer core of `_mul_accumulate` and `_mul_integer`:
+    `(common, acc)`, where `acc`
+    maps each output monomial (a plain tuple) to its exponent -> numerator
+    sums over `common`, zero sums and monomials included, in no set order.
+
+    With `common` the lcm of the pairs' `Da * Db`, each pair's numerator
+    products are scaled by `common // (Da * Db)` (negated for `minus`).  Each
+    `b` is bucketed by degree, and the terms of `a` come in ascending degree,
+    so the pairs above the cap are cut off with a `break` rather than tested
+    one by one.  When every operand coefficient is constant (`_is_constant`),
+    each monomial sums one `int`, without the exponent dict and the
+    per-product `tuple(map(add, ...))`.
     """
     cap = math.inf if max_degree is None else max_degree
+    operands = [x for pairs in (plus, minus) for pair in pairs for x in pair]
     common = math.lcm(*(a[0] * b[0] for pairs in (plus, minus) for a, b in pairs))
-    acc: Dict[tuple, dict] = {}
+    constant = all(map(_is_constant, operands))
+    acc: Dict[tuple, object] = {}
     for sign, pairs in ((1, plus), (-1, minus)):
         for (da, a_terms), (db, b_terms) in pairs:
             if not a_terms or not b_terms:
@@ -321,12 +342,21 @@ def _mul_accumulate(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
                 d = term[0] + term[1] + 2 * term[2]
                 if not buckets or buckets[-1][0] != d:
                     buckets.append((d, []))
-                buckets[-1][1].append(term)
+                buckets[-1][1].append((*term[:3], term[3][0][1]) if constant else term)
             lowest = buckets[0][0]
             for ax, ay, az, a_items in a_terms:
                 room = cap - (ax + ay + 2 * az)
                 if room < lowest:
                     break
+                if constant:
+                    na = a_items[0][1] * scale
+                    for d, bucket in buckets:
+                        if d > room:
+                            break
+                        for bx, by, bz, nb in bucket:
+                            key = (ax + bx, ay + by, az + bz)
+                            acc[key] = acc.get(key, 0) + na * nb
+                    continue
                 a_items = [(e, n * scale) for e, n in a_items]
                 for d, bucket in buckets:
                     if d > room:
@@ -340,12 +370,50 @@ def _mul_accumulate(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
                             for eb, nb in b_items:
                                 e = tuple(map(add, ea, eb))
                                 out[e] = out.get(e, 0) + na * nb
+    if constant and acc:
+        zero = next(x[1][0][3][0][0] for x in operands if x[1])
+        acc = {key: {zero: n} for key, n in acc.items()}
+    return common, acc
+
+
+def _mul_accumulate(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
+                    minus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
+                    params: Tuple[str, ...],
+                    max_degree: Optional[int] = None) -> QHPolynomial:
+    """sum(a * b for a, b in plus) - sum(a * b for a, b in minus) over
+    operands converted by `_integer_terms`, without the monomials of degree
+    above `max_degree` when a cap is given.
+
+    The products are exact in integers (`_accumulate`).  At the end each
+    nonzero sum becomes one `Fraction(n, common)`, which reduces to lowest
+    terms, and the monomials are sorted once.
+    """
+    common, acc = _accumulate(plus, minus, max_degree)
     terms = {}
     for key in sorted(acc, key=_mono_sort_key):
         coeff = ParamPolynomial._from_numerators(acc[key], common, params)
         if coeff.terms:
             terms[tuple.__new__(Monomial3, key)] = coeff
     return QHPolynomial._wrap(terms, params)
+
+
+def _mul_integer(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
+                 minus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
+                 max_degree: Optional[int] = None) -> IntegerTerms:
+    """The sum `_mul_accumulate` returns, left in converted form: zero-free,
+    the monomials in canonical order, and numerators and denominator divided
+    by their gcd, so that a chain of products, such as the terms of a Lie
+    series, does not grow its denominators."""
+    common, acc = _accumulate(plus, minus, max_degree)
+    terms = []
+    for key in sorted(acc, key=_mono_sort_key):
+        items = [(e, n) for e, n in acc[key].items() if n]
+        if items:
+            terms.append((*key, items))
+    g = math.gcd(common, *(n for *_, items in terms for _, n in items))
+    if g > 1:
+        terms = [(*t[:3], [(e, n // g) for e, n in t[3]]) for t in terms]
+    return common // g, terms
 
 
 def qh_decompose(f: QHPolynomial) -> Dict[int, QHPolynomial]:

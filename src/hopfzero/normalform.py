@@ -12,7 +12,9 @@ three slice solves plus a division by x^2 + y^2 (`_solve_degree`).  After
 each solve the actual transformation (time factor 1 + mu, then the
 exponential of the generator's adjoint action) is applied and the achieved
 slice is checked exactly, so the returned coefficients are verified, not
-inferred.
+inferred.  The exponential's Lie series is summed on integer numerators in
+`apply_generator_step`, and its numerators become `Fraction`s once per step,
+in the kernel call that sums each component.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .coeffring import ParamPolynomial, Rational
 from .errors import DegreeError, PrincipalPartError, StructureError
-from .gradedpoly import Monomial3, QHPolynomial
+from .gradedpoly import Monomial3, QHPolynomial, _integer_terms, _mul_accumulate
 from .homological import solve_homological
-from .vectorfield import PlanarVectorField, Poly2, VectorField3, lie_bracket
+from .vectorfield import (PlanarVectorField, Poly2, VectorField3, _integer_bracket,
+                          _integer_field)
 
 
 def principal_part(params: Iterable[str] = ()) -> VectorField3:
@@ -77,24 +80,37 @@ def apply_generator_step(field: VectorField3, step: GeneratorStep,
                          max_field_degree: int) -> VectorField3:
     """Apply one step: scale time by (1 + reparam), then push along the
     generator's flow via the exponential of the adjoint action, truncating
-    above the working degree."""
+    above the working degree.
+
+    The series current + sum_j ad_g^j(current) / j! runs on integer
+    numerators: the generator and its nine partials are converted once
+    (`_integer_field`), and each term is the bracket of the generator with
+    the previous term's converted form (`_integer_bracket`).  Each component
+    of the sum is one `_mul_accumulate` of term j times the constant 1/j!,
+    over the lcm of the `j! * D_j`, so the numerators become `Fraction`s
+    once, one per output coefficient.
+    """
     if step.reparam:
         one = QHPolynomial.constant(1, field.params)
         current = field.scale_poly(one + step.reparam, max_field_degree)
     else:  # scaling by 1 only truncates
         current = field.truncate(max_field_degree)
-    result = current
-    term = current
-    j = 1
+    params = current.params
+    generator = _integer_field(step.generator)
+    term = [_integer_terms(c) for c in current.components]
+    series = [term]
     while True:
-        term = lie_bracket(step.generator, term, max_field_degree)
-        if term.is_zero():
+        term = _integer_bracket(generator, term, max_field_degree)
+        if not any(terms for _, terms in term):
             break
-        result = result + term.scale(Fraction(1, factorial(j)))
-        j += 1
-        if j > 4 * max_field_degree + 8:
+        series.append(term)
+        if len(series) > 4 * max_field_degree + 8:
             raise StructureError("adjoint exponential failed to terminate")
-    return result
+    unit = (0,) * len(params)
+    inverse_factorials = [(factorial(j), [(0, 0, 0, [(unit, 1)])]) for j in range(len(series))]
+    return VectorField3(*(
+        _mul_accumulate([(t[i], c) for t, c in zip(series, inverse_factorials)], (), params)
+        for i in range(3)))
 
 
 def _resonant_field(s: int, a: ParamPolynomial, b: ParamPolynomial,

@@ -8,11 +8,11 @@ normal form.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .coeffring import ParamPolynomial, RationalLike, _format_terms, _merged
-from .gradedpoly import (VAR_NAMES, QHPolynomial, _integer_partial, _integer_terms,
-                         _mul_accumulate)
+from .gradedpoly import (VAR_NAMES, IntegerTerms, QHPolynomial, _from_integer_terms,
+                         _integer_partial, _integer_terms, _mul_accumulate, _mul_integer)
 
 
 class VectorField3:
@@ -116,21 +116,42 @@ def lie_bracket(f: VectorField3, g: VectorField3,
                 max_field_degree: int | None = None) -> VectorField3:
     """[f, g] = Dg.f - Df.g; maps degrees (j, k) into degree j + k.
 
-    Each component is one multiply-accumulate: grad(g_i) . f - grad(f_i) . g.
-    The six components are converted to integer numerators once, and the 18
-    partial derivatives are taken from those converted forms.
+    The `VectorField3` wrapper of `_integer_bracket`: both fields are
+    converted to integer numerators once, and the bracket's components
+    become `Fraction`s once, in `_from_integer_terms`.
     """
     if f.params != g.params:
         raise ValueError("parameter tables differ")
+    comps = _integer_bracket(_integer_field(f), [_integer_terms(c) for c in g.components],
+                             max_field_degree)
+    return VectorField3(*(_from_integer_terms(c, f.params) for c in comps))
+
+
+IntegerField = Tuple[List[IntegerTerms], List[List[IntegerTerms]]]
+
+
+def _integer_field(f: VectorField3) -> IntegerField:
+    """The components of `f` converted by `_integer_terms`, with their nine
+    partial derivatives, `partials[i][v]` that of component i in variable v."""
+    comps = [_integer_terms(c) for c in f.components]
+    return comps, [[_integer_partial(c, v) for v in VAR_NAMES] for c in comps]
+
+
+def _integer_bracket(f: IntegerField, g: List[IntegerTerms],
+                     max_field_degree: int | None = None) -> List[IntegerTerms]:
+    """The components of [f, g] in converted form (`_mul_integer`), for `f`
+    as `_integer_field` gives it and `g` a list of three converted components.
+
+    Each component is one multiply-accumulate: grad(g_i) . f - grad(f_i) . g.
+    The nine partials of `g` are taken here; those of `f` come with it, so a
+    caller that brackets one field with many reuses them.
+    """
+    f_comps, f_partials = f
     cap1 = None if max_field_degree is None else max_field_degree + 1
     cap2 = None if max_field_degree is None else max_field_degree + 2
-    f_terms = [_integer_terms(c) for c in f.components]
-    g_terms = [_integer_terms(c) for c in g.components]
-    return VectorField3(*(
-        _mul_accumulate([(_integer_partial(gi, v), fv) for v, fv in zip(VAR_NAMES, f_terms)],
-                        [(_integer_partial(fi, v), gv) for v, gv in zip(VAR_NAMES, g_terms)],
-                        f.params, cap)
-        for fi, gi, cap in zip(f_terms, g_terms, (cap1, cap1, cap2))))
+    return [_mul_integer([(_integer_partial(gi, v), fv) for v, fv in zip(VAR_NAMES, f_comps)],
+                         list(zip(fi_partials, g)), cap)
+            for fi_partials, gi, cap in zip(f_partials, g, (cap1, cap1, cap2))]
 
 
 # --------------------------------------------------------------------------

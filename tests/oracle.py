@@ -6,7 +6,9 @@ engine's calculus is never used to verify itself.  `lie_operator_matrix` and
 normalization, which the engine itself no longer builds.  `Elimination` and
 `elimination_solve_degree` are the generic sparse elimination and the
 normal-form degree solve built on it, which the engine's structured solves
-replaced; the tests pin those solves against them.
+replaced; the tests pin those solves against them.  `lie_series_step` is the
+adjoint exponential summed in `Fraction` arithmetic, the reference for the
+engine's integer Lie series.
 """
 
 import math
@@ -244,6 +246,29 @@ def h_component(f, m):
     if const is None:
         return ParamPolynomial.zero(params)
     return const.scale(Fraction(1, 4 ** m * math.factorial(m) ** 2))
+
+
+def lie_series_step(field, step, max_field_degree):
+    """`apply_generator_step` through the public calculus: each series term
+    the `lie_bracket` of the generator with the previous one, summed with
+    `scale` and `+` in `Fraction` arithmetic."""
+    if step.reparam:
+        one = QHPolynomial.constant(1, field.params)
+        current = field.scale_poly(one + step.reparam, max_field_degree)
+    else:
+        current = field.truncate(max_field_degree)
+    result = current
+    term = current
+    j = 1
+    while True:
+        term = hz.lie_bracket(step.generator, term, max_field_degree)
+        if term.is_zero():
+            break
+        result = result + term.scale(Fraction(1, math.factorial(j)))
+        j += 1
+        if j > 4 * max_field_degree + 8:
+            raise hz.StructureError("adjoint exponential failed to terminate")
+    return result
 
 
 class Elimination:

@@ -115,3 +115,17 @@ def test_wrong_expectation_is_reported(kind):
     result = hz.run_golden(dataclasses.replace(case, expectations=expectations))
     assert len(result.failures) == 1, result.failures
     assert result.failures[0].startswith(message)
+
+
+# a system text that ends mid-expression on line 2
+BAD_SYSTEM = "params a001\ndx = -2*y + a001*z +\ndy = 2*x\ndz = x^2 + y^2\n"
+
+
+@pytest.mark.parametrize("bindings", ["", "  param a001 = 1\n"], ids=["run", "binding"])
+def test_bad_system_text_names_the_fixture(bindings):
+    # without a binding the system is parsed by run_golden, with one by parse_fixture
+    text = BAD_SYSTEM + "expect {\n" + bindings + "  case = B1\n}\n"
+    with pytest.raises(ParseError) as err:
+        hz.run_golden(hz.parse_fixture(text, "badsys"))
+    assert str(err.value) == "fixture badsys: unexpected end of expression at line 2"
+    assert err.value.line == 2

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import hopfzero as hz
 from hopfzero import DegreeError, Monomial3, ParamPolynomial, QHPolynomial, VectorField3
 from hopfzero.coeffring import _term_sort_key
-from hopfzero.gradedpoly import (_integer_partial, _integer_terms, _mono_sort_key,
-                                 _mul_accumulate)
+from hopfzero.gradedpoly import (_from_integer_terms, _integer_partial, _integer_terms,
+                                 _is_constant, _mono_sort_key, _mul_accumulate, _mul_integer)
 
 from conftest import Pairs, random_qh_slice
 from oracle import h_component
@@ -260,6 +260,11 @@ class TestCanonicalResults:
         # f g - g f: every output sum cancels to an exact zero inside the kernel
         tf, tg = _integer_terms(f), _integer_terms(g)
         assert _mul_accumulate([(tf, tg)], [(tg, tf)], f.params, cap).terms == {}
+        assert _mul_integer([(tf, tg)], [(tg, tf)], cap) == (1, [])
+        # the integer output is the same product, in lowest terms as a whole
+        den, terms = _mul_integer([(tf, tg)], [], cap)
+        assert math.gcd(den, *(n for *_, items in terms for _, n in items)) == 1
+        assert _from_integer_terms((den, terms), f.params) == f.mul(g, cap)
 
     def test_mul_cancels_to_exact_zero_over_coprime_denominators(self):
         f = QH({(1, 0, 0): Fraction(1, 9973), (0, 1, 0): Fraction(1, 7919)})
@@ -367,3 +372,23 @@ class TestCanonicalResults:
             minus = [(f.components[i].partial(v), gv) for v, gv in zip("xyz", g.components)]
             assert comp == model_product(plus, minus, f.params, c)
         assert hz.lie_bracket(f, f, cap).is_zero()
+
+    @_FEW
+    @given(st.lists(_graded(("a001", "b200", "c030")), min_size=6, max_size=6), _CAPS)
+    def test_constant_operands(self, polys, cap):
+        # operands bound to a point keep their parameter table; the kernel's
+        # constant path must give the symbolic product at that point
+        point = {"a001": Fraction(1, 3), "b200": Fraction(-5, 2), "c030": Fraction(7, 4)}
+        params = polys[0].params
+        bound = [p.substitute_params(point) for p in polys]
+        assert all(_is_constant(_integer_terms(p)) for p in bound)
+
+        def product(ps):
+            t = [_integer_terms(p) for p in ps]
+            return _mul_accumulate([(t[0], t[1]), (t[2], t[3])], [(t[4], t[5])], params, cap)
+
+        got, want = product(bound), product(polys).substitute_params(point)
+        assert_canonical(got)
+        assert got.params == params
+        assert ([(m, list(c.terms.items())) for m, c in got.terms.items()]
+                == [(m, list(c.terms.items())) for m, c in want.terms.items()])

@@ -1,18 +1,23 @@
+import random
 from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hopfzero as hz
 from hopfzero import (Monomial3, ParamPolynomial, PrincipalPartError,
                       QHPolynomial, StructureError, VectorField3)
-from hopfzero import normalform
-from hopfzero.normalform import _divide_by_h, _solve_degree
+from hopfzero import normalform, vectorfield
+from hopfzero.gradedpoly import _integer_terms, _is_constant
+from hopfzero.normalform import GeneratorStep, _divide_by_h, _solve_degree
 
 from conftest import (field_from_text, random_field_component,
                       random_perturbed_field, random_ppoly)
 from oracle import (Elimination, degree2_orbital_normal_form, degree_system,
-                    elimination_solve_degree, field_to_sympy, ppoly_to_sympy)
+                    elimination_solve_degree, field_to_sympy, lie_series_step,
+                    ppoly_to_sympy)
 
 
 def conjugate_scaling(field, lam, sigma):
@@ -263,6 +268,90 @@ def param_field_component(rng, s, params):
                              if rng.random() < 0.7}, params)
 
     return VectorField3(component(s + 1), component(s + 1), component(s + 2))
+
+
+SERIES_PARAMS = ("a001", "b200", "c030")
+SERIES_POINT = {"a001": Fraction(1, 3), "b200": Fraction(-5, 2), "c030": Fraction(7, 4)}
+
+
+def series_case(rng, kind, max_field_degree, s):
+    """A field through `max_field_degree` and a degree-s step over SERIES_PARAMS.
+
+    `symbolic` coefficients are integer parameter polynomials, `rational`
+    ones are those scaled by non-integer fractions, `bound` ones are those
+    at SERIES_POINT (constant, with the parameter table kept), and `mixed`
+    is a bound case whose field has one coefficient b200 times an integer."""
+    def component(d):
+        c = param_field_component(rng, d, SERIES_PARAMS)
+        if kind == "rational":
+            c = c.scale(Fraction(rng.randint(1, 5), rng.choice((2, 3, 7, 12))))
+        return c.substitute_params(SERIES_POINT) if kind in ("bound", "mixed") else c
+
+    field = hz.principal_part(SERIES_PARAMS)
+    for d in range(1, max_field_degree + 1):
+        field = field + component(d)
+    generator = component(s)
+    reparam = generator.fz.slice(s) if rng.random() < 0.5 else QHPolynomial.zero(SERIES_PARAMS)
+    if kind == "mixed":  # one coefficient becomes a single parameter term
+        b200 = ParamPolynomial.variable("b200", SERIES_PARAMS).scale(rng.randint(1, 3))
+        fx = QHPolynomial({**field.fx.terms, Monomial3(0, 2, 0): b200}, SERIES_PARAMS)
+        field = VectorField3(fx, field.fy, field.fz)
+    return field, GeneratorStep(degree=s, generator=generator, reparam=reparam)
+
+
+def stored_terms(field):
+    """Every term of a field in stored order, each coefficient's included."""
+    return [[(tuple(m), list(c.terms.items())) for m, c in comp.terms.items()]
+            for comp in field.components]
+
+
+class TestLieSeries:
+    """apply_generator_step sums the adjoint exponential on integer
+    numerators; the Fraction series of `oracle.lie_series_step` pins it."""
+
+    @settings(max_examples=24, deadline=None)
+    @given(st.sampled_from(["symbolic", "rational", "bound", "mixed"]),
+           st.integers(0, 2 ** 32), st.integers(2, 4), st.data())
+    def test_matches_the_fraction_series(self, kind, seed, max_field_degree, data):
+        s = data.draw(st.integers(1, max_field_degree))
+        field, step = series_case(random.Random(seed), kind, max_field_degree, s)
+        constant = all(_is_constant(_integer_terms(c)) for c in field.components)
+        assert constant == (kind == "bound")
+        got = hz.apply_generator_step(field, step, max_field_degree)
+        want = lie_series_step(field, step, max_field_degree)
+        assert got.params == SERIES_PARAMS
+        assert stored_terms(got) == stored_terms(want)
+
+    def test_generator_partials_are_taken_once_per_step(self, family37, monkeypatch):
+        # per step: the generator's nine partials, then nine per bracket of
+        # the series, the last bracket being the one that comes out zero
+        n = 2
+        nf = hz.orbital_normal_form(family37, n)
+        partials, brackets = [], []
+        partial, bracket = vectorfield._integer_partial, normalform._integer_bracket
+
+        def counting_partial(*args):
+            partials.append(args)
+            return partial(*args)
+
+        def counting_bracket(*args):
+            brackets.append(args)
+            return bracket(*args)
+
+        monkeypatch.setattr(vectorfield, "_integer_partial", counting_partial)
+        monkeypatch.setattr(normalform, "_integer_bracket", counting_bracket)
+        current = family37.truncate(2 * n)
+        series_lengths = []
+        for step in nf.generators:
+            if step.generator.is_zero() and step.reparam.is_zero():
+                continue
+            partials.clear()
+            brackets.clear()
+            current = hz.apply_generator_step(current, step, 2 * n)
+            assert len(partials) == 9 + 9 * len(brackets)
+            series_lengths.append(len(brackets))
+        assert max(series_lengths) >= 3
+        assert current == nf.field
 
 
 class TestFirstResonance:

@@ -6,8 +6,10 @@ Runs, from the checkout's `src/`:
 - for every golden fixture, the field `parse_system` reads from its text,
   the text `to_text` prints back, and the `--json` report through `run_cli`;
 - the family-37 `orbital_normal_form`, symbolic at index 4, at the
-  benchmark's `seed_point(1..3)` at index 5, and at `seed_point(1)` at
-  index 8, which covers the degree solves up to s = 16;
+  benchmark's `seed_point(1..3)` at index 5, at `seed_point(1)` at
+  index 8, which covers the degree solves up to s = 16, and at the
+  non-integer point (1/3, -5/2, 7/4) at index 6, whose constant
+  coefficients have denominators above 1;
 - the `planar_reduction` of the symbolic family-37 normal form at index 3,
   whose `Poly2` components print multi-term parameter coefficients;
 - the normal form `classify` reports, for family 37 at `seed_point(1)` with
@@ -82,6 +84,8 @@ def dump_lines():
     runs += [(f"seed_point({seed})", symbolic.substitute_params(seed_point(seed)), 5)
              for seed in (1, 2, 3)]
     runs.append(("seed_point(1) index 8", symbolic.substitute_params(seed_point(1)), 8))
+    runs.append(("(1/3, -5/2, 7/4) index 6", symbolic.substitute_params(
+        {"a001": hz.rat("1/3"), "b200": hz.rat("-5/2"), "c030": hz.rat("7/4")}), 6))
     for label, field, index in runs:
         yield from normal_form_lines(f"nf {label}", hz.orbital_normal_form(field, index))
 
