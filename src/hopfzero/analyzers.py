@@ -21,9 +21,9 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from .coeffring import ParamPolynomial, Rational, rat
 from .errors import DegreeError, StructureError
-from .gradedpoly import (Monomial3, QHPolynomial, _integer_partial, _integer_terms,
-                         _mul_accumulate)
-from .homological import solve_homological
+from .gradedpoly import (IntegerTerms, Monomial3, QHPolynomial, _accumulate, _integer_partial,
+                         _integer_terms)
+from .homological import _ZERO, _levels_integer_terms, _levels_polynomial, _solve_levels
 from .normalform import (NormalFormResult, ResonanceData, coprime_resonance,
                          first_resonance, orbital_normal_form, principal_part,
                          require_principal_part)
@@ -72,10 +72,9 @@ class ObstructionSequence:
         return next((k for k in sorted(self.entries) if self.entries[k]), None)
 
 
-def _converted_piece(piece: QHPolynomial) -> tuple:
-    """`piece` and its x, y and z partial derivatives, converted by
-    `_integer_terms` once for the driver's known terms."""
-    whole = _integer_terms(piece)
+def _converted_piece(whole: IntegerTerms) -> tuple:
+    """A piece in converted form and its x, y and z partial derivatives, for
+    the driver's known terms."""
     return (whole, *(_integer_partial(whole, v) for v in ("x", "y", "z")))
 
 
@@ -87,14 +86,20 @@ def _obstruction_driver(field: VectorField3, max_index: int, method: Method,
     is linear in its seed, so the h^m-seeded runs span the kernel components
     that a different normalization of the method's own witness may add.
 
-    At each degree d the known part of the defining expression, the sum of
-    grad(W_j) . F_k - W_j div(F_k) over field components F_k and solved
-    pieces W_j with j + k = d, is one `_mul_accumulate` call with the
-    two sides swapped, which gives its negation, the slice solve's
-    right-hand side, directly.  The components, their divergences and each
-    solved piece are converted by `_integer_terms` once, and a piece's three
-    partials are taken from its converted form; a piece's converted forms
-    are dropped when no later degree can read them.
+    Every degree runs on integer numerators.  The known part of the defining
+    expression at degree d, the sum of grad(W_j) . F_k - W_j div(F_k) over
+    field components F_k and solved pieces W_j with j + k = d, is one
+    `_accumulate` call with the two sides swapped, which gives its negation,
+    the slice solve's right-hand side, directly.  Its sums go to
+    `homological._solve_levels` as they are, and the solved levels come back
+    as numerators: the next degrees read the piece in converted form
+    (`_levels_integer_terms`) and take its three partials from that.  The
+    components and their divergences are converted by `_integer_terms` once,
+    and a piece's converted forms are dropped when no later degree can read
+    them.  Numerators become `Fraction`s only where a result is built: one
+    `_from_numerators` per entry and one per witness coefficient
+    (`_levels_polynomial`).  The witness is the pieces concatenated, in
+    ascending degree, which is canonical order.
     """
     if max_index < 1:
         raise DegreeError("max_index must be at least 1")
@@ -117,15 +122,14 @@ def _obstruction_driver(field: VectorField3, max_index: int, method: Method,
     if not base.is_zero():
         raise StructureError("seed term fails the defining identity at its own degree")
 
-    pieces: Dict[int, QHPolynomial] = {seed_degree: seed}
-    converted = {seed_degree: _converted_piece(seed)}
+    pieces = [seed]
+    converted = {seed_degree: _converted_piece(_integer_terms(seed))}
     comp_terms = {k: [_integer_terms(c) for c in f.components]
                   for k, f in components.items()}
     div_terms = {k: _integer_terms(divergence(f))
                  for k, f in components.items()} if use_div else {}
     reach = max(components, default=0)
     entries: Dict[int, ParamPolynomial] = {}
-    zero_p = ParamPolynomial.zero(params)
     for degree in range(seed_degree + 1, 2 * max_index + 1):
         converted.pop(degree - reach - 1, None)  # no later degree reads it
         # the sides are swapped, so the accumulate yields -known
@@ -138,28 +142,26 @@ def _obstruction_driver(field: VectorField3, max_index: int, method: Method,
             minus += zip(gradient, comp_terms[fdeg])
             if use_div:
                 plus.append((whole, div_terms[fdeg]))
-        rhs = _mul_accumulate(plus, minus, params)
-        if rhs.is_zero():
-            if degree % 2 == 0:
-                entries[degree // 2] = zero_p
-            continue
-        solved = solve_homological(degree, rhs)
-        if degree % 2 == 1:
-            if solved.residual:
-                raise StructureError(
-                    f"odd degree {degree} produced a nonzero obstruction residual")
-        else:
-            entries[degree // 2] = -solved.residual
-        if solved.solution:
-            pieces[degree] = solved.solution
-            converted[degree] = _converted_piece(solved.solution)
+        common, acc = _accumulate(plus, minus, None)
+        top = degree // 2
+        g = [[_ZERO] * (degree - 2 * l + 1) for l in range(top + 1)]
+        for (_, ey, ez), nums in acc.items():
+            nums = {e: n for e, n in nums.items() if n}
+            if nums:
+                g[ez][ey] = (common, nums)
+        if degree % 2 == 0:  # the entry is the known term's z^(d/2) coefficient
+            den, nums = g[top][0]
+            entries[top] = ParamPolynomial._from_numerators(
+                {e: -n for e, n in nums.items()}, den, params)
+        levels = _solve_levels(degree, g)
+        piece = _levels_polynomial(degree, levels, params)
+        if piece:
+            pieces.append(piece)
+            converted[degree] = _converted_piece(_levels_integer_terms(degree, levels))
 
-    witness = QHPolynomial.zero(params)
-    for piece in pieces.values():
-        witness = witness + piece
-    full_entries = {k: entries.get(k, zero_p)
-                    for k in range(power + 1, max_index + 1)}
-    return ObstructionSequence(method=method, entries=full_entries, witness=witness,
+    witness = QHPolynomial._wrap(
+        {m: c for piece in pieces for m, c in piece.terms.items()}, params)
+    return ObstructionSequence(method=method, entries=entries, witness=witness,
                                max_index=max_index, params=params,
                                seed_power=power)
 

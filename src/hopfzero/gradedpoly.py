@@ -24,9 +24,12 @@ operand coefficient is a constant.  It has two tails: `_mul_accumulate`
 makes each output coefficient's numerators `Fraction`s in
 `ParamPolynomial._from_numerators`, and `_mul_integer` leaves them
 integers, divided by their content gcd, for a caller that feeds the result
-into the next product, as the Lie series does.  `_from_integer_terms` turns
-a converted form back into a `QHPolynomial`.  `QHPolynomial`, `Poly2` and
-`ParamPolynomial` print through one function, `coeffring._format_terms`.
+into the next product, as the Lie series does.  The obstruction driver
+takes neither: it reads the kernel's integer sums directly and hands them to
+the slice solve (`homological._solve_levels`), so its known terms never
+become `Fraction`s.  `_from_integer_terms` turns a converted form back into
+a `QHPolynomial`.  `QHPolynomial`, `Poly2` and `ParamPolynomial` print
+through one function, `coeffring._format_terms`.
 """
 
 from __future__ import annotations
@@ -313,7 +316,8 @@ def _is_constant(converted: IntegerTerms) -> bool:
 
 def _accumulate(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
                 minus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
-                max_degree: Optional[int]) -> Tuple[int, Dict[tuple, dict]]:
+                max_degree: Optional[int],
+                constant: Optional[bool] = None) -> Tuple[int, Dict[tuple, dict]]:
     """The integer core of `_mul_accumulate` and `_mul_integer`:
     `(common, acc)`, where `acc`
     maps each output monomial (a plain tuple) to its exponent -> numerator
@@ -325,12 +329,14 @@ def _accumulate(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
     so the pairs above the cap are cut off with a `break` rather than tested
     one by one.  When every operand coefficient is constant (`_is_constant`),
     each monomial sums one `int`, without the exponent dict and the
-    per-product `tuple(map(add, ...))`.
+    per-product `tuple(map(add, ...))`.  A caller that already knows whether
+    the operands are constant passes `constant`, and no operand is scanned.
     """
     cap = math.inf if max_degree is None else max_degree
     operands = [x for pairs in (plus, minus) for pair in pairs for x in pair]
     common = math.lcm(*(a[0] * b[0] for pairs in (plus, minus) for a, b in pairs))
-    constant = all(map(_is_constant, operands))
+    if constant is None:
+        constant = all(map(_is_constant, operands))
     acc: Dict[tuple, object] = {}
     for sign, pairs in ((1, plus), (-1, minus)):
         for (da, a_terms), (db, b_terms) in pairs:
@@ -399,12 +405,13 @@ def _mul_accumulate(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
 
 def _mul_integer(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
                  minus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
-                 max_degree: Optional[int] = None) -> IntegerTerms:
+                 max_degree: Optional[int] = None,
+                 constant: Optional[bool] = None) -> IntegerTerms:
     """The sum `_mul_accumulate` returns, left in converted form: zero-free,
     the monomials in canonical order, and numerators and denominator divided
     by their gcd, so that a chain of products, such as the terms of a Lie
-    series, does not grow its denominators."""
-    common, acc = _accumulate(plus, minus, max_degree)
+    series, does not grow its denominators.  `constant` is `_accumulate`'s."""
+    common, acc = _accumulate(plus, minus, max_degree, constant)
     terms = []
     for key in sorted(acc, key=_mono_sort_key):
         items = [(e, n) for e, n in acc[key].items() if n]

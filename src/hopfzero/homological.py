@@ -13,14 +13,19 @@ Written level by level, f = sum z^l f_l with plane polynomials f_l,
 where R = 2(x d/dy - y d/dx) rotates the plane and h = x^2 + y^2: rotation
 blocks per z-power plus a z-lowering term (Algaba, Freire, Gamero & Garcia,
 "Quasi-homogeneous normal forms", J. Comput. Appl. Math. 150, 2003).
-`solve_homological` solves the slice equation along that chain, from the top
+`_solve_levels` solves the slice equation along that chain, from the top
 z-power down, in O(1) coefficient operations per unknown.  It works on
-integers: each coefficient of the right-hand side is converted once to
-integer numerators over its own denominator, every step is an integer
-combination of such values with one division, and at the end each output
-coefficient's numerators become `Fraction`s in
-`ParamPolynomial._from_numerators`, as in the graded product.  Printing goes
-through `coeffring._format_terms`, shared by every polynomial type.
+integers: it takes and returns each coefficient as integer numerators over
+its own denominator, and every step is an integer combination of such values
+with one division.  Numerators become `Fraction`s in one place,
+`_levels_polynomial` (through `ParamPolynomial._from_numerators`, as in the
+graded product): `solve_homological` converts a `QHPolynomial` right-hand
+side to numerators, solves, and builds its output there.  The obstruction
+driver hands `_solve_levels` its integer right-hand side directly and reads
+the solved levels back into the graded kernel's converted form
+(`_levels_integer_terms`); it builds `Fraction`s only for the witness and
+the entries it returns.  Printing goes through `coeffring._format_terms`,
+shared by every polynomial type.
 
 `analyze_operator` builds the operator monomial by monomial
 (`_apply_operator_monomial`) and reads its rank off an exact elimination
@@ -37,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .coeffring import ParamPolynomial
 from .errors import DegreeError, StructureError
-from .gradedpoly import GradedSliceBasis, Monomial3, QHPolynomial, slice_basis
+from .gradedpoly import GradedSliceBasis, IntegerTerms, Monomial3, QHPolynomial, slice_basis
 
 
 def _apply_operator_monomial(m: Monomial3) -> Dict[Monomial3, int]:
@@ -197,9 +202,36 @@ def solve_homological(k: int, rhs: QHPolynomial) -> HomologicalSolution:
     """Solve the degree-k slice equation with the canonical normalization.
 
     The residual is the z^(k/2) coefficient of the right-hand side (zero for
-    odd k), since no image of the operator has a z^(k/2) term.  The solution
-    f = sum z^l f_l satisfies R f_l + (l+1) h f_(l+1) = g_l on each level l
-    of the rest; the levels are solved from the top down.  On the
+    odd k), since no image of the operator has a z^(k/2) term.  The rest is
+    solved by `_solve_levels`, which says how.  Each right-hand-side
+    coefficient is converted once to integer numerators (`_integers`), and
+    the solved levels become `Fraction`s once, one per output term, in
+    `_levels_polynomial`.  The obstruction driver calls `_solve_levels`
+    directly on its integer right-hand side.
+    """
+    if k < 0:
+        raise DegreeError(f"negative degree {k}")
+    g = [[_ZERO] * (k - 2 * l + 1) for l in range(k // 2 + 1)]
+    for m, c in rhs.terms.items():
+        if m.degree != k:
+            raise DegreeError(
+                f"right-hand side contains {tuple(m)} of degree {m.degree}, expected {k}")
+        g[m.ez][m.ey] = _integers(c)
+    residual = rhs.coefficient(Monomial3(0, 0, k // 2)) if k % 2 == 0 else \
+        ParamPolynomial.zero(rhs.params)
+    return HomologicalSolution(solution=_levels_polynomial(k, _solve_levels(k, g), rhs.params),
+                               residual=residual)
+
+
+def _solve_levels(k: int, g: List[List[_Integers]]) -> List[List[_Integers]]:
+    """The solution levels f_0..f_(k//2) of the degree-k slice equation, for
+    the right-hand side g: `g[l][b]` is the coefficient of x^(d-b) y^b z^l,
+    d = k - 2l, as (D, {exponents: numerator}).  The z^(k/2) slot of an even
+    k is the residual's and is not read.  The solution comes back in the same
+    form, `levels[l][b]`, each value reduced (`_combine`).
+
+    The solution f = sum z^l f_l satisfies R f_l + (l+1) h f_(l+1) = g_l on
+    each level l; the levels are solved from the top down.  On the
     coefficients u_b of x^(d-b) y^b of a degree-d level, R u = v reads
     v_b = 2(b+1) u_(b+1) - 2(d-b+1) u_(b-1): a forward recurrence over even
     b gives the odd-indexed unknowns, a backward one over odd b the
@@ -211,29 +243,12 @@ def solve_homological(k: int, rhs: QHPolynomial) -> HomologicalSolution:
     every level of degree d >= 1, which the backward recurrence used last;
     StructureError is raised if either fails.
 
-    Coefficients are integer numerators over one positive denominator each:
-    every right-hand-side coefficient is converted once (`_integers`), and
-    every step is an integer combination of such values followed by one
-    division (`_combine`), so parameter coefficients ride along linearly and
-    the two checks compare by cross-multiplication.  Each output coefficient
-    becomes one `Fraction` per term at the end
-    (`ParamPolynomial._from_numerators`).
+    Every step is an integer combination followed by one division
+    (`_combine`), so parameter coefficients ride along linearly and the two
+    checks compare by cross-multiplication.
     """
-    if k < 0:
-        raise DegreeError(f"negative degree {k}")
-    params = rhs.params
     top = k // 2
-    g = [[_ZERO] * (k - 2 * l + 1) for l in range(top + 1)]
-    for m, c in rhs.terms.items():
-        if m.degree != k:
-            raise DegreeError(
-                f"right-hand side contains {tuple(m)} of degree {m.degree}, expected {k}")
-        g[m.ez][m.ey] = _integers(c)
     even = k % 2 == 0
-    residual = ParamPolynomial.zero(params)
-    if even:
-        residual, g[top] = rhs.coefficient(Monomial3(0, 0, top)), [_ZERO]
-
     levels: List[List[_Integers]] = [[] for _ in range(top + 2)]
     for l in range(top, -1, -1):
         d = k - 2 * l
@@ -268,16 +283,30 @@ def solve_homological(k: int, rhs: QHPolynomial) -> HomologicalSolution:
             raise StructureError(
                 f"degree-{k} slice solve left level z^{l} inconsistent at b = 1")
         levels[l] = u
+    del levels[top + 1]
+    return levels
 
-    terms = {}
-    for l in range(top + 1):
-        d = k - 2 * l
-        for b, (den, nums) in enumerate(levels[l]):
-            if nums:
-                terms[Monomial3(d - b, b, l)] = ParamPolynomial._from_numerators(
-                    nums, den, params)
-    return HomologicalSolution(solution=QHPolynomial._wrap(terms, params),
-                               residual=residual)
+
+def _levels_polynomial(k: int, levels: List[List[_Integers]],
+                       params: Tuple[str, ...]) -> QHPolynomial:
+    """The polynomial of solved levels, one `Fraction` per term
+    (`ParamPolynomial._from_numerators`); level by level and slot by slot is
+    canonical order."""
+    return QHPolynomial._wrap(
+        {Monomial3(k - 2 * l - b, b, l): ParamPolynomial._from_numerators(nums, den, params)
+         for l, level in enumerate(levels) for b, (den, nums) in enumerate(level) if nums},
+        params)
+
+
+def _levels_integer_terms(k: int, levels: List[List[_Integers]]) -> IntegerTerms:
+    """Solved levels in the converted form of `gradedpoly._integer_terms`:
+    each level value's numerators scaled to the lcm of their denominators.
+    The exponent items of a coefficient are in no set order; every result
+    built from the kernel's sums sorts its terms."""
+    common = math.lcm(*(den for level in levels for den, nums in level if nums))
+    return common, [(k - 2 * l - b, b, l, [(e, n * (common // den)) for e, n in nums.items()])
+                    for l, level in enumerate(levels)
+                    for b, (den, nums) in enumerate(level) if nums]
 
 
 def clear_cache() -> None:

@@ -12,7 +12,8 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .coeffring import ParamPolynomial, RationalLike, _format_terms, _merged
 from .gradedpoly import (VAR_NAMES, IntegerTerms, QHPolynomial, _from_integer_terms,
-                         _integer_partial, _integer_terms, _mul_accumulate, _mul_integer)
+                         _integer_partial, _integer_terms, _is_constant, _mul_accumulate,
+                         _mul_integer)
 
 
 class VectorField3:
@@ -144,13 +145,17 @@ def _integer_bracket(f: IntegerField, g: List[IntegerTerms],
 
     Each component is one multiply-accumulate: grad(g_i) . f - grad(f_i) . g.
     The nine partials of `g` are taken here; those of `f` come with it, so a
-    caller that brackets one field with many reuses them.
+    caller that brackets one field with many reuses them.  The three products
+    share their operands, so whether all of them are constant
+    (`_is_constant`) is read once here, from the six components: a partial
+    of a constant form is constant.
     """
     f_comps, f_partials = f
+    constant = all(map(_is_constant, f_comps)) and all(map(_is_constant, g))
     cap1 = None if max_field_degree is None else max_field_degree + 1
     cap2 = None if max_field_degree is None else max_field_degree + 2
     return [_mul_integer([(_integer_partial(gi, v), fv) for v, fv in zip(VAR_NAMES, f_comps)],
-                         list(zip(fi_partials, g)), cap)
+                         list(zip(fi_partials, g)), cap, constant)
             for fi_partials, gi, cap in zip(f_partials, g, (cap1, cap1, cap2))]
 
 

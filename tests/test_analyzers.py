@@ -1,15 +1,19 @@
+import random
 from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hopfzero as hz
 from hopfzero import (CaseTag, Method, ParamPolynomial, PrincipalPartError,
-                      QHPolynomial, VectorField3)
+                      QHPolynomial, StructureError, VectorField3, homological)
 
 from hopfzero.analyzers import _obstruction_driver
+from hopfzero.gradedpoly import _integer_terms, _is_constant
 
-from conftest import field_from_text, random_perturbed_field
+from conftest import field_from_text, random_perturbed_field, random_ppoly
 from oracle import multiplier_defect_sympy, truncate_sympy
 
 
@@ -144,12 +148,12 @@ class TestSeedPower:
                                 seed_power=0)
 
 
-def driver_by_polynomial_products(field, max_index, method):
+def driver_by_polynomial_products(field, max_index, method, seed_power=None):
     """(entries, witness) of `method`, each degree's known term built as
     polynomials: gradients by `partial`, products by `*`, sums by `+`, and
     the slice solve's right-hand side as `-known`."""
     params = field.params
-    power = 2 if method is Method.JACOBI_H2 else 1
+    power = seed_power or (2 if method is Method.JACOBI_H2 else 1)
     use_div = method is not Method.FIRST_INTEGRAL
     components = {k: f for k, f in field.decompose().items() if k >= 1}
     pieces = {2 * power: QHPolynomial.h_power(power, params)}
@@ -176,18 +180,76 @@ def driver_by_polynomial_products(field, max_index, method):
     return entries, witness
 
 
+def stored_form(f):
+    """The terms of `f` in stored order, with each coefficient's terms."""
+    return [(m, list(c.terms.items())) for m, c in f.terms.items()]
+
+
+def assert_matches_polynomial_products(seq, field, max_index, method, seed_power=None):
+    entries, witness = driver_by_polynomial_products(field, max_index, method, seed_power)
+    assert list(seq.entries) == list(entries)
+    for k, value in entries.items():
+        assert seq.entries[k] == value
+        assert list(seq.entries[k].terms.items()) == list(value.terms.items())
+    assert seq.witness == witness
+    assert stored_form(seq.witness) == stored_form(witness)
+
+
+DRIVER_PARAMS = ("a001", "b200", "c030")
+DRIVER_POINT = {"a001": Fraction(1, 3), "b200": Fraction(-5, 2), "c030": Fraction(7, 4)}
+
+
+def driver_case(rng, kind, max_field_degree):
+    """The principal part plus random components of degrees 1..max_field_degree
+    over DRIVER_PARAMS: `symbolic` coefficients are integer parameter
+    polynomials, `rational` ones are those scaled by a non-integer fraction
+    per component, and `bound` ones are those at DRIVER_POINT (constant, with
+    the parameter table kept)."""
+    def component(degree):
+        return QHPolynomial({m: random_ppoly(rng, DRIVER_PARAMS, max_degree=2, terms=2)
+                             for m in hz.slice_basis(degree).monomials
+                             if rng.random() < 0.4}, DRIVER_PARAMS)
+
+    field = hz.principal_part(DRIVER_PARAMS)
+    for s in range(1, max_field_degree + 1):
+        comp = VectorField3(component(s + 1), component(s + 1), component(s + 2))
+        if kind == "rational":
+            comp = comp.scale(Fraction(rng.randint(1, 5), rng.choice((2, 3, 7, 12))))
+        field = field + comp
+    return field.substitute_params(DRIVER_POINT) if kind == "bound" else field
+
+
 class TestKnownTermAccumulation:
     @pytest.mark.parametrize("method", list(Method))
     def test_family37_symbolic_matches_polynomial_products(self, family37, method):
         seq = _obstruction_driver(family37, 10, method)
-        entries, witness = driver_by_polynomial_products(family37, 10, method)
-        assert list(seq.entries) == list(entries)
-        for k, value in entries.items():
-            assert seq.entries[k] == value
-            assert list(seq.entries[k].terms.items()) == list(value.terms.items())
-        assert seq.witness == witness
-        assert [(m, list(c.terms.items())) for m, c in seq.witness.terms.items()] == \
-            [(m, list(c.terms.items())) for m, c in witness.terms.items()]
+        assert_matches_polynomial_products(seq, family37, 10, method)
+
+    @pytest.mark.parametrize("kind", ["symbolic", "rational", "bound"])
+    @pytest.mark.parametrize("method", list(Method))
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(1, 2))
+    def test_matches_polynomial_products(self, method, kind, seed_power, seed,
+                                         max_field_degree, extra):
+        field = driver_case(random.Random(seed), kind, max_field_degree)
+        if kind == "bound":  # the kernel's constant path
+            assert all(_is_constant(_integer_terms(c))
+                       for f in field.decompose().values() for c in f.components)
+        max_index = seed_power + extra
+        seq = _obstruction_driver(field, max_index, method, seed_power=seed_power)
+        assert_matches_polynomial_products(seq, field, max_index, method, seed_power)
+
+    def test_self_check_catches_a_wrong_circle_mean(self, family37, monkeypatch):
+        # the driver solves its slices on the path that runs both read-back
+        # checks, so a circle mean off by one raises instead of returning
+        mean = homological._circle_mean
+
+        def wrong(u, d):
+            return homological._combine([(1, mean(u, d)), (1, (1, {(): 1}))])
+
+        monkeypatch.setattr(homological, "_circle_mean", wrong)
+        with pytest.raises(StructureError):
+            _obstruction_driver(family37, 4, Method.JACOBI_H2)
 
 
 class TestCrossMethodConsistency:

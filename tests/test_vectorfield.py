@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 import hopfzero as hz
-from hopfzero import ParamPolynomial, Poly2, QHPolynomial, VectorField3
+from hopfzero import (ParamPolynomial, Poly2, QHPolynomial, VectorField3, gradedpoly,
+                      vectorfield)
 
 from conftest import Pairs, random_field_component, random_ppoly
 from oracle import (directional_derivative_sympy, divergence_sympy,
@@ -159,6 +160,35 @@ class TestLieBracket:
                 expected = full[comp] if cap is None else \
                     truncate_sympy(full[comp], cap + (2 if comp == 2 else 1))
                 assert sp.expand(got[comp] - expected) == 0
+
+    @pytest.mark.parametrize("bound", [False, True])
+    def test_constant_operands_are_scanned_once_per_bracket(self, rng, monkeypatch, bound):
+        # the three products of a bracket share the six components; the
+        # constant check reads each of them once, and never a partial
+        f = param_field(rng, (0, 1, 2))
+        g = param_field(rng, (1, 3))
+        want = hz.lie_bracket(f, g)
+        if bound:
+            point = {"a": Fraction(2, 3), "b": Fraction(-5, 2)}
+            f, g = f.substitute_params(point), g.substitute_params(point)
+            want = want.substitute_params(point)
+        scans = []
+        is_constant = gradedpoly._is_constant
+
+        def counting(converted):
+            scans.append(converted)
+            return is_constant(converted)
+
+        monkeypatch.setattr(gradedpoly, "_is_constant", counting)
+        monkeypatch.setattr(vectorfield, "_is_constant", counting)
+        got = hz.lie_bracket(f, g)
+        assert got == want
+        components = [gradedpoly._integer_terms(c) for c in f.components + g.components]
+        assert [c[1] for c in scans] == [c[1] for c in components][:len(scans)]
+        if bound:
+            assert len(scans) == 6
+        else:  # the scan stops at the first component that is not constant
+            assert not is_constant(scans[-1])
 
 
 class TestPoly2:

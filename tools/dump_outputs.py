@@ -19,7 +19,12 @@ Runs, from the checkout's `src/`:
 - the symbolic JACOBI_H2, JACOBI_H and FIRST_INTEGRAL sequences of family 37
   to z^10, entries and witness;
 - the symbolic JACOBI_H2 sequence of family 37 to z^12, entries and witness,
-  whose slice solves reach degree 24 with many-term coefficients.
+  whose slice solves reach degree 24 with many-term coefficients;
+- the JACOBI_H2 and FIRST_INTEGRAL sequences of family 37 at the non-integer
+  point (1/3, -5/2, 7/4) to z^12, whose constant coefficients have
+  denominators above 1;
+- the symbolic JACOBI_H2 continuation of family 37 seeded by (x^2+y^2)^3
+  (`seed_power=3`) to z^10.
 
 Each polynomial is written as its `str`, its terms in stored order (with each
 coefficient's terms) and its `hash`.  The script prints one SHA-256 line over
@@ -35,6 +40,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import hopfzero as hz  # noqa: E402
+from hopfzero.analyzers import _obstruction_driver  # noqa: E402
 from hzbench.checks import cli_args  # noqa: E402
 from hzbench.workloads import family37_field, seed_point  # noqa: E402
 
@@ -84,8 +90,9 @@ def dump_lines():
     runs += [(f"seed_point({seed})", symbolic.substitute_params(seed_point(seed)), 5)
              for seed in (1, 2, 3)]
     runs.append(("seed_point(1) index 8", symbolic.substitute_params(seed_point(1)), 8))
-    runs.append(("(1/3, -5/2, 7/4) index 6", symbolic.substitute_params(
-        {"a001": hz.rat("1/3"), "b200": hz.rat("-5/2"), "c030": hz.rat("7/4")}), 6))
+    rational = symbolic.substitute_params(
+        {"a001": hz.rat("1/3"), "b200": hz.rat("-5/2"), "c030": hz.rat("7/4")})
+    runs.append(("(1/3, -5/2, 7/4) index 6", rational, 6))
     for label, field, index in runs:
         yield from normal_form_lines(f"nf {label}", hz.orbital_normal_form(field, index))
 
@@ -102,11 +109,14 @@ def dump_lines():
         yield f"classify {label} max_index: {nf.max_index}"
         yield from normal_form_lines(f"classify {label}", nf)
 
-    sequences = [(method, 10, "") for method in
+    sequences = [(symbolic, method, 10, "", None) for method in
                  (hz.Method.JACOBI_H2, hz.Method.JACOBI_H, hz.Method.FIRST_INTEGRAL)]
-    sequences.append((hz.Method.JACOBI_H2, 12, " to z^12"))
-    for method, index, label in sequences:
-        seq = hz.obstruction_sequence(symbolic, index, method)
+    sequences.append((symbolic, hz.Method.JACOBI_H2, 12, " to z^12", None))
+    sequences += [(rational, method, 12, " at (1/3, -5/2, 7/4) to z^12", None)
+                  for method in (hz.Method.JACOBI_H2, hz.Method.FIRST_INTEGRAL)]
+    sequences.append((symbolic, hz.Method.JACOBI_H2, 10, " seed_power=3", 3))
+    for field, method, index, label, seed_power in sequences:
+        seq = _obstruction_driver(field, index, method, seed_power=seed_power)
         for k in sorted(seq.entries):
             yield f"{method.value}{label} entry {k}: {describe(seq.entries[k])}"
         yield f"{method.value}{label} witness: {describe(seq.witness)}"
