@@ -11,6 +11,12 @@ At each even quasi-homogeneous degree 2k the unsolvable part of the defining
 expression is a multiple of z^k; that coefficient is the entry of index k.
 Entries are indexed by the z power k; the quasi-homogeneous degree they live
 at is 2k, and reports carry both numbers.
+
+The continuation runs degree by degree in the graded kernel's converted form
+(`gradedpoly.IntegerTerms`): the known term comes from the kernel
+(`_mul_integer`), goes to the slice solve (`homological._solve_levels`) and
+comes back solved in the same form, and only the entries and the witness are
+built as `Fraction`s.
 """
 
 from __future__ import annotations
@@ -21,9 +27,9 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from .coeffring import ParamPolynomial, Rational, rat
 from .errors import DegreeError, StructureError
-from .gradedpoly import (IntegerTerms, Monomial3, QHPolynomial, _accumulate, _integer_partial,
-                         _integer_terms)
-from .homological import _ZERO, _levels_integer_terms, _levels_polynomial, _solve_levels
+from .gradedpoly import (IntegerTerms, Monomial3, QHPolynomial, _from_integer_terms,
+                         _integer_partial, _integer_terms, _mul_integer)
+from .homological import _solve_levels
 from .normalform import (NormalFormResult, ResonanceData, coprime_resonance,
                          first_resonance, orbital_normal_form, principal_part,
                          require_principal_part)
@@ -86,19 +92,20 @@ def _obstruction_driver(field: VectorField3, max_index: int, method: Method,
     is linear in its seed, so the h^m-seeded runs span the kernel components
     that a different normalization of the method's own witness may add.
 
-    Every degree runs on integer numerators.  The known part of the defining
+    Every degree runs in the graded kernel's converted form (integer
+    numerators over one denominator).  The known part of the defining
     expression at degree d, the sum of grad(W_j) . F_k - W_j div(F_k) over
     field components F_k and solved pieces W_j with j + k = d, is one
-    `_accumulate` call with the two sides swapped, which gives its negation,
-    the slice solve's right-hand side, directly.  Its sums go to
-    `homological._solve_levels` as they are, and the solved levels come back
-    as numerators: the next degrees read the piece in converted form
-    (`_levels_integer_terms`) and take its three partials from that.  The
-    components and their divergences are converted by `_integer_terms` once,
-    and a piece's converted forms are dropped when no later degree can read
-    them.  Numerators become `Fraction`s only where a result is built: one
+    `_mul_integer` call with the two sides swapped, which gives its negation,
+    the slice solve's right-hand side, directly.  On even d the entry is its
+    z^(d/2) term, the last in canonical order.  `homological._solve_levels`
+    takes it as it is and returns the piece in the same form, and the next
+    degrees read that and its three partials.  The components and their
+    divergences are converted by `_integer_terms` once, and a piece's
+    converted forms are dropped when no later degree can read them.
+    Numerators become `Fraction`s only where a result is built: one
     `_from_numerators` per entry and one per witness coefficient
-    (`_levels_polynomial`).  The witness is the pieces concatenated, in
+    (`_from_integer_terms`).  The witness is the pieces concatenated, in
     ascending degree, which is canonical order.
     """
     if max_index < 1:
@@ -142,22 +149,17 @@ def _obstruction_driver(field: VectorField3, max_index: int, method: Method,
             minus += zip(gradient, comp_terms[fdeg])
             if use_div:
                 plus.append((whole, div_terms[fdeg]))
-        common, acc = _accumulate(plus, minus, None)
-        top = degree // 2
-        g = [[_ZERO] * (degree - 2 * l + 1) for l in range(top + 1)]
-        for (_, ey, ez), nums in acc.items():
-            nums = {e: n for e, n in nums.items() if n}
-            if nums:
-                g[ez][ey] = (common, nums)
-        if degree % 2 == 0:  # the entry is the known term's z^(d/2) coefficient
-            den, nums = g[top][0]
+        rhs = _mul_integer(plus, minus)
+        if degree % 2 == 0:  # the entry is the known term's z^(d/2) coefficient, last
+            top = degree // 2
+            den, terms = rhs
+            nums = terms[-1][3] if terms and terms[-1][2] == top else ()
             entries[top] = ParamPolynomial._from_numerators(
-                {e: -n for e, n in nums.items()}, den, params)
-        levels = _solve_levels(degree, g)
-        piece = _levels_polynomial(degree, levels, params)
-        if piece:
-            pieces.append(piece)
-            converted[degree] = _converted_piece(_levels_integer_terms(degree, levels))
+                {e: -n for e, n in nums}, den, params)
+        solved = _solve_levels(degree, rhs)
+        if solved[1]:
+            pieces.append(_from_integer_terms(solved, params))
+            converted[degree] = _converted_piece(solved)
 
     witness = QHPolynomial._wrap(
         {m: c for piece in pieces for m, c in piece.terms.items()}, params)

@@ -412,15 +412,27 @@ def run_cli(args: List[str]) -> Tuple[int, str]:
     except HopfZeroError as exc:
         return 1, f"error: {exc}\n"
 
+    # every name a flag gives must be declared, before any analysis runs
+    names = source.parameter_names
+    undeclared = [name for name in bindings or () if name not in names]
+    if undeclared:
+        return 2, f"usage error: --param names undeclared parameter {undeclared[0]!r}\n"
     constraint = None
-    if getattr(ns, "constraint", None):
-        if not getattr(ns, "eliminate", None):
+    text, var = getattr(ns, "constraint", None), getattr(ns, "eliminate", None)
+    if text is not None or var is not None:
+        if var is None:
             return 2, "usage error: --constraint requires --eliminate NAME\n"
+        if text is None:
+            return 2, "usage error: --eliminate requires --constraint EXPR\n"
+        if var not in names:
+            return 2, f"usage error: --eliminate names undeclared parameter {var!r}\n"
         try:
-            poly = parse_polynomial(ns.constraint, source.parameter_names)
+            poly = parse_polynomial(text, names)
         except ParseError as exc:
             return 2, f"parse error in --constraint: {exc}\n"
-        constraint = (poly, ns.eliminate)
+        if poly.degree_in(var) < 1:
+            return 2, f"usage error: --constraint does not contain {var!r}\n"
+        constraint = (poly, var)
 
     if ns.command in ("analyze", "obstructions"):
         mode = ns.mode

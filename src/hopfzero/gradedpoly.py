@@ -24,11 +24,12 @@ operand coefficient is a constant.  It has two tails: `_mul_accumulate`
 makes each output coefficient's numerators `Fraction`s in
 `ParamPolynomial._from_numerators`, and `_mul_integer` leaves them
 integers, divided by their content gcd, for a caller that feeds the result
-into the next product, as the Lie series does.  The obstruction driver
-takes neither: it reads the kernel's integer sums directly and hands them to
-the slice solve (`homological._solve_levels`), so its known terms never
-become `Fraction`s.  `_from_integer_terms` turns a converted form back into
-a `QHPolynomial`.  `QHPolynomial`, `Poly2` and `ParamPolynomial` print
+into the next product, as the Lie series and the obstruction driver do.  The
+converted form is the only integer layout that leaves this module: the slice
+solve (`homological._solve_levels`) takes and returns it, so the driver's
+known terms and solved pieces never become `Fraction`s on the way to its next
+degrees.  `_from_integer_terms` turns a converted form back into a
+`QHPolynomial`.  `QHPolynomial`, `Poly2` and `ParamPolynomial` print
 through one function, `coeffring._format_terms`.
 """
 

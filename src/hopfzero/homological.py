@@ -15,17 +15,13 @@ blocks per z-power plus a z-lowering term (Algaba, Freire, Gamero & Garcia,
 "Quasi-homogeneous normal forms", J. Comput. Appl. Math. 150, 2003).
 `_solve_levels` solves the slice equation along that chain, from the top
 z-power down, in O(1) coefficient operations per unknown.  It works on
-integers: it takes and returns each coefficient as integer numerators over
-its own denominator, and every step is an integer combination of such values
-with one division.  Numerators become `Fraction`s in one place,
-`_levels_polynomial` (through `ParamPolynomial._from_numerators`, as in the
-graded product): `solve_homological` converts a `QHPolynomial` right-hand
-side to numerators, solves, and builds its output there.  The obstruction
-driver hands `_solve_levels` its integer right-hand side directly and reads
-the solved levels back into the graded kernel's converted form
-(`_levels_integer_terms`); it builds `Fraction`s only for the witness and
-the entries it returns.  Printing goes through `coeffring._format_terms`,
-shared by every polynomial type.
+integers: it takes the right-hand side and returns the solution in the graded
+kernel's converted form (`gradedpoly._integer_terms`), and every step inside
+is an integer combination of level values with one division (`_combine`).
+`solve_homological` converts a `QHPolynomial` right-hand side once and turns
+the solution into `Fraction`s once (`gradedpoly._from_integer_terms`); the
+obstruction driver passes its known term in converted form and keeps the
+solution in that form for its next degrees.
 
 `analyze_operator` builds the operator monomial by monomial
 (`_apply_operator_monomial`) and reads its rank off an exact elimination
@@ -42,7 +38,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .coeffring import ParamPolynomial
 from .errors import DegreeError, StructureError
-from .gradedpoly import GradedSliceBasis, IntegerTerms, Monomial3, QHPolynomial, slice_basis
+from .gradedpoly import (GradedSliceBasis, IntegerTerms, Monomial3, QHPolynomial,
+                         _from_integer_terms, _integer_terms, slice_basis)
 
 
 def _apply_operator_monomial(m: Monomial3) -> Dict[Monomial3, int]:
@@ -153,13 +150,6 @@ _Integers = Tuple[int, Dict[tuple, int]]
 _ZERO: _Integers = (1, {})
 
 
-def _integers(c: ParamPolynomial) -> _Integers:
-    """`c` as (D, {exponents: numerator}): integer numerators over D, the lcm
-    of its coefficient denominators."""
-    den = math.lcm(*(q.denominator for q in c.terms.values()))
-    return den, {e: q.numerator * (den // q.denominator) for e, q in c.terms.items()}
-
-
 def _combine(parts: List[Tuple[int, _Integers]], divisor: int = 1) -> _Integers:
     """sum(n * p for n, p in parts) / divisor, for integers n and divisor > 0,
     zero-free and reduced: the gcd of D and every numerator is 1.  Each part's
@@ -203,32 +193,31 @@ def solve_homological(k: int, rhs: QHPolynomial) -> HomologicalSolution:
 
     The residual is the z^(k/2) coefficient of the right-hand side (zero for
     odd k), since no image of the operator has a z^(k/2) term.  The rest is
-    solved by `_solve_levels`, which says how.  Each right-hand-side
-    coefficient is converted once to integer numerators (`_integers`), and
-    the solved levels become `Fraction`s once, one per output term, in
-    `_levels_polynomial`.  The obstruction driver calls `_solve_levels`
-    directly on its integer right-hand side.
+    solved by `_solve_levels`, which says how, on the right-hand side in the
+    graded kernel's converted form (`_integer_terms`); its solution becomes
+    `Fraction`s once, one per output term, in `_from_integer_terms`.
     """
     if k < 0:
         raise DegreeError(f"negative degree {k}")
-    g = [[_ZERO] * (k - 2 * l + 1) for l in range(k // 2 + 1)]
-    for m, c in rhs.terms.items():
+    for m in rhs.terms:
         if m.degree != k:
             raise DegreeError(
                 f"right-hand side contains {tuple(m)} of degree {m.degree}, expected {k}")
-        g[m.ez][m.ey] = _integers(c)
     residual = rhs.coefficient(Monomial3(0, 0, k // 2)) if k % 2 == 0 else \
         ParamPolynomial.zero(rhs.params)
-    return HomologicalSolution(solution=_levels_polynomial(k, _solve_levels(k, g), rhs.params),
-                               residual=residual)
+    return HomologicalSolution(
+        solution=_from_integer_terms(_solve_levels(k, _integer_terms(rhs)), rhs.params),
+        residual=residual)
 
 
-def _solve_levels(k: int, g: List[List[_Integers]]) -> List[List[_Integers]]:
-    """The solution levels f_0..f_(k//2) of the degree-k slice equation, for
-    the right-hand side g: `g[l][b]` is the coefficient of x^(d-b) y^b z^l,
-    d = k - 2l, as (D, {exponents: numerator}).  The z^(k/2) slot of an even
-    k is the residual's and is not read.  The solution comes back in the same
-    form, `levels[l][b]`, each value reduced (`_combine`).
+def _solve_levels(k: int, rhs: IntegerTerms) -> IntegerTerms:
+    """The solution of the degree-k slice equation for the right-hand side
+    `rhs`, both in the graded kernel's converted form (`_integer_terms`).
+    Any common denominator will do, and the z^(k/2) term of an even k is the
+    residual's and is not read.  The solution comes back in canonical
+    monomial order, zero-free, with the gcd of its denominator and all its
+    numerators 1: `_integer_terms` of the solved polynomial, up to the order
+    of each coefficient's items.
 
     The solution f = sum z^l f_l satisfies R f_l + (l+1) h f_(l+1) = g_l on
     each level l; the levels are solved from the top down.  On the
@@ -247,8 +236,13 @@ def _solve_levels(k: int, g: List[List[_Integers]]) -> List[List[_Integers]]:
     (`_combine`), so parameter coefficients ride along linearly and the two
     checks compare by cross-multiplication.
     """
+    common, terms = rhs
     top = k // 2
     even = k % 2 == 0
+    # g[l][b] is the coefficient of x^(d-b) y^b z^l, d = k - 2l
+    g = [[_ZERO] * (k - 2 * l + 1) for l in range(top + 1)]
+    for _, ey, ez, items in terms:
+        g[ez][ey] = common, dict(items)
     levels: List[List[_Integers]] = [[] for _ in range(top + 2)]
     for l in range(top, -1, -1):
         d = k - 2 * l
@@ -283,26 +277,9 @@ def _solve_levels(k: int, g: List[List[_Integers]]) -> List[List[_Integers]]:
             raise StructureError(
                 f"degree-{k} slice solve left level z^{l} inconsistent at b = 1")
         levels[l] = u
-    del levels[top + 1]
-    return levels
-
-
-def _levels_polynomial(k: int, levels: List[List[_Integers]],
-                       params: Tuple[str, ...]) -> QHPolynomial:
-    """The polynomial of solved levels, one `Fraction` per term
-    (`ParamPolynomial._from_numerators`); level by level and slot by slot is
-    canonical order."""
-    return QHPolynomial._wrap(
-        {Monomial3(k - 2 * l - b, b, l): ParamPolynomial._from_numerators(nums, den, params)
-         for l, level in enumerate(levels) for b, (den, nums) in enumerate(level) if nums},
-        params)
-
-
-def _levels_integer_terms(k: int, levels: List[List[_Integers]]) -> IntegerTerms:
-    """Solved levels in the converted form of `gradedpoly._integer_terms`:
-    each level value's numerators scaled to the lcm of their denominators.
-    The exponent items of a coefficient are in no set order; every result
-    built from the kernel's sums sorts its terms."""
+    # each level value is reduced, so scaled to the lcm of their denominators
+    # the numerators keep gcd 1 with it; level by level, slot by slot is
+    # canonical order
     common = math.lcm(*(den for level in levels for den, nums in level if nums))
     return common, [(k - 2 * l - b, b, l, [(e, n * (common // den)) for e, n in nums.items()])
                     for l, level in enumerate(levels)

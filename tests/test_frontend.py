@@ -188,6 +188,29 @@ class TestCli:
         code, out = hz.run_cli(["analyze", family37_file, "--param", "a001"])
         assert code == 2
 
+    @pytest.mark.parametrize("args, message", [
+        (["obstructions", "--mode", "JACOBI_H2", "--eliminate", "a001"],
+         "--eliminate requires --constraint"),
+        (["obstructions", "--mode", "JACOBI_H2", "--constraint", "a001 - b200",
+          "--eliminate", "q"], "undeclared parameter 'q'"),
+        (["obstructions", "--mode", "JACOBI_H2", "--constraint", "b200^2 - 1",
+          "--eliminate", "a001"], "does not contain 'a001'"),
+        (["obstructions", "--mode", "JACOBI_H2", "--param", "q=1"],
+         "undeclared parameter 'q'"),
+        (["analyze", "--param", "a001=1", "--param", "q=1"], "undeclared parameter 'q'"),
+        (["normal-form", "--param", "q=1"], "undeclared parameter 'q'"),
+        (["reduce", "--param", "q=1"], "undeclared parameter 'q'"),
+    ])
+    @pytest.mark.parametrize("max_degree", ["3", "7"])
+    def test_flag_name_mistakes_are_usage_errors(self, family37_file, args, message,
+                                                 max_degree):
+        # found before any analysis runs, so the exit code cannot depend on
+        # the data the analysis would reach
+        code, out = hz.run_cli([args[0], family37_file, *args[1:],
+                                "--max-degree", max_degree])
+        assert code == 2
+        assert out.startswith("usage error:") and message in out
+
     def test_symbolic_analyze_reports_sequences(self, family38_file):
         code, out = hz.run_cli(["analyze", family38_file, "--max-degree", "3",
                                 "--json"])

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 import hopfzero as hz
 from hopfzero import DegreeError, Monomial3, ParamPolynomial, QHPolynomial, StructureError
 from hopfzero import homological
+from hopfzero.gradedpoly import _integer_terms
 from hopfzero.homological import _rank, _slice_rows
 
 from conftest import random_ppoly, random_qh_slice
@@ -244,6 +246,12 @@ class TestSolve:
         solution, residual = elimination_solve(k, rhs)
         assert stored_form(sol.solution) == stored_form(solution)
         assert list(sol.residual.terms.items()) == list(residual.terms.items())
+        # the integer entry returns the solution's converted form, reduced
+        den, terms = homological._solve_levels(k, _integer_terms(rhs))
+        want_den, want_terms = _integer_terms(sol.solution)
+        assert (den, [(*t[:3], dict(t[3])) for t in terms]) == \
+            (want_den, [(*t[:3], dict(t[3])) for t in want_terms])
+        assert math.gcd(den, *(n for t in terms for _, n in t[3])) == 1
         image = hz.directional_derivative(sol.solution, hz.principal_part(rhs.params))
         if sol.residual:
             image = image + QHPolynomial({(0, 0, k // 2): sol.residual}, rhs.params)
