@@ -15,8 +15,9 @@ at is 2k, and reports carry both numbers.
 The continuation runs degree by degree in the graded kernel's converted form
 (`gradedpoly.IntegerTerms`): the known term comes from the kernel
 (`_mul_integer`), goes to the slice solve (`homological._solve_levels`) and
-comes back solved in the same form, and only the entries and the witness are
-built as `Fraction`s.
+comes back solved in the same form (`_continuation`).  The entries are built
+as `Fraction`s; the witness is built only by the public sequence functions,
+and `classify` keeps none.
 """
 
 from __future__ import annotations
@@ -53,13 +54,15 @@ class ObstructionSequence:
     entries[k] multiplies z^k (quasi-homogeneous degree 2k) in the defining
     expression of the witness; all indices from start_index through max_index
     are present, including exact zeros.  The witness is the accumulated
-    candidate through quasi-homogeneous degree 2*max_index.  seed_power is
-    the m of its seed (x^2+y^2)^m; the first entry sits one index above it.
+    candidate through quasi-homogeneous degree 2*max_index; it is None in
+    the sequences `classify` returns, which keep only the entries.
+    seed_power is the m of its seed (x^2+y^2)^m; the first entry sits one
+    index above it.
     """
 
     method: Method
     entries: Dict[int, ParamPolynomial]
-    witness: QHPolynomial
+    witness: Optional[QHPolynomial]
     max_index: int
     params: Tuple[str, ...]
     seed_power: int
@@ -84,37 +87,33 @@ def _converted_piece(whole: IntegerTerms) -> tuple:
     return (whole, *(_integer_partial(whole, v) for v in ("x", "y", "z")))
 
 
-def _obstruction_driver(field: VectorField3, max_index: int, method: Method,
-                        seed_power: Optional[int] = None) -> ObstructionSequence:
-    """Continue the seed (x^2+y^2)^m of `method` and collect its residuals.
+def _continuation(field: VectorField3, max_index: int, method: Method, power: int):
+    """Continue the seed (x^2+y^2)^power of `method` degree by degree.
 
-    seed_power overrides m (default: 1, or 2 for JACOBI_H2).  The continuation
-    is linear in its seed, so the h^m-seeded runs span the kernel components
-    that a different normalization of the method's own witness may add.
+    Yields (degree, entry, solved) for each degree 2*power+1 .. 2*max_index:
+    entry is the z^(degree/2) residual on even degrees and None on odd ones,
+    and solved is the degree's piece of the continuation in the graded
+    kernel's converted form (integer numerators over one denominator), with
+    no terms when the slice solve returns zero.
 
-    Every degree runs in the graded kernel's converted form (integer
-    numerators over one denominator).  The known part of the defining
-    expression at degree d, the sum of grad(W_j) . F_k - W_j div(F_k) over
-    field components F_k and solved pieces W_j with j + k = d, is one
-    `_mul_integer` call with the two sides swapped, which gives its negation,
-    the slice solve's right-hand side, directly.  On even d the entry is its
-    z^(d/2) term, the last in canonical order.  `homological._solve_levels`
-    takes it as it is and returns the piece in the same form, and the next
-    degrees read that and its three partials.  The components and their
-    divergences are converted by `_integer_terms` once, and a piece's
-    converted forms are dropped when no later degree can read them.
-    Numerators become `Fraction`s only where a result is built: one
-    `_from_numerators` per entry and one per witness coefficient
-    (`_from_integer_terms`).  The witness is the pieces concatenated, in
-    ascending degree, which is canonical order.
+    The known part of the defining expression at degree d, the sum of
+    grad(W_j) . F_k - W_j div(F_k) over field components F_k and solved
+    pieces W_j with j + k = d, is one `_mul_integer` call with the two sides
+    swapped, which gives its negation, the slice solve's right-hand side,
+    directly.  On even d the entry is its z^(d/2) term, the last in canonical
+    order, and the only value built as `Fraction`s (one `_from_numerators`).
+    `homological._solve_levels` takes the right-hand side as it is and
+    returns the piece in the same form, and the next degrees read that and
+    its three partials.  The components and their divergences are converted
+    by `_integer_terms` once, and a piece's converted forms are dropped when
+    no later degree can read them.
     """
     if max_index < 1:
         raise DegreeError("max_index must be at least 1")
-    if seed_power is not None and seed_power < 1:
+    if power < 1:
         raise DegreeError("seed_power must be at least 1")
     require_principal_part(field)
     params = field.params
-    power = _SEED_POWER[method] if seed_power is None else seed_power
     seed_degree = 2 * power
     seed = QHPolynomial.h_power(power, params)
     use_div = _USES_DIV[method]
@@ -129,14 +128,12 @@ def _obstruction_driver(field: VectorField3, max_index: int, method: Method,
     if not base.is_zero():
         raise StructureError("seed term fails the defining identity at its own degree")
 
-    pieces = [seed]
     converted = {seed_degree: _converted_piece(_integer_terms(seed))}
     comp_terms = {k: [_integer_terms(c) for c in f.components]
                   for k, f in components.items()}
     div_terms = {k: _integer_terms(divergence(f))
                  for k, f in components.items()} if use_div else {}
     reach = max(components, default=0)
-    entries: Dict[int, ParamPolynomial] = {}
     for degree in range(seed_degree + 1, 2 * max_index + 1):
         converted.pop(degree - reach - 1, None)  # no later degree reads it
         # the sides are swapped, so the accumulate yields -known
@@ -150,21 +147,62 @@ def _obstruction_driver(field: VectorField3, max_index: int, method: Method,
             if use_div:
                 plus.append((whole, div_terms[fdeg]))
         rhs = _mul_integer(plus, minus)
+        entry = None
         if degree % 2 == 0:  # the entry is the known term's z^(d/2) coefficient, last
             top = degree // 2
             den, terms = rhs
             nums = terms[-1][3] if terms and terms[-1][2] == top else ()
-            entries[top] = ParamPolynomial._from_numerators(
+            entry = ParamPolynomial._from_numerators(
                 {e: -n for e, n in nums}, den, params)
         solved = _solve_levels(degree, rhs)
         if solved[1]:
-            pieces.append(_from_integer_terms(solved, params))
             converted[degree] = _converted_piece(solved)
+        yield degree, entry, solved
 
+
+def _obstruction_driver(field: VectorField3, max_index: int, method: Method,
+                        seed_power: Optional[int] = None) -> ObstructionSequence:
+    """Continue the seed (x^2+y^2)^m of `method` and collect its residuals
+    and its witness.
+
+    seed_power overrides m (default: 1, or 2 for JACOBI_H2).  The continuation
+    is linear in its seed, so the h^m-seeded runs span the kernel components
+    that a different normalization of the method's own witness may add.
+
+    The degrees run in `_continuation`.  Each solved piece becomes
+    `Fraction`s once (`_from_integer_terms`), and the witness is the seed
+    and the pieces concatenated, in ascending degree, which is canonical
+    order.
+    """
+    power = _SEED_POWER[method] if seed_power is None else seed_power
+    params = field.params
+    entries: Dict[int, ParamPolynomial] = {}
+    pieces = [QHPolynomial.h_power(power, params)]
+    for degree, entry, solved in _continuation(field, max_index, method, power):
+        if entry is not None:
+            entries[degree // 2] = entry
+        if solved[1]:
+            pieces.append(_from_integer_terms(solved, params))
     witness = QHPolynomial._wrap(
         {m: c for piece in pieces for m, c in piece.terms.items()}, params)
     return ObstructionSequence(method=method, entries=entries, witness=witness,
                                max_index=max_index, params=params,
+                               seed_power=power)
+
+
+def _entries_only(field: VectorField3, max_index: int,
+                  method: Method) -> ObstructionSequence:
+    """The sequence of `method` without its witness (`witness` None).
+
+    It reads the same `_continuation` as `_obstruction_driver` and keeps its
+    entries, equal to that driver's, term order included; no solved piece
+    becomes `Fraction`s.  The report path reads only the entries.
+    """
+    power = _SEED_POWER[method]
+    entries = {degree // 2: entry for degree, entry, _
+               in _continuation(field, max_index, method, power) if entry is not None}
+    return ObstructionSequence(method=method, entries=entries, witness=None,
+                               max_index=max_index, params=field.params,
                                seed_power=power)
 
 
@@ -191,9 +229,12 @@ def recombination_defect(field: VectorField3, seq: ObstructionSequence) -> QHPol
 
     Returns the part of grad(W).F - c W div(F) - sum entries[k] z^k of
     quasi-homogeneous degree at most 2*max_index; an empty polynomial means
-    the sequence satisfies its contract exactly.
+    the sequence satisfies its contract exactly.  A sequence without a
+    witness (from `classify`) raises ValueError.
     """
     w = seq.witness
+    if w is None:
+        raise ValueError("the sequence has no witness; run obstruction_sequence")
     expr = directional_derivative(w, field)
     if _USES_DIV[seq.method]:
         expr = expr - w * divergence(field)
@@ -225,7 +266,8 @@ class Classification:
     (witness_method, witness_index with value witness_value) or, when the
     resonance admits no coprime pair, witness_method None and the resonance
     data as evidence.  B3 carries the coprime pair.  NO_OBSTRUCTION_UP_TO is a
-    truncated statement, never a claim of integrability.
+    truncated statement, never a claim of integrability.  The sequences in
+    `obstructions` carry their entries only: their `witness` is None.
     """
 
     case_tag: CaseTag
@@ -312,13 +354,13 @@ def classify(field: VectorField3, max_index: int,
 
     if s is None:
         # no resonant term through max_index: test the first-integral candidate
-        seq = first_integral_obstructions(field, max_index)
+        seq = _entries_only(field, max_index, Method.FIRST_INTEGRAL)
         return _verdict_from_sequences((seq,), max_index, res, nf, None)
 
     a_s, b_s = nf.a_coeffs[s], nf.b_coeffs[s]
     if not (a_s.is_constant() and b_s.is_constant()):
-        sequences = (jacobi_obstructions(field, max_index, Method.JACOBI_H),
-                     jacobi_obstructions(field, max_index, Method.JACOBI_H2))
+        sequences = (_entries_only(field, max_index, Method.JACOBI_H),
+                     _entries_only(field, max_index, Method.JACOBI_H2))
         return Classification(case_tag=CaseTag.SYMBOLIC, max_index=max_index,
                               resonance=res, normal_form=nf, obstructions=sequences)
 
@@ -328,9 +370,9 @@ def classify(field: VectorField3, max_index: int,
         if pair is None:
             return Classification(case_tag=CaseTag.NOT_INTEGRABLE, max_index=max_index,
                                   resonance=res, normal_form=nf)
-        seq = jacobi_obstructions(field, max_index, Method.JACOBI_H2)
+        seq = _entries_only(field, max_index, Method.JACOBI_H2)
         return _verdict_from_sequences((seq,), max_index, res, nf, pair)
-    seq = jacobi_obstructions(field, max_index, Method.JACOBI_H)
+    seq = _entries_only(field, max_index, Method.JACOBI_H)
     return _verdict_from_sequences((seq,), max_index, res, nf, None)
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .analyzers import CaseTag, Classification, Method, classify, obstruction_sequence
+from .analyzers import CaseTag, Classification, Method, _entries_only, classify
 from .coeffring import ParamPolynomial, ppoly_reduce, rat
 from .errors import HopfZeroError, ParseError, PrincipalPartError
 from .gradedpoly import Monomial3, QHPolynomial
@@ -288,9 +288,18 @@ def load_system(text: str) -> Tuple[SystemSource, VectorField3, Scalings]:
 
 def build_report(source: SystemSource, field: VectorField3, scalings: Scalings,
                  config: AnalysisConfig) -> Dict[str, object]:
-    """Run the configured analysis and assemble the report dictionary."""
+    """Run the configured analysis and assemble the report dictionary.
+
+    The bound parameter values are substituted into the field and into the
+    constraint alike.  Obstruction sequences are computed for their entries
+    only (`analyzers._entries_only`), since the report prints no witness.
+    """
     if config.mode not in MODES:
         raise ValueError(f"unknown mode {config.mode!r}")
+    constraint = config.constraint
+    if constraint is not None and config.parameter_values:
+        poly, var = constraint
+        constraint = (poly.substitute(config.parameter_values), var)
     report: Dict[str, object] = {
         "schema_version": "1",
         "system": {"parameters": list(source.parameter_names)},
@@ -308,7 +317,7 @@ def build_report(source: SystemSource, field: VectorField3, scalings: Scalings,
         if verdict.normal_form is not None:
             report["normal_form"] = _normal_form_dict(verdict.normal_form)
         if verdict.obstructions:
-            report["obstructions"] = [_sequence_dict(s, config.constraint)
+            report["obstructions"] = [_sequence_dict(s, constraint)
                                       for s in verdict.obstructions]
         report["classification"] = _classification_dict(verdict)
         return report
@@ -323,8 +332,8 @@ def build_report(source: SystemSource, field: VectorField3, scalings: Scalings,
             report["planar_reduction"] = {"du": str(planar.pu), "dv": str(planar.pv)}
         report["resonance"] = _resonance_dict(first_resonance(nf))
     else:
-        seq = obstruction_sequence(field, n, Method(mode))
-        report["obstructions"] = [_sequence_dict(seq, config.constraint)]
+        seq = _entries_only(field, n, Method(mode))
+        report["obstructions"] = [_sequence_dict(seq, constraint)]
     return report
 
 
@@ -430,8 +439,9 @@ def run_cli(args: List[str]) -> Tuple[int, str]:
             poly = parse_polynomial(text, names)
         except ParseError as exc:
             return 2, f"parse error in --constraint: {exc}\n"
-        if poly.degree_in(var) < 1:
-            return 2, f"usage error: --constraint does not contain {var!r}\n"
+        if poly.substitute(bindings or {}).degree_in(var) < 1:
+            bound = " once the --param values are substituted" if bindings else ""
+            return 2, f"usage error: --constraint does not contain {var!r}{bound}\n"
         constraint = (poly, var)
 
     if ns.command in ("analyze", "obstructions"):

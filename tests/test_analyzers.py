@@ -10,7 +10,7 @@ import hopfzero as hz
 from hopfzero import (CaseTag, Method, ParamPolynomial, PrincipalPartError,
                       QHPolynomial, StructureError, VectorField3, homological)
 
-from hopfzero.analyzers import _obstruction_driver
+from hopfzero.analyzers import _entries_only, _obstruction_driver
 from hopfzero.gradedpoly import _integer_terms, _is_constant
 
 from conftest import field_from_text, random_perturbed_field, random_ppoly
@@ -195,6 +195,17 @@ def assert_matches_polynomial_products(seq, field, max_index, method, seed_power
     assert stored_form(seq.witness) == stored_form(witness)
 
 
+def assert_same_entries(seq, other):
+    """Equal entries in the same order, each coefficient's terms included."""
+    assert list(seq.entries) == list(other.entries)
+    for k, value in other.entries.items():
+        assert list(seq.entries[k].terms.items()) == list(value.terms.items())
+
+
+def no_witness_piece(*args):
+    raise AssertionError("a witness piece was built")
+
+
 DRIVER_PARAMS = ("a001", "b200", "c030")
 DRIVER_POINT = {"a001": Fraction(1, 3), "b200": Fraction(-5, 2), "c030": Fraction(7, 4)}
 
@@ -224,6 +235,14 @@ class TestKnownTermAccumulation:
     def test_family37_symbolic_matches_polynomial_products(self, family37, method):
         seq = _obstruction_driver(family37, 10, method)
         assert_matches_polynomial_products(seq, family37, 10, method)
+        # the report path's consumer of the same continuation
+        entries_only = _entries_only(family37, 10, method)
+        assert entries_only.witness is None
+        assert (entries_only.start_index, entries_only.max_index) == \
+            (seq.start_index, seq.max_index)
+        assert_same_entries(entries_only, seq)
+        with pytest.raises(ValueError, match="no witness"):
+            hz.recombination_defect(family37, entries_only)
 
     @pytest.mark.parametrize("kind", ["symbolic", "rational", "bound"])
     @pytest.mark.parametrize("method", list(Method))
@@ -353,6 +372,19 @@ class TestClassify:
         assert verdict.case_tag is CaseTag.SYMBOLIC
         methods = {seq.method for seq in verdict.obstructions}
         assert methods == {Method.JACOBI_H, Method.JACOBI_H2}
+
+    def test_symbolic_family37_builds_no_witness(self, family37, monkeypatch):
+        # the verdict reads the entries only, so no solved piece of either
+        # Jacobi sequence becomes Fractions
+        monkeypatch.setattr("hopfzero.analyzers._from_integer_terms", no_witness_piece)
+        verdict = hz.classify(family37, 6)
+        assert verdict.case_tag is CaseTag.SYMBOLIC
+        assert [seq.method for seq in verdict.obstructions] == \
+            [Method.JACOBI_H, Method.JACOBI_H2]
+        assert all(seq.witness is None for seq in verdict.obstructions)
+        assert sorted(verdict.obstructions[1].entries) == [3, 4, 5, 6]
+        with pytest.raises(AssertionError, match="witness piece"):
+            _obstruction_driver(family37, 6, Method.JACOBI_H2)
 
     def test_verdict_determinism(self, family37):
         values = {"a001": 1, "b200": 0, "c030": 0}

@@ -143,6 +143,19 @@ class TestCli:
         assert seq["entries"]["3"] == "0"
         assert seq["reduced_entries"]["8"] == "0"
 
+    def test_bound_values_reach_the_constraint(self, family37_file):
+        # at a001 = 1 the constraint is one in b200 alone, and entry 7 is a
+        # multiple of it
+        code, out = hz.run_cli([
+            "obstructions", family37_file, "--mode", "JACOBI_H2",
+            "--max-degree", "7", "--param", "a001=1",
+            "--constraint", "18*a001^2 - 18*a001*b200 + 5*b200^2",
+            "--eliminate", "b200", "--json"])
+        assert code == 0
+        seq = json.loads(out)["obstructions"][0]
+        assert seq["entries"]["7"] == "25/12288*b200^2 - 15/2048*b200 + 15/2048"
+        assert seq["reduced_entries"]["7"] == "0"
+
     def test_obstructions_mode_defaults_to_first_integral(self, family37_file):
         code, out = hz.run_cli(["obstructions", family37_file, "--max-degree", "4",
                                 "--json"])
@@ -200,6 +213,9 @@ class TestCli:
         (["analyze", "--param", "a001=1", "--param", "q=1"], "undeclared parameter 'q'"),
         (["normal-form", "--param", "q=1"], "undeclared parameter 'q'"),
         (["reduce", "--param", "q=1"], "undeclared parameter 'q'"),
+        (["obstructions", "--mode", "JACOBI_H2", "--param", "a001=1", "--constraint",
+          "18*a001^2 - 18*a001*b200 + 5*b200^2", "--eliminate", "a001"],
+         "does not contain 'a001' once the --param values are substituted"),
     ])
     @pytest.mark.parametrize("max_degree", ["3", "7"])
     def test_flag_name_mistakes_are_usage_errors(self, family37_file, args, message,
@@ -232,6 +248,21 @@ def test_build_report_rejects_unknown_mode():
     source, field, scalings = hz.frontend.load_system(FAMILY38)
     with pytest.raises(ValueError, match="unknown mode 'JACOBI_H3'"):
         hz.build_report(source, field, scalings, hz.AnalysisConfig(mode="JACOBI_H3"))
+
+
+def test_build_report_builds_no_witness(monkeypatch):
+    # the report prints the entries only, so no solved piece becomes Fractions
+    source, field, scalings = hz.frontend.load_system(FAMILY37)
+    public = hz.obstruction_sequence(field, 8, hz.Method.JACOBI_H2)
+
+    def no_witness_piece(*args):
+        raise AssertionError("a witness piece was built")
+
+    monkeypatch.setattr("hopfzero.analyzers._from_integer_terms", no_witness_piece)
+    report = hz.build_report(source, field, scalings,
+                             hz.AnalysisConfig(max_index=8, mode="JACOBI_H2"))
+    assert report["obstructions"][0]["entries"] == {
+        str(k): str(v) for k, v in sorted(public.entries.items())}
 
 
 def _run_module(*args):

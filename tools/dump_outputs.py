@@ -24,7 +24,10 @@ Runs, from the checkout's `src/`:
   point (1/3, -5/2, 7/4) to z^12, whose constant coefficients have
   denominators above 1;
 - the symbolic JACOBI_H2 continuation of family 37 seeded by (x^2+y^2)^3
-  (`seed_power=3`) to z^10.
+  (`seed_power=3`) to z^10;
+- the `--json` report through `run_cli` of `analyze` on family 37 with every
+  parameter free at `--max-degree 12`, whose verdict is SYMBOLIC (no golden
+  fixture reaches that path).
 
 Each polynomial is written as its `str`, its terms in stored order (with each
 coefficient's terms) and its `hash`.  The script prints one SHA-256 line over
@@ -42,7 +45,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import hopfzero as hz  # noqa: E402
 from hopfzero.analyzers import _obstruction_driver  # noqa: E402
 from hzbench.checks import cli_args  # noqa: E402
-from hzbench.workloads import family37_field, seed_point  # noqa: E402
+from hzbench.workloads import FAMILY37, family37_field, seed_point  # noqa: E402
 
 
 def describe(value) -> str:
@@ -120,6 +123,12 @@ def dump_lines():
         for k in sorted(seq.entries):
             yield f"{method.value}{label} entry {k}: {describe(seq.entries[k])}"
         yield f"{method.value}{label} witness: {describe(seq.witness)}"
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "family37.hz"
+        path.write_text(FAMILY37, encoding="utf-8")
+        code, text = hz.run_cli(["analyze", str(path), "--max-degree", "12", "--json"])
+        yield f"analyze symbolic family 37 --max-degree 12 exit {code}: {describe(text)}"
 
 
 def main(argv) -> int:
