@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import Dict, Mapping, Optional, Tuple
 
 from .coeffring import ParamPolynomial, Rational, rat
@@ -90,11 +91,14 @@ def _converted_piece(whole: IntegerTerms) -> tuple:
 def _continuation(field: VectorField3, max_index: int, method: Method, power: int):
     """Continue the seed (x^2+y^2)^power of `method` degree by degree.
 
-    Yields (degree, entry, solved) for each degree 2*power+1 .. 2*max_index:
+    Yields (degree, entry, solve) for each degree 2*power+1 .. 2*max_index:
     entry is the z^(degree/2) residual on even degrees and None on odd ones,
-    and solved is the degree's piece of the continuation in the graded
+    and solve() returns the degree's piece of the continuation in the graded
     kernel's converted form (integer numerators over one denominator), with
-    no terms when the slice solve returns zero.
+    no terms when the slice solve returns zero.  The solve is memoised and
+    runs when it is first called: the continuation calls it for every degree
+    a later one reads, so the last degree is solved only for a caller that
+    asks, such as the witness's driver.
 
     The known part of the defining expression at degree d, the sum of
     grad(W_j) . F_k - W_j div(F_k) over field components F_k and solved
@@ -154,10 +158,10 @@ def _continuation(field: VectorField3, max_index: int, method: Method, power: in
             nums = terms[-1][3] if terms and terms[-1][2] == top else ()
             entry = ParamPolynomial._from_numerators(
                 {e: -n for e, n in nums}, den, params)
-        solved = _solve_levels(degree, rhs)
-        if solved[1]:
+        solve = cache(partial(_solve_levels, degree, rhs))
+        yield degree, entry, solve
+        if degree < 2 * max_index and (solved := solve())[1]:
             converted[degree] = _converted_piece(solved)
-        yield degree, entry, solved
 
 
 def _obstruction_driver(field: VectorField3, max_index: int, method: Method,
@@ -178,10 +182,10 @@ def _obstruction_driver(field: VectorField3, max_index: int, method: Method,
     params = field.params
     entries: Dict[int, ParamPolynomial] = {}
     pieces = [QHPolynomial.h_power(power, params)]
-    for degree, entry, solved in _continuation(field, max_index, method, power):
+    for degree, entry, solve in _continuation(field, max_index, method, power):
         if entry is not None:
             entries[degree // 2] = entry
-        if solved[1]:
+        if (solved := solve())[1]:
             pieces.append(_from_integer_terms(solved, params))
     witness = QHPolynomial._wrap(
         {m: c for piece in pieces for m, c in piece.terms.items()}, params)
@@ -196,7 +200,8 @@ def _entries_only(field: VectorField3, max_index: int,
 
     It reads the same `_continuation` as `_obstruction_driver` and keeps its
     entries, equal to that driver's, term order included; no solved piece
-    becomes `Fraction`s.  The report path reads only the entries.
+    becomes `Fraction`s, and the last degree, which no entry reads, is not
+    solved.  The report path reads only the entries.
     """
     power = _SEED_POWER[method]
     entries = {degree // 2: entry for degree, entry, _

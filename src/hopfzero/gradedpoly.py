@@ -20,11 +20,14 @@ converted by `_integer_terms` to integer numerators over one common
 denominator, and partial derivatives are taken from the converted form
 (`_integer_partial`, which `partial` also uses), so each coefficient is read
 once; the kernel sums Python `int`s, one per output monomial when every
-operand coefficient is a constant.  It has two tails: `_mul_accumulate`
-makes each output coefficient's numerators `Fraction`s in
+operand coefficient is a constant.  Under a degree cap it reads only what
+the cap keeps, and `_integer_partial` takes a degree limit for a caller that
+stops a partial where the kernel stops reading it.  It has two tails:
+`_mul_accumulate` makes each output coefficient's numerators `Fraction`s in
 `ParamPolynomial._from_numerators`, and `_mul_integer` leaves them
-integers, divided by their content gcd, for a caller that feeds the result
-into the next product, as the Lie series and the obstruction driver do.  The
+integers (on constants, the kernel's plain `int` sums as they are), divided
+by their content gcd, for a caller that feeds the result into the next
+product, as the normal form's steps and the obstruction driver do.  The
 converted form is the only integer layout that leaves this module: the slice
 solve (`homological._solve_levels`) takes and returns it, so the driver's
 known terms and solved pieces never become `Fraction`s on the way to its next
@@ -278,15 +281,21 @@ def _integer_terms(f: QHPolynomial) -> IntegerTerms:
                     for m, c in f.terms.items()]
 
 
-def _integer_partial(converted: IntegerTerms, var: str) -> IntegerTerms:
+def _integer_partial(converted: IntegerTerms, var: str,
+                     max_degree: Optional[float] = None) -> IntegerTerms:
     """The partial derivative in `var` of a polynomial converted by
     `_integer_terms`, over the same denominator.  It multiplies each
     numerator by the exponent it lowers; lowering keeps canonical order, and
-    the terms free of `var` drop out."""
+    the terms free of `var` drop out.  With `max_degree` the output stops
+    there: the terms come in ascending degree, so the walk ends at the first
+    one whose partial lies above it."""
     common, terms = converted
     idx = VAR_NAMES.index(var)
+    top = math.inf if max_degree is None else max_degree + WEIGHTS[idx]
     out = []
     for term in terms:
+        if term[0] + term[1] + 2 * term[2] > top:
+            break
         e = term[idx]
         if e:
             lowered = list(term[:3])
@@ -318,20 +327,25 @@ def _is_constant(converted: IntegerTerms) -> bool:
 def _accumulate(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
                 minus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
                 max_degree: Optional[int],
-                constant: Optional[bool] = None) -> Tuple[int, Dict[tuple, dict]]:
+                constant: Optional[bool] = None
+                ) -> Tuple[int, Dict[tuple, object], Optional[tuple]]:
     """The integer core of `_mul_accumulate` and `_mul_integer`:
-    `(common, acc)`, where `acc`
-    maps each output monomial (a plain tuple) to its exponent -> numerator
-    sums over `common`, zero sums and monomials included, in no set order.
+    `(common, acc, zero)`, where `acc` maps each output monomial (a plain
+    tuple) to its sums over `common`, zero sums and monomials included, in
+    no set order.  The sums are exponent -> numerator dicts, with `zero`
+    None, or, when every operand coefficient is constant (`_is_constant`),
+    one plain `int` per monomial, with `zero` the all-zero exponent tuple
+    they stand at.
 
     With `common` the lcm of the pairs' `Da * Db`, each pair's numerator
     products are scaled by `common // (Da * Db)` (negated for `minus`).  Each
-    `b` is bucketed by degree, and the terms of `a` come in ascending degree,
-    so the pairs above the cap are cut off with a `break` rather than tested
-    one by one.  When every operand coefficient is constant (`_is_constant`),
-    each monomial sums one `int`, without the exponent dict and the
-    per-product `tuple(map(add, ...))`.  A caller that already knows whether
-    the operands are constant passes `constant`, and no operand is scanned.
+    `b` is bucketed by degree up to the cap less the degree of the lowest
+    term of `a`, past which no `a` term can use it, and the terms of `a` come
+    in ascending degree, so the pairs above the cap are cut off with a
+    `break` rather than tested one by one.  On constants the sums skip the
+    exponent dict and the per-product `tuple(map(add, ...))`.  A caller that
+    already knows whether the operands are constant passes `constant`, and
+    no operand is scanned.
     """
     cap = math.inf if max_degree is None else max_degree
     operands = [x for pairs in (plus, minus) for pair in pairs for x in pair]
@@ -344,12 +358,18 @@ def _accumulate(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
             if not a_terms or not b_terms:
                 continue
             scale = sign * (common // (da * db))
+            ax, ay, az, _ = a_terms[0]
+            reach = cap - (ax + ay + 2 * az)
             buckets: List[Tuple[int, list]] = []
             for term in b_terms:
                 d = term[0] + term[1] + 2 * term[2]
+                if d > reach:
+                    break
                 if not buckets or buckets[-1][0] != d:
                     buckets.append((d, []))
                 buckets[-1][1].append((*term[:3], term[3][0][1]) if constant else term)
+            if not buckets:
+                continue
             lowest = buckets[0][0]
             for ax, ay, az, a_items in a_terms:
                 room = cap - (ax + ay + 2 * az)
@@ -377,10 +397,8 @@ def _accumulate(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
                             for eb, nb in b_items:
                                 e = tuple(map(add, ea, eb))
                                 out[e] = out.get(e, 0) + na * nb
-    if constant and acc:
-        zero = next(x[1][0][3][0][0] for x in operands if x[1])
-        acc = {key: {zero: n} for key, n in acc.items()}
-    return common, acc
+    zero = next(x[1][0][3][0][0] for x in operands if x[1]) if constant and acc else None
+    return common, acc, zero
 
 
 def _mul_accumulate(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
@@ -395,10 +413,11 @@ def _mul_accumulate(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
     nonzero sum becomes one `Fraction(n, common)`, which reduces to lowest
     terms, and the monomials are sorted once.
     """
-    common, acc = _accumulate(plus, minus, max_degree)
+    common, acc, zero = _accumulate(plus, minus, max_degree)
     terms = {}
     for key in sorted(acc, key=_mono_sort_key):
-        coeff = ParamPolynomial._from_numerators(acc[key], common, params)
+        sums = acc[key] if zero is None else {zero: acc[key]}
+        coeff = ParamPolynomial._from_numerators(sums, common, params)
         if coeff.terms:
             terms[tuple.__new__(Monomial3, key)] = coeff
     return QHPolynomial._wrap(terms, params)
@@ -411,13 +430,18 @@ def _mul_integer(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
     """The sum `_mul_accumulate` returns, left in converted form: zero-free,
     the monomials in canonical order, and numerators and denominator divided
     by their gcd, so that a chain of products, such as the terms of a Lie
-    series, does not grow its denominators.  `constant` is `_accumulate`'s."""
-    common, acc = _accumulate(plus, minus, max_degree, constant)
-    terms = []
-    for key in sorted(acc, key=_mono_sort_key):
-        items = [(e, n) for e, n in acc[key].items() if n]
-        if items:
-            terms.append((*key, items))
+    series, does not grow its denominators.  `constant` is `_accumulate`'s;
+    on constants its plain `int` sums are read as they are."""
+    common, acc, zero = _accumulate(plus, minus, max_degree, constant)
+    keys = sorted(acc, key=_mono_sort_key)
+    if zero is not None:
+        terms = [(*key, [(zero, n)]) for key in keys if (n := acc[key])]
+    else:
+        terms = []
+        for key in keys:
+            items = [(e, n) for e, n in acc[key].items() if n]
+            if items:
+                terms.append((*key, items))
     g = math.gcd(common, *(n for *_, items in terms for _, n in items))
     if g > 1:
         terms = [(*t[:3], [(e, n // g) for e, n in t[3]]) for t in terms]

@@ -12,13 +12,17 @@ three slice solves plus a division by x^2 + y^2 (`_solve_degree`).  After
 each solve the actual transformation (time factor 1 + mu, then the
 exponential of the generator's adjoint action) is applied and the achieved
 slice is checked exactly, so the returned coefficients are verified, not
-inferred.  The exponential's Lie series is summed on integer numerators in
-`apply_generator_step`, and its numerators become `Fraction`s once per step,
-in the kernel call that sums each component.
+inferred.  The field stays in the graded kernel's converted form
+(`gradedpoly.IntegerTerms`) from the first step to the last: each step,
+time scaling and Lie series alike, runs on integer numerators
+(`_integer_step`), only the degree-s slice that the solve and the check read
+is built as `Fraction`s (`_component`), and the returned field's numerators
+become `Fraction`s once per run.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
@@ -26,7 +30,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .coeffring import ParamPolynomial, Rational
 from .errors import DegreeError, PrincipalPartError, StructureError
-from .gradedpoly import Monomial3, QHPolynomial, _integer_terms, _mul_accumulate
+from .gradedpoly import (IntegerTerms, Monomial3, QHPolynomial, _from_integer_terms,
+                         _integer_terms, _is_constant, _mul_integer)
 from .homological import solve_homological
 from .vectorfield import (PlanarVectorField, Poly2, VectorField3, _integer_bracket,
                           _integer_field)
@@ -82,25 +87,43 @@ def apply_generator_step(field: VectorField3, step: GeneratorStep,
     generator's flow via the exponential of the adjoint action, truncating
     above the working degree.
 
-    The series current + sum_j ad_g^j(current) / j! runs on integer
-    numerators: the generator and its nine partials are converted once
-    (`_integer_field`), and each term is the bracket of the generator with
-    the previous term's converted form (`_integer_bracket`).  Each component
-    of the sum is one `_mul_accumulate` of term j times the constant 1/j!,
-    over the lcm of the `j! * D_j`, so the numerators become `Fraction`s
-    once, one per output coefficient.
+    The wrapper of `_integer_step`, which `orbital_normal_form` runs on a
+    field kept in converted form from its first step to its last: the field
+    is converted once (`_integer_terms`), and the result's numerators become
+    `Fraction`s once, one per output coefficient (`_from_integer_terms`).
     """
-    if step.reparam:
-        one = QHPolynomial.constant(1, field.params)
-        current = field.scale_poly(one + step.reparam, max_field_degree)
-    else:  # scaling by 1 only truncates
-        current = field.truncate(max_field_degree)
-    params = current.params
+    current = [_integer_terms(c) for c in field.truncate(max_field_degree).components]
+    current, _ = _integer_step(current, step, max_field_degree,
+                               all(map(_is_constant, current)))
+    return VectorField3(*(_from_integer_terms(c, field.params) for c in current))
+
+
+def _integer_step(current: List[IntegerTerms], step: GeneratorStep, max_field_degree: int,
+                  constant: bool) -> Tuple[List[IntegerTerms], bool]:
+    """`apply_generator_step` on the three converted components of a field
+    truncated at `max_field_degree`, every coefficient of which is constant
+    when `constant` says so.  Returns the converted result and whether it
+    is constant.
+
+    The generator and its nine partials are converted once (`_integer_field`),
+    and whether it is constant is read once.  The time scaling is one
+    `_mul_integer` per component.  The series current + sum_j
+    ad_g^j(current) / j! brackets the generator with the previous term
+    (`_integer_bracket`), and each component of the sum is one `_mul_integer`
+    of term j times the constant 1/j!, so no `Fraction` is built.
+    """
+    params = step.generator.params
     generator = _integer_field(step.generator)
-    term = [_integer_terms(c) for c in current.components]
+    constant = constant and all(map(_is_constant, generator[0]))
+    if step.reparam:
+        factor = _integer_terms(QHPolynomial.constant(1, params) + step.reparam)
+        constant = constant and _is_constant(factor)
+        current = [_mul_integer([(factor, c)], (), max_field_degree + w, constant)
+                   for c, w in zip(current, (1, 1, 2))]
+    term = current
     series = [term]
     while True:
-        term = _integer_bracket(generator, term, max_field_degree)
+        term = _integer_bracket(generator, term, max_field_degree, constant)
         if not any(terms for _, terms in term):
             break
         series.append(term)
@@ -108,9 +131,23 @@ def apply_generator_step(field: VectorField3, step: GeneratorStep,
             raise StructureError("adjoint exponential failed to terminate")
     unit = (0,) * len(params)
     inverse_factorials = [(factorial(j), [(0, 0, 0, [(unit, 1)])]) for j in range(len(series))]
-    return VectorField3(*(
-        _mul_accumulate([(t[i], c) for t, c in zip(series, inverse_factorials)], (), params)
-        for i in range(3)))
+    return [_mul_integer([(t[i], c) for t, c in zip(series, inverse_factorials)], (),
+                         None, constant)
+            for i in range(3)], constant
+
+
+def _component(current: List[IntegerTerms], s: int, params: Tuple[str, ...]) -> VectorField3:
+    """The degree-s component of a field in converted form, as
+    `VectorField3.component` gives it; the terms come in ascending degree,
+    so each slice is found by bisection."""
+    def degree(t):
+        return t[0] + t[1] + 2 * t[2]
+
+    slices = []
+    for (den, terms), k in zip(current, (s + 1, s + 1, s + 2)):
+        lo = bisect_left(terms, k, key=degree)
+        slices.append((den, terms[lo:bisect_right(terms, k, lo, key=degree)]))
+    return VectorField3(*(_from_integer_terms(c, params) for c in slices))
 
 
 def _resonant_field(s: int, a: ParamPolynomial, b: ParamPolynomial,
@@ -220,12 +257,13 @@ def orbital_normal_form(field: VectorField3, max_index: int) -> NormalFormResult
     params = field.params
     zero_p = ParamPolynomial.zero(params)
     max_field_degree = 2 * max_index
-    current = field.truncate(max_field_degree)
+    current = [_integer_terms(c) for c in field.truncate(max_field_degree).components]
+    constant = all(map(_is_constant, current))
     a_coeffs: Dict[int, ParamPolynomial] = {}
     b_coeffs: Dict[int, ParamPolynomial] = {}
     steps: List[GeneratorStep] = []
     for s in range(1, max_field_degree + 1):
-        known = current.component(s)
+        known = _component(current, s, params)
         if known.is_zero():
             u, mu, a, b = VectorField3.zero(params), QHPolynomial.zero(params), zero_p, zero_p
         else:
@@ -236,14 +274,16 @@ def orbital_normal_form(field: VectorField3, max_index: int) -> NormalFormResult
         step = GeneratorStep(degree=s, generator=u, reparam=mu)
         steps.append(step)
         if not (u.is_zero() and mu.is_zero()):
-            current = apply_generator_step(current, step, max_field_degree)
-        achieved = current.component(s)
+            current, constant = _integer_step(current, step, max_field_degree, constant)
+        achieved = _component(current, s, params)
         expected = _resonant_field(s, a, b, params)
         if achieved != expected:
             raise StructureError(f"degree-{s} slice not in normal form after solve")
     return NormalFormResult(a_coeffs=a_coeffs, b_coeffs=b_coeffs,
                             max_index=max_index, generators=tuple(steps),
-                            field=current, params=params)
+                            field=VectorField3(*(_from_integer_terms(c, params)
+                                                 for c in current)),
+                            params=params)
 
 
 def normal_form_field(nf: NormalFormResult) -> VectorField3:

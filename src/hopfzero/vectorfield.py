@@ -8,7 +8,8 @@ normal form.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Tuple
+import math
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .coeffring import ParamPolynomial, RationalLike, _format_terms, _merged
 from .gradedpoly import (VAR_NAMES, IntegerTerms, QHPolynomial, _from_integer_terms,
@@ -123,8 +124,10 @@ def lie_bracket(f: VectorField3, g: VectorField3,
     """
     if f.params != g.params:
         raise ValueError("parameter tables differ")
-    comps = _integer_bracket(_integer_field(f), [_integer_terms(c) for c in g.components],
-                             max_field_degree)
+    converted = _integer_field(f)
+    g_comps = [_integer_terms(c) for c in g.components]
+    constant = all(map(_is_constant, converted[0] + g_comps))
+    comps = _integer_bracket(converted, g_comps, max_field_degree, constant)
     return VectorField3(*(_from_integer_terms(c, f.params) for c in comps))
 
 
@@ -139,24 +142,26 @@ def _integer_field(f: VectorField3) -> IntegerField:
 
 
 def _integer_bracket(f: IntegerField, g: List[IntegerTerms],
-                     max_field_degree: int | None = None) -> List[IntegerTerms]:
+                     max_field_degree: Optional[int], constant: bool) -> List[IntegerTerms]:
     """The components of [f, g] in converted form (`_mul_integer`), for `f`
     as `_integer_field` gives it and `g` a list of three converted components.
 
     Each component is one multiply-accumulate: grad(g_i) . f - grad(f_i) . g.
     The nine partials of `g` are taken here; those of `f` come with it, so a
-    caller that brackets one field with many reuses them.  The three products
-    share their operands, so whether all of them are constant
-    (`_is_constant`) is read once here, from the six components: a partial
-    of a constant form is constant.
+    caller that brackets one field with many reuses them.  Under a cap, the
+    partial of g_i paired with f_v stops at the cap less the lowest degree of
+    f_v, the last degree the kernel reads.  `constant` says whether every
+    coefficient of `f` and `g` is constant: the caller reads that once, as a
+    partial of a constant form is constant.
     """
     f_comps, f_partials = f
-    constant = all(map(_is_constant, f_comps)) and all(map(_is_constant, g))
-    cap1 = None if max_field_degree is None else max_field_degree + 1
-    cap2 = None if max_field_degree is None else max_field_degree + 2
-    return [_mul_integer([(_integer_partial(gi, v), fv) for v, fv in zip(VAR_NAMES, f_comps)],
+    caps = (None,) * 3 if max_field_degree is None else \
+        (max_field_degree + 1, max_field_degree + 1, max_field_degree + 2)
+    lows = [t[0][0] + t[0][1] + 2 * t[0][2] if t else math.inf for _, t in f_comps]
+    return [_mul_integer([(_integer_partial(gi, v, None if cap is None else cap - low), fv)
+                          for v, fv, low in zip(VAR_NAMES, f_comps, lows)],
                          list(zip(fi_partials, g)), cap, constant)
-            for fi_partials, gi, cap in zip(f_partials, g, (cap1, cap1, cap2))]
+            for fi_partials, gi, cap in zip(f_partials, g, caps)]
 
 
 # --------------------------------------------------------------------------

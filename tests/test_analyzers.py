@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import hopfzero as hz
 from hopfzero import (CaseTag, Method, ParamPolynomial, PrincipalPartError,
-                      QHPolynomial, StructureError, VectorField3, homological)
+                      QHPolynomial, StructureError, VectorField3, analyzers, homological)
 
 from hopfzero.analyzers import _entries_only, _obstruction_driver
 from hopfzero.gradedpoly import _integer_terms, _is_constant
@@ -243,6 +243,24 @@ class TestKnownTermAccumulation:
         assert_same_entries(entries_only, seq)
         with pytest.raises(ValueError, match="no witness"):
             hz.recombination_defect(family37, entries_only)
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_entries_only_skips_the_last_solve(self, family37, method, monkeypatch):
+        # no entry reads the last degree's piece, so only the witness's
+        # driver solves it
+        solved = []
+        solve = analyzers._solve_levels
+
+        def counting(k, rhs):
+            solved.append(k)
+            return solve(k, rhs)
+
+        monkeypatch.setattr(analyzers, "_solve_levels", counting)
+        seq = _obstruction_driver(family37, 6, method)
+        driver_solves, solved[:] = list(solved), []
+        entries_only = _entries_only(family37, 6, method)
+        assert driver_solves == solved + [12]
+        assert_same_entries(entries_only, seq)
 
     @pytest.mark.parametrize("kind", ["symbolic", "rational", "bound"])
     @pytest.mark.parametrize("method", list(Method))

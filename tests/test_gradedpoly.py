@@ -392,3 +392,54 @@ class TestCanonicalResults:
         assert got.params == params
         assert ([(m, list(c.terms.items())) for m, c in got.terms.items()]
                 == [(m, list(c.terms.items())) for m, c in want.terms.items()])
+
+
+# -- the capped kernel's cuts, on operands whose lowest degree is above 0 --
+
+_POINT = {"a": Fraction(2, 3), "b": Fraction(-5, 2)}
+
+
+@st.composite
+def _raised(draw, count):
+    """`count` polynomials over one table of 0 to 2 parameters, each times
+    a monomial of degree 1 to 8, so that the cap's cuts come below the
+    operands' top degrees; either all symbolic or all bound to a point."""
+    params = draw(_PARAM_TABLES)
+    bound = draw(st.booleans())
+    out = []
+    for _ in range(count):
+        shift = draw(_MONOMIALS.filter(any))
+        f = draw(_graded(params)).mul(QHPolynomial.monomial(shift, 1, params))
+        out.append(f.substitute_params({p: _POINT[p] for p in params}) if bound else f)
+    return out
+
+
+def stored_form(f):
+    return [(m, list(c.terms.items())) for m, c in f.terms.items()]
+
+
+class TestCappedKernel:
+    @_FEW
+    @given(_raised(6), st.integers(0, 16))
+    def test_mul_integer_is_the_truncated_product(self, polys, cap):
+        t = [_integer_terms(p) for p in polys]
+        plus, minus = [(t[0], t[1]), (t[2], t[3])], [(t[4], t[5])]
+        params = polys[0].params
+        capped = _mul_integer(plus, minus, cap)
+        full = _from_integer_terms(_mul_integer(plus, minus), params).truncate(cap)
+        assert stored_form(_from_integer_terms(capped, params)) == stored_form(full)
+        # the int sums of the constant path and the dict sums agree exactly
+        if all(map(_is_constant, t)):
+            assert _mul_integer(plus, minus, cap, True) == capped
+            assert _mul_integer(plus, minus, cap, False) == capped
+        else:
+            assert _mul_integer(plus, minus, cap, False) == capped
+
+    @_FEW
+    @given(_raised(1), st.integers(-1, 14))
+    def test_partial_limit_truncates_the_full_partial(self, polys, limit):
+        converted = _integer_terms(polys[0])
+        for var in ("x", "y", "z"):
+            den, terms = _integer_partial(converted, var)
+            assert _integer_partial(converted, var, limit) == \
+                (den, [t for t in terms if _mono_sort_key(t[:3])[0] <= limit])

@@ -72,6 +72,26 @@ class TestOrbitalNormalForm:
         resonant = hz.normal_form_field(nf).truncate(2 * n)
         assert current == resonant
 
+    @pytest.mark.parametrize("kind", ["symbolic", "rational", "bound"])
+    def test_converted_field_matches_the_public_steps(self, family37, kind):
+        # the loop keeps the field in converted form across its steps; the
+        # public step, which converts in and out each time, must give the
+        # same field, each coefficient's term order included
+        n = 3
+        if kind == "rational":
+            rng, field = random.Random(5), hz.principal_part(())
+            for s in range(1, 2 * n + 1):
+                field = field + rational_field_component(rng, s)
+        else:
+            field = family37.substitute_params(SERIES_POINT) if kind == "bound" else family37
+        nf = hz.orbital_normal_form(field, n)
+        assert any(step.reparam for step in nf.generators)
+        current = field.truncate(2 * n)
+        for step in nf.generators:
+            if not (step.generator.is_zero() and step.reparam.is_zero()):
+                current = hz.apply_generator_step(current, step, 2 * n)
+        assert stored_terms(current) == stored_terms(nf.field)
+
     def test_rejects_wrong_principal_part(self):
         bad = VectorField3(QHPolynomial({(0, 1, 0): -1}, ()),
                            QHPolynomial({(1, 0, 0): 1}, ()),
@@ -148,18 +168,18 @@ class TestClassifyNormalForm:
         # family 37 resonates at index 1, so no degree above 2 is solved or
         # transformed, however deep the obstruction sequences run
         solved, transformed = [], []
-        solve, step = normalform._solve_degree, normalform.apply_generator_step
+        solve, step = normalform._solve_degree, normalform._integer_step
 
         def counting_solve(known, s):
             solved.append(s)
             return solve(known, s)
 
-        def counting_step(field, generator_step, max_field_degree):
+        def counting_step(current, generator_step, max_field_degree, constant):
             transformed.append(max_field_degree)
-            return step(field, generator_step, max_field_degree)
+            return step(current, generator_step, max_field_degree, constant)
 
         monkeypatch.setattr(normalform, "_solve_degree", counting_solve)
-        monkeypatch.setattr(normalform, "apply_generator_step", counting_step)
+        monkeypatch.setattr(normalform, "_integer_step", counting_step)
         field = family37.substitute_params(
             {"a001": hz.rat(1), "b200": hz.rat(2), "c030": hz.rat(3)})
         hz.classify(field, 30)
