@@ -354,8 +354,11 @@ def _parse_param_bindings(pairs: Optional[List[str]]) -> Optional[Dict[str, Frac
         if "=" not in pair:
             raise _UsageError(f"--param expects name=p/q, got {pair!r}")
         name, value = pair.split("=", 1)
+        name = name.strip()
+        if name in out:
+            raise _UsageError(f"--param binds {name!r} twice")
         try:
-            out[name.strip()] = rat(value.strip())
+            out[name] = rat(value.strip())
         except (ValueError, ZeroDivisionError, TypeError):
             raise _UsageError(f"invalid rational {value!r} for parameter {name!r}")
     return out

@@ -15,25 +15,23 @@ their results through the private `_wrap`, which trusts its caller to pass a
 term dict that already holds the invariant.  Every product (`mul`, the
 directional derivatives and Lie brackets of `vectorfield`, the normal-form
 Lie series and the known terms of the obstruction sequences) goes through
-one multiply-accumulate kernel, `_accumulate`.  Its operands are first
+one multiply-accumulate kernel, `_mul_integer`.  Its operands are first
 converted by `_integer_terms` to integer numerators over one common
 denominator, and partial derivatives are taken from the converted form
 (`_integer_partial`, which `partial` also uses), so each coefficient is read
 once; the kernel sums Python `int`s, one per output monomial when every
 operand coefficient is a constant.  Under a degree cap it reads only what
 the cap keeps, and `_integer_partial` takes a degree limit for a caller that
-stops a partial where the kernel stops reading it.  It has two tails:
-`_mul_accumulate` makes each output coefficient's numerators `Fraction`s in
-`ParamPolynomial._from_numerators`, and `_mul_integer` leaves them
-integers (on constants, the kernel's plain `int` sums as they are), divided
-by their content gcd, for a caller that feeds the result into the next
-product, as the normal form's steps and the obstruction driver do.  The
-converted form is the only integer layout that leaves this module: the slice
-solve (`homological._solve_levels`) takes and returns it, so the driver's
-known terms and solved pieces never become `Fraction`s on the way to its next
-degrees.  `_from_integer_terms` turns a converted form back into a
-`QHPolynomial`.  `QHPolynomial`, `Poly2` and `ParamPolynomial` print
-through one function, `coeffring._format_terms`.
+stops a partial where the kernel stops reading it.  The kernel returns the
+converted form too, divided by its content gcd, so a caller can feed it into
+the next product, as the normal form's steps and the obstruction driver do.
+The converted form is the only integer layout that leaves this module: the
+slice solve (`homological._solve_levels`) takes and returns it, so the
+driver's known terms and solved pieces never become `Fraction`s on the way
+to its next degrees.  `_from_integer_terms` is the one place where a
+product's numerators become `Fraction`s again, in a `QHPolynomial`.
+`QHPolynomial`, `Poly2` and `ParamPolynomial` print through one function,
+`coeffring._format_terms`.
 """
 
 from __future__ import annotations
@@ -201,8 +199,9 @@ class QHPolynomial:
         from generating garbage far beyond the working degree.
         """
         self._check(other)
-        return _mul_accumulate([(_integer_terms(self), _integer_terms(other))], (),
-                               self.params, max_degree)
+        return _from_integer_terms(
+            _mul_integer([(_integer_terms(self), _integer_terms(other))], (), max_degree),
+            self.params)
 
     def scale(self, factor: RationalLike) -> "QHPolynomial":
         factor = rat(factor)
@@ -324,26 +323,27 @@ def _is_constant(converted: IntegerTerms) -> bool:
     return True
 
 
-def _accumulate(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
-                minus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
-                max_degree: Optional[int],
-                constant: Optional[bool] = None
-                ) -> Tuple[int, Dict[tuple, object], Optional[tuple]]:
-    """The integer core of `_mul_accumulate` and `_mul_integer`:
-    `(common, acc, zero)`, where `acc` maps each output monomial (a plain
-    tuple) to its sums over `common`, zero sums and monomials included, in
-    no set order.  The sums are exponent -> numerator dicts, with `zero`
-    None, or, when every operand coefficient is constant (`_is_constant`),
-    one plain `int` per monomial, with `zero` the all-zero exponent tuple
-    they stand at.
+def _mul_integer(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
+                 minus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
+                 max_degree: Optional[int] = None,
+                 constant: Optional[bool] = None) -> IntegerTerms:
+    """sum(a * b for a, b in plus) - sum(a * b for a, b in minus) over
+    operands converted by `_integer_terms`, without the monomials of degree
+    above `max_degree` when a cap is given, in converted form: zero-free, the
+    monomials in canonical order, and numerators and denominator divided by
+    their gcd, so that a chain of products, such as the terms of a Lie
+    series, does not grow its denominators.  `_from_integer_terms` turns the
+    result into a `QHPolynomial`.
 
-    With `common` the lcm of the pairs' `Da * Db`, each pair's numerator
-    products are scaled by `common // (Da * Db)` (negated for `minus`).  Each
-    `b` is bucketed by degree up to the cap less the degree of the lowest
-    term of `a`, past which no `a` term can use it, and the terms of `a` come
-    in ascending degree, so the pairs above the cap are cut off with a
-    `break` rather than tested one by one.  On constants the sums skip the
-    exponent dict and the per-product `tuple(map(add, ...))`.  A caller that
+    The sums are exact in integers over `common`, the lcm of the pairs'
+    `Da * Db`: each pair's numerator products are scaled by
+    `common // (Da * Db)` (negated for `minus`).  Each `b` is bucketed by
+    degree up to the cap less the degree of the lowest term of `a`, past
+    which no `a` term can use it, and the terms of `a` come in ascending
+    degree, so the pairs above the cap are cut off with a `break` rather
+    than tested one by one.  When every operand coefficient is constant
+    (`_is_constant`), each monomial's sum is one plain `int`, with no
+    exponent dict and no per-product `tuple(map(add, ...))`.  A caller that
     already knows whether the operands are constant passes `constant`, and
     no operand is scanned.
     """
@@ -397,54 +397,19 @@ def _accumulate(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
                             for eb, nb in b_items:
                                 e = tuple(map(add, ea, eb))
                                 out[e] = out.get(e, 0) + na * nb
-    zero = next(x[1][0][3][0][0] for x in operands if x[1]) if constant and acc else None
-    return common, acc, zero
-
-
-def _mul_accumulate(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
-                    minus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
-                    params: Tuple[str, ...],
-                    max_degree: Optional[int] = None) -> QHPolynomial:
-    """sum(a * b for a, b in plus) - sum(a * b for a, b in minus) over
-    operands converted by `_integer_terms`, without the monomials of degree
-    above `max_degree` when a cap is given.
-
-    The products are exact in integers (`_accumulate`).  At the end each
-    nonzero sum becomes one `Fraction(n, common)`, which reduces to lowest
-    terms, and the monomials are sorted once.
-    """
-    common, acc, zero = _accumulate(plus, minus, max_degree)
-    terms = {}
-    for key in sorted(acc, key=_mono_sort_key):
-        sums = acc[key] if zero is None else {zero: acc[key]}
-        coeff = ParamPolynomial._from_numerators(sums, common, params)
-        if coeff.terms:
-            terms[tuple.__new__(Monomial3, key)] = coeff
-    return QHPolynomial._wrap(terms, params)
-
-
-def _mul_integer(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
-                 minus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
-                 max_degree: Optional[int] = None,
-                 constant: Optional[bool] = None) -> IntegerTerms:
-    """The sum `_mul_accumulate` returns, left in converted form: zero-free,
-    the monomials in canonical order, and numerators and denominator divided
-    by their gcd, so that a chain of products, such as the terms of a Lie
-    series, does not grow its denominators.  `constant` is `_accumulate`'s;
-    on constants its plain `int` sums are read as they are."""
-    common, acc, zero = _accumulate(plus, minus, max_degree, constant)
+    # zero sums leave the gcd as it is, so it is taken before they are dropped
     keys = sorted(acc, key=_mono_sort_key)
-    if zero is not None:
-        terms = [(*key, [(zero, n)]) for key in keys if (n := acc[key])]
+    if constant:
+        g = math.gcd(common, *acc.values())
+        zero = next((x[1][0][3][0][0] for x in operands if x[1]), None)
+        terms = [(*key, [(zero, n // g)]) for key in keys if (n := acc[key])]
     else:
+        g = math.gcd(common, *(n for sums in acc.values() for n in sums.values()))
         terms = []
         for key in keys:
-            items = [(e, n) for e, n in acc[key].items() if n]
+            items = [(e, n // g) for e, n in acc[key].items() if n]
             if items:
                 terms.append((*key, items))
-    g = math.gcd(common, *(n for *_, items in terms for _, n in items))
-    if g > 1:
-        terms = [(*t[:3], [(e, n // g) for e, n in t[3]]) for t in terms]
     return common // g, terms
 
 

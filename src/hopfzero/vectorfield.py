@@ -13,8 +13,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .coeffring import ParamPolynomial, RationalLike, _format_terms, _merged
 from .gradedpoly import (VAR_NAMES, IntegerTerms, QHPolynomial, _from_integer_terms,
-                         _integer_partial, _integer_terms, _is_constant, _mul_accumulate,
-                         _mul_integer)
+                         _integer_partial, _integer_terms, _is_constant, _mul_integer)
 
 
 class VectorField3:
@@ -111,7 +110,7 @@ def directional_derivative(f: QHPolynomial, field: VectorField3,
     whole = _integer_terms(f)
     pairs = [(_integer_partial(whole, v), _integer_terms(c))
              for v, c in zip(VAR_NAMES, field.components)]
-    return _mul_accumulate(pairs, (), f.params, max_degree)
+    return _from_integer_terms(_mul_integer(pairs, (), max_degree), f.params)
 
 
 def lie_bracket(f: VectorField3, g: VectorField3,

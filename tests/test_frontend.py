@@ -216,6 +216,10 @@ class TestCli:
         (["obstructions", "--mode", "JACOBI_H2", "--param", "a001=1", "--constraint",
           "18*a001^2 - 18*a001*b200 + 5*b200^2", "--eliminate", "a001"],
          "does not contain 'a001' once the --param values are substituted"),
+        (["analyze", "--param", "a001=1", "--param", "a001=2"],
+         "--param binds 'a001' twice"),
+        (["analyze", "--param", "a001=1", "--param", "a001 = 1"],
+         "--param binds 'a001' twice"),
     ])
     @pytest.mark.parametrize("max_degree", ["3", "7"])
     def test_flag_name_mistakes_are_usage_errors(self, family37_file, args, message,

@@ -9,7 +9,7 @@ import hopfzero as hz
 from hopfzero import DegreeError, Monomial3, ParamPolynomial, QHPolynomial, VectorField3
 from hopfzero.coeffring import _term_sort_key
 from hopfzero.gradedpoly import (_from_integer_terms, _integer_partial, _integer_terms,
-                                 _is_constant, _mono_sort_key, _mul_accumulate, _mul_integer)
+                                 _is_constant, _mono_sort_key, _mul_integer)
 
 from conftest import Pairs, random_qh_slice
 from oracle import h_component
@@ -259,8 +259,9 @@ class TestCanonicalResults:
             assert r == model_product([(f, g)], [], f.params, c)
         # f g - g f: every output sum cancels to an exact zero inside the kernel
         tf, tg = _integer_terms(f), _integer_terms(g)
-        assert _mul_accumulate([(tf, tg)], [(tg, tf)], f.params, cap).terms == {}
         assert _mul_integer([(tf, tg)], [(tg, tf)], cap) == (1, [])
+        assert _from_integer_terms(_mul_integer([(tf, tg)], [(tg, tf)], cap),
+                                   f.params).terms == {}
         # the integer output is the same product, in lowest terms as a whole
         den, terms = _mul_integer([(tf, tg)], [], cap)
         assert math.gcd(den, *(n for *_, items in terms for _, n in items)) == 1
@@ -385,7 +386,8 @@ class TestCanonicalResults:
 
         def product(ps):
             t = [_integer_terms(p) for p in ps]
-            return _mul_accumulate([(t[0], t[1]), (t[2], t[3])], [(t[4], t[5])], params, cap)
+            return _from_integer_terms(
+                _mul_integer([(t[0], t[1]), (t[2], t[3])], [(t[4], t[5])], cap), params)
 
         got, want = product(bound), product(polys).substitute_params(point)
         assert_canonical(got)
