@@ -79,6 +79,11 @@ def _naming(name: str):
         raise ParseError(f"fixture {name}: {exc.message}", exc.line, exc.column) from None
 
 
+# expect keys that bind one value; a second line for one is an error, not a
+# silent override
+_SINGLE_KEYS = ("origin", "mode", "max_index", "constraint", "eliminate", "param")
+
+
 def parse_fixture(text: str, name: str) -> GoldenCase:
     if "expect {" not in text:
         raise ParseError(f"fixture {name}: missing expect block")
@@ -106,7 +111,11 @@ def parse_fixture(text: str, name: str) -> GoldenCase:
         value = value.strip()
         try:
             head = key_parts[0]
-            first_line.setdefault(" ".join(key_parts[:2]) if head == "zero" else head, lineno)
+            key_name = " ".join(key_parts[:2]) if head in ("zero", "param") else head
+            if head in _SINGLE_KEYS and key_name in first_line:
+                raise ParseError(f"fixture {name}: repeated expect key {key_name!r} "
+                                 f"(first at line {first_line[key_name]})", lineno)
+            first_line.setdefault(key_name, lineno)
             if head == "origin":
                 origin = value
             elif head == "mode":

@@ -23,71 +23,25 @@ the solution into `Fraction`s once (`gradedpoly._from_integer_terms`); the
 obstruction driver passes its known term in converted form and keeps the
 solution in that form for its next degrees.
 
-`analyze_operator` builds the operator monomial by monomial
-(`_apply_operator_monomial`) and reads its rank off an exact elimination
-(`_rank`), independently of the chain.  The normal-form degree solve is
-three calls of `solve_homological` (`normalform._solve_degree`).
+`analyze_operator` reads that structure back from the chain: it solves one
+generic right-hand side and checks the solution, the range's miss of
+z^(k/2) and the kernel through the graded kernel
+(`vectorfield.directional_derivative`), so it holds no elimination of its
+own.  The normal-form degree solve is three calls of `solve_homological`
+(`normalform._solve_degree`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .coeffring import ParamPolynomial
 from .errors import DegreeError, StructureError
-from .gradedpoly import (GradedSliceBasis, IntegerTerms, Monomial3, QHPolynomial,
-                         _from_integer_terms, _integer_terms, slice_basis)
-
-
-def _apply_operator_monomial(m: Monomial3) -> Dict[Monomial3, int]:
-    """Image of one monomial under f -> grad(f) . (-2y, 2x, x^2+y^2)."""
-    i, j, l = m
-    out: Dict[Monomial3, int] = {}
-    if i:
-        out[Monomial3(i - 1, j + 1, l)] = -2 * i
-    if j:
-        key = Monomial3(i + 1, j - 1, l)
-        out[key] = out.get(key, 0) + 2 * j
-    if l:
-        for key in (Monomial3(i + 2, j, l - 1), Monomial3(i, j + 2, l - 1)):
-            out[key] = out.get(key, 0) + l
-    return {k: v for k, v in out.items() if v}
-
-
-def _slice_rows(k: int) -> Tuple[GradedSliceBasis, List[Dict[int, Fraction]]]:
-    """Basis of the degree-k slice and the operator's sparse rows over it."""
-    basis = slice_basis(k)
-    index = {m: i for i, m in enumerate(basis.monomials)}
-    rows: List[Dict[int, Fraction]] = [{} for _ in basis.monomials]
-    for c, m in enumerate(basis.monomials):
-        for image, coeff in _apply_operator_monomial(m).items():
-            rows[index[image]][c] = Fraction(coeff)
-    return basis, rows
-
-
-def _rank(rows: List[Dict[int, Fraction]], n_cols: int) -> int:
-    """Rank of a sparse rational matrix, by elimination on sparsest pivots."""
-    rows = [dict(r) for r in rows if r]
-    n_rows = len(rows)
-    for c in range(n_cols):
-        hits = [r for r in rows if c in r]
-        if not hits:
-            continue
-        pivot = min(hits, key=len)
-        rows = [r for r in rows if r is not pivot]  # the rank counts pivot rows removed
-        for r in hits:
-            if r is not pivot:
-                factor = r[c] / pivot[c]
-                for cc, v in pivot.items():
-                    value = r.get(cc, 0) - factor * v
-                    if value:
-                        r[cc] = value
-                    else:
-                        del r[cc]
-    return n_rows - len(rows)
+from .gradedpoly import (IntegerTerms, Monomial3, QHPolynomial, _from_integer_terms,
+                         _integer_terms, slice_basis)
+from .vectorfield import directional_derivative, principal_part
 
 
 @dataclass(frozen=True)
@@ -102,39 +56,40 @@ class OperatorAnalysis:
 def analyze_operator(k: int) -> OperatorAnalysis:
     """Kernel basis and cokernel representative of the degree-k operator.
 
-    Verifies the expected structure and raises StructureError on any
-    violation: for odd k the operator is bijective; for even k its rank is
-    one short, (x^2+y^2)^(k/2) is in its kernel, and no image has a z^(k/2)
-    term, so z^(k/2) represents the cokernel.  The rank comes from an exact
-    elimination of the slice matrix (`_rank`), not from the level chain that
-    `solve_homological` walks, so the check is independent of the solver;
-    nothing is cached.  A negative k raises DegreeError.
+    Verifies the expected structure through the solve the pipelines use and
+    raises StructureError on any violation.  A generic right-hand side g,
+    one fresh parameter per slice monomial, is solved by `solve_homological`,
+    and the kernel (`directional_derivative` along F0) checks three exact
+    identities: L(solution) = g - residual z^(k/2), so every monomial but
+    z^(k/2) is in the range, and all of them for odd k, where the residual
+    is zero; on even k, L(g) has no z^(k/2) term, so no image reaches
+    z^(k/2); and L((x^2+y^2)^(k/2)) = 0.  Nothing is cached.  A negative k
+    raises DegreeError.
     """
     return _build_analysis(k)
 
 
 def _build_analysis(k: int) -> OperatorAnalysis:
-    basis, rows = _slice_rows(k)
-    n = len(basis)
-    rank = _rank(rows, n)
+    monomials = slice_basis(k).monomials
+    names = tuple(f"g{i}" for i in range(len(monomials)))
+    g = QHPolynomial({mono: ParamPolynomial.variable(name, names)
+                      for mono, name in zip(monomials, names)}, names)
+    f0 = principal_part(names)
+    sol = solve_homological(k, g)
+    m = k // 2
+    cok_monomial = Monomial3(0, 0, m)
+    reached = g - QHPolynomial({cok_monomial: sol.residual}, names)
+    if directional_derivative(sol.solution, f0) != reached:
+        raise StructureError(f"degree-{k} slice solve does not invert the operator")
     if k % 2 == 1:
-        if rank != n:
-            raise StructureError(f"degree-{k} operator is not bijective (rank {rank})")
         return OperatorAnalysis(degree=k, kernel_basis=(), cokernel_representative=None)
 
-    if rank != n - 1:
-        raise StructureError(f"degree-{k} operator has corank {n - rank}, expected 1")
-    m = k // 2
-    image: Dict[Monomial3, int] = {}
-    for i in range(m + 1):
-        for mono, v in _apply_operator_monomial(Monomial3(2 * i, 2 * (m - i), 0)).items():
-            image[mono] = image.get(mono, 0) + math.comb(m, i) * v
-    if any(image.values()):
-        raise StructureError(f"degree-{k} kernel is not spanned by (x^2+y^2)^{m}")
-    cok_monomial = Monomial3(0, 0, m)
-    if rows[basis.monomials.index(cok_monomial)]:
+    if directional_derivative(g, f0).coefficient(cok_monomial):
         raise StructureError(f"z^{m} lies in the range of the degree-{k} operator")
-    return OperatorAnalysis(degree=k, kernel_basis=(QHPolynomial.h_power(m, ()),),
+    kernel = QHPolynomial.h_power(m, ())
+    if directional_derivative(kernel, principal_part(())):
+        raise StructureError(f"(x^2+y^2)^{m} is not in the degree-{k} kernel")
+    return OperatorAnalysis(degree=k, kernel_basis=(kernel,),
                             cokernel_representative=QHPolynomial({cok_monomial: 1}, ()))
 
 

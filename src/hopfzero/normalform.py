@@ -26,7 +26,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .coeffring import ParamPolynomial, Rational
 from .errors import DegreeError, PrincipalPartError, StructureError
@@ -34,17 +34,7 @@ from .gradedpoly import (IntegerTerms, Monomial3, QHPolynomial, _from_integer_te
                          _integer_terms, _is_constant, _mul_integer)
 from .homological import solve_homological
 from .vectorfield import (PlanarVectorField, Poly2, VectorField3, _integer_bracket,
-                          _integer_field)
-
-
-def principal_part(params: Iterable[str] = ()) -> VectorField3:
-    """The fixed degree-0 field (-2y, 2x, x^2 + y^2)."""
-    params = tuple(params)
-    fx = QHPolynomial.monomial((0, 1, 0), -2, params)
-    fy = QHPolynomial.monomial((1, 0, 0), 2, params)
-    fz = (QHPolynomial.monomial((2, 0, 0), 1, params)
-          + QHPolynomial.monomial((0, 2, 0), 1, params))
-    return VectorField3(fx, fy, fz)
+                          _integer_field, principal_part)
 
 
 def require_principal_part(field: VectorField3) -> None:

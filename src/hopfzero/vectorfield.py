@@ -97,6 +97,16 @@ class VectorField3:
         return f"VectorField3{self}"
 
 
+def principal_part(params: Iterable[str] = ()) -> VectorField3:
+    """The fixed degree-0 field (-2y, 2x, x^2 + y^2)."""
+    params = tuple(params)
+    fx = QHPolynomial.monomial((0, 1, 0), -2, params)
+    fy = QHPolynomial.monomial((1, 0, 0), 2, params)
+    fz = (QHPolynomial.monomial((2, 0, 0), 1, params)
+          + QHPolynomial.monomial((0, 2, 0), 1, params))
+    return VectorField3(fx, fy, fz)
+
+
 def divergence(field: VectorField3) -> QHPolynomial:
     """Sum of the three partial derivatives, exactly."""
     return (field.fx.partial("x") + field.fy.partial("y") + field.fz.partial("z"))

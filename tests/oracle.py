@@ -3,10 +3,13 @@
 The sympy helpers re-derive derivative identities from scratch so the main
 engine's calculus is never used to verify itself.  `lie_operator_matrix` and
 `h_component` are references for the slice operator and its kernel
-normalization, which the engine itself no longer builds.  `Elimination` and
-`elimination_solve_degree` are the generic sparse elimination and the
-normal-form degree solve built on it, which the engine's structured solves
-replaced; the tests pin those solves against them.  `lie_series_step` is the
+normalization, which the engine itself no longer builds.  `slice_rows` is the
+operator's sparse rows, built monomial by monomial from the power rule
+(`_apply_operator_monomial`) and pinned against `lie_operator_matrix`.
+`Elimination` and `elimination_solve_degree` are the generic sparse
+elimination and the normal-form degree solve built on it, which the engine's
+structured solves replaced; the tests pin those solves against them, and the
+engine holds no elimination of its own.  `lie_series_step` is the
 adjoint exponential summed in `Fraction` arithmetic, the reference for the
 engine's integer Lie series.
 """
@@ -20,7 +23,6 @@ import sympy as sp
 
 import hopfzero as hz
 from hopfzero import GradedSliceBasis, Monomial3, ParamPolynomial, QHPolynomial, VectorField3
-from hopfzero.homological import _apply_operator_monomial
 
 X, Y, Z = sp.symbols("x y z")
 
@@ -216,6 +218,35 @@ def lie_operator_matrix(k):
         columns.append(column)
     matrix = tuple(tuple(col[r] for col in columns) for r in range(len(basis)))
     return LieOperatorMatrix(degree=k, matrix=matrix, row_basis=basis, col_basis=basis)
+
+
+def _apply_operator_monomial(m: Monomial3) -> Dict[Monomial3, int]:
+    """Image of one monomial under f -> grad(f) . (-2y, 2x, x^2+y^2), by the
+    power rule on its exponents."""
+    i, j, l = m
+    out: Dict[Monomial3, int] = {}
+    if i:
+        out[Monomial3(i - 1, j + 1, l)] = -2 * i
+    if j:
+        key = Monomial3(i + 1, j - 1, l)
+        out[key] = out.get(key, 0) + 2 * j
+    if l:
+        for key in (Monomial3(i + 2, j, l - 1), Monomial3(i, j + 2, l - 1)):
+            out[key] = out.get(key, 0) + l
+    return {k: v for k, v in out.items() if v}
+
+
+def slice_rows(k) -> Tuple[GradedSliceBasis, List[Dict[int, Fraction]]]:
+    """Basis of the degree-k slice and the operator's sparse rows over it:
+    rows[r][c] is the coefficient of monomial r in the image of monomial c,
+    built by `_apply_operator_monomial`; the input `Elimination` takes."""
+    basis = hz.slice_basis(k)
+    index = {m: i for i, m in enumerate(basis.monomials)}
+    rows: List[Dict[int, Fraction]] = [{} for _ in basis.monomials]
+    for c, m in enumerate(basis.monomials):
+        for image, coeff in _apply_operator_monomial(m).items():
+            rows[index[image]][c] = Fraction(coeff)
+    return basis, rows
 
 
 def h_component(f, m):

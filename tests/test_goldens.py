@@ -77,6 +77,29 @@ def test_constraint_expectations_are_checked_at_parse_time(lines, message):
     assert err.value.line == 5
 
 
+# a system with parameters a and b, whose expect lines start at line 6
+PARAM_SYSTEM = "params a b\ndx = -2*y + a*z\ndy = 2*x + b*z\ndz = x^2 + y^2\n"
+
+
+@pytest.mark.parametrize("first, second, key", [
+    ("origin = derived", "origin = literature", "origin"),
+    ("mode = JACOBI_H", "mode = JACOBI_H2", "mode"),
+    ("max_index = 4", "max_index = 4", "max_index"),
+    ("constraint = a", "constraint = b", "constraint"),
+    ("eliminate = a", "eliminate = b", "eliminate"),
+    ("param a = 1", "param a = 2", "param a"),
+    ("param a = 1", "param a = 1", "param a"),
+], ids=["origin", "mode", "max_index", "constraint", "eliminate", "param-different",
+        "param-equal"])
+def test_repeated_single_valued_key_is_a_parse_error(first, second, key):
+    # the second line would otherwise win silently
+    text = PARAM_SYSTEM + f"expect {{\n  {first}\n  case = B1\n  {second}\n}}\n"
+    with pytest.raises(ParseError) as err:
+        hz.parse_fixture(text, "twice")
+    assert f"fixture twice: repeated expect key {key!r} (first at line 6)" in str(err.value)
+    assert err.value.line == 8
+
+
 # one wrong expectation per kind the corpus uses: (fixture, wrong expectation,
 # the one failure run_golden must report)
 WRONG = {

@@ -9,10 +9,9 @@ import hopfzero as hz
 from hopfzero import DegreeError, Monomial3, ParamPolynomial, QHPolynomial, StructureError
 from hopfzero import homological
 from hopfzero.gradedpoly import _integer_terms
-from hopfzero.homological import _rank, _slice_rows
 
 from conftest import random_ppoly, random_qh_slice
-from oracle import Elimination, h_component, lie_operator_matrix
+from oracle import Elimination, h_component, lie_operator_matrix, slice_rows
 
 
 def QH(terms, params=()):
@@ -30,10 +29,10 @@ def random_param_slice(rng, k, params, density=0.6):
 
 
 def elimination_solve(k, rhs):
-    """The slice solve by generic elimination: the operator's rows from
-    `_slice_rows`, reduced by the oracle's `Elimination`; the residual is read off the
-    zero row, and the kernel part removed by the harmonic projection."""
-    basis, rows = _slice_rows(k)
+    """The slice solve by generic elimination: the operator's rows from the
+    oracle's `slice_rows`, reduced by its `Elimination`; the residual is read off
+    the zero row, and the kernel part removed by the harmonic projection."""
+    basis, rows = slice_rows(k)
     n = len(basis)
     elim = Elimination(rows, n)
     params = rhs.params
@@ -129,11 +128,11 @@ class TestOperatorMatrix:
                         for r in range(len(m.row_basis)) if m.matrix[r][c]}
             got = {mm: cc.constant_value() for mm, cc in image.terms.items()}
             assert got == expected
-        # and rows agree with the engine's sparse rows, which analyze_operator
-        # and the normal-form degree solve are built from
+        # and the oracle's sparse rows, which the elimination references are
+        # built from, agree with the sympy matrix
         for k in range(9):
             m = lie_operator_matrix(k)
-            _, rows = _slice_rows(k)
+            _, rows = slice_rows(k)
             assert rows == [{c: v for c, v in enumerate(row) if v} for row in m.matrix]
 
 
@@ -162,6 +161,21 @@ class TestAnalyze:
             else:
                 assert analysis.kernel_basis == (QHPolynomial.h_power(k // 2, ()),)
                 assert analysis.cokernel_representative == QH({(0, 0, k // 2): 1})
+
+    def test_checks_the_chain_solve(self, monkeypatch):
+        # a chain solve that doubles its output no longer inverts the
+        # operator, and the analysis, which reads the structure back from
+        # that solve, refuses it
+        solve = homological._solve_levels
+
+        def doubled(k, rhs):
+            common, terms = solve(k, rhs)
+            return common, [(*t[:3], [(e, 2 * n) for e, n in t[3]]) for t in terms]
+
+        monkeypatch.setattr(homological, "_solve_levels", doubled)
+        for k in range(1, 13):
+            with pytest.raises(StructureError):
+                hz.analyze_operator(k)
 
 
 class TestSolve:
@@ -289,11 +303,3 @@ class TestSolve:
         assert first.solution == second.solution
         assert first.residual == second.residual
         assert list(first.solution.terms) == list(second.solution.terms)
-
-
-class TestRank:
-    def test_matches_elimination(self):
-        # the rank analyze_operator verifies is the generic elimination's
-        for k in range(21):
-            _, rows = _slice_rows(k)
-            assert _rank(rows, len(rows)) == Elimination(rows, len(rows)).rank, k

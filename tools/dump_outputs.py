@@ -27,7 +27,9 @@ Runs, from the checkout's `src/`:
   (`seed_power=3`) to z^10;
 - the `--json` report through `run_cli` of `analyze` on family 37 with every
   parameter free at `--max-degree 12`, whose verdict is SYMBOLIC (no golden
-  fixture reaches that path).
+  fixture reaches that path);
+- `analyze_operator(k)` for k = 0..24: degree, kernel basis and cokernel
+  representative.
 
 Each polynomial is written as its `str`, its terms in stored order (with each
 coefficient's terms) and its `hash`.  The script prints one SHA-256 line over
@@ -49,6 +51,8 @@ from hzbench.workloads import FAMILY37, family37_field, seed_point  # noqa: E402
 
 
 def describe(value) -> str:
+    if value is None:  # hash(None) is its address, which varies from run to run
+        return "None"
     if isinstance(value, hz.ParamPolynomial):
         return f"{value} | {list(value.terms.items())!r} | {hash(value)}"
     if isinstance(value, (hz.QHPolynomial, hz.Poly2)):
@@ -129,6 +133,13 @@ def dump_lines():
         path.write_text(FAMILY37, encoding="utf-8")
         code, text = hz.run_cli(["analyze", str(path), "--max-degree", "12", "--json"])
         yield f"analyze symbolic family 37 --max-degree 12 exit {code}: {describe(text)}"
+
+    for k in range(25):
+        analysis = hz.analyze_operator(k)
+        yield f"analyze_operator {k} degree: {analysis.degree}"
+        for i, kernel in enumerate(analysis.kernel_basis):
+            yield f"analyze_operator {k} kernel {i}: {describe(kernel)}"
+        yield f"analyze_operator {k} cokernel: {describe(analysis.cokernel_representative)}"
 
 
 def main(argv) -> int:
