@@ -290,38 +290,23 @@ class Classification:
         return None if self.witness_index is None else 2 * self.witness_index
 
 
-def _pure_z_series(poly: QHPolynomial) -> Optional[Dict[int, ParamPolynomial]]:
-    out = {}
-    for m, c in poly.terms.items():
-        if m.ex or m.ey:
-            return None
-        out[m.ez] = c
-    return out
-
-
 def _resonant_shape(field: VectorField3):
     """Detect fields that are exactly F0 + (p(z) x, p(z) y, q(z)).
 
-    Returns (p, q) as maps z-power -> coefficient, or None when the field is
-    not of that shape.
+    p is read off dx and q off dz, and the field they define is compared with
+    the field.  Returns (p, q) as maps z-power -> coefficient, or None when
+    the field is not of that shape.
     """
-    rest = field - principal_part(field.params)
-    px = {}
-    for m, c in rest.fx.terms.items():
-        if m.ex != 1 or m.ey != 0:
-            return None
-        px[m.ez] = c
-    py = {}
-    for m, c in rest.fy.terms.items():
-        if m.ex != 0 or m.ey != 1:
-            return None
-        py[m.ez] = c
-    if px != py:
-        return None
-    q = _pure_z_series(rest.fz)
-    if q is None:
-        return None
-    return px, q
+    params = field.params
+    rest = field - principal_part(params)
+    p = {m.ez: c for m, c in rest.fx.terms.items() if m.ex == 1 and m.ey == 0}
+    q = {m.ez: c for m, c in rest.fz.terms.items() if m.ex == 0 and m.ey == 0}
+
+    def series(ex: int, ey: int, coeffs: Dict[int, ParamPolynomial]) -> QHPolynomial:
+        return QHPolynomial({(ex, ey, k): c for k, c in coeffs.items()}, params)
+
+    shape = VectorField3(series(1, 0, p), series(0, 1, p), series(0, 0, q))
+    return (p, q) if rest == shape else None
 
 
 def classify(field: VectorField3, max_index: int,
@@ -360,7 +345,7 @@ def classify(field: VectorField3, max_index: int,
     if s is None:
         # no resonant term through max_index: test the first-integral candidate
         seq = _entries_only(field, max_index, Method.FIRST_INTEGRAL)
-        return _verdict_from_sequences((seq,), max_index, res, nf, None)
+        return _verdict_from_sequence(seq, max_index, res, nf, None)
 
     a_s, b_s = nf.a_coeffs[s], nf.b_coeffs[s]
     if not (a_s.is_constant() and b_s.is_constant()):
@@ -376,9 +361,9 @@ def classify(field: VectorField3, max_index: int,
             return Classification(case_tag=CaseTag.NOT_INTEGRABLE, max_index=max_index,
                                   resonance=res, normal_form=nf)
         seq = _entries_only(field, max_index, Method.JACOBI_H2)
-        return _verdict_from_sequences((seq,), max_index, res, nf, pair)
+        return _verdict_from_sequence(seq, max_index, res, nf, pair)
     seq = _entries_only(field, max_index, Method.JACOBI_H)
-    return _verdict_from_sequences((seq,), max_index, res, nf, None)
+    return _verdict_from_sequence(seq, max_index, res, nf, None)
 
 
 def _normal_form_to_first_resonance(field: VectorField3, max_index: int
@@ -432,21 +417,15 @@ def _classify_resonant_shape(shape, max_index):
     return None  # mixed tail: needs the general truncated pipeline
 
 
-def _verdict_from_sequences(sequences, max_index, res, nf, pair):
-    for seq in sequences:
-        first = seq.first_nonzero()
-        if first is None:
-            continue
-        value = seq.entries[first]
-        if value.is_constant():
-            return Classification(case_tag=CaseTag.NOT_INTEGRABLE, max_index=max_index,
-                                  resonance=res, normal_form=nf, obstructions=sequences,
-                                  coprime_pair=pair, witness_method=seq.method,
-                                  witness_index=first, witness_value=value)
-        # symbolic nonzero entry: vanishing depends on the parameters
-        return Classification(case_tag=CaseTag.SYMBOLIC, max_index=max_index,
-                              resonance=res, normal_form=nf, obstructions=sequences,
-                              coprime_pair=pair)
-    return Classification(case_tag=CaseTag.NO_OBSTRUCTION_UP_TO, max_index=max_index,
-                          resonance=res, normal_form=nf, obstructions=sequences,
-                          coprime_pair=pair)
+def _verdict_from_sequence(seq, max_index, res, nf, pair):
+    common = dict(max_index=max_index, resonance=res, normal_form=nf,
+                  obstructions=(seq,), coprime_pair=pair)
+    first = seq.first_nonzero()
+    if first is None:
+        return Classification(case_tag=CaseTag.NO_OBSTRUCTION_UP_TO, **common)
+    value = seq.entries[first]
+    if value.is_constant():
+        return Classification(case_tag=CaseTag.NOT_INTEGRABLE, witness_method=seq.method,
+                              witness_index=first, witness_value=value, **common)
+    # symbolic nonzero entry: vanishing depends on the parameters
+    return Classification(case_tag=CaseTag.SYMBOLIC, **common)

@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Tuple
 from .analyzers import CaseTag, Classification, Method, _entries_only, classify
 from .coeffring import ParamPolynomial, ppoly_reduce, rat
 from .errors import HopfZeroError, ParseError, PrincipalPartError
-from .gradedpoly import Monomial3, QHPolynomial
+from .gradedpoly import QHPolynomial
 from .normalform import (NormalFormResult, first_resonance, orbital_normal_form,
                          planar_reduction, principal_part)
 from .parsing import SystemSource, parse_polynomial, parse_system
@@ -31,65 +31,46 @@ class Scalings:
 
 
 def normalize_principal_part(field: VectorField3) -> Tuple[VectorField3, Scalings]:
-    """Rescale time and z so the degree-0 part becomes exactly (-2y, 2x, x^2+y^2).
+    """Rescale time and z so the part of degree at most 0 becomes exactly
+    (-2y, 2x, x^2+y^2).
 
-    The degree-0 part must be (-w*y, w*x, d*(x^2+y^2)) for nonzero rationals
-    w, d; anything else (cross terms, linear z feeds, parameters in the
-    principal slice) is rejected with the offending monomials named, since a
-    genuine linear preparation is out of scope.
+    w is read from minus dx's y coefficient and d from dz's x^2 coefficient;
+    both must be nonzero rationals, and every term of field degree at most 0
+    must belong to (-w*y, w*x, d*(x^2+y^2)).  Anything else (cross terms,
+    linear z feeds, constants, a lone x or y in dz, parameters in the
+    principal slice) is rejected with each term outside that shape named,
+    since a genuine linear preparation is out of scope.
     """
     params = field.params
-    low = field.component(0)
-    offending = []
-
-    def scan(comp: QHPolynomial, allowed: Dict[Monomial3, str], label: str):
-        found: Dict[str, ParamPolynomial] = {}
-        for m, c in comp.terms.items():
-            slot = allowed.get(m)
-            if slot is None:
-                offending.append(f"{label}: {QHPolynomial({m: c}, params)}")
-            elif not c.is_constant():
-                offending.append(f"{label}: parameter-dependent {QHPolynomial({m: c}, params)}")
-            else:
-                found[slot] = c
-        return found
-
-    fx = scan(low.fx, {Monomial3(0, 1, 0): "y"}, "dx")
-    fy = scan(low.fy, {Monomial3(1, 0, 0): "x"}, "dy")
-    fz = scan(low.fz, {Monomial3(2, 0, 0): "xx", Monomial3(0, 2, 0): "yy"}, "dz")
-    if offending:
+    w = -field.fx.coefficient((0, 1, 0))
+    d = field.fz.coefficient((2, 0, 0))
+    for name, value, slot in (("w", w, "minus the y coefficient of dx"),
+                              ("d", d, "the x^2 coefficient of dz")):
+        if not (value and value.is_constant()):
+            raise PrincipalPartError(
+                f"{name}, {slot}, must be a nonzero rational; found {value}")
+    w, d = w.constant_value(), d.constant_value()
+    f0 = principal_part(params)
+    shape = VectorField3(f0.fx.scale(w / 2), f0.fy.scale(w / 2), f0.fz.scale(d))
+    outside = field.truncate(0) - shape
+    if not outside.is_zero():
+        terms = [f"{label}: {QHPolynomial({m: c}, params)}"
+                 for label, comp in zip(("dx", "dy", "dz"), outside.components)
+                 for m, c in comp.terms.items()]
         raise PrincipalPartError(
-            "inadmissible degree-0 terms: " + "; ".join(offending))
-    minus_omega = fx.get("y", ParamPolynomial.zero(params)).constant_value()
-    omega_check = fy.get("x", ParamPolynomial.zero(params)).constant_value()
-    dxx = fz.get("xx", ParamPolynomial.zero(params)).constant_value()
-    dyy = fz.get("yy", ParamPolynomial.zero(params)).constant_value()
-    omega = -minus_omega
-    if omega == 0 or omega_check != omega:
-        raise PrincipalPartError(
-            f"rotational part must be (-w*y, w*x) for one nonzero w; "
-            f"found dx: {low.fx}, dy: {low.fy}")
-    if dxx == 0 or dxx != dyy:
-        raise PrincipalPartError(
-            f"dz degree-0 part must be d*(x^2+y^2) with d nonzero; found {low.fz}")
-    delta = dxx
+            f"terms at or below degree 0 outside (-w*y, w*x, d*(x^2+y^2)) "
+            f"with w = {w}, d = {d}: " + "; ".join(terms))
 
-    time_factor = Fraction(2) / omega
-    z_factor = Fraction(2) * delta / omega
-    rescaled = _substitute_z(field, z_factor)
-    rescaled = VectorField3(rescaled.fx.scale(time_factor),
-                            rescaled.fy.scale(time_factor),
-                            rescaled.fz.scale(time_factor / z_factor))
-    if rescaled.component(0) != principal_part(params):
-        raise PrincipalPartError("principal-part normalization failed to converge")
+    time_factor = Fraction(2) / w
+    z_factor = Fraction(2) * d / w
+
+    def rescale(comp: QHPolynomial, factor: Fraction) -> QHPolynomial:
+        return QHPolynomial({m: c.scale(factor * z_factor ** m.ez)
+                             for m, c in comp.terms.items()}, params)
+
+    rescaled = VectorField3(rescale(field.fx, time_factor), rescale(field.fy, time_factor),
+                            rescale(field.fz, time_factor / z_factor))
     return rescaled, Scalings(time_factor=time_factor, z_factor=z_factor)
-
-
-def _substitute_z(field: VectorField3, gamma: Fraction) -> VectorField3:
-    def sub(comp: QHPolynomial) -> QHPolynomial:
-        return QHPolynomial({m: c.scale(gamma ** m.ez) for m, c in comp.terms.items()},
-                            comp.params)
-    return VectorField3(sub(field.fx), sub(field.fy), sub(field.fz))
 
 
 MODES = ("AUTO", "FIRST_INTEGRAL", "JACOBI_H", "JACOBI_H2", "NORMAL_FORM", "REDUCE")
@@ -290,28 +271,30 @@ def build_report(source: SystemSource, field: VectorField3, scalings: Scalings,
                  config: AnalysisConfig) -> Dict[str, object]:
     """Run the configured analysis and assemble the report dictionary.
 
-    The bound parameter values are substituted into the field and into the
-    constraint alike.  Obstruction sequences are computed for their entries
-    only (`analyzers._entries_only`), since the report prints no witness.
+    The bound parameter values are substituted once, into the field and the
+    constraint alike, before any mode runs.  Obstruction sequences are
+    computed for their entries only (`analyzers._entries_only`), since the
+    report prints no witness.
     """
     if config.mode not in MODES:
         raise ValueError(f"unknown mode {config.mode!r}")
     constraint = config.constraint
-    if constraint is not None and config.parameter_values:
-        poly, var = constraint
-        constraint = (poly.substitute(config.parameter_values), var)
     report: Dict[str, object] = {
         "schema_version": "1",
         "system": {"parameters": list(source.parameter_names)},
         "scalings_applied": scalings.as_dict(),
     }
     if config.parameter_values:
+        field = field.substitute_params(config.parameter_values)
+        if constraint is not None:
+            poly, var = constraint
+            constraint = (poly.substitute(config.parameter_values), var)
         report["system"]["bound_values"] = {
             name: str(v) for name, v in sorted(config.parameter_values.items())}
     mode = config.mode
     n = config.max_index
     if mode == "AUTO":
-        verdict = classify(field, n, parameter_values=config.parameter_values)
+        verdict = classify(field, n)
         if verdict.resonance is not None:
             report["resonance"] = _resonance_dict(verdict.resonance)
         if verdict.normal_form is not None:
@@ -321,8 +304,6 @@ def build_report(source: SystemSource, field: VectorField3, scalings: Scalings,
                                       for s in verdict.obstructions]
         report["classification"] = _classification_dict(verdict)
         return report
-    if config.parameter_values:
-        field = field.substitute_params(config.parameter_values)
     if mode in ("NORMAL_FORM", "REDUCE"):
         nf = orbital_normal_form(field, n)
         if mode == "NORMAL_FORM":

@@ -85,6 +85,9 @@ _SINGLE_KEYS = ("origin", "mode", "max_index", "constraint", "eliminate", "param
 
 
 def parse_fixture(text: str, name: str) -> GoldenCase:
+    """The case a fixture text defines.  Every polynomial value is parsed
+    against the system's parameters, and any error is a ParseError that
+    names the fixture and the line."""
     if "expect {" not in text:
         raise ParseError(f"fixture {name}: missing expect block")
     system_text, _, rest = text.partition("expect {")
@@ -99,7 +102,27 @@ def parse_fixture(text: str, name: str) -> GoldenCase:
     constraint = None
     eliminate = None
     first_line: Dict[str, int] = {}
-    declared = None  # the system's parameter names, read at the first binding
+    declared = None  # the system's parameter names, read when first needed
+    polynomials: List[Tuple[str, str, int]] = []  # (value, line, lineno) to parse
+
+    def parameter_names():
+        nonlocal declared
+        if declared is None:
+            with _naming(name):
+                declared = parse_system(system_text).parameter_names
+        return declared
+
+    def polynomial(value: str) -> str:
+        polynomials.append((value, line, lineno))
+        return value
+
+    def indices(value: str) -> Tuple[int, ...]:
+        found = tuple(int(v) for v in value.split())
+        if not found:
+            raise ParseError(f"fixture {name}: malformed expect line {line!r}: "
+                             "no index listed", lineno)
+        return found
+
     for lineno, raw in enumerate(body.splitlines(), start=system_text.count("\n") + 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -128,27 +151,24 @@ def parse_fixture(text: str, name: str) -> GoldenCase:
                     raise ParseError(f"fixture {name}: malformed expect line {line!r}: "
                                      "max_index must be at least 1", lineno)
             elif head == "param":
-                if declared is None:
-                    with _naming(name):
-                        declared = parse_system(system_text).parameter_names
-                if key_parts[1] not in declared:
+                if key_parts[1] not in parameter_names():
                     raise ParseError(f"fixture {name}: malformed expect line {line!r}: "
                                      f"parameter {key_parts[1]!r} is not declared", lineno)
                 bindings[key_parts[1]] = rat(value)
             elif head == "constraint":
-                constraint = value
+                constraint = polynomial(value)
             elif head == "eliminate":
                 eliminate = value
             elif head == "zero" and key_parts[1] == "entries":
-                expectations.append(("zero_entries", tuple(int(v) for v in value.split())))
+                expectations.append(("zero_entries", indices(value)))
             elif head == "zero" and key_parts[1] == "reduced":
-                expectations.append(("zero_reduced", tuple(int(v) for v in value.split())))
+                expectations.append(("zero_reduced", indices(value)))
             elif head == "entry":
-                expectations.append(("entry", int(key_parts[1]), value))
+                expectations.append(("entry", int(key_parts[1]), polynomial(value)))
             elif head == "reduced":
-                expectations.append(("reduced", int(key_parts[1]), value))
+                expectations.append(("reduced", int(key_parts[1]), polynomial(value)))
             elif head in ("a", "b"):
-                expectations.append(("coeff", head, int(key_parts[1]), value))
+                expectations.append(("coeff", head, int(key_parts[1]), polynomial(value)))
             elif head in ("l0", "m0", "n0"):
                 expectations.append(("resonance", head, value))
             elif head == "case":
@@ -173,6 +193,14 @@ def parse_fixture(text: str, name: str) -> GoldenCase:
     if reduced and constraint is None:
         raise ParseError(f"fixture {name}: reduced expectation without constraint",
                          min(reduced))
+    # values are parsed after the structural checks, which report first
+    for value, line, lineno in polynomials:
+        names = parameter_names()
+        try:
+            parse_polynomial(value, names)
+        except ParseError as exc:
+            raise ParseError(f"fixture {name}: malformed expect line {line!r}: "
+                             f"{exc.message}", lineno) from None
     return GoldenCase(name=name, origin=origin, mode=mode, max_index=max_index,
                       system_text=system_text, bindings=bindings,
                       expectations=tuple(expectations),

@@ -38,9 +38,11 @@ from .vectorfield import (PlanarVectorField, Poly2, VectorField3, _integer_brack
 
 
 def require_principal_part(field: VectorField3) -> None:
-    if field.component(0) != principal_part(field.params):
+    """Raise PrincipalPartError unless the part of field degree at most 0 is
+    exactly (-2y, 2x, x^2+y^2): no other term sits at or below degree 0."""
+    if field.truncate(0) != principal_part(field.params):
         raise PrincipalPartError(
-            "the degree-0 part of the field is not (-2y, 2x, x^2+y^2); "
+            "the part of degree at most 0 of the field is not (-2y, 2x, x^2+y^2); "
             "run the frontend normalization first")
 
 

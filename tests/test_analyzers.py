@@ -10,7 +10,7 @@ import hopfzero as hz
 from hopfzero import (CaseTag, Method, ParamPolynomial, PrincipalPartError,
                       QHPolynomial, StructureError, VectorField3, analyzers, homological)
 
-from hopfzero.analyzers import _entries_only, _obstruction_driver
+from hopfzero.analyzers import _entries_only, _obstruction_driver, _resonant_shape
 from hopfzero.gradedpoly import _integer_terms, _is_constant
 
 from conftest import field_from_text, random_perturbed_field, random_ppoly
@@ -362,6 +362,37 @@ class TestClassify:
             QHPolynomial({(0, 0, 2): 1}, ()))
         verdict = hz.classify(field, 4)
         assert verdict.case_tag is CaseTag.NOT_INTEGRABLE
+
+    def test_b1_shape_with_two_z_powers(self):
+        field = hz.principal_part(()) + VectorField3(
+            QHPolynomial({(1, 0, 1): 1, (1, 0, 2): Fraction(-2, 5)}, ()),
+            QHPolynomial({(0, 1, 1): 1, (0, 1, 2): Fraction(-2, 5)}, ()),
+            QHPolynomial.zero(()))
+        assert hz.classify(field, 4).case_tag is CaseTag.B1
+
+    @pytest.mark.parametrize("rest", [
+        ({(1, 0, 1): 1}, {(0, 1, 1): 2}, {}),
+        ({(0, 1, 1): 1}, {}, {(0, 0, 2): 1}),
+        ({}, {}, {(0, 0, 2): 1, (1, 0, 1): 1}),
+        ({(1, 0, 1): 1, (0, 1, 1): 1}, {(0, 1, 1): 1}, {(0, 0, 2): -1}),
+    ], ids=["dy-differs", "dx-y-z", "dz-x-z", "dx-x-z-plus-y-z"])
+    def test_near_miss_shape_takes_the_general_path(self, rest):
+        # one term away from F0 + (p(z) x, p(z) y, q(z)): no shape verdict
+        field = hz.principal_part(()) + VectorField3(
+            *(QHPolynomial(terms, ()) for terms in rest))
+        assert _resonant_shape(field) is None
+        verdict = hz.classify(field, 4)
+        assert verdict.case_tag not in (CaseTag.NF_LINEARIZABLE, CaseTag.B1,
+                                        CaseTag.B2, CaseTag.B3)
+
+    def test_term_below_degree_0_is_rejected(self):
+        field = hz.principal_part(()) + VectorField3(
+            QHPolynomial.zero(()), QHPolynomial.zero(()), QHPolynomial.constant(3, ()))
+        for run in (lambda: hz.classify(field, 4),
+                    lambda: hz.orbital_normal_form(field, 2),
+                    lambda: hz.jacobi_obstructions(field, 4, Method.JACOBI_H)):
+            with pytest.raises(PrincipalPartError, match="degree at most 0"):
+                run()
 
     def test_family37_generic_point(self, family37):
         verdict = hz.classify(family37, 8,

@@ -72,6 +72,46 @@ class TestNormalizePrincipalPart:
             hz.normalize_principal_part(field)
         assert "dx" in str(err.value)
 
+    @pytest.mark.parametrize("text, message", [
+        ("params a\ndx = -a*y\ndy = a*x\ndz = x^2 + y^2\n",
+         "w, minus the y coefficient of dx, must be a nonzero rational; found a"),
+        ("dx = x\ndy = 2*x\ndz = x^2 + y^2\n",
+         "w, minus the y coefficient of dx, must be a nonzero rational; found 0"),
+        ("dx = -2*y\ndy = 2*x\ndz = y^2\n",
+         "d, the x^2 coefficient of dz, must be a nonzero rational; found 0"),
+    ], ids=["parameter-w", "zero-w", "zero-d"])
+    def test_shape_parameter_is_named(self, text, message):
+        with pytest.raises(PrincipalPartError) as err:
+            hz.normalize_principal_part(hz.parse_system(text).to_field())
+        assert str(err.value) == message
+
+    def test_every_term_outside_the_shape_is_named(self):
+        field = hz.parse_system("dx = -y + x\ndy = 2*x\ndz = 2*x^2 + y^2 + 5\n").to_field()
+        with pytest.raises(PrincipalPartError) as err:
+            hz.normalize_principal_part(field)
+        assert str(err.value) == (
+            "terms at or below degree 0 outside (-w*y, w*x, d*(x^2+y^2)) "
+            "with w = 1, d = 2: dx: x; dy: x; dz: 5; dz: -y^2")
+
+
+# fields with a term below degree 0, and the term the rejection names
+BELOW_DEGREE_0 = [
+    ("dx = 1 - 2*y\ndy = 2*x\ndz = x^2 + y^2\n", "dx: 1"),
+    ("dx = -2*y\ndy = 2*x\ndz = x + x^2 + y^2\n", "dz: x"),
+    ("dx = -2*y\ndy = 2*x\ndz = 3 + x^2 + y^2\n", "dz: 3"),
+]
+
+
+@pytest.mark.parametrize("text, term", BELOW_DEGREE_0, ids=["dx-constant", "dz-linear",
+                                                            "dz-constant"])
+def test_term_below_degree_0_is_exit_one(tmp_path, text, term):
+    path = tmp_path / "low.hz"
+    path.write_text(text, encoding="utf-8")
+    code, out = hz.run_cli(["analyze", str(path), "--max-degree", "4"])
+    assert code == 1
+    assert out == ("error: terms at or below degree 0 outside (-w*y, w*x, d*(x^2+y^2)) "
+                   f"with w = 2, d = 1: {term}\n")
+
 
 @pytest.fixture
 def family37_file(tmp_path):

@@ -56,7 +56,9 @@ def fixture_with(*expect_lines):
 
 @pytest.mark.parametrize("line", ["zero = 3", "param = 1", "entry = 0", "reduced = 2",
                                   "a = 1", "max_index = seven", "zero entries = 3 x",
-                                  "max_index = 0", "max_index = -2", "param q = 1"])
+                                  "max_index = 0", "max_index = -2", "param q = 1",
+                                  "entry 3 = 1/0", "a 1 =", "entry 3 = q", "b 2 = 1 +",
+                                  "zero entries =", "zero reduced ="])
 def test_malformed_expect_line_is_a_parse_error(line):
     with pytest.raises(ParseError) as err:
         hz.parse_fixture(fixture_with("case = B1", line), "malformed")
@@ -98,6 +100,15 @@ def test_repeated_single_valued_key_is_a_parse_error(first, second, key):
         hz.parse_fixture(text, "twice")
     assert f"fixture twice: repeated expect key {key!r} (first at line 6)" in str(err.value)
     assert err.value.line == 8
+
+
+def test_malformed_constraint_is_a_parse_error():
+    # checked once its pairing with eliminate is, against the declared names
+    text = PARAM_SYSTEM + "expect {\n  constraint = a/0\n  eliminate = a\n}\n"
+    with pytest.raises(ParseError) as err:
+        hz.parse_fixture(text, "badvalue")
+    assert str(err.value) == ("fixture badvalue: malformed expect line "
+                              "'constraint = a/0': division by zero at line 6")
 
 
 # one wrong expectation per kind the corpus uses: (fixture, wrong expectation,
