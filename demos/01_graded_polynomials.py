@@ -44,9 +44,8 @@ print("\nEuler identity on (x^2+y^2)^2:", euler == h2.scale(4))
 
 # Decomposition into slices is exact and recombines to the original.
 mixed = f + hz.QHPolynomial.monomial((1, 0, 0), 5, params)
-parts = hz.qh_decompose(mixed)
-print("decomposition keys:", list(parts))
+print("slice degrees:", mixed.degrees())
 total = hz.QHPolynomial.zero(params)
-for part in parts.values():
-    total = total + part
+for k in mixed.degrees():
+    total = total + mixed.slice(k)
 print("slices sum back to the original:", total == mixed)

@@ -28,7 +28,7 @@ for label, values, n in (
         ("generic point", {"a001": 1, "c011": 1, "c101": 1}, 8),
         ("locked stratum, c101 free", {"a001": 1, "c011": -1, "c101": 2}, 8),
         ("locked stratum, c101 = 0", {"a001": 1, "c011": -1, "c101": 0}, 10)):
-    verdict = hz.classify(field, n, parameter_values=values)
+    verdict = hz.classify(field.substitute_params(values), n)
     detail = ""
     if verdict.witness_index is not None:
         detail = (f" witness {verdict.witness_method.value} at z^{verdict.witness_index}"

@@ -17,8 +17,8 @@ from .errors import (DegreeError, HopfZeroError, ParameterError, ParseError,
                      PrincipalPartError, StructureError)
 from .frontend import (AnalysisConfig, REPORT_SCHEMA, Scalings, build_report,
                        main, normalize_principal_part, run_cli)
-from .gradedpoly import (GradedSliceBasis, Monomial3, QHPolynomial, partial,
-                         qh_decompose, slice_basis, slice_dimension)
+from .gradedpoly import (GradedSliceBasis, Monomial3, QHPolynomial, slice_basis,
+                         slice_dimension)
 from .goldens import (GoldenCase, GoldenResult, load_cases, parse_fixture,
                       run_golden, run_goldens)
 from .homological import (HomologicalSolution, OperatorAnalysis,

@@ -25,9 +25,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from .coeffring import ParamPolynomial, Rational, rat
+from .coeffring import ParamPolynomial
 from .errors import DegreeError, StructureError
 from .gradedpoly import (IntegerTerms, Monomial3, QHPolynomial, _from_integer_terms,
                          _integer_partial, _integer_terms, _mul_integer)
@@ -309,15 +309,15 @@ def _resonant_shape(field: VectorField3):
     return (p, q) if rest == shape else None
 
 
-def classify(field: VectorField3, max_index: int,
-             parameter_values: Optional[Mapping[str, Rational]] = None) -> Classification:
+def classify(field: VectorField3, max_index: int) -> Classification:
     """Dispatch per the resonance structure and run the matching obstruction test.
 
     The numeric path requires every coefficient that drives a branch decision
-    to be an explicit rational.  With free parameters left in branch-deciding
-    positions the verdict is SYMBOLIC and the relevant obstruction polynomials
-    are returned for the caller to analyze; no branching on symbolic
-    (in)equalities ever happens.
+    to be an explicit rational.  The caller binds parameter values before the
+    call, with `field.substitute_params(values)`, as `build_report` does.
+    With free parameters left in branch-deciding positions the verdict is
+    SYMBOLIC and the relevant obstruction polynomials are returned for the
+    caller to analyze; no branching on symbolic (in)equalities ever happens.
 
     The dispatch reads the normal form up to its first resonant index only,
     so the normal form is computed by deepening runs that stop there
@@ -329,9 +329,6 @@ def classify(field: VectorField3, max_index: int,
     if max_index < 1:
         raise DegreeError("max_index must be at least 1")
     require_principal_part(field)
-    if parameter_values:
-        field = field.substitute_params(
-            {name: rat(v) for name, v in parameter_values.items()})
 
     shape = _resonant_shape(field)
     if shape is not None:

@@ -74,6 +74,9 @@ def normalize_principal_part(field: VectorField3) -> Tuple[VectorField3, Scaling
 
 
 MODES = ("AUTO", "FIRST_INTEGRAL", "JACOBI_H", "JACOBI_H2", "NORMAL_FORM", "REDUCE")
+# the modes that report one obstruction sequence, the only ones that take a
+# constraint, as only the `obstructions` command takes `--constraint`
+SEQUENCE_MODES = tuple(method.value for method in Method)
 
 
 @dataclass(frozen=True)
@@ -274,10 +277,13 @@ def build_report(source: SystemSource, field: VectorField3, scalings: Scalings,
     The bound parameter values are substituted once, into the field and the
     constraint alike, before any mode runs.  Obstruction sequences are
     computed for their entries only (`analyzers._entries_only`), since the
-    report prints no witness.
+    report prints no witness.  An unknown mode, or a constraint with a mode
+    outside `SEQUENCE_MODES`, raises ValueError.
     """
     if config.mode not in MODES:
         raise ValueError(f"unknown mode {config.mode!r}")
+    if config.constraint is not None and config.mode not in SEQUENCE_MODES:
+        raise ValueError(f"mode {config.mode} takes no constraint")
     constraint = config.constraint
     report: Dict[str, object] = {
         "schema_version": "1",
@@ -300,8 +306,7 @@ def build_report(source: SystemSource, field: VectorField3, scalings: Scalings,
         if verdict.normal_form is not None:
             report["normal_form"] = _normal_form_dict(verdict.normal_form)
         if verdict.obstructions:
-            report["obstructions"] = [_sequence_dict(s, constraint)
-                                      for s in verdict.obstructions]
+            report["obstructions"] = [_sequence_dict(s) for s in verdict.obstructions]
         report["classification"] = _classification_dict(verdict)
         return report
     if mode in ("NORMAL_FORM", "REDUCE"):
@@ -362,13 +367,13 @@ def _build_cli() -> _CliParser:
             p.add_argument("--mode", choices=mode_choices, default=mode_choices[0])
 
     analyze = sub.add_parser("analyze", help="classify the system")
-    common(analyze, ["AUTO", "FIRST_INTEGRAL", "JACOBI_H", "JACOBI_H2"])
+    common(analyze, ["AUTO", *SEQUENCE_MODES])
 
     nf = sub.add_parser("normal-form", help="orbital normal form coefficients")
     common(nf)
 
     obs = sub.add_parser("obstructions", help="one obstruction sequence")
-    common(obs, ["FIRST_INTEGRAL", "JACOBI_H", "JACOBI_H2"])
+    common(obs, list(SEQUENCE_MODES))
     obs.add_argument("--constraint", metavar="EXPR",
                      help="reduce entries modulo this parameter polynomial")
     obs.add_argument("--eliminate", metavar="NAME",

@@ -10,8 +10,8 @@ Fixture files use the frontend input grammar followed by an `expect` block:
       zero entries = 3 4 5 6
       entry 7 = 15/2048*a001^10 - ...
       a 1 = -1/4*a001^2              # normal-form coefficients
-      constraint = 18*a001^2 - ...   # with `eliminate`, enables reduced checks
-      eliminate = a001
+      constraint = 18*a001^2 - ...   # with `eliminate`, enables reduced checks;
+      eliminate = a001               # sequence modes only, as on the CLI
       zero reduced = 8 9 10
       reduced 11 = ...               # congruence modulo the constraint ideal
       case = NOT_INTEGRABLE
@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .coeffring import ParamPolynomial, congruent_mod, rat
 from .errors import ParseError
-from .frontend import MODES, AnalysisConfig, build_report, load_system
+from .frontend import MODES, SEQUENCE_MODES, AnalysisConfig, build_report, load_system
 from .parsing import parse_polynomial, parse_system
 
 DATA_DIR = pathlib.Path(__file__).parent / "goldens_data"
@@ -87,7 +87,10 @@ _SINGLE_KEYS = ("origin", "mode", "max_index", "constraint", "eliminate", "param
 def parse_fixture(text: str, name: str) -> GoldenCase:
     """The case a fixture text defines.  Every polynomial value is parsed
     against the system's parameters, and any error is a ParseError that
-    names the fixture and the line."""
+    names the fixture and the line.  A constraint is checked as the CLI
+    checks `--constraint`: only a sequence mode takes one, and its
+    `eliminate` name must be declared and still occur in it once the `param`
+    values are substituted."""
     if "expect {" not in text:
         raise ParseError(f"fixture {name}: missing expect block")
     system_text, _, rest = text.partition("expect {")
@@ -194,13 +197,27 @@ def parse_fixture(text: str, name: str) -> GoldenCase:
         raise ParseError(f"fixture {name}: reduced expectation without constraint",
                          min(reduced))
     # values are parsed after the structural checks, which report first
+    parsed: Dict[int, ParamPolynomial] = {}  # by line number
     for value, line, lineno in polynomials:
         names = parameter_names()
         try:
-            parse_polynomial(value, names)
+            parsed[lineno] = parse_polynomial(value, names)
         except ParseError as exc:
             raise ParseError(f"fixture {name}: malformed expect line {line!r}: "
                              f"{exc.message}", lineno) from None
+    if constraint is not None:
+        if mode not in SEQUENCE_MODES:
+            raise ParseError(f"fixture {name}: constraint with mode {mode}, which takes "
+                             "none", first_line["constraint"])
+        at = first_line["eliminate"]
+        if eliminate not in parameter_names():
+            raise ParseError(f"fixture {name}: eliminate names undeclared parameter "
+                             f"{eliminate!r}", at)
+        poly = parsed[first_line["constraint"]]
+        if poly.substitute(bindings).degree_in(eliminate) < 1:
+            bound = " once the param values are substituted" if bindings else ""
+            raise ParseError(f"fixture {name}: constraint does not contain "
+                             f"{eliminate!r}{bound}", at)
     return GoldenCase(name=name, origin=origin, mode=mode, max_index=max_index,
                       system_text=system_text, bindings=bindings,
                       expectations=tuple(expectations),
@@ -281,20 +298,12 @@ def _failures(report, expectation, poly, constraint):
             yield f"{kind.replace('_', ' ')}: expected {expectation[1]}, got {got}"
 
 
-def load_cases(directory: Optional[pathlib.Path] = None) -> List[GoldenCase]:
-    directory = directory or DATA_DIR
-    cases = []
-    for path in sorted(directory.glob("*.hz")):
-        cases.append(parse_fixture(path.read_text(encoding="utf-8"), path.stem))
-    return cases
+def load_cases() -> List[GoldenCase]:
+    """The corpus's fixtures, in file-name order."""
+    return [parse_fixture(path.read_text(encoding="utf-8"), path.stem)
+            for path in sorted(DATA_DIR.glob("*.hz"))]
 
 
-def run_goldens(filter_origin: Optional[str] = None,
-                directory: Optional[pathlib.Path] = None) -> List[GoldenResult]:
-    """Execute every fixture (optionally only one origin tag) and report."""
-    results = []
-    for case in load_cases(directory):
-        if filter_origin and case.origin != filter_origin:
-            continue
-        results.append(run_golden(case))
-    return results
+def run_goldens() -> List[GoldenResult]:
+    """Run every fixture of the corpus and report."""
+    return [run_golden(case) for case in load_cases()]

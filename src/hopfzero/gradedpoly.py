@@ -18,14 +18,16 @@ Lie series and the known terms of the obstruction sequences) goes through
 one multiply-accumulate kernel, `_mul_integer`.  Its operands are first
 converted by `_integer_terms` to integer numerators over one common
 denominator, and partial derivatives are taken from the converted form
-(`_integer_partial`, which `partial` also uses), so each coefficient is read
-once; the kernel sums Python `int`s, one per output monomial when every
-operand coefficient is a constant.  Under a degree cap it reads only what
-the cap keeps, and `_integer_partial` takes a degree limit for a caller that
-stops a partial where the kernel stops reading it.  The kernel returns the
-converted form too, divided by its content gcd, so a caller can feed it into
-the next product, as the normal form's steps and the obstruction driver do.
-The converted form is the only integer layout that leaves this module: the
+(`_integer_partial`, which the method `partial` also uses), so each
+coefficient is read once; the kernel sums Python `int`s, one per output
+monomial when every operand coefficient is a constant.  The public products
+take no cap.  The normal form's steps (`normalform._integer_step`) call the
+kernel under a degree cap, and it reads only what the cap keeps;
+`_integer_partial` takes a degree limit for a caller that stops a partial
+where the kernel stops reading it.  The kernel returns the converted form
+too, divided by its content gcd, so a caller can feed it into the next
+product, as the normal form's steps and the obstruction driver do.  The
+converted form is the only integer layout that leaves this module: the
 slice solve (`homological._solve_levels`) takes and returns it, so the
 driver's known terms and solved pieces never become `Fraction`s on the way
 to its next degrees.  `_from_integer_terms` is the one place where a
@@ -71,25 +73,17 @@ class GradedSliceBasis:
         return len(self.monomials)
 
 
-_slice_cache: Dict[int, GradedSliceBasis] = {}
-
-
 def slice_basis(k: int) -> GradedSliceBasis:
     """All monomials of quasi-homogeneous degree k, ordered by ascending z
     exponent and then descending x exponent."""
     if k < 0:
         raise DegreeError(f"negative degree {k}")
-    cached = _slice_cache.get(k)
-    if cached is not None:
-        return cached
     monomials = []
     for ez in range(k // 2 + 1):
         rest = k - 2 * ez
         for ex in range(rest, -1, -1):
             monomials.append(Monomial3(ex, rest - ex, ez))
-    basis = GradedSliceBasis(k, tuple(monomials))
-    _slice_cache[k] = basis
-    return basis
+    return GradedSliceBasis(k, tuple(monomials))
 
 
 def slice_dimension(k: int) -> int:
@@ -192,16 +186,13 @@ class QHPolynomial:
     def __mul__(self, other: "QHPolynomial") -> "QHPolynomial":
         return self.mul(other)
 
-    def mul(self, other: "QHPolynomial", max_degree: int | None = None) -> "QHPolynomial":
-        """Product, optionally dropping terms above a quasi-homogeneous cap.
-
-        Truncating during multiplication keeps high-order normal-form updates
-        from generating garbage far beyond the working degree.
-        """
+    def mul(self, other: "QHPolynomial") -> "QHPolynomial":
+        """The product, through the kernel `_mul_integer`.  A product under a
+        degree cap is a kernel call of its own, made by the normal form's
+        steps (`normalform._integer_step`)."""
         self._check(other)
         return _from_integer_terms(
-            _mul_integer([(_integer_terms(self), _integer_terms(other))], (), max_degree),
-            self.params)
+            _mul_integer([(_integer_terms(self), _integer_terms(other))], ()), self.params)
 
     def scale(self, factor: RationalLike) -> "QHPolynomial":
         factor = rat(factor)
@@ -412,15 +403,3 @@ def _mul_integer(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
                 terms.append((*key, items))
     return common // g, terms
 
-
-def qh_decompose(f: QHPolynomial) -> Dict[int, QHPolynomial]:
-    """Split into quasi-homogeneous slices, keyed by degree (sum equals f)."""
-    buckets: Dict[int, Dict[Monomial3, ParamPolynomial]] = {}
-    for m, c in f.terms.items():
-        buckets.setdefault(m.degree, {})[m] = c
-    return {k: QHPolynomial._wrap(t, f.params) for k, t in sorted(buckets.items())}
-
-
-def partial(f: QHPolynomial, var: str) -> QHPolynomial:
-    """Exact partial derivative; maps degree k into degree k - weight(var)."""
-    return f.partial(var)

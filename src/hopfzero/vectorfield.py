@@ -4,6 +4,11 @@ A `VectorField3` of quasi-homogeneous degree k has x- and y-components in the
 degree-(k+1) slice and z-component in the degree-(k+2) slice.  The planar
 types live in two variables (u, v) and hold the reduced planar system of the
 normal form.
+
+The public calculus (`directional_derivative`, `lie_bracket`) takes no
+degree cap.  The normal form's steps bracket under one, through the
+converted-form `_integer_bracket`, whose cap stops the kernel
+(`gradedpoly._mul_integer`) at the working degree.
 """
 
 from __future__ import annotations
@@ -53,13 +58,6 @@ class VectorField3:
     def scale(self, factor: RationalLike) -> "VectorField3":
         return VectorField3(self.fx.scale(factor), self.fy.scale(factor),
                             self.fz.scale(factor))
-
-    def scale_poly(self, g: QHPolynomial, max_degree: int | None = None) -> "VectorField3":
-        """Multiply the whole field by a scalar polynomial (time rescaling)."""
-        cap1 = None if max_degree is None else max_degree + 1
-        cap2 = None if max_degree is None else max_degree + 2
-        return VectorField3(g.mul(self.fx, cap1), g.mul(self.fy, cap1),
-                            g.mul(self.fz, cap2))
 
     def component(self, k: int) -> "VectorField3":
         """Quasi-homogeneous component of field degree k."""
@@ -112,19 +110,17 @@ def divergence(field: VectorField3) -> QHPolynomial:
     return (field.fx.partial("x") + field.fy.partial("y") + field.fz.partial("z"))
 
 
-def directional_derivative(f: QHPolynomial, field: VectorField3,
-                           max_degree: int | None = None) -> QHPolynomial:
-    """grad(f) . field, optionally truncated above a quasi-homogeneous cap."""
+def directional_derivative(f: QHPolynomial, field: VectorField3) -> QHPolynomial:
+    """grad(f) . field, one `_mul_integer` call on three pairs."""
     if f.params != field.params:
         raise ValueError("parameter tables differ")
     whole = _integer_terms(f)
     pairs = [(_integer_partial(whole, v), _integer_terms(c))
              for v, c in zip(VAR_NAMES, field.components)]
-    return _from_integer_terms(_mul_integer(pairs, (), max_degree), f.params)
+    return _from_integer_terms(_mul_integer(pairs, ()), f.params)
 
 
-def lie_bracket(f: VectorField3, g: VectorField3,
-                max_field_degree: int | None = None) -> VectorField3:
+def lie_bracket(f: VectorField3, g: VectorField3) -> VectorField3:
     """[f, g] = Dg.f - Df.g; maps degrees (j, k) into degree j + k.
 
     The `VectorField3` wrapper of `_integer_bracket`: both fields are
@@ -136,7 +132,7 @@ def lie_bracket(f: VectorField3, g: VectorField3,
     converted = _integer_field(f)
     g_comps = [_integer_terms(c) for c in g.components]
     constant = all(map(_is_constant, converted[0] + g_comps))
-    comps = _integer_bracket(converted, g_comps, max_field_degree, constant)
+    comps = _integer_bracket(converted, g_comps, None, constant)
     return VectorField3(*(_from_integer_terms(c, f.params) for c in comps))
 
 

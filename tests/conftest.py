@@ -3,6 +3,9 @@ import random
 import pytest
 
 import hopfzero as hz
+from hopfzero.gradedpoly import (_from_integer_terms, _integer_terms, _is_constant,
+                                 _mul_integer)
+from hopfzero.vectorfield import _integer_bracket, _integer_field
 
 FAMILY37 = """\
 params a001 b200 c030
@@ -35,6 +38,28 @@ class Pairs:
 
     def items(self):
         return iter(self._pairs)
+
+
+def capped_product(plus, minus, cap):
+    """sum(a * b for a, b in plus) - sum(a * b for a, b in minus) from the
+    kernel `_mul_integer` under the degree `cap`, for polynomial operands.
+    The public products take no cap; the normal form's steps call the
+    kernel under one."""
+    def convert(pairs):
+        return [(_integer_terms(a), _integer_terms(b)) for a, b in pairs]
+
+    params = (plus or minus)[0][0].params
+    return _from_integer_terms(_mul_integer(convert(plus), convert(minus), cap), params)
+
+
+def capped_bracket(f, g, cap):
+    """The components of [f, g] from `_integer_bracket` under the field
+    degree `cap`, as the normal form's steps bracket, as polynomials."""
+    g_comps = [_integer_terms(c) for c in g.components]
+    converted = _integer_field(f)
+    constant = all(map(_is_constant, converted[0] + g_comps))
+    return [_from_integer_terms(c, f.params)
+            for c in _integer_bracket(converted, g_comps, cap, constant)]
 
 
 def field_from_text(text: str) -> hz.VectorField3:

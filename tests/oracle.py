@@ -279,20 +279,27 @@ def h_component(f, m):
     return const.scale(Fraction(1, 4 ** m * math.factorial(m) ** 2))
 
 
+def scale_field(field, g):
+    """The field times the scalar polynomial g, component by component."""
+    return VectorField3(*(g * c for c in field.components))
+
+
 def lie_series_step(field, step, max_field_degree):
     """`apply_generator_step` through the public calculus: each series term
     the `lie_bracket` of the generator with the previous one, summed with
-    `scale` and `+` in `Fraction` arithmetic."""
+    `scale` and `+` in `Fraction` arithmetic.  The public products take no
+    cap, so the time rescaling and each term are truncated at
+    `max_field_degree` after they are formed: the reference shares no
+    cut-off logic with the capped kernel it checks."""
+    current = field
     if step.reparam:
-        one = QHPolynomial.constant(1, field.params)
-        current = field.scale_poly(one + step.reparam, max_field_degree)
-    else:
-        current = field.truncate(max_field_degree)
+        current = scale_field(field, QHPolynomial.constant(1, field.params) + step.reparam)
+    current = current.truncate(max_field_degree)
     result = current
     term = current
     j = 1
     while True:
-        term = hz.lie_bracket(step.generator, term, max_field_degree)
+        term = hz.lie_bracket(step.generator, term).truncate(max_field_degree)
         if term.is_zero():
             break
         result = result + term.scale(Fraction(1, math.factorial(j)))

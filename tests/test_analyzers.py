@@ -395,8 +395,8 @@ class TestClassify:
                 run()
 
     def test_family37_generic_point(self, family37):
-        verdict = hz.classify(family37, 8,
-                              parameter_values={"a001": 1, "b200": 0, "c030": 0})
+        point = family37.substitute_params({"a001": 1, "b200": 0, "c030": 0})
+        verdict = hz.classify(point, 8)
         assert verdict.case_tag is CaseTag.NOT_INTEGRABLE
         assert verdict.witness_method is Method.JACOBI_H2
         assert verdict.witness_index == 7
@@ -406,8 +406,8 @@ class TestClassify:
             Fraction(15, 2048), family37.params)
 
     def test_family38_locked_numeric(self, family38):
-        verdict = hz.classify(family38, 10,
-                              parameter_values={"a001": 1, "c011": -1, "c101": 0})
+        point = family38.substitute_params({"a001": 1, "c011": -1, "c101": 0})
+        verdict = hz.classify(point, 10)
         assert verdict.case_tag is CaseTag.NO_OBSTRUCTION_UP_TO
         assert verdict.obstructions[0].method is Method.JACOBI_H
 
@@ -436,9 +436,9 @@ class TestClassify:
             _obstruction_driver(family37, 6, Method.JACOBI_H2)
 
     def test_verdict_determinism(self, family37):
-        values = {"a001": 1, "b200": 0, "c030": 0}
-        first = hz.classify(family37, 8, parameter_values=values)
-        second = hz.classify(family37, 8, parameter_values=values)
+        point = family37.substitute_params({"a001": 1, "b200": 0, "c030": 0})
+        first = hz.classify(point, 8)
+        second = hz.classify(point, 8)
         assert first.case_tag is second.case_tag
         assert first.witness_index == second.witness_index
         assert first.witness_value == second.witness_value

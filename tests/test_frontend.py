@@ -294,6 +294,16 @@ def test_build_report_rejects_unknown_mode():
         hz.build_report(source, field, scalings, hz.AnalysisConfig(mode="JACOBI_H3"))
 
 
+@pytest.mark.parametrize("mode", ["AUTO", "NORMAL_FORM", "REDUCE"])
+def test_build_report_rejects_a_constraint_outside_the_sequence_modes(mode):
+    # as on the CLI, where only `obstructions` takes --constraint
+    source, field, scalings = hz.frontend.load_system(FAMILY38)
+    constraint = (hz.parse_polynomial("a001 - 1", source.parameter_names), "a001")
+    config = hz.AnalysisConfig(max_index=2, mode=mode, constraint=constraint)
+    with pytest.raises(ValueError, match=f"mode {mode} takes no constraint"):
+        hz.build_report(source, field, scalings, config)
+
+
 def test_build_report_builds_no_witness(monkeypatch):
     # the report prints the entries only, so no solved piece becomes Fractions
     source, field, scalings = hz.frontend.load_system(FAMILY37)

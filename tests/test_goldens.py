@@ -15,9 +15,11 @@ def test_corpus_passes():
 
 
 def test_origin_filter():
-    literature = hz.run_goldens(filter_origin="literature")
+    # the caller filters the cases by their origin tag, and each result keeps it
+    cases = hz.load_cases()
+    literature = [hz.run_golden(c) for c in cases if c.origin == "literature"]
     assert literature and all(r.origin == "literature" for r in literature)
-    trivial = hz.run_goldens(filter_origin="trivial")
+    trivial = [hz.run_golden(c) for c in cases if c.origin == "trivial"]
     assert trivial and all(r.passed for r in trivial)
 
 
@@ -48,10 +50,17 @@ def test_fixture_rejects_unknown_mode():
     assert err.value.line == 5
 
 
-def fixture_with(*expect_lines):
-    """A fixture whose expect lines start at line 5."""
+# the principal part alone, whose expect lines start at line 5
+F0_SYSTEM = "dx = -2*y\ndy = 2*x\ndz = x^2 + y^2\n"
+# family 37, whose expect lines start at line 6
+FAMILY37_SYSTEM = ("params a001 b200 c030\ndx = -2*y + a001*z\ndy = 2*x + b200*x^2\n"
+                   "dz = x^2 + y^2 + c030*y^3\n")
+
+
+def fixture_with(*expect_lines, system=F0_SYSTEM):
+    """A fixture of `system` with these expect lines."""
     body = "".join(f"  {line}\n" for line in expect_lines)
-    return f"dx = -2*y\ndy = 2*x\ndz = x^2 + y^2\nexpect {{\n{body}}}\n"
+    return f"{system}expect {{\n{body}}}\n"
 
 
 @pytest.mark.parametrize("line", ["zero = 3", "param = 1", "entry = 0", "reduced = 2",
@@ -66,17 +75,39 @@ def test_malformed_expect_line_is_a_parse_error(line):
     assert err.value.line == 6
 
 
-@pytest.mark.parametrize("lines, message", [
-    (("zero reduced = 8",), "reduced expectation without constraint"),
-    (("reduced 11 = 0",), "reduced expectation without constraint"),
-    (("constraint = a001", "zero reduced = 8"), "constraint without eliminate"),
-    (("eliminate = a001", "case = B1"), "eliminate without constraint"),
-], ids=["zero-reduced", "reduced-entry", "constraint-only", "eliminate-only"])
-def test_constraint_expectations_are_checked_at_parse_time(lines, message):
+@pytest.mark.parametrize("system, lines, message", [
+    (F0_SYSTEM, ("zero reduced = 8",), "reduced expectation without constraint"),
+    (F0_SYSTEM, ("reduced 11 = 0",), "reduced expectation without constraint"),
+    (F0_SYSTEM, ("constraint = a001", "zero reduced = 8"), "constraint without eliminate"),
+    (F0_SYSTEM, ("eliminate = a001", "case = B1"), "eliminate without constraint"),
+    # the eliminate name is checked as the CLI checks --eliminate
+    (FAMILY37_SYSTEM, ("eliminate = q", "constraint = a001", "mode = JACOBI_H2"),
+     "eliminate names undeclared parameter 'q'"),
+    (FAMILY37_SYSTEM, ("eliminate = a001", "constraint = b200", "mode = JACOBI_H2"),
+     "constraint does not contain 'a001'"),
+    (FAMILY37_SYSTEM, ("eliminate = a001", "constraint = a001*b200", "param b200 = 0",
+                       "mode = JACOBI_H2"),
+     "constraint does not contain 'a001' once the param values are substituted"),
+    # every entry is 0 here, so no run would ever reduce one
+    (F0_SYSTEM, ("eliminate = q", "constraint = 1", "mode = JACOBI_H", "zero reduced = 3"),
+     "eliminate names undeclared parameter 'q'"),
+    # only the sequence modes take a constraint, as only `obstructions` does
+    (FAMILY37_SYSTEM, ("constraint = a001", "eliminate = a001"),
+     "constraint with mode AUTO, which takes none"),
+    (FAMILY37_SYSTEM, ("constraint = a001", "eliminate = a001", "mode = NORMAL_FORM"),
+     "constraint with mode NORMAL_FORM, which takes none"),
+    (FAMILY37_SYSTEM, ("constraint = a001", "eliminate = a001", "mode = REDUCE"),
+     "constraint with mode REDUCE, which takes none"),
+], ids=["zero-reduced", "reduced-entry", "constraint-only", "eliminate-only",
+        "eliminate-undeclared", "eliminate-absent", "eliminate-bound-away",
+        "eliminate-undeclared-zero-entries", "constraint-with-auto",
+        "constraint-with-normal-form", "constraint-with-reduce"])
+def test_constraint_expectations_are_checked_at_parse_time(system, lines, message):
+    # the line reported is the first expect line, the one at fault
     with pytest.raises(ParseError) as err:
-        hz.parse_fixture(fixture_with(*lines), "unpaired")
+        hz.parse_fixture(fixture_with(*lines, system=system), "unpaired")
     assert f"fixture unpaired: {message}" in str(err.value)
-    assert err.value.line == 5
+    assert err.value.line == system.count("\n") + 2
 
 
 # a system with parameters a and b, whose expect lines start at line 6

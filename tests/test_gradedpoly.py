@@ -11,7 +11,7 @@ from hopfzero.coeffring import _term_sort_key
 from hopfzero.gradedpoly import (_from_integer_terms, _integer_partial, _integer_terms,
                                  _is_constant, _mono_sort_key, _mul_integer)
 
-from conftest import Pairs, random_qh_slice
+from conftest import Pairs, capped_bracket, capped_product, random_qh_slice
 from oracle import h_component
 
 
@@ -44,16 +44,21 @@ class TestSliceBasis:
             hz.slice_basis(-1)
 
 
+def slices(f):
+    """The slices of f, keyed by degree, through `degrees` and `slice`."""
+    return {k: f.slice(k) for k in f.degrees()}
+
+
 class TestDecompose:
     def test_single_slice(self):
         f = QH({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 1): 1})
-        parts = hz.qh_decompose(f)
+        parts = slices(f)
         assert list(parts) == [2]
         assert parts[2] == f
 
     def test_two_slices(self):
         f = QH({(1, 0, 0): 1, (3, 0, 0): 1})
-        parts = hz.qh_decompose(f)
+        parts = slices(f)
         assert list(parts) == [1, 3]
         assert parts[1] == QH({(1, 0, 0): 1})
         assert parts[3] == QH({(3, 0, 0): 1})
@@ -63,7 +68,7 @@ class TestDecompose:
         a = hz.ParamPolynomial.variable("a", params)
         b = hz.ParamPolynomial.variable("b", params)
         f = QHPolynomial({(0, 0, 2): a, (2, 0, 1): b}, params)
-        parts = hz.qh_decompose(f)
+        parts = slices(f)
         assert list(parts) == [4]
         assert parts[4] == f
 
@@ -71,7 +76,7 @@ class TestDecompose:
         params = ()
         f = random_qh_slice(rng, 3) + random_qh_slice(rng, 5) + random_qh_slice(rng, 6)
         total = QHPolynomial.zero(params)
-        for part in hz.qh_decompose(f).values():
+        for part in slices(f).values():
             total = total + part
         assert total == f
 
@@ -79,17 +84,17 @@ class TestDecompose:
 class TestPartial:
     def test_examples(self):
         f = QH({(2, 0, 0): 1, (0, 2, 0): 1})
-        assert hz.partial(f, "x") == QH({(1, 0, 0): 2})
-        assert hz.partial(QH({(0, 0, 2): 1}), "z") == QH({(0, 0, 1): 2})
+        assert f.partial("x") == QH({(1, 0, 0): 2})
+        assert QH({(0, 0, 2): 1}).partial("z") == QH({(0, 0, 1): 2})
         params = ("a",)
         a = hz.ParamPolynomial.variable("a", params)
         f = QHPolynomial({(3, 1, 0): a}, params)
-        assert hz.partial(f, "y") == QHPolynomial({(3, 0, 0): a}, params)
+        assert f.partial("y") == QHPolynomial({(3, 0, 0): a}, params)
 
     def test_shifts_grade_by_weight(self, rng):
         f = random_qh_slice(rng, 7)
-        assert hz.partial(f, "x").degrees() in ((), (6,))
-        assert hz.partial(f, "z").degrees() in ((), (5,))
+        assert f.partial("x").degrees() in ((), (6,))
+        assert f.partial("z").degrees() in ((), (5,))
 
     def test_euler_identity(self, rng):
         # x f_x + y f_y + 2 z f_z = k f on a degree-k slice
@@ -142,7 +147,7 @@ class TestMultiplication:
     def test_truncating_product_matches_truncated_full(self, rng):
         f = random_qh_slice(rng, 3) + random_qh_slice(rng, 6)
         g = random_qh_slice(rng, 2) + random_qh_slice(rng, 7)
-        assert f.mul(g, 9) == (f * g).truncate(9)
+        assert capped_product([(f, g)], [], 9) == (f * g).truncate(9)
 
 
 class TestHComponent:
@@ -253,8 +258,9 @@ class TestCanonicalResults:
     @given(_polys(2), _CAPS)
     def test_mul(self, polys, cap):
         f, g = polys
-        for r, c in ((f.mul(g), None), (f * g, None), (f.mul(g, cap), cap),
-                     (g.mul(f, cap), cap)):
+        for r, c in ((f.mul(g), None), (f * g, None),
+                     (capped_product([(f, g)], [], cap), cap),
+                     (capped_product([(g, f)], [], cap), cap)):
             assert_canonical(r)
             assert r == model_product([(f, g)], [], f.params, c)
         # f g - g f: every output sum cancels to an exact zero inside the kernel
@@ -265,7 +271,8 @@ class TestCanonicalResults:
         # the integer output is the same product, in lowest terms as a whole
         den, terms = _mul_integer([(tf, tg)], [], cap)
         assert math.gcd(den, *(n for *_, items in terms for _, n in items)) == 1
-        assert _from_integer_terms((den, terms), f.params) == f.mul(g, cap)
+        assert _from_integer_terms((den, terms), f.params) == \
+            model_product([(f, g)], [], f.params, cap)
 
     def test_mul_cancels_to_exact_zero_over_coprime_denominators(self):
         f = QH({(1, 0, 0): Fraction(1, 9973), (0, 1, 0): Fraction(1, 7919)})
@@ -336,7 +343,7 @@ class TestCanonicalResults:
             assert_canonical(r)
             assert r == QHPolynomial({m: c for m, c in f.terms.items() if keep(m.degree)},
                                      f.params)
-        parts = hz.qh_decompose(f)
+        parts = slices(f)
         for part in parts.values():
             assert_canonical(part)
         assert sum(parts.values(), QHPolynomial.zero(f.params)) == f
@@ -356,23 +363,26 @@ class TestCanonicalResults:
     def test_directional_derivative(self, polys, cap):
         f, *components = polys
         field = VectorField3(*components)
-        r = hz.directional_derivative(f, field, cap)
-        assert_canonical(r)
         pairs = [(f.partial(v), c) for v, c in zip("xyz", components)]
-        assert r == model_product(pairs, [], f.params, cap)
+        for r, c in ((hz.directional_derivative(f, field), None),
+                     (capped_product(pairs, [], cap), cap)):
+            assert_canonical(r)
+            assert r == model_product(pairs, [], f.params, c)
 
     @_FEW
     @given(_polys(6), _CAPS)
     def test_lie_bracket(self, polys, cap):
         f, g = VectorField3(*polys[:3]), VectorField3(*polys[3:])
-        r = hz.lie_bracket(f, g, cap)
-        for i, comp in enumerate(r.components):
-            assert_canonical(comp)
+        public = hz.lie_bracket(f, g).components
+        for i, (comp, kernel) in enumerate(zip(public, capped_bracket(f, g, cap))):
             c = None if cap is None else cap + (2 if i == 2 else 1)
             plus = [(g.components[i].partial(v), fv) for v, fv in zip("xyz", f.components)]
             minus = [(f.components[i].partial(v), gv) for v, gv in zip("xyz", g.components)]
-            assert comp == model_product(plus, minus, f.params, c)
-        assert hz.lie_bracket(f, f, cap).is_zero()
+            for r, rc in ((comp, None), (kernel, c)):
+                assert_canonical(r)
+                assert r == model_product(plus, minus, f.params, rc)
+        assert hz.lie_bracket(f, f).is_zero()
+        assert not any(capped_bracket(f, f, cap))
 
     @_FEW
     @given(st.lists(_graded(("a001", "b200", "c030")), min_size=6, max_size=6), _CAPS)

@@ -17,7 +17,7 @@ from conftest import (field_from_text, random_field_component,
                       random_perturbed_field, random_ppoly)
 from oracle import (Elimination, degree2_orbital_normal_form, degree_system,
                     elimination_solve_degree, field_to_sympy, lie_series_step,
-                    ppoly_to_sympy)
+                    ppoly_to_sympy, scale_field)
 
 
 def conjugate_scaling(field, lam, sigma):
@@ -196,7 +196,7 @@ class TestSolveDegree:
         params = known.params
         u, mu, a, b = _solve_degree(known, s)
         f0 = hz.principal_part(params)
-        achieved = hz.lie_bracket(f0, u) - f0.scale_poly(mu)
+        achieved = hz.lie_bracket(f0, u) - scale_field(f0, mu)
         if s % 2 == 0:
             k = s // 2
             achieved = achieved + VectorField3(

@@ -6,7 +6,8 @@ import hopfzero as hz
 from hopfzero import (ParamPolynomial, Poly2, QHPolynomial, VectorField3, gradedpoly,
                       vectorfield)
 
-from conftest import Pairs, random_field_component, random_ppoly
+from conftest import (Pairs, capped_bracket, capped_product, random_field_component,
+                      random_ppoly)
 from oracle import (directional_derivative_sympy, divergence_sympy,
                     field_to_sympy, qh_to_sympy, truncate_sympy)
 
@@ -91,10 +92,12 @@ class TestDirectionalDerivative:
         h = param_field(rng, (1, 2)).fz  # degrees 3 and 4
         field = param_field(rng, (0, 2))
         full = directional_derivative_sympy(qh_to_sympy(h), field_to_sympy(field))
-        for cap in (None, 3, 5):
-            got = qh_to_sympy(hz.directional_derivative(h, field, cap))
-            expected = full if cap is None else truncate_sympy(full, cap)
-            assert sp.expand(got - expected) == 0
+        assert sp.expand(qh_to_sympy(hz.directional_derivative(h, field)) - full) == 0
+        # under a cap, through the kernel, as the normal form's steps call it
+        pairs = [(h.partial(v), c) for v, c in zip("xyz", field.components)]
+        for cap in (3, 5):
+            got = qh_to_sympy(capped_product(pairs, [], cap))
+            assert sp.expand(got - truncate_sympy(full, cap)) == 0
 
 
 class TestLieBracket:
@@ -154,11 +157,13 @@ class TestLieBracket:
         full = [sp.expand(sum(sp.diff(ge[comp], var) * fe[i] - sp.diff(fe[comp], var) * ge[i]
                               for i, var in enumerate((X, Y, Z))))
                 for comp in range(3)]
-        for cap in (None, 1, 3, 4):
-            got = field_to_sympy(hz.lie_bracket(f, g, cap))
+        got = field_to_sympy(hz.lie_bracket(f, g))
+        assert all(sp.expand(got[comp] - full[comp]) == 0 for comp in range(3))
+        # under a cap, through `_integer_bracket`, as the normal form's steps call it
+        for cap in (1, 3, 4):
+            got = field_to_sympy(VectorField3(*capped_bracket(f, g, cap)))
             for comp in range(3):
-                expected = full[comp] if cap is None else \
-                    truncate_sympy(full[comp], cap + (2 if comp == 2 else 1))
+                expected = truncate_sympy(full[comp], cap + (2 if comp == 2 else 1))
                 assert sp.expand(got[comp] - expected) == 0
 
     @pytest.mark.parametrize("bound", [False, True])
