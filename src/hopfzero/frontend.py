@@ -89,6 +89,30 @@ class AnalysisConfig:
     constraint: Optional[Tuple[ParamPolynomial, str]] = None
 
 
+def _request_fault(names: Tuple[str, ...],
+                   config: AnalysisConfig) -> Optional[Tuple[str, str]]:
+    """The first fault of `config` on a system with these parameter names, as
+    (setting, message), or None.  The setting is spelt as a fixture key
+    (`mode`, `param NAME`, `constraint`, `eliminate`); the message starts with
+    a setting's name, which the CLI spells as its flag."""
+    values = config.parameter_values or {}
+    poly, var = config.constraint or (None, None)
+    if config.mode not in MODES:
+        return "mode", f"mode names unknown mode {config.mode!r}"
+    if poly is not None and config.mode not in SEQUENCE_MODES:
+        return "constraint", f"constraint with mode {config.mode}, which takes none"
+    named = [(f"param {name}", name) for name in values]
+    if poly is not None:
+        named.append(("eliminate", var))
+    for key, name in named:
+        if name not in names:
+            return key, f"{key.split()[0]} names undeclared parameter {name!r}"
+    if poly is not None and poly.substitute(values).degree_in(var) < 1:
+        bound = " once the param values are substituted" if values else ""
+        return "eliminate", f"constraint does not contain {var!r}{bound}"
+    return None
+
+
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
@@ -277,13 +301,12 @@ def build_report(source: SystemSource, field: VectorField3, scalings: Scalings,
     The bound parameter values are substituted once, into the field and the
     constraint alike, before any mode runs.  Obstruction sequences are
     computed for their entries only (`analyzers._entries_only`), since the
-    report prints no witness.  An unknown mode, or a constraint with a mode
-    outside `SEQUENCE_MODES`, raises ValueError.
+    report prints no witness.  A request that `_request_fault` refuses raises
+    ValueError with its message.
     """
-    if config.mode not in MODES:
-        raise ValueError(f"unknown mode {config.mode!r}")
-    if config.constraint is not None and config.mode not in SEQUENCE_MODES:
-        raise ValueError(f"mode {config.mode} takes no constraint")
+    fault = _request_fault(source.parameter_names, config)
+    if fault:
+        raise ValueError(fault[1])
     constraint = config.constraint
     report: Dict[str, object] = {
         "schema_version": "1",
@@ -356,31 +379,26 @@ def _build_cli() -> _CliParser:
                                     "Hopf-zero vector fields.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mode_choices=None):
+    def command(name, help_text, mode):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(mode=mode)
         p.add_argument("file", help="input system file")
         p.add_argument("--max-degree", type=int, default=30, dest="max_index",
                        metavar="N", help="largest z-power index analyzed (default 30)")
         p.add_argument("--param", action="append", default=[], metavar="NAME=P/Q",
                        help="bind a parameter to an exact rational (repeatable)")
         p.add_argument("--json", action="store_true", help="emit the JSON report")
-        if mode_choices:
-            p.add_argument("--mode", choices=mode_choices, default=mode_choices[0])
+        return p
 
-    analyze = sub.add_parser("analyze", help="classify the system")
-    common(analyze, ["AUTO", *SEQUENCE_MODES])
-
-    nf = sub.add_parser("normal-form", help="orbital normal form coefficients")
-    common(nf)
-
-    obs = sub.add_parser("obstructions", help="one obstruction sequence")
-    common(obs, list(SEQUENCE_MODES))
+    command("analyze", "classify the system", "AUTO")
+    command("normal-form", "orbital normal form coefficients", "NORMAL_FORM")
+    obs = command("obstructions", "one obstruction sequence", SEQUENCE_MODES[0])
+    obs.add_argument("--mode", choices=SEQUENCE_MODES)
     obs.add_argument("--constraint", metavar="EXPR",
                      help="reduce entries modulo this parameter polynomial")
     obs.add_argument("--eliminate", metavar="NAME",
                      help="parameter eliminated by the constraint reduction")
-
-    reduce_cmd = sub.add_parser("reduce", help="print the reduced planar system")
-    common(reduce_cmd)
+    command("reduce", "print the reduced planar system", "REDUCE")
     return parser
 
 
@@ -410,11 +428,6 @@ def run_cli(args: List[str]) -> Tuple[int, str]:
     except HopfZeroError as exc:
         return 1, f"error: {exc}\n"
 
-    # every name a flag gives must be declared, before any analysis runs
-    names = source.parameter_names
-    undeclared = [name for name in bindings or () if name not in names]
-    if undeclared:
-        return 2, f"usage error: --param names undeclared parameter {undeclared[0]!r}\n"
     constraint = None
     text, var = getattr(ns, "constraint", None), getattr(ns, "eliminate", None)
     if text is not None or var is not None:
@@ -422,23 +435,16 @@ def run_cli(args: List[str]) -> Tuple[int, str]:
             return 2, "usage error: --constraint requires --eliminate NAME\n"
         if text is None:
             return 2, "usage error: --eliminate requires --constraint EXPR\n"
-        if var not in names:
-            return 2, f"usage error: --eliminate names undeclared parameter {var!r}\n"
         try:
-            poly = parse_polynomial(text, names)
+            constraint = (parse_polynomial(text, source.parameter_names), var)
         except ParseError as exc:
             return 2, f"parse error in --constraint: {exc}\n"
-        if poly.substitute(bindings or {}).degree_in(var) < 1:
-            bound = " once the --param values are substituted" if bindings else ""
-            return 2, f"usage error: --constraint does not contain {var!r}{bound}\n"
-        constraint = (poly, var)
-
-    if ns.command in ("analyze", "obstructions"):
-        mode = ns.mode
-    else:
-        mode = {"normal-form": "NORMAL_FORM", "reduce": "REDUCE"}[ns.command]
-    config = AnalysisConfig(max_index=ns.max_index, mode=mode,
+    config = AnalysisConfig(max_index=ns.max_index, mode=ns.mode,
                             parameter_values=bindings, constraint=constraint)
+    # a request the analysis would refuse is refused before any of it runs
+    fault = _request_fault(source.parameter_names, config)
+    if fault:
+        return 2, f"usage error: --{fault[1]}\n"
     try:
         report = build_report(source, field, scalings, config)
     except HopfZeroError as exc:

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .coeffring import ParamPolynomial, congruent_mod, rat
 from .errors import ParseError
-from .frontend import MODES, SEQUENCE_MODES, AnalysisConfig, build_report, load_system
+from .frontend import AnalysisConfig, _request_fault, build_report, load_system
 from .parsing import parse_polynomial, parse_system
 
 DATA_DIR = pathlib.Path(__file__).parent / "goldens_data"
@@ -87,10 +87,10 @@ _SINGLE_KEYS = ("origin", "mode", "max_index", "constraint", "eliminate", "param
 def parse_fixture(text: str, name: str) -> GoldenCase:
     """The case a fixture text defines.  Every polynomial value is parsed
     against the system's parameters, and any error is a ParseError that
-    names the fixture and the line.  A constraint is checked as the CLI
-    checks `--constraint`: only a sequence mode takes one, and its
-    `eliminate` name must be declared and still occur in it once the `param`
-    values are substituted."""
+    names the fixture and the line.  The request keys (`mode`, `param`,
+    `constraint`, `eliminate`) go through the check the CLI flags go through,
+    `frontend._request_fault`, and its error gives the first line of the key
+    at fault."""
     if "expect {" not in text:
         raise ParseError(f"fixture {name}: missing expect block")
     system_text, _, rest = text.partition("expect {")
@@ -143,10 +143,10 @@ def parse_fixture(text: str, name: str) -> GoldenCase:
                                  f"(first at line {first_line[key_name]})", lineno)
             first_line.setdefault(key_name, lineno)
             if head == "origin":
+                if value not in ("literature", "derived", "trivial"):
+                    raise ValueError(value)
                 origin = value
             elif head == "mode":
-                if value not in MODES:
-                    raise ParseError(f"fixture {name}: unknown mode {value!r}", lineno)
                 mode = value
             elif head == "max_index":
                 max_index = int(value)
@@ -154,9 +154,6 @@ def parse_fixture(text: str, name: str) -> GoldenCase:
                     raise ParseError(f"fixture {name}: malformed expect line {line!r}: "
                                      "max_index must be at least 1", lineno)
             elif head == "param":
-                if key_parts[1] not in parameter_names():
-                    raise ParseError(f"fixture {name}: malformed expect line {line!r}: "
-                                     f"parameter {key_parts[1]!r} is not declared", lineno)
                 bindings[key_parts[1]] = rat(value)
             elif head == "constraint":
                 constraint = polynomial(value)
@@ -181,7 +178,8 @@ def parse_fixture(text: str, name: str) -> GoldenCase:
             elif head == "witness_index":
                 expectations.append(("witness_index", int(value)))
             elif head == "coprime_pair":
-                expectations.append(("coprime_pair", tuple(int(v) for v in value.split())))
+                p, q = value.split()
+                expectations.append(("coprime_pair", (int(p), int(q))))
             elif head in ("du", "dv"):
                 expectations.append(("planar", head, value))
             else:
@@ -205,19 +203,12 @@ def parse_fixture(text: str, name: str) -> GoldenCase:
         except ParseError as exc:
             raise ParseError(f"fixture {name}: malformed expect line {line!r}: "
                              f"{exc.message}", lineno) from None
-    if constraint is not None:
-        if mode not in SEQUENCE_MODES:
-            raise ParseError(f"fixture {name}: constraint with mode {mode}, which takes "
-                             "none", first_line["constraint"])
-        at = first_line["eliminate"]
-        if eliminate not in parameter_names():
-            raise ParseError(f"fixture {name}: eliminate names undeclared parameter "
-                             f"{eliminate!r}", at)
-        poly = parsed[first_line["constraint"]]
-        if poly.substitute(bindings).degree_in(eliminate) < 1:
-            bound = " once the param values are substituted" if bindings else ""
-            raise ParseError(f"fixture {name}: constraint does not contain "
-                             f"{eliminate!r}{bound}", at)
+    pair = (parsed[first_line["constraint"]], eliminate) if constraint is not None else None
+    names = parameter_names() if bindings or pair else ()
+    fault = _request_fault(names, AnalysisConfig(mode=mode, parameter_values=bindings,
+                                                 constraint=pair))
+    if fault:
+        raise ParseError(f"fixture {name}: {fault[1]}", first_line[fault[0]])
     return GoldenCase(name=name, origin=origin, mode=mode, max_index=max_index,
                       system_text=system_text, bindings=bindings,
                       expectations=tuple(expectations),

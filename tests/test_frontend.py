@@ -255,7 +255,7 @@ class TestCli:
         (["reduce", "--param", "q=1"], "undeclared parameter 'q'"),
         (["obstructions", "--mode", "JACOBI_H2", "--param", "a001=1", "--constraint",
           "18*a001^2 - 18*a001*b200 + 5*b200^2", "--eliminate", "a001"],
-         "does not contain 'a001' once the --param values are substituted"),
+         "does not contain 'a001' once the param values are substituted"),
         (["analyze", "--param", "a001=1", "--param", "a001=2"],
          "--param binds 'a001' twice"),
         (["analyze", "--param", "a001=1", "--param", "a001 = 1"],
@@ -300,8 +300,78 @@ def test_build_report_rejects_a_constraint_outside_the_sequence_modes(mode):
     source, field, scalings = hz.frontend.load_system(FAMILY38)
     constraint = (hz.parse_polynomial("a001 - 1", source.parameter_names), "a001")
     config = hz.AnalysisConfig(max_index=2, mode=mode, constraint=constraint)
-    with pytest.raises(ValueError, match=f"mode {mode} takes no constraint"):
+    with pytest.raises(ValueError, match=f"constraint with mode {mode}, which takes none"):
         hz.build_report(source, field, scalings, config)
+
+
+# requests on family 37 that the shared request check refuses:
+# (mode, bindings, constraint, eliminate), the key at fault, and the message
+# every surface carries after its own prefix
+BAD_REQUESTS = [
+    (("AUTO", {"q": 1}, None, None), "param q", "param names undeclared parameter 'q'"),
+    (("JACOBI_H2", {}, "a001 - b200", "q"), "eliminate",
+     "eliminate names undeclared parameter 'q'"),
+    (("JACOBI_H2", {"b200": 0}, "a001*b200", "a001"), "eliminate",
+     "constraint does not contain 'a001' once the param values are substituted"),
+    *((((mode, {}, "a001", "a001"), "constraint",
+        f"constraint with mode {mode}, which takes none")
+       for mode in ("AUTO", "NORMAL_FORM", "REDUCE"))),
+    (("JACOBI_H3", {}, None, None), "mode", "mode names unknown mode 'JACOBI_H3'"),
+]
+COMMANDS = {"AUTO": ["analyze"], "NORMAL_FORM": ["normal-form"], "REDUCE": ["reduce"],
+            **{mode: ["obstructions", "--mode", mode] for mode in hz.frontend.SEQUENCE_MODES}}
+
+
+@pytest.mark.parametrize("request_, key, message", BAD_REQUESTS,
+                         ids=["param", "eliminate-undeclared", "eliminate-bound-away",
+                              "constraint-with-auto", "constraint-with-normal-form",
+                              "constraint-with-reduce", "unknown-mode"])
+def test_a_bad_request_is_refused_alike_on_every_surface(family37_file, request_, key,
+                                                          message):
+    mode, bindings, constraint, eliminate = request_
+    # the CLI, where a command takes the request: only `obstructions` takes a
+    # constraint, and its --mode choices refuse an unknown mode first
+    if mode in COMMANDS and (constraint is None or mode in hz.frontend.SEQUENCE_MODES):
+        args = [*COMMANDS[mode], family37_file, "--max-degree", "3"]
+        for name, value in bindings.items():
+            args += ["--param", f"{name}={value}"]
+        if constraint is not None:
+            args += ["--constraint", constraint, "--eliminate", eliminate]
+        assert hz.run_cli(args) == (2, f"usage error: --{message}\n")
+    # a fixture, whose error gives the first line of the key at fault
+    lines = [f"mode = {mode}", *(f"param {name} = {value}" for name, value in bindings.items())]
+    if constraint is not None:
+        lines += [f"constraint = {constraint}", f"eliminate = {eliminate}"]
+    text = FAMILY37 + "expect {\n" + "".join(f"  {line}\n" for line in lines) + "}\n"
+    with pytest.raises(hz.ParseError) as err:
+        hz.parse_fixture(text, "bad")
+    assert err.value.message == f"fixture bad: {message}"
+    assert err.value.line == 6 + next(i for i, line in enumerate(lines)
+                                      if line.startswith(key + " "))
+    # build_report
+    source, field, scalings = hz.frontend.load_system(FAMILY37)
+    pair = (hz.parse_polynomial(constraint, source.parameter_names), eliminate) \
+        if constraint is not None else None
+    config = hz.AnalysisConfig(max_index=3, mode=mode, constraint=pair,
+                               parameter_values={n: Fraction(v) for n, v in bindings.items()})
+    with pytest.raises(ValueError) as err:
+        hz.build_report(source, field, scalings, config)
+    assert str(err.value) == message
+
+
+def test_one_sequence_has_one_spelling(family37_file):
+    # `analyze` takes no --mode; `obstructions --mode` reports the sequence
+    code, out = hz.run_cli(["analyze", family37_file, "--mode", "JACOBI_H2"])
+    assert code == 2 and out.startswith("usage error:")
+    code, out = hz.run_cli(["obstructions", family37_file, "--mode", "JACOBI_H2",
+                            "--max-degree", "8", "--json"])
+    assert code == 0
+    source, field, scalings = hz.frontend.load_system(FAMILY37)
+    assert json.loads(out) == hz.build_report(
+        source, field, scalings, hz.AnalysisConfig(max_index=8, mode="JACOBI_H2"))
+    public = hz.obstruction_sequence(field, 8, hz.Method.JACOBI_H2)
+    assert json.loads(out)["obstructions"][0]["entries"] == {
+        str(k): str(v) for k, v in sorted(public.entries.items())}
 
 
 def test_build_report_builds_no_witness(monkeypatch):

@@ -67,11 +67,16 @@ def fixture_with(*expect_lines, system=F0_SYSTEM):
                                   "a = 1", "max_index = seven", "zero entries = 3 x",
                                   "max_index = 0", "max_index = -2", "param q = 1",
                                   "entry 3 = 1/0", "a 1 =", "entry 3 = q", "b 2 = 1 +",
-                                  "zero entries =", "zero reduced ="])
+                                  "zero entries =", "zero reduced =",
+                                  "origin = literatur", "coprime_pair = 1",
+                                  "coprime_pair = 1 1 2"])
 def test_malformed_expect_line_is_a_parse_error(line):
     with pytest.raises(ParseError) as err:
         hz.parse_fixture(fixture_with("case = B1", line), "malformed")
-    assert f"fixture malformed: malformed expect line {line!r}" in str(err.value)
+    # an undeclared binding is refused by the request check the CLI shares
+    message = ("param names undeclared parameter 'q'" if line == "param q = 1"
+               else f"malformed expect line {line!r}")
+    assert f"fixture malformed: {message}" in str(err.value)
     assert err.value.line == 6
 
 
