@@ -7,6 +7,8 @@ analytic first integrals and of inverse Jacobi multipliers shaped like
 x^2 + y^2 or its square, and a classification verdict for the system.
 """
 
+from types import ModuleType as _ModuleType
+
 from .analyzers import (CaseTag, Classification, Method, ObstructionSequence,
                         classify, first_integral_obstructions,
                         jacobi_obstructions, obstruction_sequence,
@@ -31,5 +33,7 @@ from .parsing import SystemSource, parse_polynomial, parse_system
 from .vectorfield import (PlanarVectorField, Poly2, VectorField3,
                           directional_derivative, divergence, lie_bracket)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the package's own names, not its submodules, which the imports above bind
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]
 __version__ = "1.0.0"

@@ -423,7 +423,7 @@ def run_cli(args: List[str]) -> Tuple[int, str]:
             source, field, scalings = load_system(handle.read())
     except ParseError as exc:
         return 2, f"parse error: {exc}\n"
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return 1, f"error: cannot read input: {exc}\n"
     except HopfZeroError as exc:
         return 1, f"error: {exc}\n"

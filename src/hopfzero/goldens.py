@@ -82,6 +82,8 @@ def _naming(name: str):
 # expect keys that bind one value; a second line for one is an error, not a
 # silent override
 _SINGLE_KEYS = ("origin", "mode", "max_index", "constraint", "eliminate", "param")
+# expect keys of two words, such as `entry 7`; every other key is one word
+_TWO_WORD_KEYS = ("zero", "param", "entry", "reduced", "a", "b")
 
 
 def parse_fixture(text: str, name: str) -> GoldenCase:
@@ -137,7 +139,9 @@ def parse_fixture(text: str, name: str) -> GoldenCase:
         value = value.strip()
         try:
             head = key_parts[0]
-            key_name = " ".join(key_parts[:2]) if head in ("zero", "param") else head
+            if len(key_parts) != (2 if head in _TWO_WORD_KEYS else 1):
+                raise ValueError(key)
+            key_name = " ".join(key_parts) if head in ("zero", "param") else head
             if head in _SINGLE_KEYS and key_name in first_line:
                 raise ParseError(f"fixture {name}: repeated expect key {key_name!r} "
                                  f"(first at line {first_line[key_name]})", lineno)

@@ -8,9 +8,9 @@ Grammar (one statement per line, `#` starts a comment):
     dz = EXPR
 
 EXPR is a polynomial expression over x, y, z and the declared parameters with
-operators + - * ^ and parentheses.  Rational literals are written p or p/q;
-division is only allowed by a positive integer literal.  Exponents are
-nonnegative integer literals.
+operators + - * ^ and parentheses.  Rational literals are written p or p/q
+with ASCII digits; division is only allowed by a positive integer literal.
+Exponents are nonnegative integer literals.
 
 The parser evaluates as it reads: each grammar rule returns the polynomial of
 its subexpression, so no intermediate tree exists.  An undeclared name is
@@ -20,6 +20,7 @@ come before the equations.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -30,6 +31,15 @@ from .gradedpoly import QHPolynomial
 from .vectorfield import VectorField3
 
 _VARS = ("x", "y", "z")
+
+# A name (a parameter's too) starts with a letter, `_` or a numeric character
+# that is not a decimal digit, such as `²`, and goes on with those or digits.
+_NAME = re.compile(r"[^\W\d]\w*")
+# After blanks, one token: a comment, which ends the tokens, an integer
+# literal of ASCII digits, a name, an operator, or any other character, which
+# is an error.
+_TOKEN = re.compile(rf"[ \t]*(?:(?P<comment>#.*)|(?P<int>[0-9]+)|(?P<name>{_NAME.pattern})"
+                    r"|(?P<op>[-+*/^()])|(?P<bad>[^ \t]))", re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -42,32 +52,14 @@ class Token:
 
 def _tokenize_expr(text: str, line: int, col_offset: int) -> List[Token]:
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if ch == "#":
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind == "comment":
             break
-        col = col_offset + i + 1
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], line, col))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("name", text[i:j], line, col))
-            i = j
-        elif ch in "+-*/^()":
-            tokens.append(Token("op", ch, line, col))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
+        col = col_offset + match.start(kind) + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {match[kind]!r}", line, col)
+        tokens.append(Token(kind, match[kind], line, col))
     return tokens
 
 
@@ -159,9 +151,13 @@ class _ExprParser:
                 raise ParseError("exponent must be a nonnegative integer literal",
                                  bad.line, bad.column)
             self.take()
-            out = QHPolynomial.constant(1, self.params)
-            for _ in range(int(exp.text)):
-                out = out * base
+            out, power = QHPolynomial.constant(1, self.params), int(exp.text)
+            while power:  # by repeated squaring, which exact products allow
+                if power & 1:
+                    out = out * base
+                power >>= 1
+                if power:
+                    base = base * base
             return out
         return base
 
@@ -231,8 +227,7 @@ def parse_system(text: str) -> SystemSource:
                 if name in _VARS:
                     raise ParseError(f"parameter name {name!r} clashes with a variable",
                                      lineno)
-                if not (name[0].isalpha() or name[0] == "_") or \
-                        not all(c.isalnum() or c == "_" for c in name):
+                if not _NAME.fullmatch(name):
                     raise ParseError(f"invalid parameter name {name!r}", lineno)
             if len(set(names)) != len(names):
                 raise ParseError("duplicate parameter name", lineno)

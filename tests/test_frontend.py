@@ -230,6 +230,22 @@ class TestCli:
         assert code == 2
         assert "division by variable" in out
 
+    def test_input_that_is_not_utf8_is_exit_one(self, tmp_path):
+        path = tmp_path / "latin1.hz"
+        path.write_bytes(b"dx = -2*y\ndy = 2*x\ndz = x^2 + y^2 \xff\n")
+        code, out = hz.run_cli(["analyze", str(path)])
+        assert code == 1
+        assert out.startswith("error: cannot read input: ")
+
+    def test_a_non_ascii_digit_is_a_syntax_error(self, tmp_path):
+        # `²` is no integer literal, so it cannot be an exponent
+        path = tmp_path / "squared.hz"
+        path.write_text("dx = -2*y\ndy = 2*x\ndz = x^2 + y^2 + z^\u00b2\n",
+                        encoding="utf-8")
+        code, out = hz.run_cli(["analyze", str(path)])
+        assert code == 2
+        assert out.startswith("parse error: ") and "line 3, column 20" in out
+
     def test_bad_principal_part_is_exit_one(self, tmp_path):
         path = tmp_path / "bad.hz"
         path.write_text("dx = -2*y\ndy = 2*x\ndz = x^2 + 2*x*y + y^2\n",

@@ -69,7 +69,9 @@ def fixture_with(*expect_lines, system=F0_SYSTEM):
                                   "entry 3 = 1/0", "a 1 =", "entry 3 = q", "b 2 = 1 +",
                                   "zero entries =", "zero reduced =",
                                   "origin = literatur", "coprime_pair = 1",
-                                  "coprime_pair = 1 1 2"])
+                                  "coprime_pair = 1 1 2", "max_index 3 = 4",
+                                  "entry 3 4 = 0", "case extra = B1",
+                                  "entry 3 = \u00b2"])
 def test_malformed_expect_line_is_a_parse_error(line):
     with pytest.raises(ParseError) as err:
         hz.parse_fixture(fixture_with("case = B1", line), "malformed")

@@ -76,6 +76,20 @@ class TestParseSystem:
             hz.parse_system("dx = -2*y +\ndy = 2*x\ndz = x^2 + y^2\n")
         assert err.value.line == 1
 
+    def test_parameter_names_follow_the_expression_name_rule(self):
+        # a numeric character that is no decimal digit, such as `²` or `½`,
+        # may start a name, as it may go on one; a decimal digit may not
+        for name in ("a_1", "_a", "\u03b1", "a\u00b2", "\u00b2", "\u00bd"):
+            src = hz.parse_system(f"params {name}\ndx = -2*y + {name}*z\ndy = 2*x\n"
+                                  "dz = x^2 + y^2\n")
+            assert src.parameter_names == (name,)
+            assert src.to_field().fx.coefficient((0, 0, 1)) == \
+                hz.ParamPolynomial.variable(name, (name,))
+        for name in ("1a", "\u0663a", "a-b"):
+            with pytest.raises(ParseError) as err:
+                hz.parse_system(f"params {name}\ndx = -2*y\ndy = 2*x\ndz = x^2 + y^2\n")
+            assert f"invalid parameter name {name!r}" in str(err.value)
+
     def test_unary_signs_and_parens(self):
         src = hz.parse_system(
             "dx = -2*y - (-1)*z\ndy = 2*x\ndz = x^2 + y^2 + -1/2*y^3\n")
@@ -121,3 +135,31 @@ class TestParsePolynomial:
     def test_rejects_undeclared(self):
         with pytest.raises((ParseError, hz.ParameterError)):
             hz.parse_polynomial("a*c", ("a",))
+
+    def test_only_ascii_digits_are_literals(self):
+        with pytest.raises(ParseError) as err:
+            hz.parse_polynomial("\u0663*a", ["a"])
+        assert "unexpected character '\u0663'" in str(err.value)
+        assert err.value.column == 1
+        for text in ("\u00b2", "\u00bd"):
+            with pytest.raises(ParseError) as err:
+                hz.parse_polynomial(f"2*a + {text}", ["a"])
+            assert f"undeclared identifier {text!r}" in str(err.value)
+            assert err.value.column == 7
+
+    def test_power_by_repeated_squaring(self, monkeypatch):
+        calls = []
+        mul = hz.QHPolynomial.mul
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(hz.QHPolynomial, "mul", counted)
+        p = hz.parse_polynomial("a^65536", ["a"])
+        assert len(calls) <= 34
+        assert p == hz.ParamPolynomial({(65536,): 1}, ("a",))
+        calls.clear()
+        assert hz.parse_polynomial("(a + 1)^5", ["a"]) == hz.ParamPolynomial(
+            {(5,): 1, (4,): 5, (3,): 10, (2,): 10, (1,): 5, (0,): 1}, ("a",))
+        assert len(calls) <= 5

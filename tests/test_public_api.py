@@ -10,6 +10,7 @@ standard library's `Fraction`, whose options are not the package's.
 import dataclasses
 import enum
 import inspect
+import types
 
 import hopfzero as hz
 
@@ -51,3 +52,10 @@ def test_no_option_that_only_tests_set():
             "ObstructionSequence.first_nonzero"} <= labels
     assert "Method" not in labels and "AnalysisConfig" not in labels
     assert options() == ["ParseError(line, column)", "principal_part(params)"]
+
+
+def test_all_names_no_submodule():
+    # `from hopfzero import *` binds the package's names, not its modules
+    assert "classify" in hz.__all__
+    assert not [name for name in hz.__all__
+                if isinstance(getattr(hz, name), types.ModuleType)]

@@ -30,6 +30,11 @@ Runs, from the checkout's `src/`:
   fixture reaches that path);
 - `analyze_operator(k)` for k = 0..24: degree, kernel basis and cokernel
   representative.
+- the `ParseError` message, line and column (or the polynomial, for the few
+  that parse) of a fixed list of malformed expressions through
+  `parse_polynomial`, systems through `parse_system` and expect lines
+  through `parse_fixture`, covering the errors of the tokenizer, the
+  expression parser, the system grammar and the expect block.
 
 Each polynomial is written as its `str`, its terms in stored order (with each
 coefficient's terms) and its `hash`.  The script prints one SHA-256 line over
@@ -69,6 +74,60 @@ dx = -2*y + x*z^5 + y^2
 dy = 2*x + y*z^5 + x^2*y
 dz = x^2 + y^2 + y^3
 """
+
+
+# expressions over the parameters a and b001
+MALFORMED_EXPRESSIONS = [
+    "", "   ", "\t# only a comment", "a +", "a * * b001", "(a + 1", "a + 1)", "(a + 1 b001", "()",
+    "a $ 2", "2 a", "a b001", "a ^ -1", "a ^ b001", "a ^ (2)", "a^", "a / b001",
+    "a / (2)", "a / 0", "a /", "x + a", "a*z^2", "q", "b0011", "a\t+\t1 @",
+    "  a  +  b001 # comment", "12345678901234567890*a^3 - 7/3", "a!", "a;b001",
+    "a + 1\n", "a\u00a0+ 1", "\u03b1", "_", "-+-a", "((a))^3/4^2",
+]
+
+# the three equations of F0 with `params a`, each malformed in one way
+MALFORMED_SYSTEMS = [
+    "params a\nparams b\ndx = -2*y\ndy = 2*x\ndz = x^2 + y^2\n",
+    "dx = -2*y\nparams a\ndy = 2*x\ndz = x^2 + y^2\n",
+    "params\ndx = -2*y\ndy = 2*x\ndz = x^2 + y^2\n",
+    "params z\ndx = -2*y\ndy = 2*x\ndz = x^2 + y^2\n",
+    "params 1a\ndx = -2*y\ndy = 2*x\ndz = x^2 + y^2\n",
+    "params a-b\ndx = -2*y\ndy = 2*x\ndz = x^2 + y^2\n",
+    "params a a\ndx = -2*y\ndy = 2*x\ndz = x^2 + y^2\n",
+    "dx -2*y\ndy = 2*x\ndz = x^2 + y^2\n",
+    "dx dy = -2*y\ndy = 2*x\ndz = x^2 + y^2\n",
+    "dx = -2*y\ndx = -2*y\ndy = 2*x\ndz = x^2 + y^2\n",
+    "dx =   # nothing\ndy = 2*x\ndz = x^2 + y^2\n",
+    "dx = -2*y\ndw = 2*x\ndz = x^2 + y^2\n",
+    "dx = -2*y\ndz = x^2 + y^2\n",
+    "params a\n  dx\t= -2*y + a*z &\ndy = 2*x\ndz = x^2 + y^2\n",
+    "params a\ndx = -2*y\ndy = 2*x + q*y\ndz = x^2 + y^2\n",
+    "params a\ndx = -2*y\ndy = 2*x\ndz = x^2 + y^2 + (a*z\n",
+    "params a\ndx = -2*y\ndy = 2*x\ndz = x^2 + y^2 + z^\n",
+]
+
+# expect lines of a fixture of F0 with `params a`, whose expect lines start at line 6
+FIXTURE_SYSTEM = "params a\ndx = -2*y\ndy = 2*x\ndz = x^2 + y^2\n"
+MALFORMED_EXPECT_LINES = [
+    "bogus line here", "bogus = 1", "zero = 3", "zero foo = 3", "entry = 0", "a = 1",
+    "max_index = seven", "max_index = 0", "zero entries = 3 x", "zero entries =",
+    "entry 3 = 1/0", "entry 3 = a +", "entry 3 = q", "entry 3 = x", "a 1 = 2 $ 3",
+    "param q = 1", "param a = 1/0", "origin = literatur", "coprime_pair = 1",
+    "mode = JACOBI_H3", "mode = AUTO\n  mode = AUTO", "zero reduced = 3",
+    "constraint = a", "eliminate = a", "constraint = a +\n  eliminate = a",
+    "constraint = a\n  eliminate = q\n  mode = JACOBI_H2",
+    "constraint = 2\n  eliminate = a\n  mode = JACOBI_H2",
+    "constraint = a\n  eliminate = a\n  mode = NORMAL_FORM",
+]
+
+
+def parse_outcome(parse, text) -> str:
+    """The ParseError of `parse(text)`, or what it returns."""
+    try:
+        value = parse(text)
+        return describe(value.to_field() if isinstance(value, hz.SystemSource) else value)
+    except hz.ParseError as exc:
+        return f"ParseError {exc.message!r} line {exc.line} column {exc.column}"
 
 
 def normal_form_lines(label, nf):
@@ -141,6 +200,19 @@ def dump_lines():
             yield f"analyze_operator {k} kernel {i}: {describe(kernel)}"
         yield f"analyze_operator {k} cokernel: {describe(analysis.cokernel_representative)}"
 
+    for text in MALFORMED_EXPRESSIONS:
+        outcome = parse_outcome(lambda t: hz.parse_polynomial(t, ("a", "b001")), text)
+        yield f"parse_polynomial {text!r}: {outcome}"
+    for text in MALFORMED_SYSTEMS:
+        yield f"parse_system {text!r}: {parse_outcome(hz.parse_system, text)}"
+    fixtures = [(repr(line), f"{FIXTURE_SYSTEM}expect {{\n  {line}\n}}\n")
+                for line in MALFORMED_EXPECT_LINES]
+    fixtures += [("no expect block", FIXTURE_SYSTEM),
+                 ("unterminated", f"{FIXTURE_SYSTEM}expect {{\n  case = B1\n"),
+                 ("bad system", "params a\ndx = -2*y $\nexpect {\n  entry 3 = a\n}\n")]
+    for label, text in fixtures:
+        outcome = parse_outcome(lambda t: hz.parse_fixture(t, "f").expectations, text)
+        yield f"parse_fixture {label}: {outcome}"
 
 def main(argv) -> int:
     text = "".join(line + "\n" for line in dump_lines())
