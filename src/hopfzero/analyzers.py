@@ -18,14 +18,26 @@ The continuation runs degree by degree in the graded kernel's converted form
 comes back solved in the same form (`_continuation`).  The entries are built
 as `Fraction`s; the witness is built only by the public sequence functions,
 and `classify` keeps none.
+
+A run may continue in a quotient ring instead, as the paper does once it
+takes a nonzero entry as a necessary condition g = 0 and goes on: the report
+path (`_entries_only`) takes a constraint g and the name p it eliminates, and
+each degree's known term is reduced modulo g (`_Modulus`) before its entry is
+read and its slice is solved.  The continuation uses only ring operations
+and slice solves whose only divisions are by integers, so it commutes with
+the map Q[params] -> Q[params]/(g) whenever g's leading coefficient in p is
+a nonzero rational; its entries are then the true remainders of the full
+run's entries, and no full entry is computed.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Dict, Optional, Tuple
+from operator import add
+from typing import Dict, List, Optional, Tuple
 
 from .coeffring import ParamPolynomial
 from .errors import DegreeError, StructureError
@@ -82,13 +94,102 @@ class ObstructionSequence:
         return next((k for k in sorted(self.entries) if self.entries[k]), None)
 
 
+class _Modulus:
+    """Reduction modulo a constraint g whose leading coefficient in the
+    eliminated parameter p is a nonzero rational, on the graded kernel's
+    converted form.
+
+    With its denominators cleared and its sign fixed, g is lc*p^d + tail:
+    lc a positive integer and the tail, of degree below d in p, integer
+    items (exponents, numerator).  Modulo g, p^d is -tail/lc, so each power
+    p^e is congruent to one polynomial of degree below d in p, held as
+    integer items over lc^s (`_power`), and each coefficient to its true
+    remainder, the one polynomial of degree below d in p congruent to it.
+    It equals pseudo_remainder(c, g, p)[0] / lc(g)^e.  Taking it is a ring
+    homomorphism Q[params] -> Q[params]/(g), which is what lets the
+    continuation run in the quotient.  A leading coefficient that is not a
+    constant raises ParameterError, since then it is not.
+    """
+
+    def __init__(self, constraint: ParamPolynomial, var: str):
+        self.index = i = constraint._param_index(var)
+        self.degree = d = constraint.degree_in(var)
+        lead = constraint.coefficient_of_power(var, d).constant_value()
+        den = math.lcm(*(c.denominator for c in constraint.terms.values()))
+        if lead < 0:
+            den = -den
+        self.lc = int(lead * den)
+        self._tail = [(e, int(c * den)) for e, c in constraint.terms.items() if e[i] < d]
+        self._powers = {d: (1, [(e, -n) for e, n in self._tail])}
+
+    def _power(self, e: int) -> Tuple[int, List[Tuple[tuple, int]]]:
+        """(s, items): p^e, for e >= d, is congruent to items / lc^s, of
+        degree below d in p.  Each power is p times the one before, with the
+        items that reach p^d replaced by -tail/lc; s never decreases with e."""
+        i, d, table = self.index, self.degree, self._powers
+        top = max(table)
+        while top < e:
+            s, items = table[top]
+            low, high = [], []
+            for exps, n in items:
+                if exps[i] == d - 1:
+                    high.append((exps[:i] + (0,) + exps[i + 1:], n))
+                else:
+                    low.append((exps[:i] + (exps[i] + 1,) + exps[i + 1:], n))
+            if high:
+                out = {exps: n * self.lc for exps, n in low}
+                for rest, n in high:
+                    for t, m in self._tail:
+                        key = tuple(map(add, rest, t))
+                        out[key] = out.get(key, 0) - n * m
+                s, low = s + 1, [(exps, n) for exps, n in out.items() if n]
+            top += 1
+            table[top] = s, low
+        return table[e]
+
+    def reduce(self, converted: IntegerTerms) -> IntegerTerms:
+        """`converted` with each coefficient replaced by its true remainder,
+        in the same form: one common denominator, the terms in canonical
+        order, zero-free, and the gcd of the denominator and every numerator
+        1.  The items are scaled to lc^S, S the largest s of the powers of p
+        they hold, and then divided by that gcd."""
+        den, terms = converted
+        i, d = self.index, self.degree
+        top = max((exps[i] for term in terms for exps, _ in term[3]), default=0)
+        if top < d:
+            return converted
+        big = self._power(top)[0]
+        lifts = [self.lc ** (big - s) for s in range(big + 1)]
+        out = []
+        for *mono, items in terms:
+            acc: Dict[tuple, int] = {}
+            for exps, n in items:
+                e = exps[i]
+                if e < d:
+                    acc[exps] = acc.get(exps, 0) + n * lifts[0]
+                    continue
+                s, power = self._powers[e]
+                rest = exps[:i] + (0,) + exps[i + 1:]
+                n *= lifts[s]
+                for t, m in power:
+                    key = tuple(map(add, rest, t))
+                    acc[key] = acc.get(key, 0) + n * m
+            items = [(exps, n) for exps, n in acc.items() if n]
+            if items:
+                out.append((*mono, items))
+        den *= lifts[0]
+        g = math.gcd(den, *(n for term in out for _, n in term[3]))
+        return den // g, [(*term[:3], [(e, n // g) for e, n in term[3]]) for term in out]
+
+
 def _converted_piece(whole: IntegerTerms) -> tuple:
     """A piece in converted form and its x, y and z partial derivatives, for
     the driver's known terms."""
     return (whole, *(_integer_partial(whole, v) for v in ("x", "y", "z")))
 
 
-def _continuation(field: VectorField3, max_index: int, method: Method, power: int):
+def _continuation(field: VectorField3, max_index: int, method: Method, power: int,
+                  modulus: Optional[_Modulus]):
     """Continue the seed (x^2+y^2)^power of `method` degree by degree.
 
     Yields (degree, entry, solve) for each degree 2*power+1 .. 2*max_index:
@@ -111,6 +212,13 @@ def _continuation(field: VectorField3, max_index: int, method: Method, power: in
     its three partials.  The components and their divergences are converted
     by `_integer_terms` once, and a piece's converted forms are dropped when
     no later degree can read them.
+
+    With a `modulus` the run is in the quotient ring it defines: the
+    converted components and divergences are reduced once, and each known
+    term right after `_mul_integer`, before its entry is read and before it
+    is solved.  The solve is linear over Q[params], so the pieces it returns
+    are reduced already, and each entry is the true remainder of the entry
+    of the run without it.
     """
     if max_index < 1:
         raise DegreeError("max_index must be at least 1")
@@ -121,6 +229,9 @@ def _continuation(field: VectorField3, max_index: int, method: Method, power: in
     seed_degree = 2 * power
     seed = QHPolynomial.h_power(power, params)
     use_div = _USES_DIV[method]
+
+    def reduced(converted: IntegerTerms) -> IntegerTerms:
+        return converted if modulus is None else modulus.reduce(converted)
 
     components = {k: f for k, f in field.decompose().items() if k >= 1}
 
@@ -133,9 +244,9 @@ def _continuation(field: VectorField3, max_index: int, method: Method, power: in
         raise StructureError("seed term fails the defining identity at its own degree")
 
     converted = {seed_degree: _converted_piece(_integer_terms(seed))}
-    comp_terms = {k: [_integer_terms(c) for c in f.components]
+    comp_terms = {k: [reduced(_integer_terms(c)) for c in f.components]
                   for k, f in components.items()}
-    div_terms = {k: _integer_terms(divergence(f))
+    div_terms = {k: reduced(_integer_terms(divergence(f)))
                  for k, f in components.items()} if use_div else {}
     reach = max(components, default=0)
     for degree in range(seed_degree + 1, 2 * max_index + 1):
@@ -150,7 +261,7 @@ def _continuation(field: VectorField3, max_index: int, method: Method, power: in
             minus += zip(gradient, comp_terms[fdeg])
             if use_div:
                 plus.append((whole, div_terms[fdeg]))
-        rhs = _mul_integer(plus, minus)
+        rhs = reduced(_mul_integer(plus, minus))
         entry = None
         if degree % 2 == 0:  # the entry is the known term's z^(d/2) coefficient, last
             top = degree // 2
@@ -182,7 +293,7 @@ def _obstruction_driver(field: VectorField3, max_index: int, method: Method,
     params = field.params
     entries: Dict[int, ParamPolynomial] = {}
     pieces = [QHPolynomial.h_power(power, params)]
-    for degree, entry, solve in _continuation(field, max_index, method, power):
+    for degree, entry, solve in _continuation(field, max_index, method, power, None):
         if entry is not None:
             entries[degree // 2] = entry
         if (solved := solve())[1]:
@@ -194,18 +305,27 @@ def _obstruction_driver(field: VectorField3, max_index: int, method: Method,
                                seed_power=power)
 
 
-def _entries_only(field: VectorField3, max_index: int,
-                  method: Method) -> ObstructionSequence:
+def _entries_only(field: VectorField3, max_index: int, method: Method,
+                  constraint: Optional[Tuple[ParamPolynomial, str]] = None
+                  ) -> ObstructionSequence:
     """The sequence of `method` without its witness (`witness` None).
 
     It reads the same `_continuation` as `_obstruction_driver` and keeps its
     entries, equal to that driver's, term order included; no solved piece
     becomes `Fraction`s, and the last degree, which no entry reads, is not
     solved.  The report path reads only the entries.
+
+    With a `constraint` (g, p), g in the field's ring with a nonzero
+    rational leading coefficient in p, the run continues in the quotient
+    Q[params]/(g) (`_Modulus`), and each entry is the true remainder of the
+    full run's entry by g in p: pseudo_remainder(entry, g, p)[0] divided by
+    lc(g)^e.  No full entry is computed.
     """
+    modulus = None if constraint is None else _Modulus(*constraint)
     power = _SEED_POWER[method]
     entries = {degree // 2: entry for degree, entry, _
-               in _continuation(field, max_index, method, power) if entry is not None}
+               in _continuation(field, max_index, method, power, modulus)
+               if entry is not None}
     return ObstructionSequence(method=method, entries=entries, witness=None,
                                max_index=max_index, params=field.params,
                                seed_power=power)

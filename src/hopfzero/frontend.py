@@ -1,4 +1,14 @@
-"""Principal-part normalization, analysis configuration, reports, and the CLI."""
+"""Principal-part normalization, analysis configuration, reports, and the CLI.
+
+A request is checked once, by `_request_fault`, which the CLI, `build_report`
+and the regression corpus share.  `build_report` runs it and assembles the
+report dictionary that `--json` prints (`REPORT_SCHEMA`).  A sequence mode
+with a constraint g and an eliminated name p runs in the quotient ring
+Q[params]/(g) (`analyzers._entries_only`), which needs g's leading
+coefficient in p to be a nonzero rational once the bound values are
+substituted; such a sequence reports `reduced_entries`, the true remainders
+of the entries, and no `entries`.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .analyzers import CaseTag, Classification, Method, _entries_only, classify
-from .coeffring import ParamPolynomial, ppoly_reduce, rat
+from .coeffring import ParamPolynomial, rat
 from .errors import HopfZeroError, ParseError, PrincipalPartError
 from .gradedpoly import QHPolynomial
 from .normalform import (NormalFormResult, first_resonance, orbital_normal_form,
@@ -94,7 +104,11 @@ def _request_fault(names: Tuple[str, ...],
     """The first fault of `config` on a system with these parameter names, as
     (setting, message), or None.  The setting is spelt as a fixture key
     (`mode`, `param NAME`, `constraint`, `eliminate`); the message starts with
-    a setting's name, which the CLI spells as its flag."""
+    a setting's name, which the CLI spells as its flag.  A constraint must
+    contain the eliminated name with a constant leading coefficient once the
+    bound values are substituted: the sequence runs in the quotient by it,
+    and the remainder by a constraint with any other leading coefficient is
+    no ring homomorphism."""
     values = config.parameter_values or {}
     poly, var = config.constraint or (None, None)
     if config.mode not in MODES:
@@ -107,9 +121,17 @@ def _request_fault(names: Tuple[str, ...],
     for key, name in named:
         if name not in names:
             return key, f"{key.split()[0]} names undeclared parameter {name!r}"
-    if poly is not None and poly.substitute(values).degree_in(var) < 1:
-        bound = " once the param values are substituted" if values else ""
+    if poly is None:
+        return None
+    bound = " once the param values are substituted" if values else ""
+    poly = poly.substitute(values)
+    degree = poly.degree_in(var)
+    if degree < 1:
         return "eliminate", f"constraint does not contain {var!r}{bound}"
+    lead = poly.coefficient_of_power(var, degree)
+    if not lead.is_constant():
+        return "eliminate", (f"constraint has leading coefficient {lead} in {var!r}, "
+                             f"not a constant{bound}")
     return None
 
 
@@ -119,7 +141,7 @@ REPORT_SCHEMA = {
     "required": ["schema_version"],
     "additionalProperties": False,
     "properties": {
-        "schema_version": {"const": "1"},
+        "schema_version": {"const": "2"},
         "system": {
             "type": "object",
             "properties": {
@@ -161,7 +183,9 @@ REPORT_SCHEMA = {
             "type": "array",
             "items": {
                 "type": "object",
-                "required": ["method", "entries"],
+                "required": ["method"],
+                # a sequence run modulo a constraint has reduced entries only
+                "oneOf": [{"required": ["entries"]}, {"required": ["reduced_entries"]}],
                 "properties": {
                     "method": {"enum": ["FIRST_INTEGRAL", "JACOBI_H", "JACOBI_H2"]},
                     "start_index": {"type": "integer"},
@@ -219,18 +243,15 @@ def _normal_form_dict(nf: NormalFormResult) -> Dict[str, object]:
     }
 
 
-def _sequence_dict(seq, constraint=None) -> Dict[str, object]:
-    out = {
+def _sequence_dict(seq, reduced: bool) -> Dict[str, object]:
+    """A sequence as the report holds it: its entries under `reduced_entries`
+    for a run in the quotient by a constraint, under `entries` otherwise."""
+    return {
         "method": seq.method.value,
         "start_index": seq.start_index,
-        "entries": {str(k): str(v) for k, v in sorted(seq.entries.items())},
+        "reduced_entries" if reduced else "entries":
+            {str(k): str(v) for k, v in sorted(seq.entries.items())},
     }
-    if constraint is not None:
-        poly, var = constraint
-        out["reduced_entries"] = {
-            str(k): str(ppoly_reduce(v, poly, var)) if v else "0"
-            for k, v in sorted(seq.entries.items())}
-    return out
 
 
 def _classification_dict(verdict: Classification) -> Dict[str, object]:
@@ -264,7 +285,7 @@ def _render_text(report: Dict[str, object]) -> str:
                 lines.append(f"{name}_{k} = {v}")
     for seq in report.get("obstructions", []):
         lines.append(f"obstruction sequence [{seq['method']}]:")
-        for k, v in seq["entries"].items():
+        for k, v in seq.get("entries", {}).items():
             lines.append(f"  z^{k} (quasi-homogeneous degree {2 * int(k)}): {v}")
         for k, v in seq.get("reduced_entries", {}).items():
             lines.append(f"  reduced z^{k}: {v}")
@@ -301,15 +322,16 @@ def build_report(source: SystemSource, field: VectorField3, scalings: Scalings,
     The bound parameter values are substituted once, into the field and the
     constraint alike, before any mode runs.  Obstruction sequences are
     computed for their entries only (`analyzers._entries_only`), since the
-    report prints no witness.  A request that `_request_fault` refuses raises
-    ValueError with its message.
+    report prints no witness; with a constraint the sequence runs in the
+    quotient by it and reports its `reduced_entries` only.  A request that
+    `_request_fault` refuses raises ValueError with its message.
     """
     fault = _request_fault(source.parameter_names, config)
     if fault:
         raise ValueError(fault[1])
     constraint = config.constraint
     report: Dict[str, object] = {
-        "schema_version": "1",
+        "schema_version": "2",
         "system": {"parameters": list(source.parameter_names)},
         "scalings_applied": scalings.as_dict(),
     }
@@ -329,7 +351,7 @@ def build_report(source: SystemSource, field: VectorField3, scalings: Scalings,
         if verdict.normal_form is not None:
             report["normal_form"] = _normal_form_dict(verdict.normal_form)
         if verdict.obstructions:
-            report["obstructions"] = [_sequence_dict(s) for s in verdict.obstructions]
+            report["obstructions"] = [_sequence_dict(s, False) for s in verdict.obstructions]
         report["classification"] = _classification_dict(verdict)
         return report
     if mode in ("NORMAL_FORM", "REDUCE"):
@@ -341,8 +363,8 @@ def build_report(source: SystemSource, field: VectorField3, scalings: Scalings,
             report["planar_reduction"] = {"du": str(planar.pu), "dv": str(planar.pv)}
         report["resonance"] = _resonance_dict(first_resonance(nf))
     else:
-        seq = _entries_only(field, n, Method(mode))
-        report["obstructions"] = [_sequence_dict(seq, constraint)]
+        seq = _entries_only(field, n, Method(mode), constraint)
+        report["obstructions"] = [_sequence_dict(seq, constraint is not None)]
     return report
 
 
@@ -395,9 +417,10 @@ def _build_cli() -> _CliParser:
     obs = command("obstructions", "one obstruction sequence", SEQUENCE_MODES[0])
     obs.add_argument("--mode", choices=SEQUENCE_MODES)
     obs.add_argument("--constraint", metavar="EXPR",
-                     help="reduce entries modulo this parameter polynomial")
+                     help="run the sequence modulo this parameter polynomial")
     obs.add_argument("--eliminate", metavar="NAME",
-                     help="parameter eliminated by the constraint reduction")
+                     help="parameter the constraint eliminates; its leading "
+                          "coefficient there must be a constant")
     command("reduce", "print the reduced planar system", "REDUCE")
     return parser
 

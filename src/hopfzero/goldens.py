@@ -10,9 +10,9 @@ Fixture files use the frontend input grammar followed by an `expect` block:
       zero entries = 3 4 5 6
       entry 7 = 15/2048*a001^10 - ...
       a 1 = -1/4*a001^2              # normal-form coefficients
-      constraint = 18*a001^2 - ...   # with `eliminate`, enables reduced checks;
-      eliminate = a001               # sequence modes only, as on the CLI
-      zero reduced = 8 9 10
+      constraint = 18*a001^2 - ...   # with `eliminate`, runs the sequence in the
+      eliminate = a001               # quotient; sequence modes only, as on the CLI
+      zero reduced = 8 9 10          # with a constraint, in place of `zero entries`
       reduced 11 = ...               # congruence modulo the constraint ideal
       case = NOT_INTEGRABLE
       witness_method = JACOBI_H2
@@ -26,8 +26,9 @@ Each fixture is checked on the report that `build_report` makes, the one
 `hopfzero --json` prints: polynomial strings of the report are parsed back and
 compared as polynomials, `reduced` entries are compared modulo the constraint,
 and resonance, planar and verdict fields are compared as the report holds
-them.  Every comparison is exact; there are no tolerances anywhere in the
-corpus.
+them.  A constrained sequence is reported by its reduced entries only, so a
+fixture with a constraint checks no full entry (`zero entries`, `entry k`).
+Every comparison is exact; there are no tolerances anywhere in the corpus.
 """
 
 from __future__ import annotations
@@ -198,6 +199,10 @@ def parse_fixture(text: str, name: str) -> GoldenCase:
     if reduced and constraint is None:
         raise ParseError(f"fixture {name}: reduced expectation without constraint",
                          min(reduced))
+    full = [first_line[k] for k in ("zero entries", "entry") if k in first_line]
+    if full and constraint is not None:
+        raise ParseError(f"fixture {name}: entry expectation with constraint, whose "
+                         "report has reduced entries only", min(full))
     # values are parsed after the structural checks, which report first
     parsed: Dict[int, ParamPolynomial] = {}  # by line number
     for value, line, lineno in polynomials:
@@ -233,6 +238,8 @@ def run_golden(case: GoldenCase) -> GoldenResult:
     config = AnalysisConfig(max_index=case.max_index, mode=case.mode,
                             parameter_values=case.bindings, constraint=constraint)
     report = build_report(source, field3, scalings, config)
+    if constraint is not None:  # the report is reduced by the bound constraint
+        constraint = (constraint[0].substitute(case.bindings), case.eliminate)
     for expectation in case.expectations:
         try:
             result.failures.extend(_failures(report, expectation, poly, constraint))
@@ -249,7 +256,9 @@ def _failures(report, expectation, poly, constraint):
         if len(sequences) != 1:
             yield f"{kind}: expected one obstruction sequence, got {len(sequences)}"
             return
-        entries, reduced = sequences[0]["entries"], sequences[0].get("reduced_entries")
+        # a constrained run reports reduced entries, any other full ones
+        entries = sequences[0]["entries" if kind in ("zero_entries", "entry")
+                               else "reduced_entries"]
     if kind == "zero_entries":
         for k in expectation[1]:
             if poly(entries[str(k)]):
@@ -261,13 +270,13 @@ def _failures(report, expectation, poly, constraint):
             yield f"entry {k}: expected {want}, got {entries[str(k)]}"
     elif kind == "zero_reduced":
         for k in expectation[1]:
-            if poly(reduced[str(k)]):
-                yield f"entry {k} mod constraint: expected 0, got {reduced[str(k)]}"
+            if poly(entries[str(k)]):
+                yield f"entry {k} mod constraint: expected 0, got {entries[str(k)]}"
     elif kind == "reduced":
         _, k, text = expectation
         want = poly(text)
         if not congruent_mod(poly(entries[str(k)]), want, *constraint):
-            yield f"entry {k} mod constraint: expected {want}, reduced form {reduced[str(k)]}"
+            yield f"entry {k} mod constraint: expected {want}, reduced form {entries[str(k)]}"
     elif kind == "coeff":
         _, which, k, text = expectation
         want = poly(text)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,8 +11,8 @@ import hopfzero as hz
 from hopfzero import (CaseTag, Method, ParamPolynomial, PrincipalPartError,
                       QHPolynomial, StructureError, VectorField3, analyzers, homological)
 
-from hopfzero.analyzers import _entries_only, _obstruction_driver, _resonant_shape
-from hopfzero.gradedpoly import _integer_terms, _is_constant
+from hopfzero.analyzers import _Modulus, _entries_only, _obstruction_driver, _resonant_shape
+from hopfzero.gradedpoly import _from_integer_terms, _integer_terms, _is_constant
 
 from conftest import field_from_text, random_perturbed_field, random_ppoly
 from oracle import multiplier_defect_sympy, truncate_sympy
@@ -287,6 +288,64 @@ class TestKnownTermAccumulation:
         monkeypatch.setattr(homological, "_circle_mean", wrong)
         with pytest.raises(StructureError):
             _obstruction_driver(family37, 4, Method.JACOBI_H2)
+
+
+def random_constraint(rng, var):
+    """A constraint over DRIVER_PARAMS of degree 1..3 in `var`, whose leading
+    coefficient there is a nonzero rational, with rational coefficients."""
+    d = rng.randint(1, 3)
+    i = DRIVER_PARAMS.index(var)
+    tail = random_ppoly(rng, DRIVER_PARAMS, max_degree=3, terms=3)
+    tail = ParamPolynomial({e: c for e, c in tail.terms.items() if e[i] < d}, DRIVER_PARAMS)
+    lc = Fraction(rng.choice((-3, -1, 1, 2, 18)), rng.choice((1, 2, 7)))
+    g = (ParamPolynomial.variable(var, DRIVER_PARAMS) ** d).scale(lc)
+    return g + tail.scale(Fraction(rng.randint(1, 5), rng.choice((1, 3)))), lc
+
+
+def true_remainder(p, g, var, lc):
+    """The remainder of `p` by `g` in `var`, whose leading coefficient lc is a
+    rational: the pseudo-remainder divided by lc to its power."""
+    r, e = hz.pseudo_remainder(p, g, var)
+    return r.scale(1 / lc ** e)
+
+
+class TestQuotientRun:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from(DRIVER_PARAMS), st.integers(0, 6))
+    def test_reduce_gives_the_true_remainders(self, seed, var, degree):
+        rng = random.Random(seed)
+        g, lc = random_constraint(rng, var)
+        f = QHPolynomial({m: random_ppoly(rng, DRIVER_PARAMS, max_degree=6, terms=4)
+                          for m in hz.slice_basis(degree).monomials}, DRIVER_PARAMS)
+        f = f.scale(Fraction(rng.randint(1, 9), rng.choice((1, 4, 15))))
+        den, terms = _Modulus(g, var).reduce(_integer_terms(f))
+        assert den > 0 and math.gcd(den, *(n for t in terms for _, n in t[3])) == 1
+        got = _from_integer_terms((den, terms), DRIVER_PARAMS)
+        want = {m: r for m, c in f.terms.items() if (r := true_remainder(c, g, var, lc))}
+        assert list(got.terms) == list(want)
+        for m, r in want.items():
+            assert list(got.terms[m].terms.items()) == list(r.terms.items())
+
+    def test_a_leading_coefficient_that_is_not_constant_is_refused(self):
+        g = hz.parse_polynomial("a001*b200 - 1", DRIVER_PARAMS)
+        with pytest.raises(hz.ParameterError, match="b200 is not constant"):
+            _Modulus(g, "a001")
+
+    @pytest.mark.parametrize("kind", ["symbolic", "rational"])
+    @pytest.mark.parametrize("method", list(Method))
+    @settings(max_examples=5, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from(DRIVER_PARAMS), st.integers(1, 3))
+    def test_equals_the_reduced_full_run(self, method, kind, seed, var, max_field_degree):
+        # the continuation commutes with the map to the quotient
+        rng = random.Random(seed)
+        field = driver_case(rng, kind, max_field_degree)
+        g, lc = random_constraint(rng, var)
+        full = _entries_only(field, 4, method)
+        seq = _entries_only(field, 4, method, (g, var))
+        assert seq.witness is None and list(seq.entries) == list(full.entries)
+        for k, value in full.entries.items():
+            want = true_remainder(value, g, var, lc)
+            assert list(seq.entries[k].terms.items()) == list(want.terms.items())
 
 
 class TestCrossMethodConsistency:

@@ -180,20 +180,28 @@ class TestCli:
         jsonschema.validate(report, hz.REPORT_SCHEMA)
         seq = report["obstructions"][0]
         assert seq["method"] == "JACOBI_H2"
-        assert seq["entries"]["3"] == "0"
+        # the run is in the quotient, so it reports no full entry
+        assert "entries" not in seq
+        assert seq["reduced_entries"]["3"] == "0"
         assert seq["reduced_entries"]["8"] == "0"
+        # the schema takes exactly one of the two
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**report, "obstructions": [{**seq, "entries": {}}]},
+                                hz.REPORT_SCHEMA)
 
     def test_bound_values_reach_the_constraint(self, family37_file):
         # at a001 = 1 the constraint is one in b200 alone, and entry 7 is a
         # multiple of it
-        code, out = hz.run_cli([
-            "obstructions", family37_file, "--mode", "JACOBI_H2",
-            "--max-degree", "7", "--param", "a001=1",
-            "--constraint", "18*a001^2 - 18*a001*b200 + 5*b200^2",
-            "--eliminate", "b200", "--json"])
+        args = ["obstructions", family37_file, "--mode", "JACOBI_H2",
+                "--max-degree", "7", "--param", "a001=1", "--json"]
+        code, out = hz.run_cli(args)
         assert code == 0
         seq = json.loads(out)["obstructions"][0]
         assert seq["entries"]["7"] == "25/12288*b200^2 - 15/2048*b200 + 15/2048"
+        code, out = hz.run_cli(args + [
+            "--constraint", "18*a001^2 - 18*a001*b200 + 5*b200^2", "--eliminate", "b200"])
+        assert code == 0
+        seq = json.loads(out)["obstructions"][0]
         assert seq["reduced_entries"]["7"] == "0"
 
     def test_obstructions_mode_defaults_to_first_integral(self, family37_file):
@@ -333,6 +341,10 @@ BAD_REQUESTS = [
         f"constraint with mode {mode}, which takes none")
        for mode in ("AUTO", "NORMAL_FORM", "REDUCE"))),
     (("JACOBI_H3", {}, None, None), "mode", "mode names unknown mode 'JACOBI_H3'"),
+    # a remainder by a constraint whose leading coefficient is not constant is
+    # no ring homomorphism, so the sequence cannot run in the quotient
+    (("JACOBI_H2", {}, "a001*b200 - 1", "a001"), "eliminate",
+     "constraint has leading coefficient b200 in 'a001', not a constant"),
 ]
 COMMANDS = {"AUTO": ["analyze"], "NORMAL_FORM": ["normal-form"], "REDUCE": ["reduce"],
             **{mode: ["obstructions", "--mode", mode] for mode in hz.frontend.SEQUENCE_MODES}}
@@ -341,7 +353,8 @@ COMMANDS = {"AUTO": ["analyze"], "NORMAL_FORM": ["normal-form"], "REDUCE": ["red
 @pytest.mark.parametrize("request_, key, message", BAD_REQUESTS,
                          ids=["param", "eliminate-undeclared", "eliminate-bound-away",
                               "constraint-with-auto", "constraint-with-normal-form",
-                              "constraint-with-reduce", "unknown-mode"])
+                              "constraint-with-reduce", "unknown-mode",
+                              "eliminate-leading-coefficient"])
 def test_a_bad_request_is_refused_alike_on_every_surface(family37_file, request_, key,
                                                           message):
     mode, bindings, constraint, eliminate = request_
@@ -373,6 +386,42 @@ def test_a_bad_request_is_refused_alike_on_every_surface(family37_file, request_
     with pytest.raises(ValueError) as err:
         hz.build_report(source, field, scalings, config)
     assert str(err.value) == message
+
+
+# (bindings, constraint, eliminated name) of constrained sequence requests on
+# family 37: the corpus constraint, the same with a001 bound, and one with
+# non-integer rational coefficients
+QUOTIENT_REQUESTS = [
+    ({}, "18*a001^2 - 18*a001*b200 + 5*b200^2", "a001"),
+    ({"a001": 1}, "18*a001^2 - 18*a001*b200 + 5*b200^2", "b200"),
+    ({}, "3/2*b200^2 - 2/3*a001*c030*b200 + 5/7*c030 - 1/4", "b200"),
+]
+
+
+@pytest.mark.parametrize("bindings, constraint, var", QUOTIENT_REQUESTS,
+                         ids=["corpus", "bound", "rational"])
+@pytest.mark.parametrize("mode", hz.frontend.SEQUENCE_MODES)
+def test_a_constrained_report_holds_the_true_remainders(mode, bindings, constraint, var):
+    # the run in the quotient gives, term order included, the remainder of
+    # each entry of the full run by the constraint, whose leading coefficient
+    # is a unit: the pseudo-remainder divided by its power
+    source, field, scalings = hz.frontend.load_system(FAMILY37)
+    names = source.parameter_names
+    values = {name: Fraction(v) for name, v in bindings.items()}
+    g = hz.parse_polynomial(constraint, names)
+
+    def sequence(pair):
+        config = hz.AnalysisConfig(max_index=12, mode=mode, parameter_values=values,
+                                   constraint=pair)
+        return hz.build_report(source, field, scalings, config)["obstructions"][0]
+
+    full, reduced = sequence(None)["entries"], sequence((g, var))["reduced_entries"]
+    g = g.substitute(values)
+    lc = g.coefficient_of_power(var, g.degree_in(var)).constant_value()
+    assert list(reduced) == list(full)
+    for k, text in full.items():
+        r, e = hz.pseudo_remainder(hz.parse_polynomial(text, names), g, var)
+        assert reduced[k] == str(r.scale(1 / lc ** e)), k
 
 
 def test_one_sequence_has_one_spelling(family37_file):

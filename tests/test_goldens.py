@@ -105,10 +105,18 @@ def test_malformed_expect_line_is_a_parse_error(line):
      "constraint with mode NORMAL_FORM, which takes none"),
     (FAMILY37_SYSTEM, ("constraint = a001", "eliminate = a001", "mode = REDUCE"),
      "constraint with mode REDUCE, which takes none"),
+    # a constrained run reports reduced entries only, so no full entry is checked
+    (FAMILY37_SYSTEM, ("zero entries = 3", "constraint = a001 - b200", "eliminate = a001",
+                       "mode = JACOBI_H2", "zero reduced = 3"),
+     "entry expectation with constraint, whose report has reduced entries only"),
+    (FAMILY37_SYSTEM, ("entry 3 = 0", "mode = JACOBI_H2", "eliminate = a001",
+                       "constraint = a001 - b200"),
+     "entry expectation with constraint, whose report has reduced entries only"),
 ], ids=["zero-reduced", "reduced-entry", "constraint-only", "eliminate-only",
         "eliminate-undeclared", "eliminate-absent", "eliminate-bound-away",
         "eliminate-undeclared-zero-entries", "constraint-with-auto",
-        "constraint-with-normal-form", "constraint-with-reduce"])
+        "constraint-with-normal-form", "constraint-with-reduce",
+        "zero-entries-with-constraint", "entry-with-constraint"])
 def test_constraint_expectations_are_checked_at_parse_time(system, lines, message):
     # the line reported is the first expect line, the one at fault
     with pytest.raises(ParseError) as err:
@@ -149,6 +157,17 @@ def test_malformed_constraint_is_a_parse_error():
                               "'constraint = a/0': division by zero at line 6")
 
 
+def test_reduced_expectation_is_checked_modulo_the_bound_constraint():
+    # at a001 = 1 the report is reduced by 18 - 18*b200 + 5*b200^2, of which
+    # entry 7 is a multiple, so the full entry is congruent to its remainder 0
+    text = fixture_with("mode = JACOBI_H2", "max_index = 7", "param a001 = 1",
+                        "constraint = 18*a001^2 - 18*a001*b200 + 5*b200^2",
+                        "eliminate = b200",
+                        "reduced 7 = 25/12288*b200^2 - 15/2048*b200 + 15/2048",
+                        system=FAMILY37_SYSTEM)
+    assert hz.run_golden(hz.parse_fixture(text, "bound")).failures == []
+
+
 # one wrong expectation per kind the corpus uses: (fixture, wrong expectation,
 # the one failure run_golden must report)
 WRONG = {
@@ -157,7 +176,7 @@ WRONG = {
     "entry": ("family38_b1_h", ("entry", 4, "1/16*a001^5*c101"),
               "entry 4: expected 1/16*a001^5*c101, got 1/32*a001^5*c101"),
     "zero_reduced": ("family37_h2_reduced", ("zero_reduced", (8, 9, 10, 11)),
-                     "entry 11 mod constraint: expected 0, got -1301485468528346416371/"),
+                     "entry 11 mod constraint: expected 0, got -90702760044953/"),
     "coeff": ("family38_nf", ("coeff", "a", 1, "-1/4*a001^2"),
               "a_1: expected -1/4*a001^2, got -1/4*a001^2 - 1/4*a001*c011"),
     "resonance": ("family37_nf", ("resonance", "l0", "2"), "l0: expected 2, got 1"),

@@ -28,6 +28,10 @@ Runs, from the checkout's `src/`:
 - the `--json` report through `run_cli` of `analyze` on family 37 with every
   parameter free at `--max-degree 12`, whose verdict is SYMBOLIC (no golden
   fixture reaches that path);
+- two constrained `obstructions --mode JACOBI_H2 --json` reports through
+  `run_cli` on family 37, with the corpus constraint: eliminating `a001` at
+  `--max-degree 16`, and with `--param a001=1` eliminating `b200` at
+  `--max-degree 7`;
 - `analyze_operator(k)` for k = 0..24: degree, kernel basis and cokernel
   representative.
 - the `ParseError` message, line and column (or the polynomial, for the few
@@ -68,6 +72,9 @@ def describe(value) -> str:
         return " ; ".join(describe(c) for c in value.components)
     return f"{value} | {hash(value)}"
 
+
+# the constraint of the corpus fixture family37_h2_reduced
+CORPUS_CONSTRAINT = "18*a001^2 - 18*a001*b200 + 5*b200^2"
 
 RESONANT_AT_5 = """\
 dx = -2*y + x*z^5 + y^2
@@ -192,6 +199,11 @@ def dump_lines():
         path.write_text(FAMILY37, encoding="utf-8")
         code, text = hz.run_cli(["analyze", str(path), "--max-degree", "12", "--json"])
         yield f"analyze symbolic family 37 --max-degree 12 exit {code}: {describe(text)}"
+        for request in (["--max-degree", "16", "--eliminate", "a001"],
+                        ["--max-degree", "7", "--param", "a001=1", "--eliminate", "b200"]):
+            code, text = hz.run_cli(["obstructions", str(path), "--mode", "JACOBI_H2",
+                                     "--constraint", CORPUS_CONSTRAINT, *request, "--json"])
+            yield f"obstructions JACOBI_H2 {' '.join(request)} exit {code}: {describe(text)}"
 
     for k in range(25):
         analysis = hz.analyze_operator(k)
