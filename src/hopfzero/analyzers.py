@@ -213,12 +213,12 @@ def _continuation(field: VectorField3, max_index: int, method: Method, power: in
     by `_integer_terms` once, and a piece's converted forms are dropped when
     no later degree can read them.
 
-    With a `modulus` the run is in the quotient ring it defines: the
-    converted components and divergences are reduced once, and each known
-    term right after `_mul_integer`, before its entry is read and before it
-    is solved.  The solve is linear over Q[params], so the pieces it returns
-    are reduced already, and each entry is the true remainder of the entry
-    of the run without it.
+    With a `modulus` the run is in the quotient ring it defines: each known
+    term is reduced right after `_mul_integer`, before its entry is read and
+    before it is solved.  The solve is linear over Q[params], so the pieces
+    it returns are reduced already, and each entry is the true remainder of
+    the entry of the run without it.  The components and divergences stay
+    as they are: the reduction is a ring map, and remainders are canonical.
     """
     if max_index < 1:
         raise DegreeError("max_index must be at least 1")
@@ -229,10 +229,6 @@ def _continuation(field: VectorField3, max_index: int, method: Method, power: in
     seed_degree = 2 * power
     seed = QHPolynomial.h_power(power, params)
     use_div = _USES_DIV[method]
-
-    def reduced(converted: IntegerTerms) -> IntegerTerms:
-        return converted if modulus is None else modulus.reduce(converted)
-
     components = {k: f for k, f in field.decompose().items() if k >= 1}
 
     # the defining expression must vanish identically at the seed degree
@@ -244,9 +240,9 @@ def _continuation(field: VectorField3, max_index: int, method: Method, power: in
         raise StructureError("seed term fails the defining identity at its own degree")
 
     converted = {seed_degree: _converted_piece(_integer_terms(seed))}
-    comp_terms = {k: [reduced(_integer_terms(c)) for c in f.components]
+    comp_terms = {k: [_integer_terms(c) for c in f.components]
                   for k, f in components.items()}
-    div_terms = {k: reduced(_integer_terms(divergence(f)))
+    div_terms = {k: _integer_terms(divergence(f))
                  for k, f in components.items()} if use_div else {}
     reach = max(components, default=0)
     for degree in range(seed_degree + 1, 2 * max_index + 1):
@@ -261,7 +257,9 @@ def _continuation(field: VectorField3, max_index: int, method: Method, power: in
             minus += zip(gradient, comp_terms[fdeg])
             if use_div:
                 plus.append((whole, div_terms[fdeg]))
-        rhs = reduced(_mul_integer(plus, minus))
+        rhs = _mul_integer(plus, minus)
+        if modulus is not None:
+            rhs = modulus.reduce(rhs)
         entry = None
         if degree % 2 == 0:  # the entry is the known term's z^(d/2) coefficient, last
             top = degree // 2

@@ -22,6 +22,7 @@ constructors; and `_format_terms`, the printer of all three types.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Union
@@ -33,13 +34,29 @@ Rational = Fraction
 RationalLike = Union[int, str, Fraction]
 
 
+# a number in text has the ASCII digits 0-9 only, as an expression's integer
+# literal (`parsing._TOKEN`); `int` and `Fraction` also read `٣` and `1_0`
+_DIGITS = "[0-9]+"
+_INTEGER = re.compile(rf"[-+]?{_DIGITS}")
+_RATIONAL = re.compile(rf"{_INTEGER.pattern}(?:/{_DIGITS})?")
+
+
+def _read_int(text: str) -> int:
+    """An optional sign and ASCII digits as an int; ValueError otherwise."""
+    if not _INTEGER.fullmatch(text.strip()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def rat(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or `p/q` string to an exact Rational."""
+    """Coerce an int, Fraction, or `p/q` string (ASCII digits) to a Rational."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value.strip()):
+            raise ValueError(f"invalid rational {value!r}")
         return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 

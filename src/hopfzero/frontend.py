@@ -1,13 +1,14 @@
 """Principal-part normalization, analysis configuration, reports, and the CLI.
 
 A request is checked once, by `_request_fault`, which the CLI, `build_report`
-and the regression corpus share.  `build_report` runs it and assembles the
-report dictionary that `--json` prints (`REPORT_SCHEMA`).  A sequence mode
-with a constraint g and an eliminated name p runs in the quotient ring
-Q[params]/(g) (`analyzers._entries_only`), which needs g's leading
-coefficient in p to be a nonzero rational once the bound values are
-substituted; such a sequence reports `reduced_entries`, the true remainders
-of the entries, and no `entries`.
+and the regression corpus share.  `build_report` takes a field as parsed,
+runs that check, normalizes the principal part and assembles the report
+dictionary that `--json` prints (`REPORT_SCHEMA`).  A sequence mode with a
+constraint g and an eliminated name p runs in the quotient ring Q[params]/(g)
+(`analyzers._entries_only`), which needs g's leading coefficient in p to be a
+nonzero rational once the bound values are substituted; such a sequence
+reports `reduced_entries`, the true remainders of the entries, and no
+`entries`.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .analyzers import CaseTag, Classification, Method, _entries_only, classify
-from .coeffring import ParamPolynomial, rat
+from .coeffring import ParamPolynomial, _read_int, rat
 from .errors import HopfZeroError, ParseError, PrincipalPartError
 from .gradedpoly import QHPolynomial
 from .normalform import (NormalFormResult, first_resonance, orbital_normal_form,
                          planar_reduction, principal_part)
-from .parsing import SystemSource, parse_polynomial, parse_system
+from .parsing import parse_polynomial, parse_system
 from .vectorfield import VectorField3
 
 
@@ -83,10 +84,10 @@ def normalize_principal_part(field: VectorField3) -> Tuple[VectorField3, Scaling
     return rescaled, Scalings(time_factor=time_factor, z_factor=z_factor)
 
 
-MODES = ("AUTO", "FIRST_INTEGRAL", "JACOBI_H", "JACOBI_H2", "NORMAL_FORM", "REDUCE")
 # the modes that report one obstruction sequence, the only ones that take a
 # constraint, as only the `obstructions` command takes `--constraint`
 SEQUENCE_MODES = tuple(method.value for method in Method)
+MODES = ("AUTO", *SEQUENCE_MODES, "NORMAL_FORM", "REDUCE")
 
 
 @dataclass(frozen=True)
@@ -110,21 +111,20 @@ def _request_fault(names: Tuple[str, ...],
     and the remainder by a constraint with any other leading coefficient is
     no ring homomorphism."""
     values = config.parameter_values or {}
-    poly, var = config.constraint or (None, None)
+    constrained = config.constraint is not None
     if config.mode not in MODES:
         return "mode", f"mode names unknown mode {config.mode!r}"
-    if poly is not None and config.mode not in SEQUENCE_MODES:
+    if constrained and config.mode not in SEQUENCE_MODES:
         return "constraint", f"constraint with mode {config.mode}, which takes none"
     named = [(f"param {name}", name) for name in values]
-    if poly is not None:
-        named.append(("eliminate", var))
+    named += [("eliminate", config.constraint[1])] if constrained else []
     for key, name in named:
         if name not in names:
             return key, f"{key.split()[0]} names undeclared parameter {name!r}"
-    if poly is None:
+    if not constrained:
         return None
     bound = " once the param values are substituted" if values else ""
-    poly = poly.substitute(values)
+    poly, var = _bound_constraint(config)
     degree = poly.degree_in(var)
     if degree < 1:
         return "eliminate", f"constraint does not contain {var!r}{bound}"
@@ -133,6 +133,14 @@ def _request_fault(names: Tuple[str, ...],
         return "eliminate", (f"constraint has leading coefficient {lead} in {var!r}, "
                              f"not a constant{bound}")
     return None
+
+
+def _bound_constraint(config: AnalysisConfig) -> Optional[Tuple[ParamPolynomial, str]]:
+    """The constraint with the bound values substituted, which the run is modulo."""
+    if config.constraint is None:
+        return None
+    poly, var = config.constraint
+    return poly.substitute(config.parameter_values or {}), var
 
 
 REPORT_SCHEMA = {
@@ -187,7 +195,7 @@ REPORT_SCHEMA = {
                 # a sequence run modulo a constraint has reduced entries only
                 "oneOf": [{"required": ["entries"]}, {"required": ["reduced_entries"]}],
                 "properties": {
-                    "method": {"enum": ["FIRST_INTEGRAL", "JACOBI_H", "JACOBI_H2"]},
+                    "method": {"enum": list(SEQUENCE_MODES)},
                     "start_index": {"type": "integer"},
                     "entries": {"type": "object",
                                 "additionalProperties": {"type": "string"}},
@@ -267,10 +275,8 @@ def _classification_dict(verdict: Classification) -> Dict[str, object]:
 
 
 def _render_text(report: Dict[str, object]) -> str:
-    lines: List[str] = []
-    if "scalings_applied" in report:
-        sc = report["scalings_applied"]
-        lines.append(f"scalings applied: time * {sc['time_factor']}, z * {sc['z_factor']}")
+    sc = report["scalings_applied"]  # in every report
+    lines = [f"scalings applied: time * {sc['time_factor']}, z * {sc['z_factor']}"]
     if "resonance" in report:
         r = report["resonance"]
         lines.append(f"resonance: l0 = {r['l0']}, m0 = {r['m0']}, n0 = {r['n0']}")
@@ -308,40 +314,31 @@ def _render_text(report: Dict[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_system(text: str) -> Tuple[SystemSource, VectorField3, Scalings]:
-    """Parse an input text and bring its principal part to standard form."""
-    source = parse_system(text)
-    field, scalings = normalize_principal_part(source.to_field())
-    return source, field, scalings
+def build_report(field: VectorField3, config: AnalysisConfig) -> Dict[str, object]:
+    """Run the configured analysis on a field as parsed and assemble the report.
 
-
-def build_report(source: SystemSource, field: VectorField3, scalings: Scalings,
-                 config: AnalysisConfig) -> Dict[str, object]:
-    """Run the configured analysis and assemble the report dictionary.
-
-    The bound parameter values are substituted once, into the field and the
-    constraint alike, before any mode runs.  Obstruction sequences are
-    computed for their entries only (`analyzers._entries_only`), since the
-    report prints no witness; with a constraint the sequence runs in the
-    quotient by it and reports its `reduced_entries` only.  A request that
-    `_request_fault` refuses raises ValueError with its message.
+    A request that `_request_fault` refuses raises ValueError with its message
+    before any analysis.  `normalize_principal_part` then brings the principal
+    part to standard form, or raises PrincipalPartError, and the report gives
+    its scalings.  The bound values are substituted once, into the field and
+    the constraint alike.  Sequences are computed for their entries only
+    (`analyzers._entries_only`), since the report prints no witness; with a
+    constraint one runs in the quotient by it and reports `reduced_entries`.
     """
-    fault = _request_fault(source.parameter_names, config)
+    fault = _request_fault(field.params, config)
     if fault:
         raise ValueError(fault[1])
-    constraint = config.constraint
+    field, scalings = normalize_principal_part(field)
     report: Dict[str, object] = {
         "schema_version": "2",
-        "system": {"parameters": list(source.parameter_names)},
+        "system": {"parameters": list(field.params)},
         "scalings_applied": scalings.as_dict(),
     }
     if config.parameter_values:
         field = field.substitute_params(config.parameter_values)
-        if constraint is not None:
-            poly, var = constraint
-            constraint = (poly.substitute(config.parameter_values), var)
         report["system"]["bound_values"] = {
             name: str(v) for name, v in sorted(config.parameter_values.items())}
+    constraint = _bound_constraint(config)
     mode = config.mode
     n = config.max_index
     if mode == "AUTO":
@@ -377,9 +374,7 @@ class _UsageError(Exception):
     pass
 
 
-def _parse_param_bindings(pairs: Optional[List[str]]) -> Optional[Dict[str, Fraction]]:
-    if not pairs:
-        return None
+def _parse_param_bindings(pairs: List[str]) -> Dict[str, Fraction]:
     out = {}
     for pair in pairs:
         if "=" not in pair:
@@ -389,10 +384,17 @@ def _parse_param_bindings(pairs: Optional[List[str]]) -> Optional[Dict[str, Frac
         if name in out:
             raise _UsageError(f"--param binds {name!r} twice")
         try:
-            out[name] = rat(value.strip())
-        except (ValueError, ZeroDivisionError, TypeError):
+            out[name] = rat(value)
+        except (ValueError, ZeroDivisionError):
             raise _UsageError(f"invalid rational {value!r} for parameter {name!r}")
     return out
+
+
+def _int_argument(text: str) -> int:
+    try:  # worded as argparse words a refused `int` value
+        return _read_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _build_cli() -> _CliParser:
@@ -405,7 +407,7 @@ def _build_cli() -> _CliParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(mode=mode)
         p.add_argument("file", help="input system file")
-        p.add_argument("--max-degree", type=int, default=30, dest="max_index",
+        p.add_argument("--max-degree", type=_int_argument, default=30, dest="max_index",
                        metavar="N", help="largest z-power index analyzed (default 30)")
         p.add_argument("--param", action="append", default=[], metavar="NAME=P/Q",
                        help="bind a parameter to an exact rational (repeatable)")
@@ -433,9 +435,6 @@ def run_cli(args: List[str]) -> Tuple[int, str]:
     parser = _build_cli()
     try:
         ns = parser.parse_args(args)
-    except _UsageError as exc:
-        return 2, f"usage error: {exc}\n"
-    try:
         bindings = _parse_param_bindings(ns.param)
     except _UsageError as exc:
         return 2, f"usage error: {exc}\n"
@@ -443,13 +442,11 @@ def run_cli(args: List[str]) -> Tuple[int, str]:
         return 2, "usage error: --max-degree must be at least 1\n"
     try:
         with open(ns.file, "r", encoding="utf-8") as handle:
-            source, field, scalings = load_system(handle.read())
+            field = parse_system(handle.read()).to_field()
     except ParseError as exc:
         return 2, f"parse error: {exc}\n"
     except (OSError, UnicodeDecodeError) as exc:
         return 1, f"error: cannot read input: {exc}\n"
-    except HopfZeroError as exc:
-        return 1, f"error: {exc}\n"
 
     constraint = None
     text, var = getattr(ns, "constraint", None), getattr(ns, "eliminate", None)
@@ -459,17 +456,18 @@ def run_cli(args: List[str]) -> Tuple[int, str]:
         if text is None:
             return 2, "usage error: --eliminate requires --constraint EXPR\n"
         try:
-            constraint = (parse_polynomial(text, source.parameter_names), var)
+            constraint = (parse_polynomial(text, field.params), var)
         except ParseError as exc:
             return 2, f"parse error in --constraint: {exc}\n"
     config = AnalysisConfig(max_index=ns.max_index, mode=ns.mode,
                             parameter_values=bindings, constraint=constraint)
-    # a request the analysis would refuse is refused before any of it runs
-    fault = _request_fault(source.parameter_names, config)
+    # a request the analysis would refuse is refused before any of it runs,
+    # the principal part's normalization included
+    fault = _request_fault(field.params, config)
     if fault:
         return 2, f"usage error: --{fault[1]}\n"
     try:
-        report = build_report(source, field, scalings, config)
+        report = build_report(field, config)
     except HopfZeroError as exc:
         return 1, f"error: {exc}\n"
     if ns.json:

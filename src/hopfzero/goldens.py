@@ -36,11 +36,12 @@ from __future__ import annotations
 import pathlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Dict, List, Optional, Tuple
 
-from .coeffring import ParamPolynomial, congruent_mod, rat
+from .coeffring import ParamPolynomial, _read_int, congruent_mod, rat
 from .errors import ParseError
-from .frontend import AnalysisConfig, _request_fault, build_report, load_system
+from .frontend import AnalysisConfig, _bound_constraint, _request_fault, build_report
 from .parsing import parse_polynomial, parse_system
 
 DATA_DIR = pathlib.Path(__file__).parent / "goldens_data"
@@ -108,26 +109,16 @@ def parse_fixture(text: str, name: str) -> GoldenCase:
     constraint = None
     eliminate = None
     first_line: Dict[str, int] = {}
-    declared = None  # the system's parameter names, read when first needed
     polynomials: List[Tuple[str, str, int]] = []  # (value, line, lineno) to parse
 
-    def parameter_names():
-        nonlocal declared
-        if declared is None:
-            with _naming(name):
-                declared = parse_system(system_text).parameter_names
-        return declared
+    @cache
+    def parameter_names():  # the system's, read when first needed
+        with _naming(name):
+            return parse_system(system_text).parameter_names
 
     def polynomial(value: str) -> str:
         polynomials.append((value, line, lineno))
         return value
-
-    def indices(value: str) -> Tuple[int, ...]:
-        found = tuple(int(v) for v in value.split())
-        if not found:
-            raise ParseError(f"fixture {name}: malformed expect line {line!r}: "
-                             "no index listed", lineno)
-        return found
 
     for lineno, raw in enumerate(body.splitlines(), start=system_text.count("\n") + 1):
         line = raw.split("#", 1)[0].strip()
@@ -154,7 +145,7 @@ def parse_fixture(text: str, name: str) -> GoldenCase:
             elif head == "mode":
                 mode = value
             elif head == "max_index":
-                max_index = int(value)
+                max_index = _read_int(value)
                 if max_index < 1:
                     raise ParseError(f"fixture {name}: malformed expect line {line!r}: "
                                      "max_index must be at least 1", lineno)
@@ -164,27 +155,26 @@ def parse_fixture(text: str, name: str) -> GoldenCase:
                 constraint = polynomial(value)
             elif head == "eliminate":
                 eliminate = value
-            elif head == "zero" and key_parts[1] == "entries":
-                expectations.append(("zero_entries", indices(value)))
-            elif head == "zero" and key_parts[1] == "reduced":
-                expectations.append(("zero_reduced", indices(value)))
-            elif head == "entry":
-                expectations.append(("entry", int(key_parts[1]), polynomial(value)))
-            elif head == "reduced":
-                expectations.append(("reduced", int(key_parts[1]), polynomial(value)))
+            elif head == "zero" and key_parts[1] in ("entries", "reduced"):
+                found = tuple(_read_int(v) for v in value.split())
+                if not found:
+                    raise ParseError(f"fixture {name}: malformed expect line {line!r}: "
+                                     "no index listed", lineno)
+                expectations.append((f"zero_{key_parts[1]}", found))
+            elif head in ("entry", "reduced"):
+                expectations.append((head, _read_int(key_parts[1]), polynomial(value)))
             elif head in ("a", "b"):
-                expectations.append(("coeff", head, int(key_parts[1]), polynomial(value)))
+                expectations.append(("coeff", head, _read_int(key_parts[1]),
+                                     polynomial(value)))
             elif head in ("l0", "m0", "n0"):
                 expectations.append(("resonance", head, value))
-            elif head == "case":
-                expectations.append(("case", value))
-            elif head == "witness_method":
-                expectations.append(("witness_method", value))
+            elif head in ("case", "witness_method"):
+                expectations.append((head, value))
             elif head == "witness_index":
-                expectations.append(("witness_index", int(value)))
+                expectations.append(("witness_index", _read_int(value)))
             elif head == "coprime_pair":
                 p, q = value.split()
-                expectations.append(("coprime_pair", (int(p), int(q))))
+                expectations.append(("coprime_pair", (_read_int(p), _read_int(q))))
             elif head in ("du", "dv"):
                 expectations.append(("planar", head, value))
             else:
@@ -229,17 +219,16 @@ def run_golden(case: GoldenCase) -> GoldenResult:
     and check every expectation against it."""
     result = GoldenResult(name=case.name, origin=case.origin)
     with _naming(case.name):
-        source, field3, scalings = load_system(case.system_text)
+        field3 = parse_system(case.system_text).to_field()
 
     def poly(text: str) -> ParamPolynomial:
-        return parse_polynomial(text, source.parameter_names)
+        return parse_polynomial(text, field3.params)
 
     constraint = (poly(case.constraint), case.eliminate) if case.constraint else None
     config = AnalysisConfig(max_index=case.max_index, mode=case.mode,
                             parameter_values=case.bindings, constraint=constraint)
-    report = build_report(source, field3, scalings, config)
-    if constraint is not None:  # the report is reduced by the bound constraint
-        constraint = (constraint[0].substitute(case.bindings), case.eliminate)
+    report = build_report(field3, config)
+    constraint = _bound_constraint(config)  # the report is reduced by it
     for expectation in case.expectations:
         try:
             result.failures.extend(_failures(report, expectation, poly, constraint))
@@ -257,21 +246,18 @@ def _failures(report, expectation, poly, constraint):
             yield f"{kind}: expected one obstruction sequence, got {len(sequences)}"
             return
         # a constrained run reports reduced entries, any other full ones
-        entries = sequences[0]["entries" if kind in ("zero_entries", "entry")
-                               else "reduced_entries"]
-    if kind == "zero_entries":
+        reduced = kind in ("zero_reduced", "reduced")
+        entries = sequences[0]["reduced_entries" if reduced else "entries"]
+        where = " mod constraint" if reduced else ""
+    if kind in ("zero_entries", "zero_reduced"):
         for k in expectation[1]:
             if poly(entries[str(k)]):
-                yield f"entry {k}: expected 0, got {entries[str(k)]}"
+                yield f"entry {k}{where}: expected 0, got {entries[str(k)]}"
     elif kind == "entry":
         _, k, text = expectation
         want = poly(text)
         if poly(entries[str(k)]) != want:
             yield f"entry {k}: expected {want}, got {entries[str(k)]}"
-    elif kind == "zero_reduced":
-        for k in expectation[1]:
-            if poly(entries[str(k)]):
-                yield f"entry {k} mod constraint: expected 0, got {entries[str(k)]}"
     elif kind == "reduced":
         _, k, text = expectation
         want = poly(text)

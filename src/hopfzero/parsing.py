@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .coeffring import ParamPolynomial
+from .coeffring import _DIGITS, ParamPolynomial
 from .errors import ParseError
 from .gradedpoly import QHPolynomial
 from .vectorfield import VectorField3
@@ -36,9 +36,9 @@ _VARS = ("x", "y", "z")
 # that is not a decimal digit, such as `²`, and goes on with those or digits.
 _NAME = re.compile(r"[^\W\d]\w*")
 # After blanks, one token: a comment, which ends the tokens, an integer
-# literal of ASCII digits, a name, an operator, or any other character, which
-# is an error.
-_TOKEN = re.compile(rf"[ \t]*(?:(?P<comment>#.*)|(?P<int>[0-9]+)|(?P<name>{_NAME.pattern})"
+# literal of ASCII digits (the rule of every number read from text), a name,
+# an operator, or any other character, which is an error.
+_TOKEN = re.compile(rf"[ \t]*(?:(?P<comment>#.*)|(?P<int>{_DIGITS})|(?P<name>{_NAME.pattern})"
                     r"|(?P<op>[-+*/^()])|(?P<bad>[^ \t]))", re.DOTALL)
 
 

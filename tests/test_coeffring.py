@@ -27,6 +27,21 @@ def const(v):
     return ParamPolynomial.constant(v, PARAMS)
 
 
+@pytest.mark.parametrize("text", ["\u0661", "1/\u0663", "1_0", "1.5", "1e3", "", "1/"])
+def test_rat_reads_ascii_digits_only(text):
+    # the rule of an expression's integer literal; `Fraction` reads each but
+    # the last two
+    with pytest.raises(ValueError):
+        hz.rat(text)
+
+
+def test_rat_reads_a_signed_fraction():
+    assert hz.rat(" -3/4 ") == Fraction(-3, 4)
+    assert hz.rat("+12") == 12
+    with pytest.raises(ZeroDivisionError):
+        hz.rat("1/0")
+
+
 class TestRationalOracle:
     """fractions.Fraction against a naive numerator/denominator model."""
 

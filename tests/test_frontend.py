@@ -254,6 +254,16 @@ class TestCli:
         assert code == 2
         assert out.startswith("parse error: ") and "line 3, column 20" in out
 
+    def test_a_usage_error_comes_before_a_principal_part_error(self, tmp_path):
+        # the request is checked before the analysis, normalization included
+        path = tmp_path / "cross.hz"
+        path.write_text(FAMILY37.replace("dz = x^2", "dz = 2*x*y + x^2"), encoding="utf-8")
+        assert hz.run_cli(["analyze", str(path), "--param", "q=1"]) == (
+            2, "usage error: --param names undeclared parameter 'q'\n")
+        assert hz.run_cli(["analyze", str(path), "--param", "a001=1"]) == (
+            1, "error: terms at or below degree 0 outside (-w*y, w*x, d*(x^2+y^2)) "
+               "with w = 2, d = 1: dz: 2*x*y\n")
+
     def test_bad_principal_part_is_exit_one(self, tmp_path):
         path = tmp_path / "bad.hz"
         path.write_text("dx = -2*y\ndy = 2*x\ndz = x^2 + 2*x*y + y^2\n",
@@ -284,6 +294,11 @@ class TestCli:
          "--param binds 'a001' twice"),
         (["analyze", "--param", "a001=1", "--param", "a001 = 1"],
          "--param binds 'a001' twice"),
+        # numbers have ASCII digits only, as in expressions
+        (["analyze", "--max-degree", "\u0663"],
+         "argument --max-degree: invalid int value: '\u0663'"),
+        (["analyze", "--max-degree", "1_0"], "argument --max-degree: invalid int value: '1_0'"),
+        (["analyze", "--param", "a001=\u0661"], "invalid rational '\u0661' for parameter 'a001'"),
     ])
     @pytest.mark.parametrize("max_degree", ["3", "7"])
     def test_flag_name_mistakes_are_usage_errors(self, family37_file, args, message,
@@ -313,19 +328,19 @@ class TestCli:
 
 
 def test_build_report_rejects_unknown_mode():
-    source, field, scalings = hz.frontend.load_system(FAMILY38)
+    field = hz.parse_system(FAMILY38).to_field()
     with pytest.raises(ValueError, match="unknown mode 'JACOBI_H3'"):
-        hz.build_report(source, field, scalings, hz.AnalysisConfig(mode="JACOBI_H3"))
+        hz.build_report(field, hz.AnalysisConfig(mode="JACOBI_H3"))
 
 
 @pytest.mark.parametrize("mode", ["AUTO", "NORMAL_FORM", "REDUCE"])
 def test_build_report_rejects_a_constraint_outside_the_sequence_modes(mode):
     # as on the CLI, where only `obstructions` takes --constraint
-    source, field, scalings = hz.frontend.load_system(FAMILY38)
-    constraint = (hz.parse_polynomial("a001 - 1", source.parameter_names), "a001")
+    field = hz.parse_system(FAMILY38).to_field()
+    constraint = (hz.parse_polynomial("a001 - 1", field.params), "a001")
     config = hz.AnalysisConfig(max_index=2, mode=mode, constraint=constraint)
     with pytest.raises(ValueError, match=f"constraint with mode {mode}, which takes none"):
-        hz.build_report(source, field, scalings, config)
+        hz.build_report(field, config)
 
 
 # requests on family 37 that the shared request check refuses:
@@ -378,13 +393,13 @@ def test_a_bad_request_is_refused_alike_on_every_surface(family37_file, request_
     assert err.value.line == 6 + next(i for i, line in enumerate(lines)
                                       if line.startswith(key + " "))
     # build_report
-    source, field, scalings = hz.frontend.load_system(FAMILY37)
-    pair = (hz.parse_polynomial(constraint, source.parameter_names), eliminate) \
+    field = hz.parse_system(FAMILY37).to_field()
+    pair = (hz.parse_polynomial(constraint, field.params), eliminate) \
         if constraint is not None else None
     config = hz.AnalysisConfig(max_index=3, mode=mode, constraint=pair,
                                parameter_values={n: Fraction(v) for n, v in bindings.items()})
     with pytest.raises(ValueError) as err:
-        hz.build_report(source, field, scalings, config)
+        hz.build_report(field, config)
     assert str(err.value) == message
 
 
@@ -405,15 +420,15 @@ def test_a_constrained_report_holds_the_true_remainders(mode, bindings, constrai
     # the run in the quotient gives, term order included, the remainder of
     # each entry of the full run by the constraint, whose leading coefficient
     # is a unit: the pseudo-remainder divided by its power
-    source, field, scalings = hz.frontend.load_system(FAMILY37)
-    names = source.parameter_names
+    field = hz.parse_system(FAMILY37).to_field()
+    names = field.params
     values = {name: Fraction(v) for name, v in bindings.items()}
     g = hz.parse_polynomial(constraint, names)
 
     def sequence(pair):
         config = hz.AnalysisConfig(max_index=12, mode=mode, parameter_values=values,
                                    constraint=pair)
-        return hz.build_report(source, field, scalings, config)["obstructions"][0]
+        return hz.build_report(field, config)["obstructions"][0]
 
     full, reduced = sequence(None)["entries"], sequence((g, var))["reduced_entries"]
     g = g.substitute(values)
@@ -431,9 +446,9 @@ def test_one_sequence_has_one_spelling(family37_file):
     code, out = hz.run_cli(["obstructions", family37_file, "--mode", "JACOBI_H2",
                             "--max-degree", "8", "--json"])
     assert code == 0
-    source, field, scalings = hz.frontend.load_system(FAMILY37)
+    field = hz.parse_system(FAMILY37).to_field()
     assert json.loads(out) == hz.build_report(
-        source, field, scalings, hz.AnalysisConfig(max_index=8, mode="JACOBI_H2"))
+        field, hz.AnalysisConfig(max_index=8, mode="JACOBI_H2"))
     public = hz.obstruction_sequence(field, 8, hz.Method.JACOBI_H2)
     assert json.loads(out)["obstructions"][0]["entries"] == {
         str(k): str(v) for k, v in sorted(public.entries.items())}
@@ -441,17 +456,42 @@ def test_one_sequence_has_one_spelling(family37_file):
 
 def test_build_report_builds_no_witness(monkeypatch):
     # the report prints the entries only, so no solved piece becomes Fractions
-    source, field, scalings = hz.frontend.load_system(FAMILY37)
+    field = hz.parse_system(FAMILY37).to_field()
     public = hz.obstruction_sequence(field, 8, hz.Method.JACOBI_H2)
 
     def no_witness_piece(*args):
         raise AssertionError("a witness piece was built")
 
     monkeypatch.setattr("hopfzero.analyzers._from_integer_terms", no_witness_piece)
-    report = hz.build_report(source, field, scalings,
-                             hz.AnalysisConfig(max_index=8, mode="JACOBI_H2"))
+    report = hz.build_report(field, hz.AnalysisConfig(max_index=8, mode="JACOBI_H2"))
     assert report["obstructions"][0]["entries"] == {
         str(k): str(v) for k, v in sorted(public.entries.items())}
+
+
+# family 37 before normalization, which scales time by 1/2 and z by 3/2
+RESCALED_FAMILY37 = """\
+params a001 b200 c030
+dx = -4*y + a001*z
+dy = 4*x + b200*x^2
+dz = 3*x^2 + 3*y^2 + c030*y^3
+"""
+
+
+@pytest.mark.parametrize("args, config", [
+    (["analyze", "--param", "a001=1", "--param", "b200=2", "--param", "c030=3"],
+     hz.AnalysisConfig(max_index=8, parameter_values={"a001": 1, "b200": 2, "c030": 3})),
+    (["obstructions", "--mode", "JACOBI_H2"], hz.AnalysisConfig(max_index=8, mode="JACOBI_H2")),
+], ids=["analyze", "obstructions"])
+def test_build_report_normalizes_the_parsed_field(tmp_path, args, config):
+    # the report of a field as parsed is the one the CLI prints for its file
+    path = tmp_path / "rescaled.hz"
+    path.write_text(RESCALED_FAMILY37, encoding="utf-8")
+    code, out = hz.run_cli([args[0], str(path), *args[1:], "--max-degree", "8", "--json"])
+    report = hz.build_report(hz.parse_system(RESCALED_FAMILY37).to_field(), config)
+    assert code == 0 and json.loads(out) == report
+    assert report["scalings_applied"] == {"time_factor": "1/2", "z_factor": "3/2"}
+    if args[0] == "analyze":
+        assert report["classification"]["case"] == "NOT_INTEGRABLE"
 
 
 def _run_module(*args):

@@ -71,7 +71,11 @@ def fixture_with(*expect_lines, system=F0_SYSTEM):
                                   "origin = literatur", "coprime_pair = 1",
                                   "coprime_pair = 1 1 2", "max_index 3 = 4",
                                   "entry 3 4 = 0", "case extra = B1",
-                                  "entry 3 = \u00b2"])
+                                  "entry 3 = \u00b2",
+                                  # numbers have ASCII digits only, as in expressions
+                                  "max_index = \u0663", "max_index = 1_0", "entry \u0663 = 0",
+                                  "zero entries = \u0664", "param a001 = \u0661",
+                                  "witness_index = \u0663", "coprime_pair = 1 \u0661"])
 def test_malformed_expect_line_is_a_parse_error(line):
     with pytest.raises(ParseError) as err:
         hz.parse_fixture(fixture_with("case = B1", line), "malformed")

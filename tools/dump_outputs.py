@@ -32,6 +32,10 @@ Runs, from the checkout's `src/`:
   `run_cli` on family 37, with the corpus constraint: eliminating `a001` at
   `--max-degree 16`, and with `--param a001=1` eliminating `b200` at
   `--max-degree 7`;
+- the `--json` reports through `run_cli` of family 37 written with w = 4 and
+  d = 3 (`RESCALED_FAMILY37`), so that the normalization applies factors
+  other than 1 end to end: `analyze` at (1, 2, 3) and the symbolic
+  `obstructions --mode JACOBI_H2`, both at `--max-degree 8`;
 - `analyze_operator(k)` for k = 0..24: degree, kernel basis and cokernel
   representative.
 - the `ParseError` message, line and column (or the polynomial, for the few
@@ -75,6 +79,14 @@ def describe(value) -> str:
 
 # the constraint of the corpus fixture family37_h2_reduced
 CORPUS_CONSTRAINT = "18*a001^2 - 18*a001*b200 + 5*b200^2"
+
+# family 37 before normalization: time scales by 1/2 and z by 3/2
+RESCALED_FAMILY37 = """\
+params a001 b200 c030
+dx = -4*y + a001*z
+dy = 4*x + b200*x^2
+dz = 3*x^2 + 3*y^2 + c030*y^3
+"""
 
 RESONANT_AT_5 = """\
 dx = -2*y + x*z^5 + y^2
@@ -204,6 +216,12 @@ def dump_lines():
             code, text = hz.run_cli(["obstructions", str(path), "--mode", "JACOBI_H2",
                                      "--constraint", CORPUS_CONSTRAINT, *request, "--json"])
             yield f"obstructions JACOBI_H2 {' '.join(request)} exit {code}: {describe(text)}"
+        path.write_text(RESCALED_FAMILY37, encoding="utf-8")
+        for request in (["analyze", "--param", "a001=1", "--param", "b200=2",
+                         "--param", "c030=3"], ["obstructions", "--mode", "JACOBI_H2"]):
+            code, text = hz.run_cli([request[0], str(path), *request[1:],
+                                     "--max-degree", "8", "--json"])
+            yield f"rescaled family 37 {' '.join(request)} exit {code}: {describe(text)}"
 
     for k in range(25):
         analysis = hz.analyze_operator(k)
