@@ -366,5 +366,8 @@ def pseudo_remainder(p: ParamPolynomial, constraint: ParamPolynomial,
 
 def congruent_mod(p: ParamPolynomial, q: ParamPolynomial,
                   constraint: ParamPolynomial, var: str) -> bool:
-    """True when p == q modulo the principal ideal generated by `constraint`."""
+    """True when p == q modulo the principal ideal generated by `constraint`,
+    whose leading coefficient in `var` must be a nonzero constant (else
+    ParameterError): only then does a zero pseudo-remainder mean membership."""
+    constraint.coefficient_of_power(var, constraint.degree_in(var)).constant_value()
     return ppoly_reduce(p - q, constraint, var).is_zero()

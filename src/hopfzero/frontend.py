@@ -1,14 +1,14 @@
 """Principal-part normalization, analysis configuration, reports, and the CLI.
 
-A request is checked once, by `_request_fault`, which the CLI, `build_report`
-and the regression corpus share.  `build_report` takes a field as parsed,
-runs that check, normalizes the principal part and assembles the report
-dictionary that `--json` prints (`REPORT_SCHEMA`).  A sequence mode with a
-constraint g and an eliminated name p runs in the quotient ring Q[params]/(g)
-(`analyzers._entries_only`), which needs g's leading coefficient in p to be a
-nonzero rational once the bound values are substituted; such a sequence
-reports `reduced_entries`, the true remainders of the entries, and no
-`entries`.
+A request is checked once per call, by `_request_fault`, which `build_report`
+(and through it the CLI) and the regression corpus share.  `build_report`
+takes a field as parsed, runs that check, normalizes the principal part and
+assembles the report dictionary that `--json` prints (`REPORT_SCHEMA`).  A
+sequence mode with a constraint g and an eliminated name p runs in the
+quotient ring Q[params]/(g) (`analyzers._entries_only`), which needs g's
+leading coefficient in p to be a nonzero rational once the bound values are
+substituted; such a sequence reports `reduced_entries`, the true remainders
+of the entries, and no `entries`.
 """
 
 from __future__ import annotations
@@ -314,20 +314,24 @@ def _render_text(report: Dict[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _RequestFault(ValueError):
+    """A request that `_request_fault` refuses, with its message."""
+
+
 def build_report(field: VectorField3, config: AnalysisConfig) -> Dict[str, object]:
     """Run the configured analysis on a field as parsed and assemble the report.
 
-    A request that `_request_fault` refuses raises ValueError with its message
-    before any analysis.  `normalize_principal_part` then brings the principal
-    part to standard form, or raises PrincipalPartError, and the report gives
-    its scalings.  The bound values are substituted once, into the field and
-    the constraint alike.  Sequences are computed for their entries only
-    (`analyzers._entries_only`), since the report prints no witness; with a
-    constraint one runs in the quotient by it and reports `reduced_entries`.
+    A request `_request_fault` refuses raises `_RequestFault` (a ValueError)
+    with its message before any analysis.  `normalize_principal_part` then
+    brings the principal part to standard form, or raises PrincipalPartError,
+    and the report gives its scalings.  The bound values are substituted
+    once, into the field and the constraint alike.  Sequences are computed
+    for their entries only (`analyzers._entries_only`): the report prints no
+    witness; with a constraint one runs in the quotient by it (`reduced_entries`).
     """
     fault = _request_fault(field.params, config)
     if fault:
-        raise ValueError(fault[1])
+        raise _RequestFault(fault[1])
     field, scalings = normalize_principal_part(field)
     report: Dict[str, object] = {
         "schema_version": "2",
@@ -461,13 +465,10 @@ def run_cli(args: List[str]) -> Tuple[int, str]:
             return 2, f"parse error in --constraint: {exc}\n"
     config = AnalysisConfig(max_index=ns.max_index, mode=ns.mode,
                             parameter_values=bindings, constraint=constraint)
-    # a request the analysis would refuse is refused before any of it runs,
-    # the principal part's normalization included
-    fault = _request_fault(field.params, config)
-    if fault:
-        return 2, f"usage error: --{fault[1]}\n"
     try:
         report = build_report(field, config)
+    except _RequestFault as exc:  # raised before any analysis runs
+        return 2, f"usage error: --{exc}\n"
     except HopfZeroError as exc:
         return 1, f"error: {exc}\n"
     if ns.json:

@@ -29,9 +29,9 @@ too, divided by its content gcd, so a caller can feed it into the next
 product, as the normal form's steps and the obstruction driver do.  The
 converted form is the only integer layout that leaves this module: the
 slice solve (`homological._solve_levels`) takes and returns it, so the
-driver's known terms and solved pieces never become `Fraction`s on the way
-to its next degrees.  `_from_integer_terms` is the one place where a
-product's numerators become `Fraction`s again, in a `QHPolynomial`.
+obstruction driver and the normal-form degree solve build no `Fraction`s
+between degrees.  `_from_integer_terms` is the one place where a product's
+numerators become `Fraction`s again, in a `QHPolynomial`.
 `QHPolynomial`, `Poly2` and `ParamPolynomial` print through one function,
 `coeffring._format_terms`.
 """

@@ -20,15 +20,15 @@ kernel's converted form (`gradedpoly._integer_terms`), and every step inside
 is an integer combination of level values with one division (`_combine`).
 `solve_homological` converts a `QHPolynomial` right-hand side once and turns
 the solution into `Fraction`s once (`gradedpoly._from_integer_terms`); the
-obstruction driver passes its known term in converted form and keeps the
-solution in that form for its next degrees.
+obstruction driver and the normal-form degree solve pass their right-hand
+sides in converted form and keep the solutions in that form.
 
 `analyze_operator` reads that structure back from the chain: it solves one
 generic right-hand side and checks the solution, the range's miss of
 z^(k/2) and the kernel through the graded kernel
 (`vectorfield.directional_derivative`), so it holds no elimination of its
-own.  The normal-form degree solve is three calls of `solve_homological`
-(`normalform._solve_degree`).
+own.  The normal-form degree solve is three calls of `_solve_levels` on its
+converted slices (`normalform._solve_degree`).
 """
 
 from __future__ import annotations

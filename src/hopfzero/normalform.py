@@ -13,11 +13,11 @@ each solve the actual transformation (time factor 1 + mu, then the
 exponential of the generator's adjoint action) is applied and the achieved
 slice is checked exactly, so the returned coefficients are verified, not
 inferred.  The field stays in the graded kernel's converted form
-(`gradedpoly.IntegerTerms`) from the first step to the last: each step,
-time scaling and Lie series alike, runs on integer numerators
-(`_integer_step`), only the degree-s slice that the solve and the check read
-is built as `Fraction`s (`_component`), and the returned field's numerators
-become `Fraction`s once per run.
+(`gradedpoly.IntegerTerms`) from the first step to the last, and so do the
+degree solve, its slice solves (`homological._solve_levels`) and each step
+(`_integer_step`).  Per degree only the generator, mu, a and b, and the
+achieved slice the check reads, are built as `Fraction`s; the returned
+field's numerators become `Fraction`s once per run.
 """
 
 from __future__ import annotations
@@ -25,14 +25,14 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import comb, factorial, gcd
 from typing import Dict, List, Optional, Tuple
 
 from .coeffring import ParamPolynomial, Rational
 from .errors import DegreeError, PrincipalPartError, StructureError
 from .gradedpoly import (IntegerTerms, Monomial3, QHPolynomial, _from_integer_terms,
                          _integer_terms, _is_constant, _mul_integer)
-from .homological import solve_homological
+from .homological import _solve_levels
 from .vectorfield import (PlanarVectorField, Poly2, VectorField3, _integer_bracket,
                           _integer_field, principal_part)
 
@@ -81,34 +81,39 @@ def apply_generator_step(field: VectorField3, step: GeneratorStep,
 
     The wrapper of `_integer_step`, which `orbital_normal_form` runs on a
     field kept in converted form from its first step to its last: the field
-    is converted once (`_integer_terms`), and the result's numerators become
-    `Fraction`s once, one per output coefficient (`_from_integer_terms`).
+    and the step are converted once (`_integer_terms`), and the result's
+    numerators become `Fraction`s once, one per output coefficient
+    (`_from_integer_terms`).
     """
     current = [_integer_terms(c) for c in field.truncate(max_field_degree).components]
-    current, _ = _integer_step(current, step, max_field_degree,
-                               all(map(_is_constant, current)))
+    current, _ = _integer_step(current, [_integer_terms(c) for c in step.generator.components],
+                               _integer_terms(step.reparam), step.generator.params,
+                               max_field_degree, all(map(_is_constant, current)))
     return VectorField3(*(_from_integer_terms(c, field.params) for c in current))
 
 
-def _integer_step(current: List[IntegerTerms], step: GeneratorStep, max_field_degree: int,
+def _integer_step(current: List[IntegerTerms], generator: List[IntegerTerms],
+                  reparam: IntegerTerms, params: Tuple[str, ...], max_field_degree: int,
                   constant: bool) -> Tuple[List[IntegerTerms], bool]:
     """`apply_generator_step` on the three converted components of a field
     truncated at `max_field_degree`, every coefficient of which is constant
-    when `constant` says so.  Returns the converted result and whether it
-    is constant.
+    when `constant` says so, for a step whose generator's three components
+    and reparametrization are in converted form too.  Returns the converted
+    result and whether it is constant.
 
-    The generator and its nine partials are converted once (`_integer_field`),
-    and whether it is constant is read once.  The time scaling is one
+    The generator's nine partials are taken once (`_integer_field`), and
+    whether it is constant is read once.  The time scaling is one
     `_mul_integer` per component.  The series current + sum_j
     ad_g^j(current) / j! brackets the generator with the previous term
     (`_integer_bracket`), and each component of the sum is one `_mul_integer`
     of term j times the constant 1/j!, so no `Fraction` is built.
     """
-    params = step.generator.params
-    generator = _integer_field(step.generator)
+    unit = (0,) * len(params)
+    generator = _integer_field(generator)
     constant = constant and all(map(_is_constant, generator[0]))
-    if step.reparam:
-        factor = _integer_terms(QHPolynomial.constant(1, params) + step.reparam)
+    if reparam[1]:
+        den, terms = reparam
+        factor = den, [(0, 0, 0, [(unit, den)])] + terms
         constant = constant and _is_constant(factor)
         current = [_mul_integer([(factor, c)], (), max_field_degree + w, constant)
                    for c, w in zip(current, (1, 1, 2))]
@@ -121,17 +126,16 @@ def _integer_step(current: List[IntegerTerms], step: GeneratorStep, max_field_de
         series.append(term)
         if len(series) > 4 * max_field_degree + 8:
             raise StructureError("adjoint exponential failed to terminate")
-    unit = (0,) * len(params)
     inverse_factorials = [(factorial(j), [(0, 0, 0, [(unit, 1)])]) for j in range(len(series))]
     return [_mul_integer([(t[i], c) for t, c in zip(series, inverse_factorials)], (),
                          None, constant)
             for i in range(3)], constant
 
 
-def _component(current: List[IntegerTerms], s: int, params: Tuple[str, ...]) -> VectorField3:
-    """The degree-s component of a field in converted form, as
-    `VectorField3.component` gives it; the terms come in ascending degree,
-    so each slice is found by bisection."""
+def _slices(current: List[IntegerTerms], s: int) -> List[IntegerTerms]:
+    """The degree-s component of a field in converted form, each slice over
+    its component's denominator; the terms come in ascending degree, so each
+    slice is found by bisection."""
     def degree(t):
         return t[0] + t[1] + 2 * t[2]
 
@@ -139,7 +143,7 @@ def _component(current: List[IntegerTerms], s: int, params: Tuple[str, ...]) -> 
     for (den, terms), k in zip(current, (s + 1, s + 1, s + 2)):
         lo = bisect_left(terms, k, key=degree)
         slices.append((den, terms[lo:bisect_right(terms, k, lo, key=degree)]))
-    return VectorField3(*(_from_integer_terms(c, params) for c in slices))
+    return slices
 
 
 def _resonant_field(s: int, a: ParamPolynomial, b: ParamPolynomial,
@@ -153,33 +157,35 @@ def _resonant_field(s: int, a: ParamPolynomial, b: ParamPolynomial,
     return VectorField3(fx, fy, fz)
 
 
-def _shifted(f: QHPolynomial, i: int, j: int, l: int = 0) -> QHPolynomial:
-    """f times x^i y^j z^l; the shift keeps the canonical term order."""
-    return QHPolynomial._wrap({Monomial3(m.ex + i, m.ey + j, m.ez + l): c
-                               for m, c in f.terms.items()}, f.params)
-
-
-def _divide_by_h(p: QHPolynomial, k: int) -> QHPolynomial:
-    """The degree-k quotient q with (x^2 + y^2) q = p.  On each level z^l the
-    coefficients of y^b satisfy p_b = q_b + q_(b-2), which gives q_b up to
-    b = k - 2l and leaves two equations; StructureError if they fail."""
-    zero = ParamPolynomial.zero(p.params)
-    terms = {}
-    for l in range(k // 2 + 2):
+def _divide_by_h(p: IntegerTerms, k: int) -> IntegerTerms:
+    """The degree-k quotient q with (x^2 + y^2) q = p, both in converted form
+    over p's denominator.  On each level z^l the numerators of y^b satisfy
+    p_b = q_b + q_(b-2), which gives q_b up to b = k - 2l and leaves two
+    equations; StructureError if they fail."""
+    den, terms = p
+    nums = {(ey, ez): items for _, ey, ez, items in terms}
+    out = []
+    for l in sorted({t[2] for t in terms}):
         e = k + 2 - 2 * l
-        q = []
+        q: List[Dict[tuple, int]] = []
         for b in range(e + 1):
-            rest = p.terms.get(Monomial3(e - b, b, l), zero) - (q[b - 2] if b >= 2 else zero)
+            rest = dict(nums.get((b, l), ()))
+            for exps, n in q[b - 2].items() if b >= 2 else ():
+                rest[exps] = rest.get(exps, 0) - n
+            rest = {exps: n for exps, n in rest.items() if n}
             if b <= e - 2:
                 q.append(rest)
             elif rest:
                 raise StructureError(f"degree-{k + 2} polynomial is not a multiple of x^2 + y^2")
-        terms.update((Monomial3(e - 2 - b, b, l), c) for b, c in enumerate(q) if c)
-    return QHPolynomial._wrap(terms, p.params)
+        out += [(e - 2 - b, b, l, list(c.items())) for b, c in enumerate(q) if c]
+    return den, out
 
 
-def _solve_degree(known: VectorField3, s: int):
-    """Solve [F0,U] - mu*F0 + a*R1 + b*R2 = known for (U, mu, a, b).
+def _solve_degree(known: List[IntegerTerms], s: int, params: Tuple[str, ...],
+                  constant: bool):
+    """Solve [F0,U] - mu*F0 + a*R1 + b*R2 = known for (U, mu, a, b), on the
+    three degree-s slices of a field in converted form, every coefficient of
+    which is constant when `constant` says so.
 
     With L = grad(.) . F0, w1(V) = x Vx + y Vy, w2(V) = x Vy - y Vx and
     h = x^2 + y^2, every field U satisfies
@@ -199,39 +205,52 @@ def _solve_degree(known: VectorField3, s: int):
     for even s, uy's x y^s and uz's z y^s and y^(s+2).  StructureError means
     a residual or remainder was left, which contradicts the normal-form
     structure theorem.
+
+    Every step is in converted form: products are `_mul_integer` calls with
+    one-monomial operands, and the z^(k+1) term of a degree-(s+2) slice is
+    its last.  Returns the generator's components and mu converted, a and b.
     """
-    params = known.params
-    kx, ky, kz = known.components
-    sols = [solve_homological(s + 2, _shifted(ky, 1, 0) - _shifted(kx, 0, 1)),  # w2(known)
-            solve_homological(s + 2, _shifted(kx, 1, 0) + _shifted(ky, 0, 1))]  # w1(known)
-    if any(sol.residual for sol in sols):
+    unit = (0,) * len(params)
+    k = s // 2
+
+    def at(ex, ey, ez, items, den=1):  # a one-monomial operand, or zero
+        return den, [(ex, ey, ez, list(items))] if items else []
+
+    def mul(*plus, minus=()):
+        return _mul_integer(plus, minus, None, constant)
+
+    def h_power(m):  # (x^2 + y^2)^m
+        return 1, [(2 * i, 2 * (m - i), 0, [(unit, comb(m, i))]) for i in range(m, -1, -1)]
+
+    def split(f):  # f without its z^(k+1) term and that term's numerators
+        den, terms = f
+        if terms and terms[-1][:3] == (0, 0, k + 1):
+            return (den, terms[:-1]), terms[-1][3]
+        return f, []
+
+    one, x, y = (at(*m, [(unit, 1)]) for m in ((0, 0, 0), (1, 0, 0), (0, 1, 0)))
+    kx, ky, kz = known
+    (w2, top2), (w1, top1) = split(mul((x, ky), minus=[(y, kx)])), split(mul((x, kx), (y, ky)))
+    if top2 or top1:
         raise StructureError(f"degree-{s} contracted equation has a z-power residual")
-    big_a, big_b = (sol.solution for sol in sols)
-    mu, a = QHPolynomial.zero(params), ParamPolynomial.zero(params)
-    if s % 2 == 0:
-        k = s // 2
-        top = Monomial3(0, 0, k + 1)
-        c = big_a.coefficient(top).scale(Fraction(-(k + 1), 2))
-        a = big_b.coefficient(top).scale(k + 1)
-        big_a, big_b = (QHPolynomial._wrap({m: v for m, v in f.terms.items() if m != top},
-                                           params) for f in (big_a, big_b))
-        if c:
-            mu = QHPolynomial._wrap({Monomial3(0, 0, k): c}, params)
-    sol = solve_homological(s + 2, kz + mu * QHPolynomial.h_power(1, params) + big_b.scale(2))
-    uz, b = sol.solution, sol.residual
-    ux = _divide_by_h(_shifted(big_b, 1, 0) - _shifted(big_a, 0, 1), s + 1)
-    uy = _divide_by_h(_shifted(big_b, 0, 1) + _shifted(big_a, 1, 0), s + 1)
+    (big_a, top_a), (big_b, top_b) = (split(_solve_levels(s + 2, w)) for w in (w2, w1))
+    mu = at(0, 0, k, [(e, -(k + 1) * n) for e, n in top_a], 2 * big_a[0])
+    a = ParamPolynomial._from_numerators({e: (k + 1) * n for e, n in top_b}, big_b[0], params)
+    rhs, top_z = split(mul((kz, one), (mu, h_power(1)),
+                           (at(0, 0, 0, [(unit, 2)]), big_b)))
+    b = ParamPolynomial._from_numerators(dict(top_z), rhs[0], params)
+    uz = _solve_levels(s + 2, rhs)
+    ux = _divide_by_h(mul((x, big_b), minus=[(y, big_a)]), s + 1)
+    uy = _divide_by_h(mul((y, big_b), (x, big_a)), s + 1)
     if s % 2 == 0:  # add the kernel fields that zero uy[x y^s], uz[z y^s], uz[y^(s+2)]
-        t1 = uy.coefficient(Monomial3(1, s, 0))
-        t2 = uz.coefficient(Monomial3(0, s, 1)).scale(Fraction(1, 2))
-        t3 = uz.coefficient(Monomial3(0, s + 2, 0))
-        hk = QHPolynomial.h_power(k, params)
-        xh, yh = _shifted(hk, 1, 0), _shifted(hk, 0, 1)
-        ux = ux + yh.scale_param(t1) - xh.scale_param(t2)
-        uy = uy - xh.scale_param(t1) - yh.scale_param(t2)
-        uz = (uz - _shifted(hk, 0, 0, 1).scale_param(t2.scale(2))
-              - QHPolynomial.h_power(k + 1, params).scale_param(t3))
-    return VectorField3(ux, uy, uz), mu, a, b
+        t1, t2, t3 = (next((t[3] for t in f[1] if t[:3] == m), [])
+                      for f, m in ((uy, (1, s, 0)), (uz, (0, s, 1)), (uz, (0, s + 2, 0))))
+        hk, d1, d2 = h_power(k), uy[0], uz[0]
+        ux = mul((ux, one), (at(0, 1, 0, t1, d1), hk), minus=[(at(1, 0, 0, t2, 2 * d2), hk)])
+        uy = mul((uy, one), minus=[(at(1, 0, 0, t1, d1), hk), (at(0, 1, 0, t2, 2 * d2), hk)])
+        uz = mul((uz, one), minus=[(at(0, 0, 1, t2, d2), hk),
+                                   (at(0, 0, 0, t3, d2), h_power(k + 1))])
+    return [ux, uy, uz], mu, a, b
 
 
 def orbital_normal_form(field: VectorField3, max_index: int) -> NormalFormResult:
@@ -247,7 +266,6 @@ def orbital_normal_form(field: VectorField3, max_index: int) -> NormalFormResult
         raise DegreeError("max_index must be at least 1")
     require_principal_part(field)
     params = field.params
-    zero_p = ParamPolynomial.zero(params)
     max_field_degree = 2 * max_index
     current = [_integer_terms(c) for c in field.truncate(max_field_degree).components]
     constant = all(map(_is_constant, current))
@@ -255,19 +273,17 @@ def orbital_normal_form(field: VectorField3, max_index: int) -> NormalFormResult
     b_coeffs: Dict[int, ParamPolynomial] = {}
     steps: List[GeneratorStep] = []
     for s in range(1, max_field_degree + 1):
-        known = _component(current, s, params)
-        if known.is_zero():
-            u, mu, a, b = VectorField3.zero(params), QHPolynomial.zero(params), zero_p, zero_p
-        else:
-            u, mu, a, b = _solve_degree(known, s)
+        u, mu, a, b = _solve_degree(_slices(current, s), s, params, constant)
         if s % 2 == 0:
             a_coeffs[s // 2] = a
             b_coeffs[s // 2] = b
-        step = GeneratorStep(degree=s, generator=u, reparam=mu)
-        steps.append(step)
-        if not (u.is_zero() and mu.is_zero()):
-            current, constant = _integer_step(current, step, max_field_degree, constant)
-        achieved = _component(current, s, params)
+        if any(terms for _, terms in u) or mu[1]:
+            current, constant = _integer_step(current, u, mu, params, max_field_degree,
+                                              constant)
+        steps.append(GeneratorStep(
+            degree=s, generator=VectorField3(*(_from_integer_terms(c, params) for c in u)),
+            reparam=_from_integer_terms(mu, params)))
+        achieved = VectorField3(*(_from_integer_terms(c, params) for c in _slices(current, s)))
         expected = _resonant_field(s, a, b, params)
         if achieved != expected:
             raise StructureError(f"degree-{s} slice not in normal form after solve")

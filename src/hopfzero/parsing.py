@@ -31,6 +31,9 @@ from .gradedpoly import QHPolynomial
 from .vectorfield import VectorField3
 
 _VARS = ("x", "y", "z")
+# parentheses and unary signs nest at most this deep, so that deeper input is
+# a ParseError, not a RecursionError (a parenthesis takes five stack frames)
+_MAX_DEPTH = 100
 
 # A name (a parameter's too) starts with a letter, `_` or a numeric character
 # that is not a decimal digit, such as `²`, and goes on with those or digits.
@@ -75,6 +78,7 @@ class _ExprParser:
         self.line = line
         self.params = params
         self.state_vars = state_vars
+        self.depth = 0
 
     def peek(self) -> Optional[Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -134,11 +138,17 @@ class _ExprParser:
 
     def parse_factor(self) -> QHPolynomial:
         tok = self.peek()
+        if self.depth == _MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {_MAX_DEPTH} levels",
+                             self.line, tok.column if tok else None)
+        self.depth += 1
         if tok is not None and tok.kind == "op" and tok.text in "+-":
             self.take()
-            inner = self.parse_factor()
-            return inner if tok.text == "+" else -inner
-        return self.parse_power()
+            node = self.parse_factor() if tok.text == "+" else -self.parse_factor()
+        else:
+            node = self.parse_power()
+        self.depth -= 1
+        return node
 
     def parse_power(self) -> QHPolynomial:
         base = self.parse_atom()

@@ -129,7 +129,7 @@ def lie_bracket(f: VectorField3, g: VectorField3) -> VectorField3:
     """
     if f.params != g.params:
         raise ValueError("parameter tables differ")
-    converted = _integer_field(f)
+    converted = _integer_field([_integer_terms(c) for c in f.components])
     g_comps = [_integer_terms(c) for c in g.components]
     constant = all(map(_is_constant, converted[0] + g_comps))
     comps = _integer_bracket(converted, g_comps, None, constant)
@@ -139,10 +139,10 @@ def lie_bracket(f: VectorField3, g: VectorField3) -> VectorField3:
 IntegerField = Tuple[List[IntegerTerms], List[List[IntegerTerms]]]
 
 
-def _integer_field(f: VectorField3) -> IntegerField:
-    """The components of `f` converted by `_integer_terms`, with their nine
-    partial derivatives, `partials[i][v]` that of component i in variable v."""
-    comps = [_integer_terms(c) for c in f.components]
+def _integer_field(comps: List[IntegerTerms]) -> IntegerField:
+    """A field's three components in converted form (`_integer_terms`), with
+    their nine partial derivatives, `partials[i][v]` that of component i in
+    variable v."""
     return comps, [[_integer_partial(c, v) for v in VAR_NAMES] for c in comps]
 
 

@@ -56,7 +56,7 @@ def capped_bracket(f, g, cap):
     """The components of [f, g] from `_integer_bracket` under the field
     degree `cap`, as the normal form's steps bracket, as polynomials."""
     g_comps = [_integer_terms(c) for c in g.components]
-    converted = _integer_field(f)
+    converted = _integer_field([_integer_terms(c) for c in f.components])
     constant = all(map(_is_constant, converted[0] + g_comps))
     return [_from_integer_terms(c, f.params)
             for c in _integer_bracket(converted, g_comps, cap, constant)]

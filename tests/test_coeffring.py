@@ -168,6 +168,13 @@ class TestReduce:
         assert hz.congruent_mod(var("a") ** 2, var("b") ** 2, c, "a")
         assert not hz.congruent_mod(var("a") ** 2, var("b"), c, "a")
 
+    @pytest.mark.parametrize("constraint", ["a*b", "b*a^2 + a", "b", "0"])
+    def test_congruent_mod_refuses_a_lead_that_is_not_a_nonzero_constant(self, constraint):
+        # a is not in the ideal (a*b), yet a*b divides lc^e * a for lc = b
+        c = hz.parse_polynomial(constraint, PARAMS)
+        with pytest.raises(ParameterError):
+            hz.congruent_mod(var("a"), const(0), c, "a")
+
 
 class TestPrinting:
     def test_string_roundtrip(self, rng):

@@ -264,6 +264,21 @@ class TestCli:
             1, "error: terms at or below degree 0 outside (-w*y, w*x, d*(x^2+y^2)) "
                "with w = 2, d = 1: dz: 2*x*y\n")
 
+    @pytest.mark.parametrize("args, code", [(["--param", "q=1"], 2),
+                                            (["--param", "a001=1"], 0)])
+    def test_the_request_is_checked_once(self, family37_file, monkeypatch, args, code):
+        # run_cli reads the fault build_report raises, and checks nothing twice
+        calls = []
+        check = hz.frontend._request_fault
+
+        def counting_check(*check_args):
+            calls.append(check_args)
+            return check(*check_args)
+
+        monkeypatch.setattr(hz.frontend, "_request_fault", counting_check)
+        assert hz.run_cli(["analyze", family37_file, "--max-degree", "2", *args])[0] == code
+        assert len(calls) == 1
+
     def test_bad_principal_part_is_exit_one(self, tmp_path):
         path = tmp_path / "bad.hz"
         path.write_text("dx = -2*y\ndy = 2*x\ndz = x^2 + 2*x*y + y^2\n",

@@ -10,7 +10,7 @@ import hopfzero as hz
 from hopfzero import (Monomial3, ParamPolynomial, PrincipalPartError,
                       QHPolynomial, StructureError, VectorField3)
 from hopfzero import normalform, vectorfield
-from hopfzero.gradedpoly import _integer_terms, _is_constant
+from hopfzero.gradedpoly import _from_integer_terms, _integer_terms, _is_constant
 from hopfzero.normalform import GeneratorStep, _divide_by_h, _solve_degree
 
 from conftest import (field_from_text, random_field_component,
@@ -170,13 +170,13 @@ class TestClassifyNormalForm:
         solved, transformed = [], []
         solve, step = normalform._solve_degree, normalform._integer_step
 
-        def counting_solve(known, s):
+        def counting_solve(known, s, params, constant):
             solved.append(s)
-            return solve(known, s)
+            return solve(known, s, params, constant)
 
-        def counting_step(current, generator_step, max_field_degree, constant):
+        def counting_step(current, generator, reparam, params, max_field_degree, constant):
             transformed.append(max_field_degree)
-            return step(current, generator_step, max_field_degree, constant)
+            return step(current, generator, reparam, params, max_field_degree, constant)
 
         monkeypatch.setattr(normalform, "_solve_degree", counting_solve)
         monkeypatch.setattr(normalform, "_integer_step", counting_step)
@@ -187,14 +187,26 @@ class TestClassifyNormalForm:
         assert transformed and max(transformed) <= 2
 
 
+def solve_degree(known, s):
+    """`_solve_degree` on a field slice, converted in and out: the generator
+    and mu as polynomials."""
+    params = known.params
+    converted = [_integer_terms(c) for c in known.components]
+    u, mu, a, b = _solve_degree(converted, s, params, all(map(_is_constant, converted)))
+    return (VectorField3(*(_from_integer_terms(c, params) for c in u)),
+            _from_integer_terms(mu, params), a, b)
+
+
 class TestSolveDegree:
     """The degree solve meets its defining equation, checked with the generic
-    Lie bracket: [F0, U] - mu F0 + a R1 + b R2 == known."""
+    Lie bracket: [F0, U] - mu F0 + a R1 + b R2 == known.  Slices without
+    parameters take the solve's constant path, those with one its general
+    path."""
 
     @staticmethod
     def check(known, s):
         params = known.params
-        u, mu, a, b = _solve_degree(known, s)
+        u, mu, a, b = solve_degree(known, s)
         f0 = hz.principal_part(params)
         achieved = hz.lie_bracket(f0, u) - scale_field(f0, mu)
         if s % 2 == 0:
@@ -216,12 +228,17 @@ class TestSolveDegree:
         self.check(param_field_component(rng, s, ("p",)), s)
 
     def test_division_by_h_rejects_a_non_multiple(self):
-        h = QHPolynomial.h_power(1, ())
-        p = h * QHPolynomial({(1, 2, 0): 3, (0, 1, 1): Fraction(1, 2)}, ())
-        assert _divide_by_h(p, 3) == QHPolynomial({(1, 2, 0): 3, (0, 1, 1): Fraction(1, 2)}, ())
-        for extra in ({(5, 0, 0): 1}, {(0, 5, 0): 1}, {(0, 1, 2): 1}, {(2, 1, 1): 1}):
-            with pytest.raises(StructureError):
-                _divide_by_h(p + QHPolynomial(extra, ()), 3)
+        for params in ((), ("p",)):
+            h = QHPolynomial.h_power(1, params)
+            coeff = ParamPolynomial({(0,) * len(params): 1, (1,) * len(params): 2}, params)
+            q = QHPolynomial({(1, 2, 0): 3, (0, 1, 1): Fraction(1, 2),
+                              (0, 3, 0): coeff}, params)
+            p = _integer_terms(h * q)
+            assert stored_form(_from_integer_terms(_divide_by_h(p, 3), params)) == \
+                stored_form(q)
+            for extra in ({(5, 0, 0): 1}, {(0, 5, 0): 1}, {(0, 1, 2): 1}, {(2, 1, 1): 1}):
+                with pytest.raises(StructureError):
+                    _divide_by_h(_integer_terms(h * q + QHPolynomial(extra, params)), 3)
 
 
 class TestSolveDegreeMatchesElimination:
@@ -232,7 +249,7 @@ class TestSolveDegreeMatchesElimination:
 
     @staticmethod
     def assert_same(known, s):
-        new = _solve_degree(known, s)
+        new = solve_degree(known, s)
         old = elimination_solve_degree(known, s)
         for name, got, want in zip(("ux", "uy", "uz"), new[0].components,
                                    old[0].components):
@@ -265,6 +282,47 @@ class TestSolveDegreeMatchesElimination:
             assert free == expected, s
 
 
+def reference_normal_form(field, max_index):
+    """`orbital_normal_form` from the references alone, in `Fraction`
+    arithmetic: each degree solved by `oracle.elimination_solve_degree` and
+    each step taken by `oracle.lie_series_step`.  Returns the coefficient
+    streams, the steps and the transformed field."""
+    n = 2 * max_index
+    current = field.truncate(n)
+    a_coeffs, b_coeffs, steps = {}, {}, []
+    for s in range(1, n + 1):
+        u, mu, a, b = elimination_solve_degree(current.component(s), s)
+        if s % 2 == 0:
+            a_coeffs[s // 2], b_coeffs[s // 2] = a, b
+        steps.append(GeneratorStep(degree=s, generator=u, reparam=mu))
+        if not (u.is_zero() and mu.is_zero()):
+            current = lie_series_step(current, steps[-1], n)
+    return a_coeffs, b_coeffs, steps, current
+
+
+class TestWholeRunMatchesReference:
+    """A whole run equals the run of the references, term order included:
+    the degree solve and the steps in converted form change no output."""
+
+    @pytest.mark.parametrize("params", [("p",), ("p", "q")])
+    def test_random_fields(self, rng, params):
+        # sparse and of low degree, as the reference's products take no cap
+        field = hz.principal_part(params)
+        for s in (1, 2):
+            field = field + param_field_component(rng, s, params, 0.2, 1, 1)
+        nf = hz.orbital_normal_form(field, 4)
+        a_coeffs, b_coeffs, steps, current = reference_normal_form(field, 4)
+        for got, want in ((nf.a_coeffs, a_coeffs), (nf.b_coeffs, b_coeffs)):
+            assert [(k, list(c.terms.items())) for k, c in got.items()] == \
+                [(k, list(c.terms.items())) for k, c in want.items()]
+        assert [step.degree for step in nf.generators] == list(range(1, 9))
+        for got, want in zip(nf.generators, steps):
+            assert stored_terms(got.generator) == stored_terms(want.generator), got.degree
+            assert stored_form(got.reparam) == stored_form(want.reparam), got.degree
+        assert stored_terms(nf.field) == stored_terms(current)
+        assert any(nf.a_coeffs.values()) and any(step.reparam for step in nf.generators)
+
+
 def stored_form(f):
     """The terms of `f` in stored order, with each coefficient's terms."""
     return [(m, list(c.terms.items())) for m, c in f.terms.items()]
@@ -280,12 +338,13 @@ def rational_field_component(rng, s):
     return VectorField3(component(s + 1), component(s + 1), component(s + 2))
 
 
-def param_field_component(rng, s, params):
-    """Random degree-s field slice with coefficients polynomial in `params`."""
+def param_field_component(rng, s, params, density=0.7, max_degree=2, terms=2):
+    """Random degree-s field slice with coefficients polynomial in `params`,
+    a share `density` of the slice's monomials with random_ppoly coefficients."""
     def component(degree):
-        return QHPolynomial({m: random_ppoly(rng, params, max_degree=2, terms=2)
+        return QHPolynomial({m: random_ppoly(rng, params, max_degree=max_degree, terms=terms)
                              for m in hz.slice_basis(degree).monomials
-                             if rng.random() < 0.7}, params)
+                             if rng.random() < density}, params)
 
     return VectorField3(component(s + 1), component(s + 1), component(s + 2))
 

@@ -54,6 +54,20 @@ class TestParseSystem:
             hz.parse_system("dx = x^-2\ndy = 2*x\ndz = x^2 + y^2\n")
         assert "exponent" in str(err.value)
 
+    @pytest.mark.parametrize("opening, closing", [("(", ")"), ("-", "")])
+    def test_deep_nesting_is_a_parse_error(self, tmp_path, opening, closing):
+        # the k-th opening token is at level k and column 17 + k, and x one
+        # level below the last; level 101 is refused, at its token
+        def system(depth):
+            return f"dx = -2*y\ndy = 2*x\ndz = x^2 + y^2 + {opening * depth}x{closing * depth}\n"
+
+        assert hz.parse_system(system(99)).to_field().fz.coefficient((1, 0, 0))
+        path = tmp_path / "deep.txt"
+        path.write_text(system(2000), encoding="utf-8")
+        code, text = hz.run_cli(["analyze", str(path)])
+        assert (code, text) == (2, "parse error: expression nested deeper than 100 levels "
+                                   "at line 3, column 118\n")
+
     def test_missing_component(self):
         with pytest.raises(ParseError) as err:
             hz.parse_system("dx = -2*y\ndy = 2*x\n")
