@@ -36,10 +36,9 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cache, partial
-from operator import add
 from typing import Dict, List, Optional, Tuple
 
-from .coeffring import ParamPolynomial
+from .coeffring import _EXP_BITS, _EXP_MASK, ParamPolynomial, _pack, _refuse_overflow
 from .errors import DegreeError, StructureError
 from .gradedpoly import (IntegerTerms, Monomial3, QHPolynomial, _from_integer_terms,
                          _integer_partial, _integer_terms, _mul_integer)
@@ -101,48 +100,59 @@ class _Modulus:
 
     With its denominators cleared and its sign fixed, g is lc*p^d + tail:
     lc a positive integer and the tail, of degree below d in p, integer
-    items (exponents, numerator).  Modulo g, p^d is -tail/lc, so each power
-    p^e is congruent to one polynomial of degree below d in p, held as
-    integer items over lc^s (`_power`), and each coefficient to its true
-    remainder, the one polynomial of degree below d in p congruent to it.
-    It equals pseudo_remainder(c, g, p)[0] / lc(g)^e.  Taking it is a ring
-    homomorphism Q[params] -> Q[params]/(g), which is what lets the
-    continuation run in the quotient.  A leading coefficient that is not a
-    constant raises ParameterError, since then it is not.
+    items (key, numerator), each exponent vector packed into one `int` key
+    as in the converted form (`coeffring._pack`).  Modulo g, p^d is
+    -tail/lc, so each power p^e is congruent to one polynomial of degree
+    below d in p, held as integer items over lc^s (`_power`), and each
+    coefficient to its true remainder, the one polynomial of degree below d
+    in p congruent to it.  It equals pseudo_remainder(c, g, p)[0] / lc(g)^e.
+    Taking it is a ring homomorphism Q[params] -> Q[params]/(g), which is
+    what lets the continuation run in the quotient.  A leading coefficient
+    that is not a constant raises ParameterError, since then it is not.
+
+    The exponent of p in a key is read with a shift and a mask, and a
+    monomial times a power of p is a sum of keys, checked like the graded
+    kernel's (`coeffring._refuse_overflow`): an exponent of 2^63 or more in
+    the tail, or a reduced exponent that reaches it, raises ParameterError.
+    (A degree d of 2^63 or more needs no guard: every exponent of p in the
+    converted form is below it, so reducing leaves each coefficient as is.)
     """
 
     def __init__(self, constraint: ParamPolynomial, var: str):
-        self.index = i = constraint._param_index(var)
+        i = constraint._param_index(var)
+        self.shift = _EXP_BITS * i
         self.degree = d = constraint.degree_in(var)
         lead = constraint.coefficient_of_power(var, d).constant_value()
         den = math.lcm(*(c.denominator for c in constraint.terms.values()))
         if lead < 0:
             den = -den
         self.lc = int(lead * den)
-        self._tail = [(e, int(c * den)) for e, c in constraint.terms.items() if e[i] < d]
-        self._powers = {d: (1, [(e, -n) for e, n in self._tail])}
+        self._tail = [(_pack(e), int(c * den)) for e, c in constraint.terms.items() if e[i] < d]
+        self._powers = {d: (1, [(key, -n) for key, n in self._tail])}
 
-    def _power(self, e: int) -> Tuple[int, List[Tuple[tuple, int]]]:
+    def _power(self, e: int) -> Tuple[int, List[Tuple[int, int]]]:
         """(s, items): p^e, for e >= d, is congruent to items / lc^s, of
         degree below d in p.  Each power is p times the one before, with the
         items that reach p^d replaced by -tail/lc; s never decreases with e."""
-        i, d, table = self.index, self.degree, self._powers
+        shift, d, table = self.shift, self.degree, self._powers
+        step, below = 1 << shift, (d - 1) << shift
         top = max(table)
         while top < e:
             s, items = table[top]
             low, high = [], []
-            for exps, n in items:
-                if exps[i] == d - 1:
-                    high.append((exps[:i] + (0,) + exps[i + 1:], n))
+            for key, n in items:
+                if key >> shift & _EXP_MASK == d - 1:
+                    high.append((key - below, n))
                 else:
-                    low.append((exps[:i] + (exps[i] + 1,) + exps[i + 1:], n))
+                    low.append((key + step, n))
             if high:
-                out = {exps: n * self.lc for exps, n in low}
+                out = {key: n * self.lc for key, n in low}
                 for rest, n in high:
                     for t, m in self._tail:
-                        key = tuple(map(add, rest, t))
+                        key = rest + t
                         out[key] = out.get(key, 0) - n * m
-                s, low = s + 1, [(exps, n) for exps, n in out.items() if n]
+                _refuse_overflow(out)
+                s, low = s + 1, [(key, n) for key, n in out.items() if n]
             top += 1
             table[top] = s, low
         return table[e]
@@ -154,27 +164,29 @@ class _Modulus:
         1.  The items are scaled to lc^S, S the largest s of the powers of p
         they hold, and then divided by that gcd."""
         den, terms = converted
-        i, d = self.index, self.degree
-        top = max((exps[i] for term in terms for exps, _ in term[3]), default=0)
+        shift, d = self.shift, self.degree
+        top = max((key >> shift & _EXP_MASK for term in terms for key, _ in term[3]),
+                  default=0)
         if top < d:
             return converted
         big = self._power(top)[0]
         lifts = [self.lc ** (big - s) for s in range(big + 1)]
         out = []
         for *mono, items in terms:
-            acc: Dict[tuple, int] = {}
-            for exps, n in items:
-                e = exps[i]
+            acc: Dict[int, int] = {}
+            for key, n in items:
+                e = key >> shift & _EXP_MASK
                 if e < d:
-                    acc[exps] = acc.get(exps, 0) + n * lifts[0]
+                    acc[key] = acc.get(key, 0) + n * lifts[0]
                     continue
                 s, power = self._powers[e]
-                rest = exps[:i] + (0,) + exps[i + 1:]
+                rest = key - (e << shift)
                 n *= lifts[s]
                 for t, m in power:
-                    key = tuple(map(add, rest, t))
+                    key = rest + t
                     acc[key] = acc.get(key, 0) + n * m
-            items = [(exps, n) for exps, n in acc.items() if n]
+            _refuse_overflow(acc)
+            items = [(key, n) for key, n in acc.items() if n]
             if items:
                 out.append((*mono, items))
         den *= lifts[0]
@@ -266,7 +278,7 @@ def _continuation(field: VectorField3, max_index: int, method: Method, power: in
             den, terms = rhs
             nums = terms[-1][3] if terms and terms[-1][2] == top else ()
             entry = ParamPolynomial._from_numerators(
-                {e: -n for e, n in nums}, den, params)
+                {e: -n for e, n in nums}, den, params, {})
         solve = cache(partial(_solve_levels, degree, rhs))
         yield degree, entry, solve
         if degree < 2 * max_index and (solved := solve())[1]:

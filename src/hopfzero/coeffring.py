@@ -18,14 +18,20 @@ package shares, each written once: `_from_numerators`, which turns the
 integer numerators of the graded product and the slice solve into `Fraction`
 coefficients; `_merged`, the term merge of the `QHPolynomial` and `Poly2`
 constructors; and `_format_terms`, the printer of all three types.
+
+It also owns the packed exponent layout of the graded kernel's converted
+form (`gradedpoly.IntegerTerms`), in which an exponent vector is one `int`
+key, 64 bits per parameter: `_pack`, `_unpack` and the guard of key sums,
+`_refuse_overflow`.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import add
-from typing import Iterable, Mapping, Union
+from functools import reduce
+from operator import add, or_
+from typing import Dict, Iterable, Mapping, Union
 
 from .errors import ParameterError
 
@@ -46,6 +52,43 @@ def _read_int(text: str) -> int:
     if not _INTEGER.fullmatch(text.strip()):
         raise ValueError(f"invalid integer {text!r}")
     return int(text)
+
+
+# the packed layout: the exponent of parameter i in bits [64 i, 64 i + 64)
+# of a key, below _EXP_LIMIT, so that a sum of two keys carries out of no
+# field; the all-zero vector is the key 0
+_EXP_BITS = 64
+_EXP_MASK = (1 << _EXP_BITS) - 1
+_EXP_LIMIT = 1 << (_EXP_BITS - 1)
+
+
+def _pack(exps: tuple) -> int:
+    """The packed key of the exponent vector `exps`; ParameterError for an
+    exponent outside [0, _EXP_LIMIT)."""
+    key = 0
+    for e in reversed(exps):
+        if not 0 <= e < _EXP_LIMIT:
+            raise ParameterError(
+                f"parameter exponent {e} is outside the supported range 0 .. 2^63 - 1")
+        key = key << _EXP_BITS | e
+    return key
+
+
+def _unpack(key: int, n: int) -> tuple:
+    """The exponent vector of `n` entries that the key `key` packs."""
+    return tuple(key >> s & _EXP_MASK for s in range(0, _EXP_BITS * n, _EXP_BITS))
+
+
+def _refuse_overflow(keys: Iterable[int]) -> None:
+    """Raise ParameterError if a field of some key in `keys`, each a sum of
+    two keys of fields below _EXP_LIMIT, reached _EXP_LIMIT: the top bit of
+    each field is then set in their bitwise or."""
+    seen = reduce(or_, keys, 0)
+    # a 1 at the lowest bit of every field up to the highest one `seen` reaches
+    ones = ((1 << _EXP_BITS * (seen.bit_length() // _EXP_BITS + 1)) - 1) // _EXP_MASK
+    if seen & ones << (_EXP_BITS - 1):
+        raise ParameterError("a parameter exponent reached 2^63 in a product; "
+                             "exponents must stay below 2^63")
 
 
 def rat(value: RationalLike) -> Fraction:
@@ -119,15 +162,25 @@ class ParamPolynomial:
         return self
 
     @classmethod
-    def _from_numerators(cls, nums: Mapping[tuple, int], den: int,
-                         params: tuple) -> "ParamPolynomial":
+    def _from_numerators(cls, nums: Mapping[int, int], den: int, params: tuple,
+                         memo: Dict[int, tuple]) -> "ParamPolynomial":
         """The polynomial with coefficients `n / den` for `nums` mapping
-        exponent tuples of `len(params)` entries to integers, `den > 0`: one
-        `Fraction` per nonzero numerator, which reduces to lowest terms, in
-        canonical order.  Integer kernels hand their results back through it."""
-        return cls._wrap({e: Fraction(nums[e], den)
-                          for e in sorted(nums, key=_degree_lex, reverse=True) if nums[e]},
-                         params)
+        packed exponent keys over `params` (`_pack`) to integers, `den > 0`:
+        one `Fraction` per nonzero numerator, which reduces to lowest terms,
+        in canonical order.  Integer kernels hand their results back through
+        it.  Each key is unpacked through `memo`, a dict from keys to
+        exponent tuples that the caller makes for one conversion and passes
+        to each of its coefficients, so equal vectors share one tuple."""
+        width = len(params)
+        terms = {}
+        for key, n in nums.items():
+            if n:
+                exps = memo.get(key)
+                if exps is None:
+                    exps = memo[key] = _unpack(key, width)
+                terms[exps] = n
+        return cls._wrap({e: Fraction(terms[e], den)
+                          for e in sorted(terms, key=_degree_lex, reverse=True)}, params)
 
     def __setattr__(self, name, value):
         raise AttributeError("ParamPolynomial is immutable")

@@ -20,7 +20,13 @@ converted by `_integer_terms` to integer numerators over one common
 denominator, and partial derivatives are taken from the converted form
 (`_integer_partial`, which the method `partial` also uses), so each
 coefficient is read once; the kernel sums Python `int`s, one per output
-monomial when every operand coefficient is a constant.  The public products
+monomial when every operand coefficient is a constant.  In the converted
+form each parameter exponent vector is one `int` key, 64 bits per parameter
+(`coeffring._pack`), so the kernel multiplies two parameter monomials with
+one `int` add and checks its output once for an exponent that reached 2^63
+(`coeffring._refuse_overflow`); the monomial keys stay (ex, ey, ez), and
+the keys are unpacked to exponent tuples only when numerators become
+`Fraction`s again (`ParamPolynomial._from_numerators`).  The public products
 take no cap.  The normal form's steps (`normalform._integer_step`) call the
 kernel under a degree cap, and it reads only what the cap keeps;
 `_integer_partial` takes a degree limit for a caller that stops a partial
@@ -40,10 +46,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add
+from itertools import chain
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .coeffring import ParamPolynomial, RationalLike, _format_terms, _merged, rat
+from .coeffring import (ParamPolynomial, RationalLike, _format_terms, _merged, _pack,
+                        _refuse_overflow, rat)
 from .errors import DegreeError
 
 WEIGHTS = (1, 1, 2)
@@ -258,15 +265,19 @@ class QHPolynomial:
         return f"QHPolynomial({self})"
 
 
-IntegerTerms = Tuple[int, List[Tuple[int, int, int, List[Tuple[tuple, int]]]]]
+# (D, [(ex, ey, ez, [(key, numerator)])]): each parameter exponent vector
+# packed into one int key (`coeffring._pack`), every field below 2^63
+IntegerTerms = Tuple[int, List[Tuple[int, int, int, List[Tuple[int, int]]]]]
 
 
 def _integer_terms(f: QHPolynomial) -> IntegerTerms:
     """`f` as integer numerators over one common denominator:
-    (D, [(ex, ey, ez, [(exponents, numerator)])]), D the lcm of every
-    coefficient denominator of `f`, the terms in canonical order."""
+    (D, [(ex, ey, ez, [(key, numerator)])]), D the lcm of every coefficient
+    denominator of `f`, the terms in canonical order and each coefficient's
+    items in its own, each exponent vector packed into one `int` key
+    (`coeffring._pack`, which refuses an exponent of 2^63 or more)."""
     common = math.lcm(*{q.denominator for c in f.terms.values() for q in c.terms.values()})
-    return common, [(*m, [(p, q.numerator * (common // q.denominator))
+    return common, [(*m, [(_pack(p), q.numerator * (common // q.denominator))
                            for p, q in c.terms.items()])
                     for m, c in f.terms.items()]
 
@@ -296,20 +307,23 @@ def _integer_partial(converted: IntegerTerms, var: str,
 
 def _from_integer_terms(converted: IntegerTerms, params: Tuple[str, ...]) -> QHPolynomial:
     """The polynomial of a zero-free converted form, in its monomial order:
-    one `Fraction` per numerator, through `ParamPolynomial._from_numerators`."""
+    one `Fraction` per numerator, through `ParamPolynomial._from_numerators`,
+    whose unpacking memo the coefficients share."""
     den, terms = converted
+    memo: Dict[int, tuple] = {}
     return QHPolynomial._wrap(
         {tuple.__new__(Monomial3, t[:3]):
-         ParamPolynomial._from_numerators(dict(t[3]), den, params) for t in terms},
+         ParamPolynomial._from_numerators(dict(t[3]), den, params, memo) for t in terms},
         params)
 
 
 def _is_constant(converted: IntegerTerms) -> bool:
-    """Whether every coefficient is one term with all-zero exponents, as in a
-    field bound to a numeric point, whatever its parameter table."""
+    """Whether every coefficient is one term with all-zero exponents (key
+    `0`), as in a field bound to a numeric point, whatever its parameter
+    table."""
     for term in converted[1]:
         items = term[3]
-        if len(items) != 1 or any(items[0][0]):
+        if len(items) != 1 or items[0][0]:
             return False
     return True
 
@@ -334,15 +348,18 @@ def _mul_integer(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
     degree, so the pairs above the cap are cut off with a `break` rather
     than tested one by one.  When every operand coefficient is constant
     (`_is_constant`), each monomial's sum is one plain `int`, with no
-    exponent dict and no per-product `tuple(map(add, ...))`.  A caller that
-    already knows whether the operands are constant passes `constant`, and
-    no operand is scanned.
+    exponent dict.  A caller that already knows whether the operands are
+    constant passes `constant`, and no operand is scanned.  Otherwise each
+    pair of coefficient items adds its packed exponent keys, one `int` add;
+    the output keys are checked once (`coeffring._refuse_overflow`), so a
+    parameter exponent that reaches 2^63 raises ParameterError instead of
+    carrying into its neighbour's field.
     """
     cap = math.inf if max_degree is None else max_degree
-    operands = [x for pairs in (plus, minus) for pair in pairs for x in pair]
     common = math.lcm(*(a[0] * b[0] for pairs in (plus, minus) for a, b in pairs))
     if constant is None:
-        constant = all(map(_is_constant, operands))
+        constant = all(_is_constant(x) for pairs in (plus, minus) for pair in pairs
+                       for x in pair)
     acc: Dict[tuple, object] = {}
     for sign, pairs in ((1, plus), (-1, minus)):
         for (da, a_terms), (db, b_terms) in pairs:
@@ -386,15 +403,15 @@ def _mul_integer(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
                             out = acc[key] = {}
                         for ea, na in a_items:
                             for eb, nb in b_items:
-                                e = tuple(map(add, ea, eb))
+                                e = ea + eb
                                 out[e] = out.get(e, 0) + na * nb
     # zero sums leave the gcd as it is, so it is taken before they are dropped
     keys = sorted(acc, key=_mono_sort_key)
     if constant:
         g = math.gcd(common, *acc.values())
-        zero = next((x[1][0][3][0][0] for x in operands if x[1]), None)
-        terms = [(*key, [(zero, n // g)]) for key in keys if (n := acc[key])]
+        terms = [(*key, [(0, n // g)]) for key in keys if (n := acc[key])]
     else:
+        _refuse_overflow(chain.from_iterable(acc.values()))
         g = math.gcd(common, *(n for sums in acc.values() for n in sums.values()))
         terms = []
         for key in keys:

@@ -16,8 +16,10 @@ inferred.  The field stays in the graded kernel's converted form
 (`gradedpoly.IntegerTerms`) from the first step to the last, and so do the
 degree solve, its slice solves (`homological._solve_levels`) and each step
 (`_integer_step`).  Per degree only the generator, mu, a and b, and the
-achieved slice the check reads, are built as `Fraction`s; the returned
-field's numerators become `Fraction`s once per run.
+achieved slice the check reads, are built as `Fraction`s.  The returned
+field is F0 plus the checked resonant slices, which the per-degree check
+makes equal to the transformed field, so the converted field never becomes
+`Fraction`s as a whole.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ class NormalFormResult:
     a_coeffs[k] and b_coeffs[k] are the coefficients of (z^k x, z^k y, 0) and
     (0, 0, z^(k+1)) in the transformed field, for k = 1..max_index.  `field`
     is the fully transformed field truncated at quasi-homogeneous field degree
-    2*max_index, and `generators` the per-degree steps that produce it.
+    2*max_index, and `generators` the per-degree steps that produce it; it
+    equals `normal_form_field` of the streams, term order included.
     """
 
     a_coeffs: Dict[int, ParamPolynomial]
@@ -87,13 +90,13 @@ def apply_generator_step(field: VectorField3, step: GeneratorStep,
     """
     current = [_integer_terms(c) for c in field.truncate(max_field_degree).components]
     current, _ = _integer_step(current, [_integer_terms(c) for c in step.generator.components],
-                               _integer_terms(step.reparam), step.generator.params,
-                               max_field_degree, all(map(_is_constant, current)))
+                               _integer_terms(step.reparam), max_field_degree,
+                               all(map(_is_constant, current)))
     return VectorField3(*(_from_integer_terms(c, field.params) for c in current))
 
 
 def _integer_step(current: List[IntegerTerms], generator: List[IntegerTerms],
-                  reparam: IntegerTerms, params: Tuple[str, ...], max_field_degree: int,
+                  reparam: IntegerTerms, max_field_degree: int,
                   constant: bool) -> Tuple[List[IntegerTerms], bool]:
     """`apply_generator_step` on the three converted components of a field
     truncated at `max_field_degree`, every coefficient of which is constant
@@ -108,12 +111,11 @@ def _integer_step(current: List[IntegerTerms], generator: List[IntegerTerms],
     (`_integer_bracket`), and each component of the sum is one `_mul_integer`
     of term j times the constant 1/j!, so no `Fraction` is built.
     """
-    unit = (0,) * len(params)
     generator = _integer_field(generator)
     constant = constant and all(map(_is_constant, generator[0]))
     if reparam[1]:
         den, terms = reparam
-        factor = den, [(0, 0, 0, [(unit, den)])] + terms
+        factor = den, [(0, 0, 0, [(0, den)])] + terms
         constant = constant and _is_constant(factor)
         current = [_mul_integer([(factor, c)], (), max_field_degree + w, constant)
                    for c, w in zip(current, (1, 1, 2))]
@@ -126,7 +128,7 @@ def _integer_step(current: List[IntegerTerms], generator: List[IntegerTerms],
         series.append(term)
         if len(series) > 4 * max_field_degree + 8:
             raise StructureError("adjoint exponential failed to terminate")
-    inverse_factorials = [(factorial(j), [(0, 0, 0, [(unit, 1)])]) for j in range(len(series))]
+    inverse_factorials = [(factorial(j), [(0, 0, 0, [(0, 1)])]) for j in range(len(series))]
     return [_mul_integer([(t[i], c) for t, c in zip(series, inverse_factorials)], (),
                          None, constant)
             for i in range(3)], constant
@@ -210,7 +212,6 @@ def _solve_degree(known: List[IntegerTerms], s: int, params: Tuple[str, ...],
     one-monomial operands, and the z^(k+1) term of a degree-(s+2) slice is
     its last.  Returns the generator's components and mu converted, a and b.
     """
-    unit = (0,) * len(params)
     k = s // 2
 
     def at(ex, ey, ez, items, den=1):  # a one-monomial operand, or zero
@@ -220,7 +221,7 @@ def _solve_degree(known: List[IntegerTerms], s: int, params: Tuple[str, ...],
         return _mul_integer(plus, minus, None, constant)
 
     def h_power(m):  # (x^2 + y^2)^m
-        return 1, [(2 * i, 2 * (m - i), 0, [(unit, comb(m, i))]) for i in range(m, -1, -1)]
+        return 1, [(2 * i, 2 * (m - i), 0, [(0, comb(m, i))]) for i in range(m, -1, -1)]
 
     def split(f):  # f without its z^(k+1) term and that term's numerators
         den, terms = f
@@ -228,17 +229,17 @@ def _solve_degree(known: List[IntegerTerms], s: int, params: Tuple[str, ...],
             return (den, terms[:-1]), terms[-1][3]
         return f, []
 
-    one, x, y = (at(*m, [(unit, 1)]) for m in ((0, 0, 0), (1, 0, 0), (0, 1, 0)))
+    one, x, y = (at(*m, [(0, 1)]) for m in ((0, 0, 0), (1, 0, 0), (0, 1, 0)))
     kx, ky, kz = known
     (w2, top2), (w1, top1) = split(mul((x, ky), minus=[(y, kx)])), split(mul((x, kx), (y, ky)))
     if top2 or top1:
         raise StructureError(f"degree-{s} contracted equation has a z-power residual")
     (big_a, top_a), (big_b, top_b) = (split(_solve_levels(s + 2, w)) for w in (w2, w1))
     mu = at(0, 0, k, [(e, -(k + 1) * n) for e, n in top_a], 2 * big_a[0])
-    a = ParamPolynomial._from_numerators({e: (k + 1) * n for e, n in top_b}, big_b[0], params)
-    rhs, top_z = split(mul((kz, one), (mu, h_power(1)),
-                           (at(0, 0, 0, [(unit, 2)]), big_b)))
-    b = ParamPolynomial._from_numerators(dict(top_z), rhs[0], params)
+    a = ParamPolynomial._from_numerators({e: (k + 1) * n for e, n in top_b}, big_b[0],
+                                         params, {})
+    rhs, top_z = split(mul((kz, one), (mu, h_power(1)), (at(0, 0, 0, [(0, 2)]), big_b)))
+    b = ParamPolynomial._from_numerators(dict(top_z), rhs[0], params, {})
     uz = _solve_levels(s + 2, rhs)
     ux = _divide_by_h(mul((x, big_b), minus=[(y, big_a)]), s + 1)
     uy = _divide_by_h(mul((y, big_b), (x, big_a)), s + 1)
@@ -272,14 +273,14 @@ def orbital_normal_form(field: VectorField3, max_index: int) -> NormalFormResult
     a_coeffs: Dict[int, ParamPolynomial] = {}
     b_coeffs: Dict[int, ParamPolynomial] = {}
     steps: List[GeneratorStep] = []
+    normal = principal_part(params)
     for s in range(1, max_field_degree + 1):
         u, mu, a, b = _solve_degree(_slices(current, s), s, params, constant)
         if s % 2 == 0:
             a_coeffs[s // 2] = a
             b_coeffs[s // 2] = b
         if any(terms for _, terms in u) or mu[1]:
-            current, constant = _integer_step(current, u, mu, params, max_field_degree,
-                                              constant)
+            current, constant = _integer_step(current, u, mu, max_field_degree, constant)
         steps.append(GeneratorStep(
             degree=s, generator=VectorField3(*(_from_integer_terms(c, params) for c in u)),
             reparam=_from_integer_terms(mu, params)))
@@ -287,11 +288,12 @@ def orbital_normal_form(field: VectorField3, max_index: int) -> NormalFormResult
         expected = _resonant_field(s, a, b, params)
         if achieved != expected:
             raise StructureError(f"degree-{s} slice not in normal form after solve")
+        normal = normal + expected
+    # every slice of the transformed field above degree 0 was checked equal
+    # to the resonant field, so the field is F0 plus those, term order included
     return NormalFormResult(a_coeffs=a_coeffs, b_coeffs=b_coeffs,
                             max_index=max_index, generators=tuple(steps),
-                            field=VectorField3(*(_from_integer_terms(c, params)
-                                                 for c in current)),
-                            params=params)
+                            field=normal, params=params)
 
 
 def normal_form_field(nf: NormalFormResult) -> VectorField3:

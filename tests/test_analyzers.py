@@ -326,6 +326,48 @@ class TestQuotientRun:
         for m, r in want.items():
             assert list(got.terms[m].terms.items()) == list(r.terms.items())
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_reduce_over_wide_tables_and_high_exponents(self, data):
+        # the packed keys' shift and mask on 3 to 5 parameters, exponents up to 100
+        params = data.draw(st.sampled_from([("a", "b", "c"), ("a", "b", "c", "d"),
+                                            ("a", "b", "c", "d", "e")]))
+        var = data.draw(st.sampled_from(params))
+        i, d = params.index(var), data.draw(st.integers(1, 3))
+        exponents = st.lists(st.integers(0, 100), min_size=len(params), max_size=len(params))
+        tail = {}
+        for exps in data.draw(st.lists(exponents, min_size=1, max_size=2)):
+            exps[i] = data.draw(st.integers(0, d - 1))
+            tail[tuple(exps)] = data.draw(st.integers(-3, 3).filter(bool))
+        lc = Fraction(data.draw(st.sampled_from((-3, 1, 2))), data.draw(st.sampled_from((1, 7))))
+        g = (ParamPolynomial.variable(var, params) ** d).scale(lc) + ParamPolynomial(tail, params)
+        coefficient = st.dictionaries(st.tuples(*[st.integers(0, 100)] * len(params)),
+                                      st.fractions(-3, 3, max_denominator=4), min_size=1,
+                                      max_size=3)
+        monomials = hz.slice_basis(data.draw(st.integers(0, 3))).monomials
+        f = QHPolynomial({m: ParamPolynomial(data.draw(coefficient), params)
+                          for m in monomials[:3]}, params)
+        got = _from_integer_terms(_Modulus(g, var).reduce(_integer_terms(f)), params)
+        want = {m: r for m, c in f.terms.items() if (r := true_remainder(c, g, var, lc))}
+        assert [(m, list(c.terms.items())) for m, c in got.terms.items()] == \
+            [(m, list(r.terms.items())) for m, r in want.items()]
+
+    def test_an_exponent_that_reaches_2_63_is_refused(self):
+        params = ("a", "b", "c")
+        b_power = ParamPolynomial({(0, 2 ** 62, 0): 1}, params)
+        with pytest.raises(hz.ParameterError, match="exponent 9223372036854775808"):
+            _Modulus(ParamPolynomial.variable("a", params) - b_power * b_power, "a")
+        # a = b^(2^62) takes a * b^(2^62) to b^(2^63), past the field of b
+        modulus = _Modulus(ParamPolynomial.variable("a", params) - b_power, "a")
+        f = QHPolynomial({(1, 0, 0): ParamPolynomial({(1, 2 ** 62 - 1, 5): 1}, params)},
+                         params)
+        assert _from_integer_terms(modulus.reduce(_integer_terms(f)), params) == \
+            QHPolynomial({(1, 0, 0): ParamPolynomial({(0, 2 ** 63 - 1, 5): 1}, params)},
+                         params)
+        with pytest.raises(hz.ParameterError, match="2\\^63"):
+            modulus.reduce(_integer_terms(f.scale_param(ParamPolynomial({(0, 1, 0): 1},
+                                                                        params))))
+
     def test_a_leading_coefficient_that_is_not_constant_is_refused(self):
         g = hz.parse_polynomial("a001*b200 - 1", DRIVER_PARAMS)
         with pytest.raises(hz.ParameterError, match="b200 is not constant"):

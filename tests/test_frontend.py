@@ -245,6 +245,18 @@ class TestCli:
         assert code == 1
         assert out.startswith("error: cannot read input: ")
 
+    @pytest.mark.parametrize("power", ["9223372036854775808", "4611686018427387904"])
+    def test_a_parameter_power_that_reaches_2_63_is_exit_one(self, tmp_path, power):
+        # a parameter exponent must stay below 2^63, both the one read from
+        # the input (2^63, which the parser's squarings reach) and those of
+        # the analysis's products (2^62 squared)
+        path = tmp_path / "power.hz"
+        path.write_text(f"params a\ndx = -2*y\ndy = 2*x\ndz = x^2 + y^2 + a^{power}*z^2\n",
+                        encoding="utf-8")
+        assert hz.run_cli(["analyze", str(path), "--max-degree", "4"]) == (
+            1, "error: a parameter exponent reached 2^63 in a product; "
+               "exponents must stay below 2^63\n")
+
     def test_a_non_ascii_digit_is_a_syntax_error(self, tmp_path):
         # `²` is no integer literal, so it cannot be an exponent
         path = tmp_path / "squared.hz"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import hopfzero as hz
 from hopfzero import DegreeError, Monomial3, ParamPolynomial, QHPolynomial, VectorField3
-from hopfzero.coeffring import _term_sort_key
+from hopfzero.coeffring import _term_sort_key, _unpack
 from hopfzero.gradedpoly import (_from_integer_terms, _integer_partial, _integer_terms,
                                  _is_constant, _mono_sort_key, _mul_integer)
 
@@ -189,17 +189,17 @@ _FRACTIONS = st.one_of(
 
 
 @st.composite
-def _coefficient(draw, params):
-    exponents = st.tuples(*[st.integers(0, 2)] * len(params))
+def _coefficient(draw, params, top=2):
+    exponents = st.tuples(*[st.integers(0, top)] * len(params))
     pairs = draw(st.lists(st.tuples(exponents, _FRACTIONS), min_size=1, max_size=3))
     return ParamPolynomial(Pairs(pairs), params)
 
 
 @st.composite
-def _graded(draw, params):
-    """A polynomial over several degrees; few monomials, so keys repeat and
-    coefficients cancel."""
-    pairs = draw(st.lists(st.tuples(_MONOMIALS, _coefficient(params)), max_size=6))
+def _graded(draw, params, top=2):
+    """A polynomial over several degrees, its parameter exponents up to
+    `top`; few monomials, so keys repeat and coefficients cancel."""
+    pairs = draw(st.lists(st.tuples(_MONOMIALS, _coefficient(params, top)), max_size=6))
     return QHPolynomial(Pairs(pairs), params)
 
 
@@ -208,6 +208,19 @@ def _polys(draw, count):
     """`count` random polynomials over one random table of 0 to 2 parameters."""
     params = draw(_PARAM_TABLES)
     return [draw(_graded(params)) for _ in range(count)]
+
+
+# wider tables and exponents, for the packed exponent keys of the converted form
+_WIDE_TABLES = st.sampled_from([("a", "b", "c"), ("a", "b", "c", "d"),
+                                ("a", "b", "c", "d", "e")])
+
+
+@st.composite
+def _wide_polys(draw, count):
+    """`count` random polynomials over one table of 3 to 5 parameters, with
+    exponents up to 100."""
+    params = draw(_WIDE_TABLES)
+    return [draw(_graded(params, 100)) for _ in range(count)]
 
 
 _CAPS = st.one_of(st.none(), st.integers(0, 12))
@@ -296,9 +309,12 @@ class TestCanonicalResults:
             if var is not None:
                 common, terms = _integer_partial((common, terms), var)
             assert common == math.lcm(*denominators)
-            rebuilt = [(Monomial3(ex, ey, ez), [(e, Fraction(n, common)) for e, n in items])
+            # each exponent vector is one packed int key, read back by `_unpack`
+            rebuilt = [(Monomial3(ex, ey, ez),
+                        [(_unpack(e, len(f.params)), Fraction(n, common)) for e, n in items])
                        for ex, ey, ez, items in terms]
-            assert all(type(n) is int for *_, items in terms for _, n in items)
+            assert all(type(e) is int and type(n) is int
+                       for *_, items in terms for e, n in items)
             assert rebuilt == [(m, list(c.terms.items())) for m, c in expected.terms.items()]
 
     @_FEW
@@ -458,3 +474,60 @@ class TestCappedKernel:
             den, terms = _integer_partial(converted, var)
             assert _integer_partial(converted, var, limit) == \
                 (den, [t for t in terms if _mono_sort_key(t[:3])[0] <= limit])
+
+
+class TestPackedExponents:
+    """The converted form packs each parameter exponent vector into one int
+    key; over tables of 3 to 5 parameters and exponents up to 100, and at
+    the 2^63 bound of each field."""
+
+    @_FEW
+    @given(_wide_polys(1))
+    def test_round_trip(self, polys):
+        (f,) = polys
+        back = _from_integer_terms(_integer_terms(f), f.params)
+        assert back == f
+        assert stored_form(back) == stored_form(f)
+
+    @_CAPPED
+    @given(_wide_polys(4), _CAPS)
+    def test_mul_integer_is_the_model_product(self, polys, cap):
+        f, g, h, k = polys
+        got = capped_product([(f, g), (h, k)], [(g, h)], cap)
+        assert_canonical(got)
+        assert stored_form(got) == \
+            stored_form(model_product([(f, g), (h, k)], [(g, h)], f.params, cap))
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_an_exponent_of_2_63_is_refused_at_conversion(self, index):
+        params = ("a", "b", "c")
+        exps = [1, 2, 3]
+        exps[index] = 2 ** 63
+        f = QH({(1, 0, 0): ParamPolynomial({tuple(exps): 1}, params)}, params)
+        with pytest.raises(hz.ParameterError, match="exponent 9223372036854775808"):
+            _integer_terms(f)
+        exps[index] = 2 ** 63 - 1
+        g = QH({(1, 0, 0): ParamPolynomial({tuple(exps): 1}, params)}, params)
+        assert _from_integer_terms(_integer_terms(g), params) == g
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_a_product_that_reaches_2_63_raises(self, index):
+        # each field is its own: a sum that reaches the bound raises rather
+        # than carry into the next field, in the lowest, a middle and the top one
+        params = ("a", "b", "c")
+
+        def power(e, m):
+            exps = [1, 0, 2]
+            exps[index] = e
+            return QH({m: ParamPolynomial({tuple(exps): 3}, params)}, params)
+
+        half = power(2 ** 62, (1, 0, 0))
+        with pytest.raises(hz.ParameterError, match="2\\^63"):
+            half * power(2 ** 62, (0, 1, 0))
+        with pytest.raises(hz.ParameterError, match="2\\^63"):
+            hz.directional_derivative(power(2 ** 63 - 1, (0, 0, 1)),
+                                      hz.VectorField3(half, half, half))
+        top = half * power(2 ** 62 - 1, (0, 1, 0))
+        exps = [2, 0, 4]
+        exps[index] = 2 ** 63 - 1
+        assert top == QH({(1, 1, 0): ParamPolynomial({tuple(exps): 9}, params)}, params)

@@ -174,9 +174,9 @@ class TestClassifyNormalForm:
             solved.append(s)
             return solve(known, s, params, constant)
 
-        def counting_step(current, generator, reparam, params, max_field_degree, constant):
+        def counting_step(current, generator, reparam, max_field_degree, constant):
             transformed.append(max_field_degree)
-            return step(current, generator, reparam, params, max_field_degree, constant)
+            return step(current, generator, reparam, max_field_degree, constant)
 
         monkeypatch.setattr(normalform, "_solve_degree", counting_solve)
         monkeypatch.setattr(normalform, "_integer_step", counting_step)

@@ -25,6 +25,10 @@ Runs, from the checkout's `src/`:
   denominators above 1;
 - the symbolic JACOBI_H2 continuation of family 37 seeded by (x^2+y^2)^3
   (`seed_power=3`) to z^10;
+- the symbolic `orbital_normal_form` at index 4 and the symbolic JACOBI_H2
+  sequence to z^8, entries and witness, of two fields the corpus lacks: family
+  38 with a fourth parameter on z^2 in dz (`FAMILY38_Z2`), and family 37 with
+  its z feed raised to the parameter power 2^20 + 1 (`HIGH_POWER_FAMILY37`);
 - the `--json` report through `run_cli` of `analyze` on family 37 with every
   parameter free at `--max-degree 12`, whose verdict is SYMBOLIC (no golden
   fixture reaches that path);
@@ -86,6 +90,22 @@ params a001 b200 c030
 dx = -4*y + a001*z
 dy = 4*x + b200*x^2
 dz = 3*x^2 + 3*y^2 + c030*y^3
+"""
+
+# family 38 with a fourth parameter, c002, on z^2 in dz
+FAMILY38_Z2 = """\
+params a001 c101 c011 c002
+dx = -2*y + a001*z
+dy = 2*x
+dz = x^2 + y^2 + c101*x*z + c011*y*z + c002*z^2
+"""
+
+# family 37 with a parameter exponent above 2^20
+HIGH_POWER_FAMILY37 = """\
+params a001 b200 c030
+dx = -2*y + a001^1048577*z
+dy = 2*x + b200*x^2
+dz = x^2 + y^2 + c030*y^3
 """
 
 RESONANT_AT_5 = """\
@@ -205,6 +225,15 @@ def dump_lines():
         for k in sorted(seq.entries):
             yield f"{method.value}{label} entry {k}: {describe(seq.entries[k])}"
         yield f"{method.value}{label} witness: {describe(seq.witness)}"
+
+    for label, text in (("family 38 + c002*z^2", FAMILY38_Z2),
+                        ("family 37 a001^1048577", HIGH_POWER_FAMILY37)):
+        field, _ = hz.normalize_principal_part(hz.parse_system(text).to_field())
+        yield from normal_form_lines(f"nf {label}", hz.orbital_normal_form(field, 4))
+        seq = _obstruction_driver(field, 8, hz.Method.JACOBI_H2)
+        for k in sorted(seq.entries):
+            yield f"JACOBI_H2 {label} entry {k}: {describe(seq.entries[k])}"
+        yield f"JACOBI_H2 {label} witness: {describe(seq.witness)}"
 
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "family37.hz"
