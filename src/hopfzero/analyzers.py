@@ -40,8 +40,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .coeffring import _EXP_BITS, _EXP_MASK, ParamPolynomial, _pack, _refuse_overflow
 from .errors import DegreeError, StructureError
-from .gradedpoly import (IntegerTerms, Monomial3, QHPolynomial, _from_integer_terms,
-                         _integer_partial, _integer_terms, _mul_integer)
+from .gradedpoly import (VAR_NAMES, IntegerTerms, Monomial3, QHPolynomial,
+                         _from_integer_terms, _integer_terms, _mul_integer)
 from .homological import _solve_levels
 from .normalform import (NormalFormResult, ResonanceData, coprime_resonance,
                          first_resonance, orbital_normal_form, principal_part,
@@ -194,12 +194,6 @@ class _Modulus:
         return den // g, [(*term[:3], [(e, n // g) for e, n in term[3]]) for term in out]
 
 
-def _converted_piece(whole: IntegerTerms) -> tuple:
-    """A piece in converted form and its x, y and z partial derivatives, for
-    the driver's known terms."""
-    return (whole, *(_integer_partial(whole, v) for v in ("x", "y", "z")))
-
-
 def _continuation(field: VectorField3, max_index: int, method: Method, power: int,
                   modulus: Optional[_Modulus]):
     """Continue the seed (x^2+y^2)^power of `method` degree by degree.
@@ -220,10 +214,11 @@ def _continuation(field: VectorField3, max_index: int, method: Method, power: in
     directly.  On even d the entry is its z^(d/2) term, the last in canonical
     order, and the only value built as `Fraction`s (one `_from_numerators`).
     `homological._solve_levels` takes the right-hand side as it is and
-    returns the piece in the same form, and the next degrees read that and
-    its three partials.  The components and their divergences are converted
-    by `_integer_terms` once, and a piece's converted forms are dropped when
-    no later degree can read them.
+    returns the piece in the same form, which the next degrees read in
+    derivative pairs (the kernel differentiates it as it reads it), so each
+    piece is held once.  The components and their divergences are converted
+    by `_integer_terms` once, and a piece is dropped when no later degree
+    can read it.
 
     With a `modulus` the run is in the quotient ring it defines: each known
     term is reduced right after `_mul_integer`, before its entry is read and
@@ -251,7 +246,7 @@ def _continuation(field: VectorField3, max_index: int, method: Method, power: in
     if not base.is_zero():
         raise StructureError("seed term fails the defining identity at its own degree")
 
-    converted = {seed_degree: _converted_piece(_integer_terms(seed))}
+    converted = {seed_degree: _integer_terms(seed)}
     comp_terms = {k: [_integer_terms(c) for c in f.components]
                   for k, f in components.items()}
     div_terms = {k: _integer_terms(divergence(f))
@@ -265,10 +260,9 @@ def _continuation(field: VectorField3, max_index: int, method: Method, power: in
             piece = converted.get(degree - fdeg)
             if piece is None:
                 continue
-            whole, *gradient = piece
-            minus += zip(gradient, comp_terms[fdeg])
+            minus += [(piece, c, v) for v, c in zip(VAR_NAMES, comp_terms[fdeg])]
             if use_div:
-                plus.append((whole, div_terms[fdeg]))
+                plus.append((piece, div_terms[fdeg]))
         rhs = _mul_integer(plus, minus)
         if modulus is not None:
             rhs = modulus.reduce(rhs)
@@ -282,7 +276,7 @@ def _continuation(field: VectorField3, max_index: int, method: Method, power: in
         solve = cache(partial(_solve_levels, degree, rhs))
         yield degree, entry, solve
         if degree < 2 * max_index and (solved := solve())[1]:
-            converted[degree] = _converted_piece(solved)
+            converted[degree] = solved
 
 
 def _obstruction_driver(field: VectorField3, max_index: int, method: Method,

@@ -451,8 +451,6 @@ def run_cli(args: List[str]) -> Tuple[int, str]:
         return 2, f"parse error: {exc}\n"
     except (OSError, UnicodeDecodeError) as exc:
         return 1, f"error: cannot read input: {exc}\n"
-    except HopfZeroError as exc:  # such as a parameter power of 2^63 or more
-        return 1, f"error: {exc}\n"
 
     constraint = None
     text, var = getattr(ns, "constraint", None), getattr(ns, "eliminate", None)
@@ -465,8 +463,6 @@ def run_cli(args: List[str]) -> Tuple[int, str]:
             constraint = (parse_polynomial(text, field.params), var)
         except ParseError as exc:
             return 2, f"parse error in --constraint: {exc}\n"
-        except HopfZeroError as exc:
-            return 1, f"error: {exc}\n"
     config = AnalysisConfig(max_index=ns.max_index, mode=ns.mode,
                             parameter_values=bindings, constraint=constraint)
     try:

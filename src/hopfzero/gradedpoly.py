@@ -17,26 +17,27 @@ directional derivatives and Lie brackets of `vectorfield`, the normal-form
 Lie series and the known terms of the obstruction sequences) goes through
 one multiply-accumulate kernel, `_mul_integer`.  Its operands are first
 converted by `_integer_terms` to integer numerators over one common
-denominator, and partial derivatives are taken from the converted form
-(`_integer_partial`, which the method `partial` also uses), so each
-coefficient is read once; the kernel sums Python `int`s, one per output
-monomial when every operand coefficient is a constant.  In the converted
-form each parameter exponent vector is one `int` key, 64 bits per parameter
-(`coeffring._pack`), so the kernel multiplies two parameter monomials with
-one `int` add and checks its output once for an exponent that reached 2^63
-(`coeffring._refuse_overflow`); the monomial keys stay (ex, ey, ez), and
-the keys are unpacked to exponent tuples only when numerators become
-`Fraction`s again (`ParamPolynomial._from_numerators`).  The public products
-take no cap.  The normal form's steps (`normalform._integer_step`) call the
-kernel under a degree cap, and it reads only what the cap keeps;
-`_integer_partial` takes a degree limit for a caller that stops a partial
-where the kernel stops reading it.  The kernel returns the converted form
-too, divided by its content gcd, so a caller can feed it into the next
-product, as the normal form's steps and the obstruction driver do.  The
-converted form is the only integer layout that leaves this module: the
-slice solve (`homological._solve_levels`) takes and returns it, so the
-obstruction driver and the normal-form degree solve build no `Fraction`s
-between degrees.  `_from_integer_terms` is the one place where a product's
+denominator, so each coefficient is read once; the kernel sums Python
+`int`s, one per output monomial when every operand coefficient is a
+constant.  A product with a partial derivative, as in grad(a) . F, is a
+derivative pair: the kernel differentiates its left operand as it reads it,
+so no partial is built (the method `partial` alone builds one, through
+`_integer_partial`).  In the converted form each parameter exponent vector
+is one `int` key, 64 bits per parameter (`coeffring._pack`), so the kernel
+multiplies two parameter monomials with one `int` add and checks its output
+once for an exponent that reached 2^63 (`coeffring._refuse_overflow`); the
+monomial keys stay (ex, ey, ez), and the keys are unpacked to exponent
+tuples only when numerators become `Fraction`s again
+(`ParamPolynomial._from_numerators`).  The public products take no cap.
+The normal form's steps (`normalform._integer_step`) call the kernel under
+a degree cap, and it reads only what the cap keeps, of a differentiated
+operand too.  The kernel returns the converted form too, divided by its
+content gcd, so a caller can feed it into the next product, as the normal
+form's steps and the obstruction driver do.  The converted form is the
+only integer layout that leaves this module: the slice solve
+(`homological._solve_levels`) takes and returns it, so the obstruction
+driver and the normal-form degree solve build no `Fraction`s between
+degrees.  `_from_integer_terms` is the one place where a product's
 numerators become `Fraction`s again, in a `QHPolynomial`.
 `QHPolynomial`, `Poly2` and `ParamPolynomial` print through one function,
 `coeffring._format_terms`.
@@ -46,14 +47,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .coeffring import (ParamPolynomial, RationalLike, _format_terms, _merged, _pack,
                         _refuse_overflow, rat)
 from .errors import DegreeError
 
-WEIGHTS = (1, 1, 2)
 VAR_NAMES = ("x", "y", "z")
 
 
@@ -282,27 +282,24 @@ def _integer_terms(f: QHPolynomial) -> IntegerTerms:
                     for m, c in f.terms.items()]
 
 
-def _integer_partial(converted: IntegerTerms, var: str,
-                     max_degree: Optional[float] = None) -> IntegerTerms:
-    """The partial derivative in `var` of a polynomial converted by
-    `_integer_terms`, over the same denominator.  It multiplies each
-    numerator by the exponent it lowers; lowering keeps canonical order, and
-    the terms free of `var` drop out.  With `max_degree` the output stops
-    there: the terms come in ascending degree, so the walk ends at the first
-    one whose partial lies above it."""
-    common, terms = converted
-    idx = VAR_NAMES.index(var)
-    top = math.inf if max_degree is None else max_degree + WEIGHTS[idx]
-    out = []
+def _lowered(terms: list, i: int, scale: int):
+    """(term, e * scale) for each term of a converted form's `terms` with an
+    exponent e > 0 in variable i, that exponent lowered by one: the terms of
+    the partial derivative in that variable, with the factor each numerator
+    takes.  Lowering keeps canonical order."""
     for term in terms:
-        if term[0] + term[1] + 2 * term[2] > top:
-            break
-        e = term[idx]
-        if e:
-            lowered = list(term[:3])
-            lowered[idx] = e - 1
-            out.append((*lowered, [(p, e * n) for p, n in term[3]]))
-    return common, out
+        if e := term[i]:
+            lowered = list(term)
+            lowered[i] = e - 1
+            yield lowered, e * scale
+
+
+def _integer_partial(converted: IntegerTerms, var: str) -> IntegerTerms:
+    """The partial derivative in `var` of a polynomial converted by
+    `_integer_terms`, over the same denominator, in canonical order."""
+    common, terms = converted
+    return common, [(ex, ey, ez, [(p, e * n) for p, n in items])
+                    for (ex, ey, ez, items), e in _lowered(terms, VAR_NAMES.index(var), 1)]
 
 
 def _from_integer_terms(converted: IntegerTerms, params: Tuple[str, ...]) -> QHPolynomial:
@@ -328,8 +325,7 @@ def _is_constant(converted: IntegerTerms) -> bool:
     return True
 
 
-def _mul_integer(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
-                 minus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
+def _mul_integer(plus: Sequence[tuple], minus: Sequence[tuple],
                  max_degree: Optional[int] = None,
                  constant: Optional[bool] = None) -> IntegerTerms:
     """sum(a * b for a, b in plus) - sum(a * b for a, b in minus) over
@@ -340,10 +336,18 @@ def _mul_integer(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
     series, does not grow its denominators.  `_from_integer_terms` turns the
     result into a `QHPolynomial`.
 
+    A pair may also be a derivative pair (a, b, v), v one of "x", "y", "z":
+    it stands for (da/dv) * b, and the kernel differentiates `a` as it reads
+    it (`_lowered`): it skips the terms of `a` free of v, lowers v's exponent
+    in the others and multiplies that exponent into the pair's scale.  No
+    partial is built, and the result is that of the pair
+    (_integer_partial(a, v), b), item order included.
+
     The sums are exact in integers over `common`, the lcm of the pairs'
     `Da * Db`: each pair's numerator products are scaled by
     `common // (Da * Db)` (negated for `minus`).  Each `b` is bucketed by
-    degree up to the cap less the degree of the lowest term of `a`, past
+    degree up to the cap less the degree of the first term `a` yields (the
+    lowest, lowered, term of `a` that holds v, in a derivative pair), past
     which no `a` term can use it, and the terms of `a` come in ascending
     degree, so the pairs above the cap are cut off with a `break` rather
     than tested one by one.  When every operand coefficient is constant
@@ -356,17 +360,21 @@ def _mul_integer(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
     carrying into its neighbour's field.
     """
     cap = math.inf if max_degree is None else max_degree
-    common = math.lcm(*(a[0] * b[0] for pairs in (plus, minus) for a, b in pairs))
+    common = math.lcm(*(a[0] * b[0] for pairs in (plus, minus) for a, b, *_ in pairs))
     if constant is None:
         constant = all(_is_constant(x) for pairs in (plus, minus) for pair in pairs
-                       for x in pair)
+                       for x in pair[:2])
     acc: Dict[tuple, object] = {}
     for sign, pairs in ((1, plus), (-1, minus)):
-        for (da, a_terms), (db, b_terms) in pairs:
-            if not a_terms or not b_terms:
+        for (da, a_terms), (db, b_terms), *var in pairs:
+            if not b_terms:
                 continue
             scale = sign * (common // (da * db))
-            ax, ay, az, _ = a_terms[0]
+            walk = _lowered(a_terms, VAR_NAMES.index(var[0]), scale) if var \
+                else zip(a_terms, repeat(scale))
+            if (first := next(walk, None)) is None:
+                continue
+            (ax, ay, az, _), _ = first
             reach = cap - (ax + ay + 2 * az)
             buckets: List[Tuple[int, list]] = []
             for term in b_terms:
@@ -379,12 +387,12 @@ def _mul_integer(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
             if not buckets:
                 continue
             lowest = buckets[0][0]
-            for ax, ay, az, a_items in a_terms:
+            for (ax, ay, az, a_items), factor in chain((first,), walk):
                 room = cap - (ax + ay + 2 * az)
                 if room < lowest:
                     break
                 if constant:
-                    na = a_items[0][1] * scale
+                    na = a_items[0][1] * factor
                     for d, bucket in buckets:
                         if d > room:
                             break
@@ -392,7 +400,7 @@ def _mul_integer(plus: Sequence[Tuple[IntegerTerms, IntegerTerms]],
                             key = (ax + bx, ay + by, az + bz)
                             acc[key] = acc.get(key, 0) + na * nb
                     continue
-                a_items = [(e, n * scale) for e, n in a_items]
+                a_items = [(e, n * factor) for e, n in a_items]
                 for d, bucket in buckets:
                     if d > room:
                         break

@@ -36,7 +36,7 @@ from .gradedpoly import (IntegerTerms, Monomial3, QHPolynomial, _from_integer_te
                          _integer_terms, _is_constant, _mul_integer)
 from .homological import _solve_levels
 from .vectorfield import (PlanarVectorField, Poly2, VectorField3, _integer_bracket,
-                          _integer_field, principal_part)
+                          principal_part)
 
 
 def require_principal_part(field: VectorField3) -> None:
@@ -104,15 +104,15 @@ def _integer_step(current: List[IntegerTerms], generator: List[IntegerTerms],
     and reparametrization are in converted form too.  Returns the converted
     result and whether it is constant.
 
-    The generator's nine partials are taken once (`_integer_field`), and
-    whether it is constant is read once.  The time scaling is one
-    `_mul_integer` per component.  The series current + sum_j
+    Whether the generator is constant is read once.  The time scaling is
+    one `_mul_integer` per component.  The series current + sum_j
     ad_g^j(current) / j! brackets the generator with the previous term
-    (`_integer_bracket`), and each component of the sum is one `_mul_integer`
-    of term j times the constant 1/j!, so no `Fraction` is built.
+    (`_integer_bracket`, whose kernel calls differentiate both fields as
+    they read them, so no partial is built), and each component of the sum
+    is one `_mul_integer` of term j times the constant 1/j!, so no
+    `Fraction` is built.
     """
-    generator = _integer_field(generator)
-    constant = constant and all(map(_is_constant, generator[0]))
+    constant = constant and all(map(_is_constant, generator))
     if reparam[1]:
         den, terms = reparam
         factor = den, [(0, 0, 0, [(0, den)])] + terms

@@ -15,7 +15,8 @@ Exponents are nonnegative integer literals.
 The parser evaluates as it reads: each grammar rule returns the polynomial of
 its subexpression, so no intermediate tree exists.  An undeclared name is
 rejected at its token, with line and column; that is why the params line must
-come before the equations.
+come before the equations.  So is a parameter exponent that reaches 2^63, the
+graded kernel's limit, at the exponent or the `*` whose product reaches it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .coeffring import _DIGITS, ParamPolynomial
-from .errors import ParseError
+from .errors import ParameterError, ParseError
 from .gradedpoly import QHPolynomial
 from .vectorfield import VectorField3
 
@@ -122,7 +123,7 @@ class _ExprParser:
                 return node
             self.take()
             if tok.text == "*":
-                node = node * self.parse_factor()
+                node = self.product(node, self.parse_factor(), tok)
             else:
                 denom = self.peek()
                 if denom is None or denom.kind != "int":
@@ -135,6 +136,15 @@ class _ExprParser:
                 if value == 0:
                     raise ParseError("division by zero", denom.line, denom.column)
                 node = node * QHPolynomial.constant(Fraction(1, value), self.params)
+
+    def product(self, a: QHPolynomial, b: QHPolynomial, tok: Token) -> QHPolynomial:
+        """a * b; a parameter exponent that reaches 2^63 there, which the
+        kernel refuses, is a ParseError at `tok`."""
+        try:
+            return a * b
+        except ParameterError:
+            raise ParseError("parameter exponent must stay below 2^63",
+                             tok.line, tok.column) from None
 
     def parse_factor(self) -> QHPolynomial:
         tok = self.peek()
@@ -164,10 +174,10 @@ class _ExprParser:
             out, power = QHPolynomial.constant(1, self.params), int(exp.text)
             while power:  # by repeated squaring, which exact products allow
                 if power & 1:
-                    out = out * base
+                    out = self.product(out, base, exp)
                 power >>= 1
                 if power:
-                    base = base * base
+                    base = self.product(base, base, exp)
             return out
         return base
 

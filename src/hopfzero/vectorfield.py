@@ -8,17 +8,18 @@ normal form.
 The public calculus (`directional_derivative`, `lie_bracket`) takes no
 degree cap.  The normal form's steps bracket under one, through the
 converted-form `_integer_bracket`, whose cap stops the kernel
-(`gradedpoly._mul_integer`) at the working degree.
+(`gradedpoly._mul_integer`) at the working degree.  Both hand the kernel
+derivative pairs, which it differentiates as it reads them, so the calculus
+builds no partial; `divergence` alone takes partials (`QHPolynomial.partial`).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .coeffring import ParamPolynomial, RationalLike, _format_terms, _merged
 from .gradedpoly import (VAR_NAMES, IntegerTerms, QHPolynomial, _from_integer_terms,
-                         _integer_partial, _integer_terms, _is_constant, _mul_integer)
+                         _integer_terms, _is_constant, _mul_integer)
 
 
 class VectorField3:
@@ -111,12 +112,11 @@ def divergence(field: VectorField3) -> QHPolynomial:
 
 
 def directional_derivative(f: QHPolynomial, field: VectorField3) -> QHPolynomial:
-    """grad(f) . field, one `_mul_integer` call on three pairs."""
+    """grad(f) . field, one `_mul_integer` call on three derivative pairs."""
     if f.params != field.params:
         raise ValueError("parameter tables differ")
     whole = _integer_terms(f)
-    pairs = [(_integer_partial(whole, v), _integer_terms(c))
-             for v, c in zip(VAR_NAMES, field.components)]
+    pairs = [(whole, _integer_terms(c), v) for v, c in zip(VAR_NAMES, field.components)]
     return _from_integer_terms(_mul_integer(pairs, ()), f.params)
 
 
@@ -129,44 +129,28 @@ def lie_bracket(f: VectorField3, g: VectorField3) -> VectorField3:
     """
     if f.params != g.params:
         raise ValueError("parameter tables differ")
-    converted = _integer_field([_integer_terms(c) for c in f.components])
-    g_comps = [_integer_terms(c) for c in g.components]
-    constant = all(map(_is_constant, converted[0] + g_comps))
-    comps = _integer_bracket(converted, g_comps, None, constant)
+    f_comps, g_comps = ([_integer_terms(c) for c in h.components] for h in (f, g))
+    constant = all(map(_is_constant, f_comps + g_comps))
+    comps = _integer_bracket(f_comps, g_comps, None, constant)
     return VectorField3(*(_from_integer_terms(c, f.params) for c in comps))
 
 
-IntegerField = Tuple[List[IntegerTerms], List[List[IntegerTerms]]]
-
-
-def _integer_field(comps: List[IntegerTerms]) -> IntegerField:
-    """A field's three components in converted form (`_integer_terms`), with
-    their nine partial derivatives, `partials[i][v]` that of component i in
-    variable v."""
-    return comps, [[_integer_partial(c, v) for v in VAR_NAMES] for c in comps]
-
-
-def _integer_bracket(f: IntegerField, g: List[IntegerTerms],
+def _integer_bracket(f: List[IntegerTerms], g: List[IntegerTerms],
                      max_field_degree: Optional[int], constant: bool) -> List[IntegerTerms]:
     """The components of [f, g] in converted form (`_mul_integer`), for `f`
-    as `_integer_field` gives it and `g` a list of three converted components.
+    and `g` lists of three converted components.
 
-    Each component is one multiply-accumulate: grad(g_i) . f - grad(f_i) . g.
-    The nine partials of `g` are taken here; those of `f` come with it, so a
-    caller that brackets one field with many reuses them.  Under a cap, the
-    partial of g_i paired with f_v stops at the cap less the lowest degree of
-    f_v, the last degree the kernel reads.  `constant` says whether every
-    coefficient of `f` and `g` is constant: the caller reads that once, as a
-    partial of a constant form is constant.
+    Each component is one multiply-accumulate of six derivative pairs,
+    grad(g_i) . f - grad(f_i) . g: the kernel differentiates g_i and f_i as
+    it reads them, so no partial is built, and under a cap it stops reading
+    them where the cap does.  `constant` says whether every coefficient of
+    `f` and `g` is constant: the caller reads that once.
     """
-    f_comps, f_partials = f
     caps = (None,) * 3 if max_field_degree is None else \
         (max_field_degree + 1, max_field_degree + 1, max_field_degree + 2)
-    lows = [t[0][0] + t[0][1] + 2 * t[0][2] if t else math.inf for _, t in f_comps]
-    return [_mul_integer([(_integer_partial(gi, v, None if cap is None else cap - low), fv)
-                          for v, fv, low in zip(VAR_NAMES, f_comps, lows)],
-                         list(zip(fi_partials, g)), cap, constant)
-            for fi_partials, gi, cap in zip(f_partials, g, caps)]
+    return [_mul_integer([(gi, fv, v) for v, fv in zip(VAR_NAMES, f)],
+                         [(fi, gv, v) for v, gv in zip(VAR_NAMES, g)], cap, constant)
+            for fi, gi, cap in zip(f, g, caps)]
 
 
 # --------------------------------------------------------------------------

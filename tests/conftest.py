@@ -5,7 +5,7 @@ import pytest
 import hopfzero as hz
 from hopfzero.gradedpoly import (_from_integer_terms, _integer_terms, _is_constant,
                                  _mul_integer)
-from hopfzero.vectorfield import _integer_bracket, _integer_field
+from hopfzero.vectorfield import _integer_bracket
 
 FAMILY37 = """\
 params a001 b200 c030
@@ -55,11 +55,10 @@ def capped_product(plus, minus, cap):
 def capped_bracket(f, g, cap):
     """The components of [f, g] from `_integer_bracket` under the field
     degree `cap`, as the normal form's steps bracket, as polynomials."""
-    g_comps = [_integer_terms(c) for c in g.components]
-    converted = _integer_field([_integer_terms(c) for c in f.components])
-    constant = all(map(_is_constant, converted[0] + g_comps))
+    f_comps, g_comps = ([_integer_terms(c) for c in h.components] for h in (f, g))
+    constant = all(map(_is_constant, f_comps + g_comps))
     return [_from_integer_terms(c, f.params)
-            for c in _integer_bracket(converted, g_comps, cap, constant)]
+            for c in _integer_bracket(f_comps, g_comps, cap, constant)]
 
 
 def field_from_text(text: str) -> hz.VectorField3:

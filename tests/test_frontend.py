@@ -247,15 +247,32 @@ class TestCli:
 
     @pytest.mark.parametrize("power", ["9223372036854775808", "4611686018427387904"])
     def test_a_parameter_power_that_reaches_2_63_is_exit_one(self, tmp_path, power):
-        # a parameter exponent must stay below 2^63, both the one read from
-        # the input (2^63, which the parser's squarings reach) and those of
-        # the analysis's products (2^62 squared)
+        # a parameter exponent must stay below 2^63: 2^63 itself, which the
+        # parser's squarings reach, is a parse error at the exponent (exit
+        # 2); 2^62 is read, and the analysis's products square it (exit 1)
         path = tmp_path / "power.hz"
         path.write_text(f"params a\ndx = -2*y\ndy = 2*x\ndz = x^2 + y^2 + a^{power}*z^2\n",
                         encoding="utf-8")
-        assert hz.run_cli(["analyze", str(path), "--max-degree", "4"]) == (
-            1, "error: a parameter exponent reached 2^63 in a product; "
-               "exponents must stay below 2^63\n")
+        assert hz.run_cli(["analyze", str(path), "--max-degree", "4"]) == {
+            "9223372036854775808": (2, "parse error: parameter exponent must stay below "
+                                       "2^63 at line 4, column 20\n"),
+            "4611686018427387904": (1, "error: a parameter exponent reached 2^63 in a "
+                                       "product; exponents must stay below 2^63\n")}[power]
+
+    def test_a_parameter_product_that_reaches_2_63_is_a_parse_error(self, tmp_path):
+        # in the system at the `*` that reaches it, and in --constraint
+        half = "a^4611686018427387904"
+        path = tmp_path / "product.hz"
+        path.write_text(f"params a\ndx = -2*y\ndy = 2*x\ndz = x^2 + y^2 + {half}*{half}\n",
+                        encoding="utf-8")
+        assert hz.run_cli(["analyze", str(path)]) == (
+            2, "parse error: parameter exponent must stay below 2^63 at line 4, column 39\n")
+        path.write_text("params a\ndx = -2*y\ndy = 2*x\ndz = x^2 + y^2 + a*z^2\n",
+                        encoding="utf-8")
+        assert hz.run_cli(["obstructions", str(path), "--mode", "JACOBI_H2",
+                           "--constraint", f"{half}*{half} - 1", "--eliminate", "a"]) == (
+            2, "parse error in --constraint: parameter exponent must stay below 2^63 "
+               "at line 1, column 22\n")
 
     def test_a_non_ascii_digit_is_a_syntax_error(self, tmp_path):
         # `²` is no integer literal, so it cannot be an exponent

@@ -466,14 +466,25 @@ class TestCappedKernel:
         else:
             assert _mul_integer(plus, minus, cap, False) == capped
 
-    @_FEW
-    @given(_raised(1), st.integers(-1, 14))
-    def test_partial_limit_truncates_the_full_partial(self, polys, limit):
-        converted = _integer_terms(polys[0])
-        for var in ("x", "y", "z"):
-            den, terms = _integer_partial(converted, var)
-            assert _integer_partial(converted, var, limit) == \
-                (den, [t for t in terms if _mono_sort_key(t[:3])[0] <= limit])
+    @_CAPPED
+    @given(_raised(4), st.sampled_from("xyz"), st.booleans(), st.booleans())
+    def test_a_derivative_pair_is_the_pair_on_the_partial(self, polys, var, lowest_free,
+                                                          in_minus):
+        # the kernel differentiates `a` as it reads it: the stored form of
+        # the pair on the partial, item order included, under every cap
+        # through the operands' degrees and without one, in plus or in
+        # minus, on the constant path (operands bound to a point) and the
+        # general one; with `lowest_free`, the lowest term of `a` is a
+        # constant, which lacks `var`
+        params = polys[0].params
+        one = QHPolynomial.constant(1, params) if lowest_free else QHPolynomial.zero(params)
+        a, b, c, d = (_integer_terms(p) for p in (polys[0] + one, *polys[1:]))
+        pairs = ([(c, d), (a, b, var)], [(c, d), (_integer_partial(a, var), b)])
+        got, want = (([], p) if in_minus else (p, []) for p in pairs)
+        constant = all(map(_is_constant, (a, b, c, d)))
+        for cap in (None, *range(24)):
+            for flag in (None, False, constant):
+                assert _mul_integer(*got, cap, flag) == _mul_integer(*want, cap, flag)
 
 
 class TestPackedExponents:
@@ -527,6 +538,10 @@ class TestPackedExponents:
         with pytest.raises(hz.ParameterError, match="2\\^63"):
             hz.directional_derivative(power(2 ** 63 - 1, (0, 0, 1)),
                                       hz.VectorField3(half, half, half))
+        # a derivative pair, whose `a` the kernel lowers as it reads it
+        pair = (_integer_terms(power(2 ** 63 - 1, (0, 0, 1))), _integer_terms(half), "z")
+        with pytest.raises(hz.ParameterError, match="2\\^63"):
+            _mul_integer([pair], ())
         top = half * power(2 ** 62 - 1, (0, 1, 0))
         exps = [2, 0, 4]
         exps[index] = 2 ** 63 - 1

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfzero as hz
-from hopfzero import (Monomial3, ParamPolynomial, PrincipalPartError,
+from hopfzero import (Method, Monomial3, ParamPolynomial, PrincipalPartError,
                       QHPolynomial, StructureError, VectorField3)
-from hopfzero import normalform, vectorfield
+from hopfzero import gradedpoly, normalform
+from hopfzero.analyzers import _entries_only
 from hopfzero.gradedpoly import _from_integer_terms, _integer_terms, _is_constant
 from hopfzero.normalform import GeneratorStep, _divide_by_h, _solve_degree
 
@@ -401,36 +402,26 @@ class TestLieSeries:
         assert got.params == SERIES_PARAMS
         assert stored_terms(got) == stored_terms(want)
 
-    def test_generator_partials_are_taken_once_per_step(self, family37, monkeypatch):
-        # per step: the generator's nine partials, then nine per bracket of
-        # the series, the last bracket being the one that comes out zero
-        n = 2
-        nf = hz.orbital_normal_form(family37, n)
-        partials, brackets = [], []
-        partial, bracket = vectorfield._integer_partial, normalform._integer_bracket
+    def test_no_partial_is_built(self, family37, monkeypatch):
+        # the normal form and the report path's continuation read every
+        # partial through derivative pairs; only the JACOBI continuations'
+        # divergences, of F0 and of each field component, take partials
+        calls = []
+        partial = gradedpoly._integer_partial
 
         def counting_partial(*args):
-            partials.append(args)
+            calls.append(args)
             return partial(*args)
 
-        def counting_bracket(*args):
-            brackets.append(args)
-            return bracket(*args)
-
-        monkeypatch.setattr(vectorfield, "_integer_partial", counting_partial)
-        monkeypatch.setattr(normalform, "_integer_bracket", counting_bracket)
-        current = family37.truncate(2 * n)
-        series_lengths = []
-        for step in nf.generators:
-            if step.generator.is_zero() and step.reparam.is_zero():
-                continue
-            partials.clear()
-            brackets.clear()
-            current = hz.apply_generator_step(current, step, 2 * n)
-            assert len(partials) == 9 + 9 * len(brackets)
-            series_lengths.append(len(brackets))
-        assert max(series_lengths) >= 3
-        assert current == nf.field
+        monkeypatch.setattr(gradedpoly, "_integer_partial", counting_partial)
+        hz.orbital_normal_form(family37, 3)
+        _entries_only(family37, 6, Method.FIRST_INTEGRAL)
+        assert calls == []
+        components = [k for k in family37.decompose() if k >= 1]
+        for n in (4, 6):
+            _entries_only(family37, n, Method.JACOBI_H2)
+            assert len(calls) == 3 * (1 + len(components))
+            calls.clear()
 
 
 class TestFirstResonance:

@@ -177,3 +177,13 @@ class TestParsePolynomial:
         assert hz.parse_polynomial("(a + 1)^5", ["a"]) == hz.ParamPolynomial(
             {(5,): 1, (4,): 5, (3,): 10, (2,): 10, (1,): 5, (0,): 1}, ("a",))
         assert len(calls) <= 5
+
+    def test_a_parameter_exponent_of_2_63_is_a_parse_error(self):
+        # at the exponent that reaches 2^63, or at the `*` whose product does
+        half = "a^4611686018427387904"
+        for text, column in (("1 + a^9223372036854775808", 7), (f"{half}*{half}", 22)):
+            with pytest.raises(ParseError, match="below 2\\^63") as err:
+                hz.parse_polynomial(text, ["a"])
+            assert (err.value.line, err.value.column) == (1, column)
+        assert hz.parse_polynomial("a^9223372036854775807", ["a"]) == \
+            hz.ParamPolynomial({(2 ** 63 - 1,): 1}, ("a",))
