@@ -211,21 +211,23 @@ def _continuation(field: VectorField3, max_index: int, method: Method, power: in
     grad(W_j) . F_k - W_j div(F_k) over field components F_k and solved
     pieces W_j with j + k = d, is one `_mul_integer` call with the two sides
     swapped, which gives its negation, the slice solve's right-hand side,
-    directly.  On even d the entry is its z^(d/2) term, the last in canonical
-    order, and the only value built as `Fraction`s (one `_from_numerators`).
+    directly.  Both terms are derivative pairs, for v in x, y, z:
+    (W_j, F_k,v, v) for (dW_j/dv) F_k,v and (F_k,v, W_j, v) for
+    (dF_k,v/dv) W_j, so no divergence is taken.  On even d the entry is its
+    z^(d/2) term, the last in canonical order, and the only value built as
+    `Fraction`s (one `_from_numerators`).
     `homological._solve_levels` takes the right-hand side as it is and
     returns the piece in the same form, which the next degrees read in
     derivative pairs (the kernel differentiates it as it reads it), so each
-    piece is held once.  The components and their divergences are converted
-    by `_integer_terms` once, and a piece is dropped when no later degree
-    can read it.
+    piece is held once.  The components are converted by `_integer_terms`
+    once, and a piece is dropped when no later degree can read it.
 
     With a `modulus` the run is in the quotient ring it defines: each known
     term is reduced right after `_mul_integer`, before its entry is read and
     before it is solved.  The solve is linear over Q[params], so the pieces
     it returns are reduced already, and each entry is the true remainder of
-    the entry of the run without it.  The components and divergences stay
-    as they are: the reduction is a ring map, and remainders are canonical.
+    the entry of the run without it.  The components stay as they are: the
+    reduction is a ring map, and remainders are canonical.
     """
     if max_index < 1:
         raise DegreeError("max_index must be at least 1")
@@ -249,8 +251,6 @@ def _continuation(field: VectorField3, max_index: int, method: Method, power: in
     converted = {seed_degree: _integer_terms(seed)}
     comp_terms = {k: [_integer_terms(c) for c in f.components]
                   for k, f in components.items()}
-    div_terms = {k: _integer_terms(divergence(f))
-                 for k, f in components.items()} if use_div else {}
     reach = max(components, default=0)
     for degree in range(seed_degree + 1, 2 * max_index + 1):
         converted.pop(degree - reach - 1, None)  # no later degree reads it
@@ -262,7 +262,7 @@ def _continuation(field: VectorField3, max_index: int, method: Method, power: in
                 continue
             minus += [(piece, c, v) for v, c in zip(VAR_NAMES, comp_terms[fdeg])]
             if use_div:
-                plus.append((piece, div_terms[fdeg]))
+                plus += [(c, piece, v) for v, c in zip(VAR_NAMES, comp_terms[fdeg])]
         rhs = _mul_integer(plus, minus)
         if modulus is not None:
             rhs = modulus.reduce(rhs)

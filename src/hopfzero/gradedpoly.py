@@ -12,26 +12,27 @@ order (`_mono_sort_key`); printing and rerun comparisons read that order.
 coefficients, checks the coefficient ring and merges and sorts terms
 (`coeffring._merged`, which `vectorfield.Poly2` shares).  Operations build
 their results through the private `_wrap`, which trusts its caller to pass a
-term dict that already holds the invariant.  Every product (`mul`, the
-directional derivatives and Lie brackets of `vectorfield`, the normal-form
-Lie series and the known terms of the obstruction sequences) goes through
-one multiply-accumulate kernel, `_mul_integer`.  Its operands are first
-converted by `_integer_terms` to integer numerators over one common
-denominator, so each coefficient is read once; the kernel sums Python
-`int`s, one per output monomial when every operand coefficient is a
-constant.  A product with a partial derivative, as in grad(a) . F, is a
-derivative pair: the kernel differentiates its left operand as it reads it,
-so no partial is built (the method `partial` alone builds one, through
-`_integer_partial`).  In the converted form each parameter exponent vector
-is one `int` key, 64 bits per parameter (`coeffring._pack`), so the kernel
-multiplies two parameter monomials with one `int` add and checks its output
-once for an exponent that reached 2^63 (`coeffring._refuse_overflow`); the
-monomial keys stay (ex, ey, ez), and the keys are unpacked to exponent
-tuples only when numerators become `Fraction`s again
-(`ParamPolynomial._from_numerators`).  The public products take no cap.
-The normal form's steps (`normalform._integer_step`) call the kernel under
-a degree cap, and it reads only what the cap keeps, of a differentiated
-operand too.  The kernel returns the converted form too, divided by its
+term dict that already holds the invariant.  Every product and every
+derivative (`mul`, `partial`, the divergences, directional derivatives and
+Lie brackets of `vectorfield`, the normal-form Lie series and the known
+terms of the obstruction sequences) goes through one multiply-accumulate
+kernel, `_mul_integer`.  Its operands are first converted by
+`_integer_terms` to integer numerators over one common denominator, so each
+coefficient is read once; the kernel sums Python `int`s, one per output
+monomial when every operand coefficient is a constant.  A product with a
+partial derivative, as in grad(a) . F, is a derivative pair: the kernel
+differentiates its left operand as it reads it (`_lowered`, the one place
+an exponent is lowered), so no partial is built; a partial alone is the
+pair of the polynomial and the constant 1 (`_ONE`).  In the converted form
+each parameter exponent vector is one `int` key, 64 bits per parameter
+(`coeffring._pack`), so the kernel multiplies two parameter monomials with
+one `int` add and checks its output once for an exponent that reached 2^63
+(`coeffring._refuse_overflow`); the monomial keys stay (ex, ey, ez), and
+the keys are unpacked to exponent tuples only when numerators become
+`Fraction`s again (`ParamPolynomial._from_numerators`).  The public
+products take no cap.  The normal form's steps (`normalform._integer_step`)
+call the kernel under a degree cap, and it reads only what the cap keeps,
+of a differentiated operand too.  The kernel returns the converted form too, divided by its
 content gcd, so a caller can feed it into the next product, as the normal
 form's steps and the obstruction driver do.  The converted form is the
 only integer layout that leaves this module: the slice solve
@@ -242,8 +243,9 @@ class QHPolynomial:
     # -- calculus and evaluation -------------------------------------------
 
     def partial(self, var: str) -> "QHPolynomial":
-        # `_integer_partial` keeps canonical order and leaves no zero term
-        return _from_integer_terms(_integer_partial(_integer_terms(self), var), self.params)
+        """The derivative pair of this polynomial and the constant 1."""
+        return _from_integer_terms(_mul_integer([(_integer_terms(self), _ONE, var)], ()),
+                                   self.params)
 
     def substitute_params(self, values: Mapping[str, RationalLike]) -> "QHPolynomial":
         out = {}
@@ -269,6 +271,9 @@ class QHPolynomial:
 # packed into one int key (`coeffring._pack`), every field below 2^63
 IntegerTerms = Tuple[int, List[Tuple[int, int, int, List[Tuple[int, int]]]]]
 
+# the constant 1 in converted form: a derivative pair (a, _ONE, v) is da/dv
+_ONE: IntegerTerms = (1, [(0, 0, 0, [(0, 1)])])
+
 
 def _integer_terms(f: QHPolynomial) -> IntegerTerms:
     """`f` as integer numerators over one common denominator:
@@ -292,14 +297,6 @@ def _lowered(terms: list, i: int, scale: int):
             lowered = list(term)
             lowered[i] = e - 1
             yield lowered, e * scale
-
-
-def _integer_partial(converted: IntegerTerms, var: str) -> IntegerTerms:
-    """The partial derivative in `var` of a polynomial converted by
-    `_integer_terms`, over the same denominator, in canonical order."""
-    common, terms = converted
-    return common, [(ex, ey, ez, [(p, e * n) for p, n in items])
-                    for (ex, ey, ez, items), e in _lowered(terms, VAR_NAMES.index(var), 1)]
 
 
 def _from_integer_terms(converted: IntegerTerms, params: Tuple[str, ...]) -> QHPolynomial:
@@ -340,8 +337,7 @@ def _mul_integer(plus: Sequence[tuple], minus: Sequence[tuple],
     it stands for (da/dv) * b, and the kernel differentiates `a` as it reads
     it (`_lowered`): it skips the terms of `a` free of v, lowers v's exponent
     in the others and multiplies that exponent into the pair's scale.  No
-    partial is built, and the result is that of the pair
-    (_integer_partial(a, v), b), item order included.
+    partial is built.
 
     The sums are exact in integers over `common`, the lcm of the pairs'
     `Da * Db`: each pair's numerator products are scaled by

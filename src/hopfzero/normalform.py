@@ -89,34 +89,34 @@ def apply_generator_step(field: VectorField3, step: GeneratorStep,
     (`_from_integer_terms`).
     """
     current = [_integer_terms(c) for c in field.truncate(max_field_degree).components]
-    current, _ = _integer_step(current, [_integer_terms(c) for c in step.generator.components],
-                               _integer_terms(step.reparam), max_field_degree,
-                               all(map(_is_constant, current)))
+    generator = [_integer_terms(c) for c in step.generator.components]
+    reparam = _integer_terms(step.reparam)
+    # a step may be symbolic on a numeric field, so all three are read
+    constant = all(map(_is_constant, current + generator + [reparam]))
+    current = _integer_step(current, generator, reparam, max_field_degree, constant)
     return VectorField3(*(_from_integer_terms(c, field.params) for c in current))
 
 
 def _integer_step(current: List[IntegerTerms], generator: List[IntegerTerms],
                   reparam: IntegerTerms, max_field_degree: int,
-                  constant: bool) -> Tuple[List[IntegerTerms], bool]:
+                  constant: bool) -> List[IntegerTerms]:
     """`apply_generator_step` on the three converted components of a field
-    truncated at `max_field_degree`, every coefficient of which is constant
-    when `constant` says so, for a step whose generator's three components
-    and reparametrization are in converted form too.  Returns the converted
-    result and whether it is constant.
+    truncated at `max_field_degree` and a step in converted form too, every
+    coefficient of all of which is constant when `constant` says so: the
+    three converted components of the result.  A constant field's degree
+    solve gives a constant step, so `orbital_normal_form` reads the flag
+    once, on its field.
 
-    Whether the generator is constant is read once.  The time scaling is
-    one `_mul_integer` per component.  The series current + sum_j
-    ad_g^j(current) / j! brackets the generator with the previous term
-    (`_integer_bracket`, whose kernel calls differentiate both fields as
-    they read them, so no partial is built), and each component of the sum
-    is one `_mul_integer` of term j times the constant 1/j!, so no
+    The time scaling is one `_mul_integer` per component.  The series
+    current + sum_j ad_g^j(current) / j! brackets the generator with the
+    previous term (`_integer_bracket`, whose kernel calls differentiate both
+    fields as they read them, so no partial is built), and each component of
+    the sum is one `_mul_integer` of term j times the constant 1/j!, so no
     `Fraction` is built.
     """
-    constant = constant and all(map(_is_constant, generator))
     if reparam[1]:
         den, terms = reparam
         factor = den, [(0, 0, 0, [(0, den)])] + terms
-        constant = constant and _is_constant(factor)
         current = [_mul_integer([(factor, c)], (), max_field_degree + w, constant)
                    for c, w in zip(current, (1, 1, 2))]
     term = current
@@ -131,7 +131,7 @@ def _integer_step(current: List[IntegerTerms], generator: List[IntegerTerms],
     inverse_factorials = [(factorial(j), [(0, 0, 0, [(0, 1)])]) for j in range(len(series))]
     return [_mul_integer([(t[i], c) for t, c in zip(series, inverse_factorials)], (),
                          None, constant)
-            for i in range(3)], constant
+            for i in range(3)]
 
 
 def _slices(current: List[IntegerTerms], s: int) -> List[IntegerTerms]:
@@ -280,7 +280,7 @@ def orbital_normal_form(field: VectorField3, max_index: int) -> NormalFormResult
             a_coeffs[s // 2] = a
             b_coeffs[s // 2] = b
         if any(terms for _, terms in u) or mu[1]:
-            current, constant = _integer_step(current, u, mu, max_field_degree, constant)
+            current = _integer_step(current, u, mu, max_field_degree, constant)
         steps.append(GeneratorStep(
             degree=s, generator=VectorField3(*(_from_integer_terms(c, params) for c in u)),
             reparam=_from_integer_terms(mu, params)))

@@ -5,12 +5,12 @@ degree-(k+1) slice and z-component in the degree-(k+2) slice.  The planar
 types live in two variables (u, v) and hold the reduced planar system of the
 normal form.
 
-The public calculus (`directional_derivative`, `lie_bracket`) takes no
-degree cap.  The normal form's steps bracket under one, through the
+The public calculus (`divergence`, `directional_derivative`, `lie_bracket`)
+takes no degree cap.  The normal form's steps bracket under one, through the
 converted-form `_integer_bracket`, whose cap stops the kernel
-(`gradedpoly._mul_integer`) at the working degree.  Both hand the kernel
-derivative pairs, which it differentiates as it reads them, so the calculus
-builds no partial; `divergence` alone takes partials (`QHPolynomial.partial`).
+(`gradedpoly._mul_integer`) at the working degree.  All of them hand the
+kernel derivative pairs, which it differentiates as it reads them, so the
+calculus builds no partial.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .coeffring import ParamPolynomial, RationalLike, _format_terms, _merged
-from .gradedpoly import (VAR_NAMES, IntegerTerms, QHPolynomial, _from_integer_terms,
+from .gradedpoly import (_ONE, VAR_NAMES, IntegerTerms, QHPolynomial, _from_integer_terms,
                          _integer_terms, _is_constant, _mul_integer)
 
 
@@ -107,8 +107,9 @@ def principal_part(params: Iterable[str] = ()) -> VectorField3:
 
 
 def divergence(field: VectorField3) -> QHPolynomial:
-    """Sum of the three partial derivatives, exactly."""
-    return (field.fx.partial("x") + field.fy.partial("y") + field.fz.partial("z"))
+    """Sum of the three partials, one `_mul_integer` call on derivative pairs."""
+    pairs = [(_integer_terms(c), _ONE, v) for v, c in zip(VAR_NAMES, field.components)]
+    return _from_integer_terms(_mul_integer(pairs, ()), field.params)
 
 
 def directional_derivative(f: QHPolynomial, field: VectorField3) -> QHPolynomial:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import hopfzero as hz
 from hopfzero import DegreeError, Monomial3, ParamPolynomial, QHPolynomial, VectorField3
 from hopfzero.coeffring import _term_sort_key, _unpack
-from hopfzero.gradedpoly import (_from_integer_terms, _integer_partial, _integer_terms,
-                                 _is_constant, _mono_sort_key, _mul_integer)
+from hopfzero.gradedpoly import (_from_integer_terms, _integer_terms, _is_constant,
+                                 _mono_sort_key, _mul_integer)
 
 from conftest import Pairs, capped_bracket, capped_product, random_qh_slice
 from oracle import h_component
@@ -303,19 +303,15 @@ class TestCanonicalResults:
     def test_integer_terms(self, polys):
         (f,) = polys
         denominators = [q.denominator for c in f.terms.values() for q in c.terms.values()]
-        for var, expected in ((None, f), ("x", f.partial("x")), ("y", f.partial("y")),
-                              ("z", f.partial("z"))):
-            common, terms = _integer_terms(f)
-            if var is not None:
-                common, terms = _integer_partial((common, terms), var)
-            assert common == math.lcm(*denominators)
-            # each exponent vector is one packed int key, read back by `_unpack`
-            rebuilt = [(Monomial3(ex, ey, ez),
-                        [(_unpack(e, len(f.params)), Fraction(n, common)) for e, n in items])
-                       for ex, ey, ez, items in terms]
-            assert all(type(e) is int and type(n) is int
-                       for *_, items in terms for e, n in items)
-            assert rebuilt == [(m, list(c.terms.items())) for m, c in expected.terms.items()]
+        common, terms = _integer_terms(f)
+        assert common == math.lcm(*denominators)
+        # each exponent vector is one packed int key, read back by `_unpack`
+        rebuilt = [(Monomial3(ex, ey, ez),
+                    [(_unpack(e, len(f.params)), Fraction(n, common)) for e, n in items])
+                   for ex, ey, ez, items in terms]
+        assert all(type(e) is int and type(n) is int
+                   for *_, items in terms for e, n in items)
+        assert rebuilt == [(m, list(c.terms.items())) for m, c in f.terms.items()]
 
     @_FEW
     @given(_polys(1))
@@ -479,7 +475,8 @@ class TestCappedKernel:
         params = polys[0].params
         one = QHPolynomial.constant(1, params) if lowest_free else QHPolynomial.zero(params)
         a, b, c, d = (_integer_terms(p) for p in (polys[0] + one, *polys[1:]))
-        pairs = ([(c, d), (a, b, var)], [(c, d), (_integer_partial(a, var), b)])
+        da = _integer_terms(model_partial(polys[0] + one, var))
+        pairs = ([(c, d), (a, b, var)], [(c, d), (da, b)])
         got, want = (([], p) if in_minus else (p, []) for p in pairs)
         constant = all(map(_is_constant, (a, b, c, d)))
         for cap in (None, *range(24)):

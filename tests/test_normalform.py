@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import hopfzero as hz
 from hopfzero import (Method, Monomial3, ParamPolynomial, PrincipalPartError,
                       QHPolynomial, StructureError, VectorField3)
-from hopfzero import gradedpoly, normalform
+from hopfzero import normalform
 from hopfzero.analyzers import _entries_only
 from hopfzero.gradedpoly import _from_integer_terms, _integer_terms, _is_constant
 from hopfzero.normalform import GeneratorStep, _divide_by_h, _solve_degree
@@ -403,25 +403,42 @@ class TestLieSeries:
         assert stored_terms(got) == stored_terms(want)
 
     def test_no_partial_is_built(self, family37, monkeypatch):
-        # the normal form and the report path's continuation read every
-        # partial through derivative pairs; only the JACOBI continuations'
-        # divergences, of F0 and of each field component, take partials
+        # the normal form, every continuation of the report path and
+        # `classify` read each partial and divergence through derivative
+        # pairs, so `QHPolynomial.partial` is never called
         calls = []
-        partial = gradedpoly._integer_partial
+        partial = QHPolynomial.partial
 
         def counting_partial(*args):
             calls.append(args)
             return partial(*args)
 
-        monkeypatch.setattr(gradedpoly, "_integer_partial", counting_partial)
+        monkeypatch.setattr(QHPolynomial, "partial", counting_partial)
         hz.orbital_normal_form(family37, 3)
-        _entries_only(family37, 6, Method.FIRST_INTEGRAL)
+        for method in Method:
+            _entries_only(family37, 6, method)
+        hz.classify(family37, 6)
+        hz.classify(family37.substitute_params(SERIES_POINT), 6)
         assert calls == []
-        components = [k for k in family37.decompose() if k >= 1]
-        for n in (4, 6):
-            _entries_only(family37, n, Method.JACOBI_H2)
-            assert len(calls) == 3 * (1 + len(components))
-            calls.clear()
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 4), st.integers(1, 3))
+    def test_a_bound_field_takes_constant_steps(self, seed, max_degree, max_index):
+        # `orbital_normal_form` reads whether its field is constant once and
+        # trusts that flag for every step, so each step it takes on a field
+        # bound to a point has constant generator and reparam coefficients
+        rng = random.Random(seed)
+        field = hz.principal_part(SERIES_PARAMS)
+        for d in range(1, max_degree + 1):
+            field = field + param_field_component(rng, d, SERIES_PARAMS)
+        field = field.substitute_params(SERIES_POINT)
+        assert all(_is_constant(_integer_terms(c)) for c in field.components)
+        nf = hz.orbital_normal_form(field, max_index)
+        assert len(nf.generators) == 2 * max_index
+        for step in nf.generators:
+            polys = (*step.generator.components, step.reparam)
+            assert step.generator.params == SERIES_PARAMS
+            assert all(_is_constant(_integer_terms(p)) for p in polys)
 
 
 class TestFirstResonance:

@@ -1,4 +1,5 @@
-"""`tools/measure_run.py` runs one command and prints one JSON line about it."""
+"""The command-line tools under `tools/`: `measure_run.py` runs one command
+and prints one JSON line about it; `profile_op.py` profiles one workload."""
 
 import hashlib
 import json
@@ -27,3 +28,20 @@ def test_measure_run_reports_the_command(tmp_path):
     path.write_text(FAMILY37, encoding="utf-8")
     code, text = hz.run_cli(["analyze", str(path), "--max-degree", "4", "--json"])
     assert record["output_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+
+
+PROFILE = TOOL.parent / "profile_op.py"
+
+
+def test_profile_op_prints_the_kernel():
+    proc = subprocess.run([sys.executable, str(PROFILE), "nf-numeric", "1", "5"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "_mul_integer" in proc.stdout
+
+
+def test_profile_op_refuses_an_unknown_workload():
+    proc = subprocess.run([sys.executable, str(PROFILE), "no-such-workload", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert "python3 tools/profile_op.py WORKLOAD SEED [N]" in proc.stderr
