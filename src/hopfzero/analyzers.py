@@ -22,26 +22,25 @@ and `classify` keeps none.
 A run may continue in a quotient ring instead, as the paper does once it
 takes a nonzero entry as a necessary condition g = 0 and goes on: the report
 path (`_entries_only`) takes a constraint g and the name p it eliminates, and
-each degree's known term is reduced modulo g (`_Modulus`) before its entry is
-read and its slice is solved.  The continuation uses only ring operations
-and slice solves whose only divisions are by integers, so it commutes with
-the map Q[params] -> Q[params]/(g) whenever g's leading coefficient in p is
-a nonzero rational; its entries are then the true remainders of the full
-run's entries, and no full entry is computed.
+each degree's known term is reduced modulo g (`coeffring._Modulus`) before
+its entry is read and its slice is solved.  The continuation uses only ring
+operations and slice solves whose only divisions are by integers, so it
+commutes with the map Q[params] -> Q[params]/(g) whenever g's leading
+coefficient in p is a nonzero rational; its entries are then the true
+remainders of the full run's entries, and no full entry is computed.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from .coeffring import _EXP_BITS, _EXP_MASK, ParamPolynomial, _pack, _refuse_overflow
+from .coeffring import ParamPolynomial, _Modulus
 from .errors import DegreeError, StructureError
-from .gradedpoly import (VAR_NAMES, IntegerTerms, Monomial3, QHPolynomial,
-                         _from_integer_terms, _integer_terms, _mul_integer)
+from .gradedpoly import (VAR_NAMES, Monomial3, QHPolynomial, _from_integer_terms,
+                         _integer_terms, _mul_integer)
 from .homological import _solve_levels
 from .normalform import (NormalFormResult, ResonanceData, coprime_resonance,
                          first_resonance, orbital_normal_form, principal_part,
@@ -91,107 +90,6 @@ class ObstructionSequence:
 
     def first_nonzero(self) -> Optional[int]:
         return next((k for k in sorted(self.entries) if self.entries[k]), None)
-
-
-class _Modulus:
-    """Reduction modulo a constraint g whose leading coefficient in the
-    eliminated parameter p is a nonzero rational, on the graded kernel's
-    converted form.
-
-    With its denominators cleared and its sign fixed, g is lc*p^d + tail:
-    lc a positive integer and the tail, of degree below d in p, integer
-    items (key, numerator), each exponent vector packed into one `int` key
-    as in the converted form (`coeffring._pack`).  Modulo g, p^d is
-    -tail/lc, so each power p^e is congruent to one polynomial of degree
-    below d in p, held as integer items over lc^s (`_power`), and each
-    coefficient to its true remainder, the one polynomial of degree below d
-    in p congruent to it.  It equals pseudo_remainder(c, g, p)[0] / lc(g)^e.
-    Taking it is a ring homomorphism Q[params] -> Q[params]/(g), which is
-    what lets the continuation run in the quotient.  A leading coefficient
-    that is not a constant raises ParameterError, since then it is not.
-
-    The exponent of p in a key is read with a shift and a mask, and a
-    monomial times a power of p is a sum of keys, checked like the graded
-    kernel's (`coeffring._refuse_overflow`): an exponent of 2^63 or more in
-    the tail, or a reduced exponent that reaches it, raises ParameterError.
-    (A degree d of 2^63 or more needs no guard: every exponent of p in the
-    converted form is below it, so reducing leaves each coefficient as is.)
-    """
-
-    def __init__(self, constraint: ParamPolynomial, var: str):
-        i = constraint._param_index(var)
-        self.shift = _EXP_BITS * i
-        self.degree = d = constraint.degree_in(var)
-        lead = constraint.coefficient_of_power(var, d).constant_value()
-        den = math.lcm(*(c.denominator for c in constraint.terms.values()))
-        if lead < 0:
-            den = -den
-        self.lc = int(lead * den)
-        self._tail = [(_pack(e), int(c * den)) for e, c in constraint.terms.items() if e[i] < d]
-        self._powers = {d: (1, [(key, -n) for key, n in self._tail])}
-
-    def _power(self, e: int) -> Tuple[int, List[Tuple[int, int]]]:
-        """(s, items): p^e, for e >= d, is congruent to items / lc^s, of
-        degree below d in p.  Each power is p times the one before, with the
-        items that reach p^d replaced by -tail/lc; s never decreases with e."""
-        shift, d, table = self.shift, self.degree, self._powers
-        step, below = 1 << shift, (d - 1) << shift
-        top = max(table)
-        while top < e:
-            s, items = table[top]
-            low, high = [], []
-            for key, n in items:
-                if key >> shift & _EXP_MASK == d - 1:
-                    high.append((key - below, n))
-                else:
-                    low.append((key + step, n))
-            if high:
-                out = {key: n * self.lc for key, n in low}
-                for rest, n in high:
-                    for t, m in self._tail:
-                        key = rest + t
-                        out[key] = out.get(key, 0) - n * m
-                _refuse_overflow(out)
-                s, low = s + 1, [(key, n) for key, n in out.items() if n]
-            top += 1
-            table[top] = s, low
-        return table[e]
-
-    def reduce(self, converted: IntegerTerms) -> IntegerTerms:
-        """`converted` with each coefficient replaced by its true remainder,
-        in the same form: one common denominator, the terms in canonical
-        order, zero-free, and the gcd of the denominator and every numerator
-        1.  The items are scaled to lc^S, S the largest s of the powers of p
-        they hold, and then divided by that gcd."""
-        den, terms = converted
-        shift, d = self.shift, self.degree
-        top = max((key >> shift & _EXP_MASK for term in terms for key, _ in term[3]),
-                  default=0)
-        if top < d:
-            return converted
-        big = self._power(top)[0]
-        lifts = [self.lc ** (big - s) for s in range(big + 1)]
-        out = []
-        for *mono, items in terms:
-            acc: Dict[int, int] = {}
-            for key, n in items:
-                e = key >> shift & _EXP_MASK
-                if e < d:
-                    acc[key] = acc.get(key, 0) + n * lifts[0]
-                    continue
-                s, power = self._powers[e]
-                rest = key - (e << shift)
-                n *= lifts[s]
-                for t, m in power:
-                    key = rest + t
-                    acc[key] = acc.get(key, 0) + n * m
-            _refuse_overflow(acc)
-            items = [(key, n) for key, n in acc.items() if n]
-            if items:
-                out.append((*mono, items))
-        den *= lifts[0]
-        g = math.gcd(den, *(n for term in out for _, n in term[3]))
-        return den // g, [(*term[:3], [(e, n // g) for e, n in term[3]]) for term in out]
 
 
 def _continuation(field: VectorField3, max_index: int, method: Method, power: int,

@@ -16,22 +16,27 @@ caller to pass a term dict that already holds the invariant.
 The module also holds the primitives that every polynomial type of the
 package shares, each written once: `_from_numerators`, which turns the
 integer numerators of the graded product and the slice solve into `Fraction`
-coefficients; `_merged`, the term merge of the `QHPolynomial` and `Poly2`
-constructors; and `_format_terms`, the printer of all three types.
+coefficients; `_merged`, the term merge of `QHPolynomial` and `Poly2`;
+and `_format_terms`, the printer of all three types.
 
 It also owns the packed exponent layout of the graded kernel's converted
 form (`gradedpoly.IntegerTerms`), in which an exponent vector is one `int`
 key, 64 bits per parameter: `_pack`, `_unpack` and the guard of key sums,
-`_refuse_overflow`.
+`_refuse_overflow`; no other module reads a key's bit fields.  Beside the
+layout it owns the quotient Q[params]/(g) of constrained runs: `_Modulus`
+reduces the converted form modulo g, and `_constant_lead` decides which
+constraints a quotient admits; `pseudo_remainder` and `congruent_mod` are
+the independent reference that `_Modulus` is checked against.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from functools import reduce
 from operator import add, or_
-from typing import Dict, Iterable, Mapping, Union
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 from .errors import ParameterError
 
@@ -420,7 +425,122 @@ def pseudo_remainder(p: ParamPolynomial, constraint: ParamPolynomial,
 def congruent_mod(p: ParamPolynomial, q: ParamPolynomial,
                   constraint: ParamPolynomial, var: str) -> bool:
     """True when p == q modulo the principal ideal generated by `constraint`,
-    whose leading coefficient in `var` must be a nonzero constant (else
-    ParameterError): only then does a zero pseudo-remainder mean membership."""
-    constraint.coefficient_of_power(var, constraint.degree_in(var)).constant_value()
+    which `_constant_lead` must admit (else ParameterError): only then does a
+    zero pseudo-remainder mean membership."""
+    _constant_lead(constraint, var)
     return ppoly_reduce(p - q, constraint, var).is_zero()
+
+
+def _constant_lead(constraint: ParamPolynomial, var: str) -> Tuple[int, Fraction]:
+    """(d, lc): the degree d >= 1 of `constraint` in `var` and its leading
+    coefficient lc there, a rational; else ParameterError, since the remainder
+    by any other constraint is no ring homomorphism.  `_Modulus`,
+    `congruent_mod` and the CLI's request check all decide by it."""
+    d = constraint.degree_in(var)
+    if d < 1:
+        raise ParameterError(f"constraint does not contain {var!r}")
+    lead = constraint.coefficient_of_power(var, d)
+    if not lead.is_constant():
+        raise ParameterError(
+            f"constraint has leading coefficient {lead} in {var!r}, not a constant")
+    return d, lead.constant_value()
+
+
+class _Modulus:
+    """Reduction modulo a constraint g whose leading coefficient in the
+    eliminated parameter p is a nonzero rational, on the graded kernel's
+    converted form (`gradedpoly.IntegerTerms`).
+
+    With its denominators cleared and its sign fixed, g is lc*p^d + tail:
+    lc a positive integer and the tail, of degree below d in p, integer
+    items (key, numerator), each exponent vector packed into one `int` key
+    as in the converted form (`_pack`).  Modulo g, p^d is -tail/lc, so each
+    power p^e is congruent to one polynomial of degree below d in p, held as
+    integer items over lc^s (`_power`), and each coefficient to its true
+    remainder, the one polynomial of degree below d in p congruent to it.
+    It equals pseudo_remainder(c, g, p)[0] / lc(g)^e.  Taking it is a ring
+    homomorphism Q[params] -> Q[params]/(g), which is what lets the
+    continuation run in the quotient.  A constraint that `_constant_lead`
+    refuses raises its ParameterError, since then it is not.
+
+    The exponent of p in a key is read with a shift and a mask, and a
+    monomial times a power of p is a sum of keys, checked like the graded
+    kernel's (`_refuse_overflow`): an exponent of 2^63 or more in the tail,
+    or a reduced exponent that reaches it, raises ParameterError.
+    (A degree d of 2^63 or more needs no guard: every exponent of p in the
+    converted form is below it, so reducing leaves each coefficient as is.)
+    """
+
+    def __init__(self, constraint: ParamPolynomial, var: str):
+        d, lead = _constant_lead(constraint, var)
+        i = constraint._param_index(var)
+        self.shift, self.degree = _EXP_BITS * i, d
+        den = math.lcm(*(c.denominator for c in constraint.terms.values()))
+        if lead < 0:
+            den = -den
+        self.lc = int(lead * den)
+        self._tail = [(_pack(e), int(c * den)) for e, c in constraint.terms.items() if e[i] < d]
+        self._powers = {d: (1, [(key, -n) for key, n in self._tail])}
+
+    def _power(self, e: int) -> Tuple[int, List[Tuple[int, int]]]:
+        """(s, items): p^e, for e >= d, is congruent to items / lc^s, of
+        degree below d in p.  Each power is p times the one before, with the
+        items that reach p^d replaced by -tail/lc; s never decreases with e."""
+        shift, d, table = self.shift, self.degree, self._powers
+        step, below = 1 << shift, (d - 1) << shift
+        top = max(table)
+        while top < e:
+            s, items = table[top]
+            low, high = [], []
+            for key, n in items:
+                if key >> shift & _EXP_MASK == d - 1:
+                    high.append((key - below, n))
+                else:
+                    low.append((key + step, n))
+            if high:
+                out = {key: n * self.lc for key, n in low}
+                for rest, n in high:
+                    for t, m in self._tail:
+                        key = rest + t
+                        out[key] = out.get(key, 0) - n * m
+                _refuse_overflow(out)
+                s, low = s + 1, [(key, n) for key, n in out.items() if n]
+            top += 1
+            table[top] = s, low
+        return table[e]
+
+    def reduce(self, converted: tuple) -> tuple:
+        """`converted` with each coefficient replaced by its true remainder,
+        in the same form: one common denominator, the terms in canonical
+        order, zero-free, and the gcd of the denominator and every numerator
+        1.  The items are scaled to lc^S, S the largest s of the powers of p
+        they hold, and then divided by that gcd."""
+        den, terms = converted
+        shift, d = self.shift, self.degree
+        top = max((key >> shift & _EXP_MASK for term in terms for key, _ in term[3]),
+                  default=0)
+        if top < d:
+            return converted
+        big = self._power(top)[0]
+        lifts = [self.lc ** (big - s) for s in range(big + 1)]
+        out = []
+        for *mono, items in terms:
+            acc: Dict[int, int] = {}
+            for key, n in items:
+                e = key >> shift & _EXP_MASK
+                if e < d:
+                    acc[key] = acc.get(key, 0) + n * lifts[0]
+                    continue
+                s, power = self._powers[e]
+                rest = key - (e << shift)
+                n *= lifts[s]
+                for t, m in power:
+                    key = rest + t
+                    acc[key] = acc.get(key, 0) + n * m
+            _refuse_overflow(acc)
+            items = [(key, n) for key, n in acc.items() if n]
+            if items:
+                out.append((*mono, items))
+        den *= lifts[0]
+        g = math.gcd(den, *(n for term in out for _, n in term[3]))
+        return den // g, [(*term[:3], [(e, n // g) for e, n in term[3]]) for term in out]

@@ -5,10 +5,10 @@ A request is checked once per call, by `_request_fault`, which `build_report`
 takes a field as parsed, runs that check, normalizes the principal part and
 assembles the report dictionary that `--json` prints (`REPORT_SCHEMA`).  A
 sequence mode with a constraint g and an eliminated name p runs in the
-quotient ring Q[params]/(g) (`analyzers._entries_only`), which needs g's
-leading coefficient in p to be a nonzero rational once the bound values are
-substituted; such a sequence reports `reduced_entries`, the true remainders
-of the entries, and no `entries`.
+quotient ring Q[params]/(g) (`analyzers._entries_only`), which needs g to
+pass the coefficient ring's rule (`coeffring._constant_lead`) once the bound
+values are substituted; such a sequence reports `reduced_entries`, the true
+remainders of the entries, and no `entries`.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .analyzers import CaseTag, Classification, Method, _entries_only, classify
-from .coeffring import ParamPolynomial, _read_int, rat
-from .errors import HopfZeroError, ParseError, PrincipalPartError
+from .coeffring import ParamPolynomial, _constant_lead, _read_int, rat
+from .errors import HopfZeroError, ParameterError, ParseError, PrincipalPartError
 from .gradedpoly import QHPolynomial
 from .normalform import (NormalFormResult, first_resonance, orbital_normal_form,
                          planar_reduction, principal_part)
@@ -106,10 +106,8 @@ def _request_fault(names: Tuple[str, ...],
     (setting, message), or None.  The setting is spelt as a fixture key
     (`mode`, `param NAME`, `constraint`, `eliminate`); the message starts with
     a setting's name, which the CLI spells as its flag.  A constraint must
-    contain the eliminated name with a constant leading coefficient once the
-    bound values are substituted: the sequence runs in the quotient by it,
-    and the remainder by a constraint with any other leading coefficient is
-    no ring homomorphism."""
+    pass `coeffring._constant_lead` once the bound values are substituted:
+    the sequence runs in the quotient by it."""
     values = config.parameter_values or {}
     constrained = config.constraint is not None
     if config.mode not in MODES:
@@ -123,15 +121,12 @@ def _request_fault(names: Tuple[str, ...],
             return key, f"{key.split()[0]} names undeclared parameter {name!r}"
     if not constrained:
         return None
-    bound = " once the param values are substituted" if values else ""
     poly, var = _bound_constraint(config)
-    degree = poly.degree_in(var)
-    if degree < 1:
-        return "eliminate", f"constraint does not contain {var!r}{bound}"
-    lead = poly.coefficient_of_power(var, degree)
-    if not lead.is_constant():
-        return "eliminate", (f"constraint has leading coefficient {lead} in {var!r}, "
-                             f"not a constant{bound}")
+    try:
+        _constant_lead(poly, var)
+    except ParameterError as err:
+        bound = " once the param values are substituted" if values else ""
+        return "eliminate", f"{err}{bound}"
     return None
 
 

@@ -10,7 +10,7 @@ Invariant: a `QHPolynomial`'s `terms` are always zero-free and in canonical
 order (`_mono_sort_key`); printing and rerun comparisons read that order.
 `QHPolynomial(...)` is the constructor for outside input: it coerces keys and
 coefficients, checks the coefficient ring and merges and sorts terms
-(`coeffring._merged`, which `vectorfield.Poly2` shares).  Operations build
+(`coeffring._merged`, shared by `__add__` and `Poly2`).  Operations build
 their results through the private `_wrap`, which trusts its caller to pass a
 term dict that already holds the invariant.  Every product and every
 derivative (`mul`, `partial`, the divergences, directional derivatives and
@@ -173,17 +173,9 @@ class QHPolynomial:
             return self
         if not self.terms:
             return other
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            prev = out.get(m)
-            if prev is None:
-                out[m] = c
-            elif c := prev + c:
-                out[m] = c
-            else:
-                del out[m]
-        return QHPolynomial._wrap({m: out[m] for m in sorted(out, key=_mono_sort_key)},
-                                  self.params)
+        return QHPolynomial._wrap(
+            _merged(chain(self.terms.items(), other.terms.items()), _mono_sort_key,
+                    self.params), self.params)
 
     def __sub__(self, other: "QHPolynomial") -> "QHPolynomial":
         return self + -other

@@ -27,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import factorial, gcd
 from typing import Dict, List, Optional, Tuple
 
 from .coeffring import ParamPolynomial, Rational
@@ -153,10 +153,9 @@ def _resonant_field(s: int, a: ParamPolynomial, b: ParamPolynomial,
     if s % 2:
         return VectorField3.zero(params)
     k = s // 2
-    fx = QHPolynomial({Monomial3(1, 0, k): a}, params) if a else QHPolynomial.zero(params)
-    fy = QHPolynomial({Monomial3(0, 1, k): a}, params) if a else QHPolynomial.zero(params)
-    fz = QHPolynomial({Monomial3(0, 0, k + 1): b}, params) if b else QHPolynomial.zero(params)
-    return VectorField3(fx, fy, fz)
+    return VectorField3(QHPolynomial({Monomial3(1, 0, k): a}, params),
+                        QHPolynomial({Monomial3(0, 1, k): a}, params),
+                        QHPolynomial({Monomial3(0, 0, k + 1): b}, params))
 
 
 def _divide_by_h(p: IntegerTerms, k: int) -> IntegerTerms:
@@ -220,8 +219,8 @@ def _solve_degree(known: List[IntegerTerms], s: int, params: Tuple[str, ...],
     def mul(*plus, minus=()):
         return _mul_integer(plus, minus, None, constant)
 
-    def h_power(m):  # (x^2 + y^2)^m
-        return 1, [(2 * i, 2 * (m - i), 0, [(0, comb(m, i))]) for i in range(m, -1, -1)]
+    def h_power(m):  # (x^2 + y^2)^m, converted
+        return _integer_terms(QHPolynomial.h_power(m, ()))
 
     def split(f):  # f without its z^(k+1) term and that term's numerators
         den, terms = f
@@ -363,12 +362,7 @@ def coprime_resonance(a: Rational, b: Rational, m0: int) -> Optional[Tuple[int, 
 def planar_reduction(nf: NormalFormResult) -> PlanarVectorField:
     """The reduced planar field (v + sum b_k u^(k+1), 2 v sum a_k u^k)."""
     params = nf.params
-    pu_terms = {(0, 1): ParamPolynomial.constant(1, params)}
-    for k, b in sorted(nf.b_coeffs.items()):
-        if b:
-            pu_terms[(k + 1, 0)] = b
-    pv_terms = {}
-    for k, a in sorted(nf.a_coeffs.items()):
-        if a:
-            pv_terms[(k, 1)] = a.scale(2)
+    pu_terms = {(k + 1, 0): b for k, b in nf.b_coeffs.items()}
+    pu_terms[(0, 1)] = ParamPolynomial.constant(1, params)
+    pv_terms = {(k, 1): a.scale(2) for k, a in nf.a_coeffs.items()}
     return PlanarVectorField(Poly2(pu_terms, params), Poly2(pv_terms, params))

@@ -135,7 +135,7 @@ class _ExprParser:
                 value = int(denom.text)
                 if value == 0:
                     raise ParseError("division by zero", denom.line, denom.column)
-                node = node * QHPolynomial.constant(Fraction(1, value), self.params)
+                node = node.scale(Fraction(1, value))
 
     def product(self, a: QHPolynomial, b: QHPolynomial, tok: Token) -> QHPolynomial:
         """a * b; a parameter exponent that reaches 2^63 there, which the
@@ -201,8 +201,8 @@ class _ExprParser:
             return QHPolynomial.variable(tok.text, self.params)
         if tok.text not in self.params:
             raise ParseError(f"undeclared identifier {tok.text!r}", tok.line, tok.column)
-        return QHPolynomial.constant(1, self.params).scale_param(
-            ParamPolynomial.variable(tok.text, self.params))
+        return QHPolynomial({(0, 0, 0): ParamPolynomial.variable(tok.text, self.params)},
+                            self.params)
 
 
 @dataclass(frozen=True)

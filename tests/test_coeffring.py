@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import hopfzero as hz
 from hopfzero import ParamPolynomial, ParameterError
-from hopfzero.coeffring import _term_sort_key
+from hopfzero.coeffring import _Modulus, _term_sort_key
 
 from conftest import Pairs, random_ppoly
 
@@ -174,6 +174,18 @@ class TestReduce:
         c = hz.parse_polynomial(constraint, PARAMS)
         with pytest.raises(ParameterError):
             hz.congruent_mod(var("a"), const(0), c, "a")
+
+    @pytest.mark.parametrize("constraint", ["0", "3", "b - 2"])
+    @pytest.mark.parametrize("check", ["_Modulus", "congruent_mod"])
+    def test_a_constraint_without_the_eliminated_name_is_refused(self, check, constraint):
+        # the quotient and the reference decide by one rule: a constraint that
+        # does not contain `a` admits no quotient that eliminates it
+        c = hz.parse_polynomial(constraint, PARAMS)
+        with pytest.raises(ParameterError, match="^constraint does not contain 'a'$"):
+            if check == "_Modulus":
+                _Modulus(c, "a")
+            else:
+                hz.congruent_mod(var("a"), const(0), c, "a")
 
 
 class TestPrinting:
