@@ -14,8 +14,8 @@ coefficients, checks the coefficient ring and merges and sorts terms
 their results through the private `_wrap`, which trusts its caller to pass a
 term dict that already holds the invariant.  Every product and every
 derivative (`mul`, `partial`, the divergences, directional derivatives and
-Lie brackets of `vectorfield`, the normal-form Lie series and the known
-terms of the obstruction sequences) goes through one multiply-accumulate
+Lie brackets of `vectorfield`, the normal-form adjoint exponential and the
+known terms of the obstruction sequences) goes through one multiply-accumulate
 kernel, `_mul_integer`.  Its operands are first converted by
 `_integer_terms` to integer numerators over one common denominator, so each
 coefficient is read once; the kernel sums Python `int`s, one per output
@@ -31,10 +31,12 @@ one `int` add and checks its output once for an exponent that reached 2^63
 the keys are unpacked to exponent tuples only when numerators become
 `Fraction`s again (`ParamPolynomial._from_numerators`).  The public
 products take no cap.  The normal form's steps (`normalform._integer_step`)
-call the kernel under a degree cap, and it reads only what the cap keeps,
-of a differentiated operand too.  The kernel returns the converted form too, divided by its
-content gcd, so a caller can feed it into the next product, as the normal
-form's steps and the obstruction driver do.  The converted form is the
+sum the adjoint exponential in Horner form, one kernel call per component
+and level, each under that level's degree cap, and the kernel reads only
+what the cap keeps, of a differentiated operand too.  The kernel returns
+the converted form too, divided by its content gcd, so a caller can feed
+it into the next product, as the normal form's steps and the obstruction
+driver do.  The converted form is the
 only integer layout that leaves this module: the slice solve
 (`homological._solve_levels`) takes and returns it, so the obstruction
 driver and the normal-form degree solve build no `Fraction`s between
@@ -158,8 +160,7 @@ class QHPolynomial:
     @classmethod
     def h_power(cls, m: int, params: Iterable[str]) -> "QHPolynomial":
         """(x^2 + y^2)^m, the generator of the rotation-invariant kernel line."""
-        return cls({Monomial3(2 * i, 2 * (m - i), 0): math.comb(m, i)
-                    for i in range(m + 1)}, params)
+        return _from_integer_terms(_h_power(m), tuple(params))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -267,6 +268,14 @@ IntegerTerms = Tuple[int, List[Tuple[int, int, int, List[Tuple[int, int]]]]]
 _ONE: IntegerTerms = (1, [(0, 0, 0, [(0, 1)])])
 
 
+def _h_power(m: int) -> IntegerTerms:
+    """(x^2 + y^2)^m in converted form: the binomial coefficients over 1,
+    the x exponent descending, which is canonical order.  The one builder
+    of the power, for `QHPolynomial.h_power` and the normal-form degree
+    solve."""
+    return 1, [(2 * i, 2 * (m - i), 0, [(0, math.comb(m, i))]) for i in range(m, -1, -1)]
+
+
 def _integer_terms(f: QHPolynomial) -> IntegerTerms:
     """`f` as integer numerators over one common denominator:
     (D, [(ex, ey, ez, [(key, numerator)])]), D the lcm of every coefficient
@@ -321,9 +330,9 @@ def _mul_integer(plus: Sequence[tuple], minus: Sequence[tuple],
     operands converted by `_integer_terms`, without the monomials of degree
     above `max_degree` when a cap is given, in converted form: zero-free, the
     monomials in canonical order, and numerators and denominator divided by
-    their gcd, so that a chain of products, such as the terms of a Lie
-    series, does not grow its denominators.  `_from_integer_terms` turns the
-    result into a `QHPolynomial`.
+    their gcd, so that a chain of products, such as the levels of the
+    normal form's Horner sum, does not grow its denominators.
+    `_from_integer_terms` turns the result into a `QHPolynomial`.
 
     A pair may also be a derivative pair (a, b, v), v one of "x", "y", "z":
     it stands for (da/dv) * b, and the kernel differentiates `a` as it reads

@@ -12,14 +12,18 @@ three slice solves plus a division by x^2 + y^2 (`_solve_degree`).  After
 each solve the actual transformation (time factor 1 + mu, then the
 exponential of the generator's adjoint action) is applied and the achieved
 slice is checked exactly, so the returned coefficients are verified, not
-inferred.  The field stays in the graded kernel's converted form
-(`gradedpoly.IntegerTerms`) from the first step to the last, and so do the
-degree solve, its slice solves (`homological._solve_levels`) and each step
-(`_integer_step`).  Per degree only the generator, mu, a and b, and the
-achieved slice the check reads, are built as `Fraction`s.  The returned
-field is F0 plus the checked resonant slices, which the per-degree check
-makes equal to the transformed field, so the converted field never becomes
-`Fraction`s as a whole.
+inferred.  The exponential of ad_g on the time-scaled field C is summed in
+Horner form, U_j = C + ad_g(U_(j+1)) / (j+1) down to U_0, with U_j capped
+at field degree N - j*s for a degree-s generator and working degree N:
+every bracket reads only the low-degree slices of its operand, and each
+level is one kernel call per component (`_integer_step`).  The field stays
+in the graded kernel's converted form (`gradedpoly.IntegerTerms`) from the
+first step to the last, and so do the degree solve, its slice solves
+(`homological._solve_levels`) and each step.  Per degree only the
+generator, mu, a and b, and the achieved slice the check reads, are built
+as `Fraction`s.  The returned field is F0 plus the checked resonant slices,
+which the per-degree check makes equal to the transformed field, so the
+converted field never becomes `Fraction`s as a whole.
 """
 
 from __future__ import annotations
@@ -27,15 +31,15 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 from .coeffring import ParamPolynomial, Rational
 from .errors import DegreeError, PrincipalPartError, StructureError
-from .gradedpoly import (IntegerTerms, Monomial3, QHPolynomial, _from_integer_terms,
-                         _integer_terms, _is_constant, _mul_integer)
+from .gradedpoly import (_ONE, IntegerTerms, Monomial3, QHPolynomial, _from_integer_terms,
+                         _h_power, _integer_terms, _is_constant, _mul_integer)
 from .homological import _solve_levels
-from .vectorfield import (PlanarVectorField, Poly2, VectorField3, _integer_bracket,
+from .vectorfield import (PlanarVectorField, Poly2, VectorField3, _bracket_pairs,
                           principal_part)
 
 
@@ -80,7 +84,10 @@ def apply_generator_step(field: VectorField3, step: GeneratorStep,
                          max_field_degree: int) -> VectorField3:
     """Apply one step: scale time by (1 + reparam), then push along the
     generator's flow via the exponential of the adjoint action, truncating
-    above the working degree.
+    above the working degree.  The exponential is summed in Horner form, so
+    each bracket reads only the low degrees that the truncated result
+    needs (`_integer_step`).  DegreeError if the generator has a term of
+    field degree below 1.
 
     The wrapper of `_integer_step`, which `orbital_normal_form` runs on a
     field kept in converted form from its first step to its last: the field
@@ -107,44 +114,60 @@ def _integer_step(current: List[IntegerTerms], generator: List[IntegerTerms],
     solve gives a constant step, so `orbital_normal_form` reads the flag
     once, on its field.
 
-    The time scaling is one `_mul_integer` per component.  The series
-    current + sum_j ad_g^j(current) / j! brackets the generator with the
-    previous term (`_integer_bracket`, whose kernel calls differentiate both
-    fields as they read them, so no partial is built), and each component of
-    the sum is one `_mul_integer` of term j times the constant 1/j!, so no
-    `Fraction` is built.
+    The time scaling is one `_mul_integer` per component; call its result
+    C and the working degree N.  The exponential exp(ad_g) C =
+    sum_j ad_g^j(C) / j! is summed in Horner form: U_n = C,
+    U_j = C + ad_g(U_(j+1)) / (j+1), and the result is U_0.  With s the
+    generator's lowest field degree, read off the first term of each
+    component (canonical order is ascending degree), ad_g raises degrees
+    by at least s, so U_j is needed only up to field degree N - j*s and
+    n = N // s levels reach the whole truncated sum.  U_n is C cut at
+    N - n*s.  Each lower level is one kernel call per component, under the
+    cap N - j*s: the six derivative pairs of the bracket
+    (`vectorfield._bracket_pairs`, with 1/(j+1) folded into the
+    generator's denominator) plus the pair (C_i, 1).  So each bracket reads
+    the low-degree slices of its operand, no `Fraction` is built, and only
+    three fields are held at a time.  A zero generator returns C; a term of
+    field degree below 1 raises DegreeError, since the levels need every
+    bracket to raise degrees.
     """
     if reparam[1]:
         den, terms = reparam
         factor = den, [(0, 0, 0, [(0, den)])] + terms
         current = [_mul_integer([(factor, c)], (), max_field_degree + w, constant)
                    for c, w in zip(current, (1, 1, 2))]
-    term = current
-    series = [term]
-    while True:
-        term = _integer_bracket(generator, term, max_field_degree, constant)
-        if not any(terms for _, terms in term):
-            break
-        series.append(term)
-        if len(series) > 4 * max_field_degree + 8:
-            raise StructureError("adjoint exponential failed to terminate")
-    inverse_factorials = [(factorial(j), [(0, 0, 0, [(0, 1)])]) for j in range(len(series))]
-    return [_mul_integer([(t[i], c) for t, c in zip(series, inverse_factorials)], (),
-                         None, constant)
-            for i in range(3)]
+    degrees = [_degree(terms[0]) - w for (_, terms), w in zip(generator, (1, 1, 2)) if terms]
+    if not degrees:
+        return current
+    s = min(degrees)
+    if s < 1:
+        raise DegreeError(f"generator has a term of field degree {s}; a step needs degree 1 or more")
+    levels = max_field_degree // s
+    top = max_field_degree - levels * s
+    field = [(den, terms[:bisect_right(terms, top + w, key=_degree)])
+             for (den, terms), w in zip(current, (1, 1, 2))]
+    for j in range(levels - 1, -1, -1):
+        scaled = [(den * (j + 1), terms) for den, terms in generator]
+        cap = max_field_degree - j * s
+        pairs = [_bracket_pairs(scaled, field, i) for i in range(3)]
+        field = [_mul_integer(plus + [(c, _ONE)], minus, cap + w, constant)
+                 for (plus, minus), c, w in zip(pairs, current, (1, 1, 2))]
+    return field
+
+
+def _degree(term) -> int:
+    """The quasi-homogeneous degree of a converted term's monomial."""
+    return term[0] + term[1] + 2 * term[2]
 
 
 def _slices(current: List[IntegerTerms], s: int) -> List[IntegerTerms]:
     """The degree-s component of a field in converted form, each slice over
     its component's denominator; the terms come in ascending degree, so each
     slice is found by bisection."""
-    def degree(t):
-        return t[0] + t[1] + 2 * t[2]
-
     slices = []
     for (den, terms), k in zip(current, (s + 1, s + 1, s + 2)):
-        lo = bisect_left(terms, k, key=degree)
-        slices.append((den, terms[lo:bisect_right(terms, k, lo, key=degree)]))
+        lo = bisect_left(terms, k, key=_degree)
+        slices.append((den, terms[lo:bisect_right(terms, k, lo, key=_degree)]))
     return slices
 
 
@@ -219,9 +242,6 @@ def _solve_degree(known: List[IntegerTerms], s: int, params: Tuple[str, ...],
     def mul(*plus, minus=()):
         return _mul_integer(plus, minus, None, constant)
 
-    def h_power(m):  # (x^2 + y^2)^m, converted
-        return _integer_terms(QHPolynomial.h_power(m, ()))
-
     def split(f):  # f without its z^(k+1) term and that term's numerators
         den, terms = f
         if terms and terms[-1][:3] == (0, 0, k + 1):
@@ -237,7 +257,7 @@ def _solve_degree(known: List[IntegerTerms], s: int, params: Tuple[str, ...],
     mu = at(0, 0, k, [(e, -(k + 1) * n) for e, n in top_a], 2 * big_a[0])
     a = ParamPolynomial._from_numerators({e: (k + 1) * n for e, n in top_b}, big_b[0],
                                          params, {})
-    rhs, top_z = split(mul((kz, one), (mu, h_power(1)), (at(0, 0, 0, [(0, 2)]), big_b)))
+    rhs, top_z = split(mul((kz, one), (mu, _h_power(1)), (at(0, 0, 0, [(0, 2)]), big_b)))
     b = ParamPolynomial._from_numerators(dict(top_z), rhs[0], params, {})
     uz = _solve_levels(s + 2, rhs)
     ux = _divide_by_h(mul((x, big_b), minus=[(y, big_a)]), s + 1)
@@ -245,11 +265,11 @@ def _solve_degree(known: List[IntegerTerms], s: int, params: Tuple[str, ...],
     if s % 2 == 0:  # add the kernel fields that zero uy[x y^s], uz[z y^s], uz[y^(s+2)]
         t1, t2, t3 = (next((t[3] for t in f[1] if t[:3] == m), [])
                       for f, m in ((uy, (1, s, 0)), (uz, (0, s, 1)), (uz, (0, s + 2, 0))))
-        hk, d1, d2 = h_power(k), uy[0], uz[0]
+        hk, d1, d2 = _h_power(k), uy[0], uz[0]
         ux = mul((ux, one), (at(0, 1, 0, t1, d1), hk), minus=[(at(1, 0, 0, t2, 2 * d2), hk)])
         uy = mul((uy, one), minus=[(at(1, 0, 0, t1, d1), hk), (at(0, 1, 0, t2, 2 * d2), hk)])
         uz = mul((uz, one), minus=[(at(0, 0, 1, t2, d2), hk),
-                                   (at(0, 0, 0, t3, d2), h_power(k + 1))])
+                                   (at(0, 0, 0, t3, d2), _h_power(k + 1))])
     return [ux, uy, uz], mu, a, b
 
 

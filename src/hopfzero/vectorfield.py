@@ -6,16 +6,17 @@ types live in two variables (u, v) and hold the reduced planar system of the
 normal form.
 
 The public calculus (`divergence`, `directional_derivative`, `lie_bracket`)
-takes no degree cap.  The normal form's steps bracket under one, through the
-converted-form `_integer_bracket`, whose cap stops the kernel
-(`gradedpoly._mul_integer`) at the working degree.  All of them hand the
-kernel derivative pairs, which it differentiates as it reads them, so the
-calculus builds no partial.
+takes no degree cap.  All of it hands the kernel (`gradedpoly._mul_integer`)
+derivative pairs, which it differentiates as it reads them, so the calculus
+builds no partial.  `_bracket_pairs` writes the six derivative pairs of a
+bracket component once, for `lie_bracket` and for the normal form's steps,
+which add a pair of their own to each level of their Horner sum and run
+the kernel under that level's degree cap (`normalform._integer_step`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .coeffring import ParamPolynomial, RationalLike, _format_terms, _merged
 from .gradedpoly import (_ONE, VAR_NAMES, IntegerTerms, QHPolynomial, _from_integer_terms,
@@ -124,34 +125,27 @@ def directional_derivative(f: QHPolynomial, field: VectorField3) -> QHPolynomial
 def lie_bracket(f: VectorField3, g: VectorField3) -> VectorField3:
     """[f, g] = Dg.f - Df.g; maps degrees (j, k) into degree j + k.
 
-    The `VectorField3` wrapper of `_integer_bracket`: both fields are
-    converted to integer numerators once, and the bracket's components
-    become `Fraction`s once, in `_from_integer_terms`.
+    Both fields are converted to integer numerators once, each component is
+    one `_mul_integer` call on its `_bracket_pairs`, and the bracket's
+    components become `Fraction`s once, in `_from_integer_terms`.
     """
     if f.params != g.params:
         raise ValueError("parameter tables differ")
     f_comps, g_comps = ([_integer_terms(c) for c in h.components] for h in (f, g))
     constant = all(map(_is_constant, f_comps + g_comps))
-    comps = _integer_bracket(f_comps, g_comps, None, constant)
-    return VectorField3(*(_from_integer_terms(c, f.params) for c in comps))
+    return VectorField3(*(_from_integer_terms(
+        _mul_integer(*_bracket_pairs(f_comps, g_comps, i), None, constant), f.params)
+        for i in range(3)))
 
 
-def _integer_bracket(f: List[IntegerTerms], g: List[IntegerTerms],
-                     max_field_degree: Optional[int], constant: bool) -> List[IntegerTerms]:
-    """The components of [f, g] in converted form (`_mul_integer`), for `f`
-    and `g` lists of three converted components.
-
-    Each component is one multiply-accumulate of six derivative pairs,
-    grad(g_i) . f - grad(f_i) . g: the kernel differentiates g_i and f_i as
-    it reads them, so no partial is built, and under a cap it stops reading
-    them where the cap does.  `constant` says whether every coefficient of
-    `f` and `g` is constant: the caller reads that once.
-    """
-    caps = (None,) * 3 if max_field_degree is None else \
-        (max_field_degree + 1, max_field_degree + 1, max_field_degree + 2)
-    return [_mul_integer([(gi, fv, v) for v, fv in zip(VAR_NAMES, f)],
-                         [(fi, gv, v) for v, gv in zip(VAR_NAMES, g)], cap, constant)
-            for fi, gi, cap in zip(f, g, caps)]
+def _bracket_pairs(f: List[IntegerTerms], g: List[IntegerTerms], i: int):
+    """The plus and minus pairs of component i of [f, g] for the kernel
+    (`_mul_integer`), `f` and `g` lists of three converted components: the
+    six derivative pairs of grad(g_i) . f - grad(f_i) . g, which the kernel
+    differentiates as it reads them, so no partial is built.  The lists are
+    fresh, so a caller may add pairs of its own."""
+    return ([(g[i], fv, v) for v, fv in zip(VAR_NAMES, f)],
+            [(f[i], gv, v) for v, gv in zip(VAR_NAMES, g)])
 
 
 # --------------------------------------------------------------------------

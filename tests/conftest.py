@@ -5,7 +5,7 @@ import pytest
 import hopfzero as hz
 from hopfzero.gradedpoly import (_from_integer_terms, _integer_terms, _is_constant,
                                  _mul_integer)
-from hopfzero.vectorfield import _integer_bracket
+from hopfzero.vectorfield import _bracket_pairs
 
 FAMILY37 = """\
 params a001 b200 c030
@@ -53,12 +53,15 @@ def capped_product(plus, minus, cap):
 
 
 def capped_bracket(f, g, cap):
-    """The components of [f, g] from `_integer_bracket` under the field
-    degree `cap`, as the normal form's steps bracket, as polynomials."""
+    """The components of [f, g] from the kernel on `_bracket_pairs` under
+    the field degree `cap`, as the normal form's steps bracket, as
+    polynomials."""
     f_comps, g_comps = ([_integer_terms(c) for c in h.components] for h in (f, g))
     constant = all(map(_is_constant, f_comps + g_comps))
-    return [_from_integer_terms(c, f.params)
-            for c in _integer_bracket(f_comps, g_comps, cap, constant)]
+    caps = (None,) * 3 if cap is None else (cap + 1, cap + 1, cap + 2)
+    return [_from_integer_terms(_mul_integer(*_bracket_pairs(f_comps, g_comps, i), c, constant),
+                                f.params)
+            for i, c in enumerate(caps)]
 
 
 def field_from_text(text: str) -> hz.VectorField3:

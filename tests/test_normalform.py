@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hopfzero as hz
@@ -354,8 +354,9 @@ SERIES_PARAMS = ("a001", "b200", "c030")
 SERIES_POINT = {"a001": Fraction(1, 3), "b200": Fraction(-5, 2), "c030": Fraction(7, 4)}
 
 
-def series_case(rng, kind, max_field_degree, s):
-    """A field through `max_field_degree` and a degree-s step over SERIES_PARAMS.
+def series_case(rng, kind, max_field_degree, s, inhomogeneous=False):
+    """A field through `max_field_degree` and a degree-s step over SERIES_PARAMS,
+    whose generator also has a degree-(s+1) slice when `inhomogeneous`.
 
     `symbolic` coefficients are integer parameter polynomials, `rational`
     ones are those scaled by non-integer fractions, `bound` ones are those
@@ -370,8 +371,9 @@ def series_case(rng, kind, max_field_degree, s):
     field = hz.principal_part(SERIES_PARAMS)
     for d in range(1, max_field_degree + 1):
         field = field + component(d)
-    generator = component(s)
-    reparam = generator.fz.slice(s) if rng.random() < 0.5 else QHPolynomial.zero(SERIES_PARAMS)
+    generator = component(s) + component(s + 1) if inhomogeneous else component(s)
+    # a degree-s scalar: the x-component of a degree-(s-1) field slice
+    reparam = component(s - 1).fx if rng.random() < 0.5 else QHPolynomial.zero(SERIES_PARAMS)
     if kind == "mixed":  # one coefficient becomes a single parameter term
         b200 = ParamPolynomial.variable("b200", SERIES_PARAMS).scale(rng.randint(1, 3))
         fx = QHPolynomial({**field.fx.terms, Monomial3(0, 2, 0): b200}, SERIES_PARAMS)
@@ -391,8 +393,9 @@ class TestLieSeries:
 
     @settings(max_examples=24, deadline=None)
     @given(st.sampled_from(["symbolic", "rational", "bound", "mixed"]),
-           st.integers(0, 2 ** 32), st.integers(2, 4), st.data())
+           st.integers(0, 2 ** 32), st.integers(2, 6), st.data())
     def test_matches_the_fraction_series(self, kind, seed, max_field_degree, data):
+        # up to degree 6, so that s = 1 nests the Horner sum six levels deep
         s = data.draw(st.integers(1, max_field_degree))
         field, step = series_case(random.Random(seed), kind, max_field_degree, s)
         constant = all(_is_constant(_integer_terms(c)) for c in field.components)
@@ -401,6 +404,68 @@ class TestLieSeries:
         want = lie_series_step(field, step, max_field_degree)
         assert got.params == SERIES_PARAMS
         assert stored_terms(got) == stored_terms(want)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from(["symbolic", "rational", "bound"]),
+           st.integers(0, 2 ** 32), st.integers(2, 5), st.data())
+    def test_an_inhomogeneous_generator_matches_the_fraction_series(
+            self, kind, seed, max_field_degree, data):
+        # degrees s and s + 1: the levels follow the lowest degree, and the
+        # caps keep the higher slice's brackets too
+        s = data.draw(st.integers(1, max_field_degree))
+        field, step = series_case(random.Random(seed), kind, max_field_degree, s,
+                                  inhomogeneous=True)
+        assume(list(step.generator.decompose()) == [s, s + 1])
+        got = hz.apply_generator_step(field, step, max_field_degree)
+        want = lie_series_step(field, step, max_field_degree)
+        assert stored_terms(got) == stored_terms(want)
+
+    @pytest.mark.parametrize("max_field_degree,s", [(2, 1), (4, 1), (6, 1), (5, 2), (6, 4),
+                                                    (4, 5)])
+    @pytest.mark.parametrize("reparam", [False, True])
+    def test_kernel_calls_per_step(self, monkeypatch, max_field_degree, s, reparam):
+        # the Horner sum makes one kernel call per component and level, and
+        # there are N // s levels; the time scaling adds one per component
+        field, step = series_case(random.Random(31 * max_field_degree + s), "symbolic",
+                                  max_field_degree, s)
+        step = GeneratorStep(degree=s, generator=step.generator,
+                             reparam=step.generator.fx.slice(s + 1).partial("x") if reparam
+                             else QHPolynomial.zero(SERIES_PARAMS))
+        assert not step.generator.is_zero() and bool(step.reparam) == reparam
+        calls = []
+        kernel = normalform._mul_integer
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(normalform, "_mul_integer", counting)
+        got = hz.apply_generator_step(field, step, max_field_degree)
+        assert len(calls) == 3 * (max_field_degree // s) + (3 if reparam else 0)
+        monkeypatch.undo()
+        assert got == lie_series_step(field, step, max_field_degree)
+
+    @pytest.mark.parametrize("generator", [
+        ({(0, 0, 0): 1}, {}, {}),                                # degree -1, nilpotent
+        ({(1, 0, 1): 1}, {}, {(0, 1, 0): 1}),                    # degree 0
+        ({(2, 0, 0): 1}, {(1, 1, 0): 1}, {(0, 0, 1): 1, (0, 0, 2): 1}),  # degrees 1 and 0
+        ({}, {(0, 3, 0): 1, (0, 0, 0): -2}, {}),                 # degrees 2 and -1
+    ])
+    def test_a_generator_below_degree_one_is_refused(self, generator):
+        # the Horner sum needs every bracket to raise the degree
+        step = GeneratorStep(degree=1, generator=VectorField3(
+            *(QHPolynomial(c, ()) for c in generator)), reparam=QHPolynomial.zero(()))
+        with pytest.raises(hz.DegreeError, match="field degree"):
+            hz.apply_generator_step(hz.principal_part(()), step, 4)
+
+    def test_a_zero_generator_scales_time_alone(self):
+        field, step = series_case(random.Random(7), "rational", 4, 2)
+        step = GeneratorStep(degree=2, generator=VectorField3.zero(SERIES_PARAMS),
+                             reparam=step.generator.fx.partial("x"))
+        assert step.reparam
+        got = hz.apply_generator_step(field, step, 4)
+        assert got != field.truncate(4)
+        assert stored_terms(got) == stored_terms(lie_series_step(field, step, 4))
 
     def test_no_partial_is_built(self, family37, monkeypatch):
         # the normal form, every continuation of the report path and

@@ -159,7 +159,7 @@ class TestLieBracket:
                 for comp in range(3)]
         got = field_to_sympy(hz.lie_bracket(f, g))
         assert all(sp.expand(got[comp] - full[comp]) == 0 for comp in range(3))
-        # under a cap, through `_integer_bracket`, as the normal form's steps call it
+        # under a cap, on `_bracket_pairs`, as the normal form's steps call the kernel
         for cap in (1, 3, 4):
             got = field_to_sympy(VectorField3(*capped_bracket(f, g, cap)))
             for comp in range(3):
