@@ -18,8 +18,11 @@ Lie brackets of `vectorfield`, the normal-form adjoint exponential and the
 known terms of the obstruction sequences) goes through one multiply-accumulate
 kernel, `_mul_integer`.  Its operands are first converted by
 `_integer_terms` to integer numerators over one common denominator, so each
-coefficient is read once; the kernel sums Python `int`s, one per output
-monomial when every operand coefficient is a constant.  A product with a
+coefficient is read once.  The kernel sums each output slice that many
+term pairs reach in a dense list, one slot per monomial at its
+`slice_basis` position, and a sparse slice in a dict keyed by slot, so it
+builds no monomial key and sorts only a sparse slice's slots; a slot is one
+Python `int` when every operand coefficient is a constant.  A product with a
 partial derivative, as in grad(a) . F, is a derivative pair: the kernel
 differentiates its left operand as it reads it (`_lowered`, the one place
 an exponent is lowered), so no partial is built; a partial alone is the
@@ -49,8 +52,10 @@ numerators become `Fraction`s again, in a `QHPolynomial`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .coeffring import (ParamPolynomial, RationalLike, _format_terms, _merged, _pack,
@@ -97,7 +102,8 @@ def slice_basis(k: int) -> GradedSliceBasis:
 
 
 def slice_dimension(k: int) -> int:
-    return sum(k - 2 * l + 1 for l in range(k // 2 + 1)) if k >= 0 else 0
+    # the sum of k - 2l + 1 over l = 0 .. k // 2
+    return (k // 2 + 1) * (k - k // 2 + 1) if k >= 0 else 0
 
 
 def _mono_sort_key(m):
@@ -267,6 +273,10 @@ IntegerTerms = Tuple[int, List[Tuple[int, int, int, List[Tuple[int, int]]]]]
 # the constant 1 in converted form: a derivative pair (a, _ONE, v) is da/dv
 _ONE: IntegerTerms = (1, [(0, 0, 0, [(0, 1)])])
 
+# the most slots per term pair that reaches it for which an output slice is
+# a dense list; a sparser slice, as in a product with x^1000, is a dict
+_SLOTS_PER_PAIR = 4
+
 
 def _h_power(m: int) -> IntegerTerms:
     """(x^2 + y^2)^m in converted form: the binomial coefficients over 1,
@@ -323,6 +333,20 @@ def _is_constant(converted: IntegerTerms) -> bool:
     return True
 
 
+def _new_slice(e: int, pairs: int, constant: bool) -> tuple:
+    """An empty output slice of degree e that `pairs` term pairs reach, as
+    (slots, offsets): the monomial x^(e-2l-ey) y^ey z^l sits at slot
+    offsets[l] + ey, which holds an `int` when `constant` and otherwise an
+    exponent dict.  With at most `_SLOTS_PER_PAIR` slots per pair, a dense
+    list in `slice_basis(e)` order, offsets l*(e+2-l), the last one the
+    slice's dimension; otherwise a dict keyed by slot, offsets l*(e+1) as a
+    `range`, so that the slice's memory grows with its pairs, not with its
+    degree."""
+    if (n := slice_dimension(e)) <= _SLOTS_PER_PAIR * pairs:
+        return [0 if constant else None] * n, [l * (e + 2 - l) for l in range(e // 2 + 2)]
+    return defaultdict(int if constant else type(None)), range(0, (e // 2 + 1) * (e + 1), e + 1)
+
+
 def _mul_integer(plus: Sequence[tuple], minus: Sequence[tuple],
                  max_degree: Optional[int] = None,
                  constant: Optional[bool] = None) -> IntegerTerms:
@@ -347,81 +371,112 @@ def _mul_integer(plus: Sequence[tuple], minus: Sequence[tuple],
     lowest, lowered, term of `a` that holds v, in a derivative pair), past
     which no `a` term can use it, and the terms of `a` come in ascending
     degree, so the pairs above the cap are cut off with a `break` rather
-    than tested one by one.  When every operand coefficient is constant
-    (`_is_constant`), each monomial's sum is one plain `int`, with no
-    exponent dict.  A caller that already knows whether the operands are
-    constant passes `constant`, and no operand is scanned.  Otherwise each
-    pair of coefficient items adds its packed exponent keys, one `int` add;
+    than tested one by one.  A `b` bucket entry is (ey, ez, coefficient).
+
+    Each output degree e has one slice, made before any pair is summed,
+    once the pairs that reach e are counted from how many terms `a` yields
+    at each degree and the sizes of the buckets (`_new_slice`).  Where the pairs are many, as in the normal
+    form's products, the slice is a dense list, `slice_dimension(e)` slots
+    long: the monomial x^(e-2l-ey) y^ey z^l sits at slot l*(e+2-l) + ey, its
+    position in `slice_basis(e)`.  Where they are few, as in x^1000 * x, it
+    is a dict keyed by slot.  Either way a pair adds into
+    `out[off[az + bz] + ay + by]`, the slice `out` and its offsets `off`
+    fetched once per `a` term and bucket, so no monomial key is built or
+    hashed, and read in ascending degree the nonzero slots of a list are
+    already in canonical order (a dict's are sorted as `int`s).  When every
+    operand coefficient is constant (`_is_constant`), each slot holds one
+    plain `int`, with no exponent dict.  A caller that already knows
+    whether the operands are constant passes `constant`, and no operand is
+    scanned.  Otherwise a slot holds a dict from packed exponent keys to
+    sums, and each pair of coefficient items adds its keys, one `int` add;
     the output keys are checked once (`coeffring._refuse_overflow`), so a
     parameter exponent that reaches 2^63 raises ParameterError instead of
-    carrying into its neighbour's field.
+    carrying into its neighbour's field.  Nothing is kept from one call to
+    the next.
     """
     cap = math.inf if max_degree is None else max_degree
     common = math.lcm(*(a[0] * b[0] for pairs in (plus, minus) for a, b, *_ in pairs))
     if constant is None:
         constant = all(_is_constant(x) for pairs in (plus, minus) for pair in pairs
                        for x in pair[:2])
-    acc: Dict[tuple, object] = {}
+    jobs: List[tuple] = []  # (a, the index of v or None, scale, buckets of b)
+    reached: Dict[int, int] = defaultdict(int)  # output degree -> pairs that reach it
     for sign, pairs in ((1, plus), (-1, minus)):
         for (da, a_terms), (db, b_terms), *var in pairs:
             if not b_terms:
                 continue
-            scale = sign * (common // (da * db))
-            walk = _lowered(a_terms, VAR_NAMES.index(var[0]), scale) if var \
-                else zip(a_terms, repeat(scale))
-            if (first := next(walk, None)) is None:
+            # how many terms `a` yields at each degree, ascending: in a
+            # derivative pair only those that hold v (`_lowered`), one
+            # degree lower in x or y, two in z
+            v = VAR_NAMES.index(var[0]) if var else None
+            drop = 0 if v is None else 1 + (v == 2)
+            degrees = Counter(t[0] + t[1] + 2 * t[2] - drop
+                              for t in a_terms if v is None or t[v])
+            if not degrees:
                 continue
-            (ax, ay, az, _), _ = first
-            reach = cap - (ax + ay + 2 * az)
+            reach = cap - next(iter(degrees))
             buckets: List[Tuple[int, list]] = []
-            for term in b_terms:
-                d = term[0] + term[1] + 2 * term[2]
+            for bx, by, bz, b_items in b_terms:
+                d = bx + by + 2 * bz
                 if d > reach:
                     break
                 if not buckets or buckets[-1][0] != d:
                     buckets.append((d, []))
-                buckets[-1][1].append((*term[:3], term[3][0][1]) if constant else term)
+                buckets[-1][1].append((by, bz, b_items[0][1] if constant else b_items))
             if not buckets:
                 continue
-            lowest = buckets[0][0]
-            for (ax, ay, az, a_items), factor in chain((first,), walk):
-                room = cap - (ax + ay + 2 * az)
-                if room < lowest:
-                    break
-                if constant:
-                    na = a_items[0][1] * factor
-                    for d, bucket in buckets:
-                        if d > room:
-                            break
-                        for bx, by, bz, nb in bucket:
-                            key = (ax + bx, ay + by, az + bz)
-                            acc[key] = acc.get(key, 0) + na * nb
-                    continue
-                a_items = [(e, n * factor) for e, n in a_items]
+            jobs.append((a_terms, v, sign * (common // (da * db)), buckets))
+            for degree, n in degrees.items():
                 for d, bucket in buckets:
-                    if d > room:
+                    if degree + d > cap:
                         break
-                    for bx, by, bz, b_items in bucket:
-                        key = (ax + bx, ay + by, az + bz)
-                        out = acc.get(key)
-                        if out is None:
-                            out = acc[key] = {}
-                        for ea, na in a_items:
-                            for eb, nb in b_items:
-                                e = ea + eb
-                                out[e] = out.get(e, 0) + na * nb
+                    reached[degree + d] += n * len(bucket)
+    slices = {e: _new_slice(e, reached[e], constant) for e in sorted(reached)}
+    for a_terms, v, scale, buckets in jobs:
+        lowest = buckets[0][0]
+        for (ax, ay, az, a_items), factor in (zip(a_terms, repeat(scale)) if v is None
+                                              else _lowered(a_terms, v, scale)):
+            degree = ax + ay + 2 * az
+            room = cap - degree
+            if room < lowest:
+                break
+            if constant:
+                na = a_items[0][1] * factor
+            else:
+                a_items = [(e, n * factor) for e, n in a_items]
+            for d, bucket in buckets:
+                if d > room:
+                    break
+                out, off = slices[degree + d]
+                if constant:
+                    for by, bz, nb in bucket:
+                        out[off[az + bz] + ay + by] += na * nb
+                    continue
+                for by, bz, b_items in bucket:
+                    i = off[az + bz] + ay + by
+                    if (sums := out[i]) is None:
+                        sums = out[i] = {}
+                    for ea, na in a_items:
+                        for eb, nb in b_items:
+                            k = ea + eb
+                            sums[k] = sums.get(k, 0) + na * nb
     # zero sums leave the gcd as it is, so it is taken before they are dropped
-    keys = sorted(acc, key=_mono_sort_key)
+    values = [out if type(out) is list else out.values() for out, _ in slices.values()]
     if constant:
-        g = math.gcd(common, *acc.values())
-        terms = [(*key, [(0, n // g)]) for key in keys if (n := acc[key])]
+        g = math.gcd(common, *filter(None, chain.from_iterable(values)))
     else:
-        _refuse_overflow(chain.from_iterable(acc.values()))
-        g = math.gcd(common, *(n for sums in acc.values() for n in sums.values()))
-        terms = []
-        for key in keys:
-            items = [(e, n // g) for e, n in acc[key].items() if n]
-            if items:
-                terms.append((*key, items))
+        sums = [s for v in values for s in v if s]
+        _refuse_overflow(chain.from_iterable(sums))
+        g = math.gcd(common, *(n for s in sums for n in s.values()))
+    terms = []
+    for e, (out, off) in slices.items():
+        # a list's nonzero slots lie in canonical order, a dict's are sorted
+        for i in (compress(range(len(out)), out) if type(out) is list
+                  else sorted(i for i, n in out.items() if n)):
+            l = bisect_right(off, i) - 1
+            ey = i - off[l]
+            if constant:
+                terms.append((e - 2 * l - ey, ey, l, [(0, out[i] // g)]))
+            elif items := [(k, n // g) for k, n in out[i].items() if n]:
+                terms.append((e - 2 * l - ey, ey, l, items))
     return common // g, terms
-

@@ -138,8 +138,12 @@ class _ExprParser:
                 node = node.scale(Fraction(1, value))
 
     def product(self, a: QHPolynomial, b: QHPolynomial, tok: Token) -> QHPolynomial:
-        """a * b; a parameter exponent that reaches 2^63 there, which the
-        kernel refuses, is a ParseError at `tok`."""
+        """a * b, a scaling when one factor is a rational constant; a
+        parameter exponent that reaches 2^63 there, which the kernel
+        refuses, is a ParseError at `tok`."""
+        for c, f in ((a, b), (b, a)):
+            if (value := _rational(c)) is not None:
+                return f.scale(value)
         try:
             return a * b
         except ParameterError:
@@ -203,6 +207,18 @@ class _ExprParser:
             raise ParseError(f"undeclared identifier {tok.text!r}", tok.line, tok.column)
         return QHPolynomial({(0, 0, 0): ParamPolynomial.variable(tok.text, self.params)},
                             self.params)
+
+
+def _rational(f: QHPolynomial) -> Optional[Fraction]:
+    """The rational number `f` is, or None when it is not a constant of the
+    coefficient field."""
+    if not f.terms:
+        return Fraction(0)
+    if len(f.terms) == 1:
+        ((m, c),) = f.terms.items()
+        if not any(m) and c.is_constant():
+            return c.constant_value()
+    return None
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,23 @@ def test_term_below_degree_0_is_exit_one(tmp_path, text, term):
                    f"with w = 2, d = 1: {term}\n")
 
 
+def test_a_state_exponent_of_10_9_is_truncated(tmp_path):
+    # the kernel keeps no table as long as a slice's degree: terms of degree
+    # 10^9 parse in a few one-term products and fall above the working degree
+    reports = []
+    for n in (10 ** 9, 1000):
+        path = tmp_path / f"high{n}.hz"
+        path.write_text(f"dx = -2*y + x^{n}*y\ndy = 2*x + z^{n}\n"
+                        f"dz = x^2 + y^2 + z^2 + x^{n - 1}*y^3\n", encoding="utf-8")
+        reports.append(hz.run_cli(["analyze", str(path)]))
+    assert reports[0] == reports[1]
+    code, out = reports[0]
+    assert code == 0 and out.endswith("classification: NO_OBSTRUCTION_UP_TO(30)\n")
+    source = hz.parse_system((tmp_path / "high1000000000.hz").read_text(encoding="utf-8"))
+    assert source.components[1] == hz.QHPolynomial(
+        {(1, 0, 0): 2, (0, 0, 10 ** 9): 1}, ())
+
+
 @pytest.fixture
 def family37_file(tmp_path):
     path = tmp_path / "family37.hz"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 import hopfzero as hz
 from hopfzero import DegreeError, Monomial3, ParamPolynomial, QHPolynomial, VectorField3
 from hopfzero.coeffring import _term_sort_key, _unpack
-from hopfzero.gradedpoly import (_from_integer_terms, _integer_terms, _is_constant,
-                                 _mono_sort_key, _mul_integer)
+from hopfzero.gradedpoly import (_SLOTS_PER_PAIR, _from_integer_terms, _integer_terms,
+                                 _is_constant, _mono_sort_key, _mul_integer, _new_slice)
 
 from conftest import Pairs, capped_bracket, capped_product, random_qh_slice
 from oracle import h_component
@@ -543,3 +544,146 @@ class TestPackedExponents:
         exps = [2, 0, 4]
         exps[index] = 2 ** 63 - 1
         assert top == QH({(1, 1, 0): ParamPolynomial({tuple(exps): 9}, params)}, params)
+
+
+@st.composite
+def _mixed_sums(draw):
+    """(plus, minus, cap, params, bound): one or two pairs in `plus` and up to
+    one in `minus`, each a plain or a derivative pair, of operands that are
+    either full, every monomial of degrees d and d+1 for d from 0 to 4, or
+    sparse, one to three terms of degree d to d+2 for d from 15 to 28, so
+    that full products make dense slices, sparse ones dict slices up to
+    degree 60, and mixed ones either; over one table of 0 to 2 parameters,
+    symbolic or bound to a point.  `minus` may repeat a pair of `plus`,
+    whose sums then cancel.  The cap is none, below the lowest output
+    degree, or between the lowest and the highest."""
+    params = draw(_PARAM_TABLES)
+    bound = draw(st.booleans())
+
+    def monomial(d):
+        # often at the ends of a z power's run of slots: x^r z^l or y^r z^l
+        ez = draw(st.integers(0, d // 2))
+        rest = d - 2 * ez
+        ey = draw(st.one_of(st.sampled_from([0, rest]), st.integers(0, rest)))
+        return rest - ey, ey, ez
+
+    def operand():
+        if draw(st.booleans()):
+            d = draw(st.integers(0, 4))
+            monomials = [m for k in (d, d + 1) for m in hz.slice_basis(k).monomials]
+        else:
+            d = draw(st.integers(15, 28))
+            monomials = [monomial(draw(st.integers(d, d + 2)))
+                         for _ in range(draw(st.integers(1, 3)))]
+        f = QHPolynomial(Pairs([(m, draw(_coefficient(params, 1))) for m in monomials]),
+                         params)
+        return f.substitute_params({p: _POINT[p] for p in params}) if bound else f
+
+    def pairs(count):
+        return [(operand(), operand(), draw(st.sampled_from((None, "x", "y", "z"))))
+                for _ in range(count)]
+
+    plus = pairs(draw(st.integers(1, 2)))
+    minus = draw(st.sampled_from([[], pairs(1), plus[-1:]]))
+    degrees = [ma.degree + mb.degree for a, b, _ in plus + minus
+               for ma in a.terms for mb in b.terms]
+    low, high = min(degrees, default=0), max(degrees, default=0)
+    cap = draw(st.sampled_from((None, low - 3, low - 1, (low + high) // 2)))
+    return plus, minus, cap, params, bound
+
+
+def _traced_peak(call):
+    """The result of `call()` and the most memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDenseSlices:
+    """The kernel sums each output slice in a list, the monomial
+    x^(e-2l-ey) y^ey z^l of degree e at position l*(e+2-l) + ey, or, when
+    the slice has more than `_SLOTS_PER_PAIR` slots per term pair that
+    reaches it, in a dict keyed by l*(e+1) + ey."""
+
+    def test_the_dense_address_is_the_slice_basis_position(self):
+        for e in range(61):
+            for i, m in enumerate(hz.slice_basis(e).monomials):
+                assert i == m.ez * (e + 2 - m.ez) + m.ey
+
+    def test_a_slice_is_a_list_only_with_enough_pairs(self):
+        # slice_dimension(2) = 4 = _SLOTS_PER_PAIR, slice_dimension(3) = 6
+        assert _SLOTS_PER_PAIR == 4
+        assert _new_slice(2, 1, True) == ([0] * 4, [0, 3, 4])
+        assert _new_slice(2, 1, False) == ([None] * 4, [0, 3, 4])
+        for constant in (True, False):
+            out, off = _new_slice(3, 1, constant)
+            assert type(out) is not list and not out and off == range(0, 8, 4)
+        out, off = _new_slice(10 ** 9, 10 ** 6, True)
+        assert len(off) == 5 * 10 ** 8 + 1 and off[-1] == 5 * 10 ** 8 * (10 ** 9 + 1)
+
+    def test_the_kernel_counts_the_pairs_of_each_slice(self, monkeypatch):
+        made = {}
+
+        def spy(e, pairs, constant):
+            out, off = _new_slice(e, pairs, constant)
+            made[e] = pairs, type(out) is list
+            return out, off
+
+        monkeypatch.setattr(hz.gradedpoly, "_new_slice", spy)
+        full = QH({m: 1 for k in (3, 4) for m in hz.slice_basis(k).monomials})
+        x30, y25 = QH({(30, 0, 0): 1}), QH({(0, 25, 0): 1})
+        _mul_integer([(_integer_terms(full), _integer_terms(full)),
+                      (_integer_terms(x30), _integer_terms(y25))], [])
+        # 6 and 9 terms at degrees 3 and 4: 36, 108 and 81 pairs at 6, 7, 8
+        assert made == {6: (36, True), 7: (108, True), 8: (81, True), 55: (1, False)}
+        made.clear()
+        _mul_integer([(_integer_terms(full), _integer_terms(full), "z")], [], 6)
+        # d/dz lowers the 2 and 4 terms with z to degrees 1 and 2
+        assert made == {4: (12, True), 5: (18 + 24, True), 6: (36, True)}
+
+    def test_cancelled_sums_are_dropped_from_either_kind(self):
+        full = _integer_terms(QH({m: 1 for k in (3, 4) for m in hz.slice_basis(k).monomials}))
+        x30, y25 = _integer_terms(QH({(30, 0, 0): 1})), _integer_terms(QH({(0, 25, 0): 1}))
+        for constant in (True, False):
+            # a list slice (degrees 6 to 8) and a dict slice (degree 55)
+            assert _mul_integer([(full, full), (x30, y25)], [(x30, y25)],
+                                constant=constant) == _mul_integer([(full, full)], [])
+            assert _mul_integer([(full, full), (x30, y25)], [(full, full)],
+                                constant=constant) == (1, [(30, 25, 0, [(0, 1)])])
+
+    @_CAPPED
+    @given(_mixed_sums())
+    def test_mixed_sums_are_the_model(self, case):
+        plus, minus, cap, params, bound = case
+
+        def model(pairs):
+            return [(model_partial(a, v) if v else a, b) for a, b, v in pairs]
+
+        def converted(pairs):
+            return [(_integer_terms(a), _integer_terms(b), *([v] if v else []))
+                    for a, b, v in pairs]
+
+        got = _mul_integer(converted(plus), converted(minus), cap)
+        want = model_product(model(plus), model(minus), params, cap)
+        assert stored_form(_from_integer_terms(got, params)) == stored_form(want)
+        den, terms = got
+        assert math.gcd(den, *(n for *_, items in terms for _, n in items)) == 1
+        # the dict sums of the general path give the same converted form
+        assert _mul_integer(converted(plus), converted(minus), cap, False) == got
+        if bound or not params:
+            assert _mul_integer(converted(plus), converted(minus), cap, True) == got
+
+    def test_memory_follows_the_terms_not_the_degree(self):
+        # x^(2^20) squares one-term slices up to degree 2^20, and (1 + x)^256
+        # reaches each degree to 256 through few pairs: a list per slice
+        # would take about 20 MB and 11 MB
+        def parsed(expr):
+            return hz.parse_system(f"dx = {expr}\ndy = 0\ndz = 0\n").components[0]
+
+        p, peak = _traced_peak(lambda: parsed("x^1048576"))
+        assert p == QH({(2 ** 20, 0, 0): 1}) and peak < 2 ** 20
+        p, peak = _traced_peak(lambda: parsed("(1 + x)^256"))
+        assert p == QH({(k, 0, 0): math.comb(256, k) for k in range(257)})
+        assert peak < 2 * 2 ** 20

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 import hopfzero as hz
@@ -171,12 +173,39 @@ class TestParsePolynomial:
 
         monkeypatch.setattr(hz.QHPolynomial, "mul", counted)
         p = hz.parse_polynomial("a^65536", ["a"])
-        assert len(calls) <= 34
+        assert len(calls) == 16  # one squaring per bit, and no product with 1
         assert p == hz.ParamPolynomial({(65536,): 1}, ("a",))
         calls.clear()
         assert hz.parse_polynomial("(a + 1)^5", ["a"]) == hz.ParamPolynomial(
             {(5,): 1, (4,): 5, (3,): 10, (2,): 10, (1,): 5, (0,): 1}, ("a",))
-        assert len(calls) <= 5
+        assert len(calls) == 3
+        calls.clear()
+        assert hz.parse_polynomial("(a + 1)^0", ["a"]) == hz.ParamPolynomial.constant(1, ["a"])
+        assert hz.parse_polynomial("(a + 1)^1", ["a"]) == hz.parse_polynomial("a + 1", ["a"])
+        assert not calls
+
+    def test_a_rational_constant_factor_scales(self, monkeypatch):
+        calls = []
+        mul = hz.QHPolynomial.mul
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(hz.QHPolynomial, "mul", counted)
+        text = "params a\ndx = 3/2*(x + a*y) + 0*z - (x - y)*(-2)\ndy = 2^3*a^2*x\ndz = x*y\n"
+        source = hz.parse_system(text)
+        assert len(calls) == 4  # a*y, a^2, a^2*x and x*y
+        x, y = (hz.QHPolynomial.variable(v, ("a",)) for v in "xy")
+        a = hz.QHPolynomial({(0, 0, 0): hz.ParamPolynomial.variable("a", ("a",))}, ("a",))
+        calls.clear()
+        monkeypatch.setattr(hz.QHPolynomial, "mul", mul)
+        assert source.components == ((x + a * y).scale(Fraction(3, 2)) + (x - y).scale(2),
+                                     a * a * x.scale(8), x * y)
+        # 191 products before constant factors scaled, 80 of them with one
+        monkeypatch.setattr(hz.QHPolynomial, "mul", counted)
+        hz.goldens.load_cases()
+        assert len(calls) == 111
 
     def test_a_parameter_exponent_of_2_63_is_a_parse_error(self):
         # at the exponent that reaches 2^63, or at the `*` whose product does

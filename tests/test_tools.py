@@ -1,11 +1,15 @@
 """The command-line tools under `tools/`: `measure_run.py` runs one command
-and prints one JSON line about it; `profile_op.py` profiles one workload."""
+and prints one JSON line about it; `profile_op.py` profiles one workload;
+`bench_pairs.py` summarizes paired benchmark runs of two checkouts."""
 
 import hashlib
+import importlib.util
 import json
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import hopfzero as hz
 
@@ -45,3 +49,46 @@ def test_profile_op_refuses_an_unknown_workload():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 2
     assert "python3 tools/profile_op.py WORKLOAD SEED [N]" in proc.stderr
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL.parent / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summarizes_run_records():
+    # synthetic records: the change is 10 % faster in wall_s in 3 of 4
+    # pairs, and a higher-is-better metric wins where it is higher
+    bp = _bench_pairs()
+    assert bp.parse_seeds("11-14") == [11, 12, 13, 14] and bp.parse_seeds("5") == [5]
+    plan = bp.plan([11, 12, 13, 14])
+    assert [p[:2] for p in plan] == [(11, 0), (12, 1), (13, 2), (14, 3)]
+    assert [p[2][0] for p in plan] == ["parent", "change", "parent", "change"]
+    walls = {"parent": [1.0, 2.0, 3.0, 4.0], "change": [0.9, 1.8, 3.5, 3.6]}
+    runs = [{"seed": 11 + pair, "pair": pair, "side": side, "first": "parent",
+             "correct": True, "attempted": 5, "failed": 0,
+             "wall_s": walls[side][pair], "score": walls[side][pair]}
+            for pair in range(4) for side in ("change", "parent")]
+    summary = bp.summarize(runs, {"wall_s": "lower", "score": "higher"})
+    wall = summary["wall_s"]
+    assert wall["parent_q1_median_q3"] == [1.75, 2.5, 3.25]
+    assert wall["change_q1_median_q3"] == pytest.approx([1.575, 2.65, 3.525])
+    assert (wall["change_better_pairs"], wall["pairs"]) == (3, 4)
+    assert wall["median_change_pct"] == pytest.approx(6.0)
+    assert summary["score"]["change_better_pairs"] == 1
+    lines = bp.format_summary(summary)
+    assert lines[0].startswith("wall_s") and "better in 3 of 4" in lines[0]
+    assert "median +6.0 %" in lines[0]
+
+
+def test_bench_pairs_reproduces_a_recorded_summary():
+    # the summary of a checked-in record, rebuilt from its runs
+    bp = _bench_pairs()
+    recorded = json.loads((TOOL.parent.parent / "BENCH_31.json").read_text())
+    for workload in recorded["workloads"].values():
+        summary = bp.summarize(workload["runs"], {})
+        assert summary.keys() == workload["summary"].keys()
+        for name, want in workload["summary"].items():
+            assert summary[name] == pytest.approx(want)
