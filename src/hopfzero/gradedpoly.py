@@ -18,15 +18,15 @@ Lie brackets of `vectorfield`, the normal-form adjoint exponential and the
 known terms of the obstruction sequences) goes through one multiply-accumulate
 kernel, `_mul_integer`.  Its operands are first converted by
 `_integer_terms` to integer numerators over one common denominator, so each
-coefficient is read once.  The kernel sums each output slice that many
-term pairs reach in a dense list, one slot per monomial at its
-`slice_basis` position, and a sparse slice in a dict keyed by slot, so it
-builds no monomial key and sorts only a sparse slice's slots; a slot is one
-Python `int` when every operand coefficient is a constant.  A product with a
-partial derivative, as in grad(a) . F, is a derivative pair: the kernel
-differentiates its left operand as it reads it (`_lowered`, the one place
-an exponent is lowered), so no partial is built; a partial alone is the
-pair of the polynomial and the constant 1 (`_ONE`).  In the converted form
+coefficient is read once.  The kernel sums an output slice in a dense list,
+one slot per monomial at its `slice_basis` position, when the call reaches no
+degree above 30 or many term pairs reach the slice, and otherwise in a dict
+keyed by slot, so it builds no monomial key and sorts only a dict's slots; a
+slot is one `int` when every operand coefficient is constant.  A product with
+a partial derivative, as in grad(a) . F, is a derivative pair: the kernel
+differentiates its left operand as it reads it (`_lowered`, the one place an
+exponent is lowered), so no partial is built; a partial alone is the pair of
+the polynomial and the constant 1 (`_ONE`).  In the converted form
 each parameter exponent vector is one `int` key, 64 bits per parameter
 (`coeffring._pack`), so the kernel multiplies two parameter monomials with
 one `int` add and checks its output once for an exponent that reached 2^63
@@ -276,6 +276,9 @@ _ONE: IntegerTerms = (1, [(0, 0, 0, [(0, 1)])])
 # the most slots per term pair that reaches it for which an output slice is
 # a dense list; a sparser slice, as in a product with x^1000, is a dict
 _SLOTS_PER_PAIR = 4
+# the highest output degree of a call whose slices are all lists, with no
+# pairs counted: the slices to degree 30 hold 2,856 slots
+_DENSE_TOP = 30
 
 
 def _h_power(m: int) -> IntegerTerms:
@@ -333,16 +336,17 @@ def _is_constant(converted: IntegerTerms) -> bool:
     return True
 
 
-def _new_slice(e: int, pairs: int, constant: bool) -> tuple:
+def _new_slice(e: int, pairs: Optional[int], constant: bool) -> tuple:
     """An empty output slice of degree e that `pairs` term pairs reach, as
     (slots, offsets): the monomial x^(e-2l-ey) y^ey z^l sits at slot
     offsets[l] + ey, which holds an `int` when `constant` and otherwise an
-    exponent dict.  With at most `_SLOTS_PER_PAIR` slots per pair, a dense
-    list in `slice_basis(e)` order, offsets l*(e+2-l), the last one the
-    slice's dimension; otherwise a dict keyed by slot, offsets l*(e+1) as a
-    `range`, so that the slice's memory grows with its pairs, not with its
-    degree."""
-    if (n := slice_dimension(e)) <= _SLOTS_PER_PAIR * pairs:
+    exponent dict.  With pairs None (not counted) or at most
+    `_SLOTS_PER_PAIR` slots per pair, a dense list in `slice_basis(e)`
+    order, offsets l*(e+2-l), the last one the slice's dimension; otherwise
+    a dict keyed by slot, offsets l*(e+1) as a `range`, so that the slice's
+    memory grows with its pairs, not with its degree."""
+    n = slice_dimension(e)
+    if pairs is None or n <= _SLOTS_PER_PAIR * pairs:
         return [0 if constant else None] * n, [l * (e + 2 - l) for l in range(e // 2 + 2)]
     return defaultdict(int if constant else type(None)), range(0, (e // 2 + 1) * (e + 1), e + 1)
 
@@ -373,13 +377,15 @@ def _mul_integer(plus: Sequence[tuple], minus: Sequence[tuple],
     degree, so the pairs above the cap are cut off with a `break` rather
     than tested one by one.  A `b` bucket entry is (ey, ez, coefficient).
 
-    Each output degree e has one slice, made before any pair is summed,
-    once the pairs that reach e are counted from how many terms `a` yields
-    at each degree and the sizes of the buckets (`_new_slice`).  Where the pairs are many, as in the normal
-    form's products, the slice is a dense list, `slice_dimension(e)` slots
-    long: the monomial x^(e-2l-ey) y^ey z^l sits at slot l*(e+2-l) + ey, its
-    position in `slice_basis(e)`.  Where they are few, as in x^1000 * x, it
-    is a dict keyed by slot.  Either way a pair adds into
+    Each output degree e has one slice, made before any pair is summed
+    (`_new_slice`).  In a call whose top output degree is at most
+    `_DENSE_TOP`, as in the normal form's products, every slice is a dense
+    list, `slice_dimension(e)` slots long, and no pair is counted: the
+    monomial x^(e-2l-ey) y^ey z^l sits at slot l*(e+2-l) + ey, its position
+    in `slice_basis(e)`.  Otherwise the pairs that reach e are counted from
+    how many terms `a` yields at each degree and the sizes of the buckets; a
+    slice that many pairs reach is such a list, and one that few reach, as
+    in x^1000 * x, is a dict keyed by slot.  Either way a pair adds into
     `out[off[az + bz] + ay + by]`, the slice `out` and its offsets `off`
     fetched once per `a` term and bucket, so no monomial key is built or
     hashed, and read in ascending degree the nonzero slots of a list are
@@ -399,22 +405,19 @@ def _mul_integer(plus: Sequence[tuple], minus: Sequence[tuple],
     if constant is None:
         constant = all(_is_constant(x) for pairs in (plus, minus) for pair in pairs
                        for x in pair[:2])
-    jobs: List[tuple] = []  # (a, the index of v or None, scale, buckets of b)
-    reached: Dict[int, int] = defaultdict(int)  # output degree -> pairs that reach it
+    jobs: List[tuple] = []  # (a, the index of v or None, scale, buckets of b, drop)
+    low, top = math.inf, -1  # the lowest and the highest output degree
     for sign, pairs in ((1, plus), (-1, minus)):
         for (da, a_terms), (db, b_terms), *var in pairs:
-            if not b_terms:
-                continue
-            # how many terms `a` yields at each degree, ascending: in a
-            # derivative pair only those that hold v (`_lowered`), one
-            # degree lower in x or y, two in z
+            # the lowest and highest degree `a` yields: in a derivative pair its
+            # terms that hold v (`_lowered`), one degree lower in x or y, two in z
             v = VAR_NAMES.index(var[0]) if var else None
             drop = 0 if v is None else 1 + (v == 2)
-            degrees = Counter(t[0] + t[1] + 2 * t[2] - drop
-                              for t in a_terms if v is None or t[v])
-            if not degrees:
+            first, last = (next((t[0] + t[1] + 2 * t[2] - drop for t in ts if v is None or t[v]),
+                                None) for ts in (a_terms, reversed(a_terms)))
+            if first is None:
                 continue
-            reach = cap - next(iter(degrees))
+            reach = cap - first
             buckets: List[Tuple[int, list]] = []
             for bx, by, bz, b_items in b_terms:
                 d = bx + by + 2 * bz
@@ -425,14 +428,22 @@ def _mul_integer(plus: Sequence[tuple], minus: Sequence[tuple],
                 buckets[-1][1].append((by, bz, b_items[0][1] if constant else b_items))
             if not buckets:
                 continue
-            jobs.append((a_terms, v, sign * (common // (da * db)), buckets))
-            for degree, n in degrees.items():
+            jobs.append((a_terms, v, sign * (common // (da * db)), buckets, drop))
+            low = min(low, first + buckets[0][0])
+            top = max(top, min(cap, last + buckets[-1][0]))
+    if top <= _DENSE_TOP:  # every slice a list, no pairs counted
+        slices = {e: _new_slice(e, None, constant) for e in range(low, top + 1)} if jobs else {}
+    else:
+        reached: Dict[int, int] = defaultdict(int)  # output degree -> pairs that reach it
+        for a_terms, v, _, buckets, drop in jobs:
+            for degree, n in Counter(t[0] + t[1] + 2 * t[2] - drop
+                                     for t in a_terms if v is None or t[v]).items():
                 for d, bucket in buckets:
                     if degree + d > cap:
                         break
                     reached[degree + d] += n * len(bucket)
-    slices = {e: _new_slice(e, reached[e], constant) for e in sorted(reached)}
-    for a_terms, v, scale, buckets in jobs:
+        slices = {e: _new_slice(e, reached[e], constant) for e in sorted(reached)}
+    for a_terms, v, scale, buckets, _ in jobs:
         lowest = buckets[0][0]
         for (ax, ay, az, a_items), factor in (zip(a_terms, repeat(scale)) if v is None
                                               else _lowered(a_terms, v, scale)):

@@ -16,8 +16,8 @@ blocks per z-power plus a z-lowering term (Algaba, Freire, Gamero & Garcia,
 `_solve_levels` solves the slice equation along that chain, from the top
 z-power down, in O(1) coefficient operations per unknown.  It works on
 integers: it takes the right-hand side and returns the solution in the graded
-kernel's converted form (`gradedpoly._integer_terms`), and every step inside
-is an integer combination of level values with one division (`_combine`).
+kernel's converted form (`gradedpoly._integer_terms`); each step inside is an
+unreduced integer combination (`_combine`), and each level is reduced once.
 `solve_homological` converts a `QHPolynomial` right-hand side once and turns
 the solution into `Fraction`s once (`gradedpoly._from_integer_terms`); the
 obstruction driver and the normal-form degree solve pass their right-hand
@@ -107,27 +107,18 @@ _ZERO: _Integers = (1, {})
 
 def _combine(parts: List[Tuple[int, _Integers]], divisor: int = 1) -> _Integers:
     """sum(n * p for n, p in parts) / divisor, for integers n and divisor > 0,
-    zero-free and reduced: the gcd of D and every numerator is 1.  Each part's
-    numerators are scaled to the lcm of the parts' denominators, so a sum
-    costs one lcm and one gcd, not one per term."""
-    parts = [(n, den, nums) for n, (den, nums) in parts if nums]
-    if not parts:
-        return _ZERO
-    common = math.lcm(*(den for _, den, _ in parts))
-    out: Dict[tuple, int] = {}
-    for n, den, nums in parts:
+    unreduced: over divisor times the lcm of the parts' denominators, zero
+    sums kept.  A part's numerators are a dict or, as a converted form holds
+    them, a list of (key, numerator) items."""
+    common = math.lcm(*(den for _, (den, _) in parts))
+    (n, (den, nums)), *rest = parts
+    factor = n * (common // den)
+    out = {e: factor * v for e, v in (nums.items() if type(nums) is dict else nums)}
+    for n, (den, nums) in rest:
         factor = n * (common // den)
-        for e, v in nums.items():
+        for e, v in (nums.items() if type(nums) is dict else nums):
             out[e] = out.get(e, 0) + factor * v
-    out = {e: v for e, v in out.items() if v}
-    if not out:
-        return _ZERO
-    common *= divisor
-    g = math.gcd(common, *out.values())
-    if g > 1:
-        common //= g
-        out = {e: v // g for e, v in out.items()}
-    return common, out
+    return common * divisor, out
 
 
 def _circle_mean(u: List[_Integers], d: int) -> _Integers:
@@ -187,58 +178,65 @@ def _solve_levels(k: int, rhs: IntegerTerms) -> IntegerTerms:
     every level of degree d >= 1, which the backward recurrence used last;
     StructureError is raised if either fails.
 
-    Every step is an integer combination followed by one division
-    (`_combine`), so parameter coefficients ride along linearly and the two
-    checks compare by cross-multiplication.
+    The solve is fraction-free (after Bareiss, Math. Comp. 22, 1968): a step
+    is one unreduced integer combination (`_combine`) of the right-hand
+    side's items, the level above and an unknown, and no v_b is built, so
+    parameter coefficients ride along linearly and the checks test for zero
+    sums.  A checked level is reduced once, for the next level and the
+    output: to the lcm of its denominators, divided with every numerator by
+    their gcd, zero sums dropped.
     """
     common, terms = rhs
     top = k // 2
     even = k % 2 == 0
-    # g[l][b] is the coefficient of x^(d-b) y^b z^l, d = k - 2l
+    # g[l][b] is the coefficient of x^(d-b) y^b z^l, d = k - 2l, as rhs holds it
     g = [[_ZERO] * (k - 2 * l + 1) for l in range(top + 1)]
     for _, ey, ez, items in terms:
-        g[ez][ey] = common, dict(items)
-    levels: List[List[_Integers]] = [[] for _ in range(top + 2)]
+        g[ez][ey] = common, items
+    levels = []  # (l, the level's denominator, the items of each unknown)
+    up_den, up = 1, []  # f_(l+1) so reduced; zero above the top level
+
+    def v(b, sign):  # the parts of sign * v_b on level l, v = g_l - (l+1) h f_(l+1)
+        return [(sign, g[l][b])] + [(-sign * (l + 1), (up_den, up[a]))
+                                    for a in (b, b - 2) if 0 <= a < len(up)]
     for l in range(top, -1, -1):
         d = k - 2 * l
-        above = levels[l + 1]
-        if above:  # v = g_l - (l+1) h f_(l+1)
-            v = [_combine([(1, g[l][b])] + [(-(l + 1), above[a])
-                                            for a in (b, b - 2) if 0 <= a < d - 1])
-                 for b in range(d + 1)]
-        else:
-            v = g[l]
         u = [_ZERO] * (d + 2)  # u[d + 1] = 0 closes the recurrences
         for b in range(0, d, 2):  # u_(b+1) from u_(b-1)
-            u[b + 1] = _combine([(1, v[b]), (2 * (d - b + 1), u[b - 1] if b else _ZERO)],
+            u[b + 1] = _combine(v(b, 1) + [(2 * (d - b + 1), u[b - 1] if b else _ZERO)],
                                 2 * (b + 1))
         # u_(b-1) from u_(b+1); on even d this starts from u_d = 0
         for b in range(d if d % 2 else d - 1, 0, -2):
-            u[b - 1] = _combine([(-1, v[b]), (2 * (b + 1), u[b + 1])], 2 * (d - b + 1))
-        del u[d + 1:]
+            u[b - 1] = _combine(v(b, -1) + [(2 * (b + 1), u[b + 1])], 2 * (d - b + 1))
         if even:
-            if d and _combine([(1, v[d]), (2, u[d - 1])])[1]:  # v_d = -2 u_(d-1)
+            if d and any(_combine(v(d, 1) + [(2, u[d - 1])])[1].values()):  # v_d = -2 u_(d-1)
                 raise StructureError(
                     f"degree-{k} slice solve left level z^{l} inconsistent")
             # shift = mean(g_(l-1)) / l - mean(u), or -mean(u) on level 0
             mean = _circle_mean(g[l - 1], d + 2) if l else _ZERO
             shift = _combine([(1, mean), (-(l or 1), _circle_mean(u, d))], l or 1)
-            if shift[1]:  # add the multiple of h^(d/2) that gives f_l that mean
+            if any(shift[1].values()):  # add the multiple of h^(d/2) that gives f_l that mean
                 for b in range(0, d + 1, 2):
                     u[b] = _combine([(1, u[b]), (math.comb(d // 2, b // 2), shift)])
         # read back equation b = 1, v_1 = 4 u_2 - 2d u_0, from which the
-        # backward recurrence took u_0
-        if d and _combine([(1, v[1]), (-4, u[2] if d > 1 else _ZERO), (2 * d, u[0])])[1]:
+        # backward recurrence took u_0 (u_2 is u[d + 1] = 0 when d = 1)
+        if d and any(_combine(v(1, 1) + [(-4, u[2]), (2 * d, u[0])])[1].values()):
             raise StructureError(
                 f"degree-{k} slice solve left level z^{l} inconsistent at b = 1")
-        levels[l] = u
-    # each level value is reduced, so scaled to the lcm of their denominators
-    # the numerators keep gcd 1 with it; level by level, slot by slot is
-    # canonical order
-    common = math.lcm(*(den for level in levels for den, nums in level if nums))
-    return common, [(k - 2 * l - b, b, l, [(e, n * (common // den)) for e, n in nums.items()])
-                    for l, level in enumerate(levels)
-                    for b, (den, nums) in enumerate(level) if nums]
+        up_den = math.lcm(*(den for den, _ in u))
+        up = [[(e, n * f) for e, n in nums.items() if n]
+              for f, nums in ((up_den // den, nums) for den, nums in u[:d + 1])]
+        content = math.gcd(up_den, *(n for items in up for _, n in items))
+        if content > 1:
+            up_den //= content
+            up = [[(e, n // content) for e, n in items] for items in up]
+        levels.append((l, up_den, up))
+    # scaled to the lcm of the levels' denominators, the numerators keep gcd 1
+    # with it, as each level's with its own; by level and slot is canonical order
+    common = math.lcm(*(den for _, den, _ in levels))
+    return common, [(k - 2 * l - b, b, l, items if f == 1 else [(e, n * f) for e, n in items])
+                    for l, den, level in reversed(levels) for f in (common // den,)
+                    for b, items in enumerate(level) if items]
 
 
 def clear_cache() -> None:

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 import hopfzero as hz
 from hopfzero import DegreeError, Monomial3, ParamPolynomial, QHPolynomial, VectorField3
 from hopfzero.coeffring import _term_sort_key, _unpack
-from hopfzero.gradedpoly import (_SLOTS_PER_PAIR, _from_integer_terms, _integer_terms,
-                                 _is_constant, _mono_sort_key, _mul_integer, _new_slice)
+from hopfzero.gradedpoly import (_DENSE_TOP, _SLOTS_PER_PAIR, _from_integer_terms,
+                                 _integer_terms, _is_constant, _mono_sort_key, _mul_integer,
+                                 _new_slice)
 
 from conftest import Pairs, capped_bracket, capped_product, random_qh_slice
 from oracle import h_component
@@ -604,8 +605,9 @@ def _traced_peak(call):
 class TestDenseSlices:
     """The kernel sums each output slice in a list, the monomial
     x^(e-2l-ey) y^ey z^l of degree e at position l*(e+2-l) + ey, or, when
-    the slice has more than `_SLOTS_PER_PAIR` slots per term pair that
-    reaches it, in a dict keyed by l*(e+1) + ey."""
+    the call reaches a degree above `_DENSE_TOP` and the slice has more than
+    `_SLOTS_PER_PAIR` slots per term pair that reaches it, in a dict keyed
+    by l*(e+1) + ey."""
 
     def test_the_dense_address_is_the_slice_basis_position(self):
         for e in range(61):
@@ -620,6 +622,8 @@ class TestDenseSlices:
         for constant in (True, False):
             out, off = _new_slice(3, 1, constant)
             assert type(out) is not list and not out and off == range(0, 8, 4)
+            # pairs not counted: a list
+            assert _new_slice(3, None, constant) == ([0 if constant else None] * 6, [0, 4, 6])
         out, off = _new_slice(10 ** 9, 10 ** 6, True)
         assert len(off) == 5 * 10 ** 8 + 1 and off[-1] == 5 * 10 ** 8 * (10 ** 9 + 1)
 
@@ -639,9 +643,21 @@ class TestDenseSlices:
         # 6 and 9 terms at degrees 3 and 4: 36, 108 and 81 pairs at 6, 7, 8
         assert made == {6: (36, True), 7: (108, True), 8: (81, True), 55: (1, False)}
         made.clear()
-        _mul_integer([(_integer_terms(full), _integer_terms(full), "z")], [], 6)
+        _mul_integer([(_integer_terms(full), _integer_terms(full), "z"),
+                      (_integer_terms(x30), _integer_terms(y25))], [])
         # d/dz lowers the 2 and 4 terms with z to degrees 1 and 2
-        assert made == {4: (12, True), 5: (18 + 24, True), 6: (36, True)}
+        assert made == {4: (12, True), 5: (18 + 24, True), 6: (36, True), 55: (1, False)}
+        # a call that reaches no degree above _DENSE_TOP counts no pairs:
+        # each degree from its lowest to its highest has a list
+        assert _DENSE_TOP == 30
+        made.clear()
+        # under the cap 31, x^30 y^25 is cut off
+        _mul_integer([(_integer_terms(full), _integer_terms(full), "z"),
+                      (_integer_terms(x30), _integer_terms(y25))], [], 31)
+        assert made == {4: (None, True), 5: (None, True), 6: (None, True)}
+        made.clear()
+        _mul_integer([(_integer_terms(x30), _integer_terms(QH({(0, 0, 0): 1})))], [])
+        assert made == {30: (None, True)}
 
     def test_cancelled_sums_are_dropped_from_either_kind(self):
         full = _integer_terms(QH({m: 1 for k in (3, 4) for m in hz.slice_basis(k).monomials}))

@@ -89,6 +89,33 @@ def _integer_path_slices(draw):
                            params)
 
 
+@st.composite
+def _kernel_free_slices(draw):
+    """(k, f): a random degree-k polynomial, k <= 14, over 0 to 2
+    parameters, some of its z-levels wholly zero, and on even k with no
+    (x^2+y^2)^(k/2) component, so that it is the solve's own solution of
+    L f = g."""
+    params = draw(st.sampled_from([(), ("a",), ("a", "b")]))
+    k = draw(st.integers(0, 14))
+    zero_levels = draw(st.sets(st.integers(0, k // 2)))
+    monomials = [m for m in hz.slice_basis(k).monomials if m.ez not in zero_levels]
+    exponents = st.tuples(*[st.integers(0, 2)] * len(params))
+    terms = draw(st.dictionaries(st.sampled_from(monomials),
+                                 st.dictionaries(exponents, _RATIONALS,
+                                                 min_size=1, max_size=3),
+                                 max_size=len(monomials))) if monomials else {}
+    f = QHPolynomial({m: ParamPolynomial(c, params) for m, c in terms.items()}, params)
+    if k % 2 == 0:
+        f = f - QHPolynomial.h_power(k // 2, params).scale_param(h_component(f, k // 2))
+    return k, f
+
+
+def as_dicts(converted):
+    """A converted form with each coefficient's items as a dict."""
+    den, terms = converted
+    return den, [(*t[:3], dict(t[3])) for t in terms]
+
+
 def stored_form(f):
     """The terms of `f` in stored order, with each coefficient's terms."""
     return [(m, list(c.terms.items())) for m, c in f.terms.items()]
@@ -262,14 +289,31 @@ class TestSolve:
         assert list(sol.residual.terms.items()) == list(residual.terms.items())
         # the integer entry returns the solution's converted form, reduced
         den, terms = homological._solve_levels(k, _integer_terms(rhs))
-        want_den, want_terms = _integer_terms(sol.solution)
-        assert (den, [(*t[:3], dict(t[3])) for t in terms]) == \
-            (want_den, [(*t[:3], dict(t[3])) for t in want_terms])
+        assert as_dicts((den, terms)) == as_dicts(_integer_terms(sol.solution))
         assert math.gcd(den, *(n for t in terms for _, n in t[3])) == 1
         image = hz.directional_derivative(sol.solution, hz.principal_part(rhs.params))
         if sol.residual:
             image = image + QHPolynomial({(0, 0, k // 2): sol.residual}, rhs.params)
         assert image == rhs
+
+    @settings(max_examples=80, deadline=None)
+    @given(_kernel_free_slices())
+    def test_round_trip_through_the_operator(self, case):
+        # the solve of L f is f itself, in the reduced converted form: no
+        # zero sum and no zero level kept, and the lowest denominator
+        k, f = case
+        rhs = hz.directional_derivative(f, hz.principal_part(f.params))
+        assert as_dicts(homological._solve_levels(k, _integer_terms(rhs))) == \
+            as_dicts(_integer_terms(f))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_integer_path_slices(), st.integers(2, 10 ** 30))
+    def test_an_unreduced_right_hand_side_solves_the_same(self, case, c):
+        # (c*D, [c*n ...]) is the right-hand side (D, [n ...]) unreduced
+        k, rhs = case
+        den, terms = _integer_terms(rhs)
+        scaled = c * den, [(*t[:3], [(e, c * n) for e, n in t[3]]) for t in terms]
+        assert homological._solve_levels(k, scaled) == homological._solve_levels(k, (den, terms))
 
     def test_self_check_catches_a_wrong_circle_mean(self, monkeypatch):
         # a circle mean off by one leaves the next level's last equation

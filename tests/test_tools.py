@@ -1,6 +1,7 @@
 """The command-line tools under `tools/`: `measure_run.py` runs one command
 and prints one JSON line about it; `profile_op.py` profiles one workload;
-`bench_pairs.py` summarizes paired benchmark runs of two checkouts."""
+`layer_times.py` splits a workload's time by engine layer; `bench_pairs.py`
+summarizes paired benchmark runs of two checkouts."""
 
 import hashlib
 import importlib.util
@@ -49,6 +50,28 @@ def test_profile_op_refuses_an_unknown_workload():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 2
     assert "python3 tools/profile_op.py WORKLOAD SEED [N]" in proc.stderr
+
+
+LAYERS = TOOL.parent / "layer_times.py"
+
+
+def test_layer_times_splits_a_pass_by_layer():
+    proc = subprocess.run([sys.executable, str(LAYERS), "h2-entries-4", "0", "2"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines()[2:]}
+    assert list(rows) == ["_mul_integer", "_solve_levels", "_from_integer_terms", "rest",
+                          "total"]
+    # degrees 5 to 7 are solved; the entries-only path leaves the last one
+    assert rows["_solve_levels"][0] == "3"
+    seconds = {name: float(row[-2]) for name, row in rows.items()}
+    assert seconds["total"] > 0 and all(s >= 0 for s in seconds.values())
+    assert sum(seconds.values()) - seconds["total"] == pytest.approx(seconds["total"],
+                                                                     abs=3e-4)
+    proc = subprocess.run([sys.executable, str(LAYERS), "h2-entries-x", "0"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert "python3 tools/layer_times.py WORKLOAD SEED [PASSES]" in proc.stderr
 
 
 def _bench_pairs():
