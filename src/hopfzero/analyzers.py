@@ -40,7 +40,7 @@ from typing import Dict, Optional, Tuple
 from .coeffring import ParamPolynomial, _Modulus
 from .errors import DegreeError, StructureError
 from .gradedpoly import (VAR_NAMES, Monomial3, QHPolynomial, _from_integer_terms,
-                         _integer_terms, _mul_integer)
+                         _integer_terms, _is_constant, _mul_integer)
 from .homological import _solve_levels
 from .normalform import (NormalFormResult, ResonanceData, coprime_resonance,
                          first_resonance, orbital_normal_form, principal_part,
@@ -118,7 +118,8 @@ def _continuation(field: VectorField3, max_index: int, method: Method, power: in
     returns the piece in the same form, which the next degrees read in
     derivative pairs (the kernel differentiates it as it reads it), so each
     piece is held once.  The components are converted by `_integer_terms`
-    once, and a piece is dropped when no later degree can read it.
+    once, and read once for whether they are constant, which the kernel and
+    the solve are told; a piece is dropped when no later degree reads it.
 
     With a `modulus` the run is in the quotient ring it defines: each known
     term is reduced right after `_mul_integer`, before its entry is read and
@@ -149,6 +150,7 @@ def _continuation(field: VectorField3, max_index: int, method: Method, power: in
     converted = {seed_degree: _integer_terms(seed)}
     comp_terms = {k: [_integer_terms(c) for c in f.components]
                   for k, f in components.items()}
+    constant = all(_is_constant(c) for cs in comp_terms.values() for c in cs)
     reach = max(components, default=0)
     for degree in range(seed_degree + 1, 2 * max_index + 1):
         converted.pop(degree - reach - 1, None)  # no later degree reads it
@@ -161,7 +163,7 @@ def _continuation(field: VectorField3, max_index: int, method: Method, power: in
             minus += [(piece, c, v) for v, c in zip(VAR_NAMES, comp_terms[fdeg])]
             if use_div:
                 plus += [(c, piece, v) for v, c in zip(VAR_NAMES, comp_terms[fdeg])]
-        rhs = _mul_integer(plus, minus)
+        rhs = _mul_integer(plus, minus, None, constant)
         if modulus is not None:
             rhs = modulus.reduce(rhs)
         entry = None
@@ -169,9 +171,8 @@ def _continuation(field: VectorField3, max_index: int, method: Method, power: in
             top = degree // 2
             den, terms = rhs
             nums = terms[-1][3] if terms and terms[-1][2] == top else ()
-            entry = ParamPolynomial._from_numerators(
-                {e: -n for e, n in nums}, den, params, {})
-        solve = cache(partial(_solve_levels, degree, rhs))
+            entry = ParamPolynomial._from_numerators(((e, -n) for e, n in nums), den, params)
+        solve = cache(partial(_solve_levels, degree, rhs, constant))
         yield degree, entry, solve
         if degree < 2 * max_index and (solved := solve())[1]:
             converted[degree] = solved

@@ -15,8 +15,8 @@ caller to pass a term dict that already holds the invariant.
 
 The module also holds the primitives that every polynomial type of the
 package shares, each written once: `_from_numerators`, which turns the
-integer numerators of the graded product and the slice solve into `Fraction`
-coefficients; `_merged`, the term merge of `QHPolynomial` and `Poly2`;
+integer numerators of one coefficient of the graded product or the slice
+solve into `Fraction`s; `_merged`, the term merge of `QHPolynomial` and `Poly2`;
 and `_format_terms`, the printer of all three types.
 
 It also owns the packed exponent layout of the graded kernel's converted
@@ -167,23 +167,14 @@ class ParamPolynomial:
         return self
 
     @classmethod
-    def _from_numerators(cls, nums: Mapping[int, int], den: int, params: tuple,
-                         memo: Dict[int, tuple]) -> "ParamPolynomial":
-        """The polynomial with coefficients `n / den` for `nums` mapping
-        packed exponent keys over `params` (`_pack`) to integers, `den > 0`:
-        one `Fraction` per nonzero numerator, which reduces to lowest terms,
-        in canonical order.  Integer kernels hand their results back through
-        it.  Each key is unpacked through `memo`, a dict from keys to
-        exponent tuples that the caller makes for one conversion and passes
-        to each of its coefficients, so equal vectors share one tuple."""
-        width = len(params)
-        terms = {}
-        for key, n in nums.items():
-            if n:
-                exps = memo.get(key)
-                if exps is None:
-                    exps = memo[key] = _unpack(key, width)
-                terms[exps] = n
+    def _from_numerators(cls, nums: Iterable[Tuple[int, int]], den: int,
+                         params: tuple) -> "ParamPolynomial":
+        """The polynomial with coefficients `n / den` for the (key, n) of
+        `nums`, distinct packed exponent keys over `params` (`_pack`) and
+        integers, `den > 0`: one `Fraction` per nonzero numerator, which
+        reduces to lowest terms, in canonical order.  A single coefficient of
+        an integer kernel's result comes back through it."""
+        terms = {_unpack(key, len(params)): n for key, n in nums if n}
         return cls._wrap({e: Fraction(terms[e], den)
                           for e in sorted(terms, key=_degree_lex, reverse=True)}, params)
 

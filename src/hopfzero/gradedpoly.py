@@ -26,25 +26,22 @@ slot is one `int` when every operand coefficient is constant.  A product with
 a partial derivative, as in grad(a) . F, is a derivative pair: the kernel
 differentiates its left operand as it reads it (`_lowered`, the one place an
 exponent is lowered), so no partial is built; a partial alone is the pair of
-the polynomial and the constant 1 (`_ONE`).  In the converted form
-each parameter exponent vector is one `int` key, 64 bits per parameter
+the polynomial and the constant 1 (`_ONE`).  In the converted form each
+parameter exponent vector is one `int` key, 64 bits per parameter
 (`coeffring._pack`), so the kernel multiplies two parameter monomials with
 one `int` add and checks its output once for an exponent that reached 2^63
-(`coeffring._refuse_overflow`); the monomial keys stay (ex, ey, ez), and
-the keys are unpacked to exponent tuples only when numerators become
-`Fraction`s again (`ParamPolynomial._from_numerators`).  The public
-products take no cap.  The normal form's steps (`normalform._integer_step`)
-sum the adjoint exponential in Horner form, one kernel call per component
-and level, each under that level's degree cap, and the kernel reads only
-what the cap keeps, of a differentiated operand too.  The kernel returns
-the converted form too, divided by its content gcd, so a caller can feed
-it into the next product, as the normal form's steps and the obstruction
-driver do.  The converted form is the
-only integer layout that leaves this module: the slice solve
-(`homological._solve_levels`) takes and returns it, so the obstruction
-driver and the normal-form degree solve build no `Fraction`s between
-degrees.  `_from_integer_terms` is the one place where a product's
-numerators become `Fraction`s again, in a `QHPolynomial`.
+(`coeffring._refuse_overflow`); the monomial keys stay (ex, ey, ez).  The
+public products take no cap.  The normal form's steps
+(`normalform._integer_step`) sum the adjoint exponential in Horner form, one
+kernel call per component and level, each under that level's degree cap,
+and the kernel reads only what the cap keeps, of a differentiated operand
+too.  The kernel returns the converted form, divided by its content gcd, so
+a caller can feed it into the next product.  It is the only integer layout
+that leaves this module: the slice solve (`homological._solve_levels`) takes
+and returns it, so the obstruction driver and the normal-form degree solve
+build no `Fraction`s between degrees.  `_from_integer_terms` is the one
+place where a product's numerators become `Fraction`s again, in a
+`QHPolynomial`, each distinct key unpacked to its exponent tuple once.
 `QHPolynomial`, `Poly2` and `ParamPolynomial` print through one function,
 `coeffring._format_terms`.
 """
@@ -55,11 +52,12 @@ import math
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain, compress, repeat
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .coeffring import (ParamPolynomial, RationalLike, _format_terms, _merged, _pack,
-                        _refuse_overflow, rat)
+                        _refuse_overflow, _unpack, rat)
 from .errors import DegreeError
 
 VAR_NAMES = ("x", "y", "z")
@@ -314,26 +312,29 @@ def _lowered(terms: list, i: int, scale: int):
 
 
 def _from_integer_terms(converted: IntegerTerms, params: Tuple[str, ...]) -> QHPolynomial:
-    """The polynomial of a zero-free converted form, in its monomial order:
-    one `Fraction` per numerator, through `ParamPolynomial._from_numerators`,
-    whose unpacking memo the coefficients share."""
+    """The polynomial of a zero-free converted form, in its monomial order,
+    one `Fraction` per numerator.  Each distinct packed key is unpacked once
+    (`coeffring._unpack`), and the keys are sorted once, into canonical term
+    order; walked in that order, they fill every coefficient in its order."""
     den, terms = converted
-    memo: Dict[int, tuple] = {}
-    return QHPolynomial._wrap(
-        {tuple.__new__(Monomial3, t[:3]):
-         ParamPolynomial._from_numerators(dict(t[3]), den, params, memo) for t in terms},
-        params)
+    coeffs: List[dict] = [{} for _ in terms]
+    by_key = defaultdict(list)  # key -> [(coefficient, numerator)]
+    for c, t in zip(coeffs, terms):
+        for key, n in t[3]:
+            by_key[key].append((c, n))
+    for _, exps, key in sorted(((sum(e), e, key) for key in by_key
+                                for e in (_unpack(key, len(params)),)), reverse=True):
+        for c, n in by_key[key]:
+            c[exps] = Fraction(n, den)
+    return QHPolynomial._wrap({tuple.__new__(Monomial3, t[:3]): ParamPolynomial._wrap(c, params)
+                               for t, c in zip(terms, coeffs)}, params)
 
 
 def _is_constant(converted: IntegerTerms) -> bool:
     """Whether every coefficient is one term with all-zero exponents (key
     `0`), as in a field bound to a numeric point, whatever its parameter
     table."""
-    for term in converted[1]:
-        items = term[3]
-        if len(items) != 1 or items[0][0]:
-            return False
-    return True
+    return all(len(t[3]) == 1 and not t[3][0][0] for t in converted[1])
 
 
 def _new_slice(e: int, pairs: Optional[int], constant: bool) -> tuple:

@@ -14,10 +14,11 @@ where R = 2(x d/dy - y d/dx) rotates the plane and h = x^2 + y^2: rotation
 blocks per z-power plus a z-lowering term (Algaba, Freire, Gamero & Garcia,
 "Quasi-homogeneous normal forms", J. Comput. Appl. Math. 150, 2003).
 `_solve_levels` solves the slice equation along that chain, from the top
-z-power down, in O(1) coefficient operations per unknown.  It works on
-integers: it takes the right-hand side and returns the solution in the graded
-kernel's converted form (`gradedpoly._integer_terms`); each step inside is an
-unreduced integer combination (`_combine`), and each level is reduced once.
+z-power down, in O(1) coefficient operations per unknown, on integers: it
+takes the right-hand side and returns the solution in the graded kernel's
+converted form (`gradedpoly._integer_terms`).  Each unknown's denominator is
+known before its value, so each step is one integer multiply-add (`_combine`);
+each level is reduced once, and a constant coefficient is one plain `int`.
 `solve_homological` converts a `QHPolynomial` right-hand side once and turns
 the solution into `Fraction`s once (`gradedpoly._from_integer_terms`); the
 obstruction driver and the normal-form degree solve pass their right-hand
@@ -35,12 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .coeffring import ParamPolynomial
 from .errors import DegreeError, StructureError
 from .gradedpoly import (IntegerTerms, Monomial3, QHPolynomial, _from_integer_terms,
-                         _integer_terms, slice_basis)
+                         _integer_terms, _is_constant, slice_basis)
 from .vectorfield import directional_derivative, principal_part
 
 
@@ -101,37 +102,40 @@ class HomologicalSolution:
     residual: ParamPolynomial
 
 
-_Integers = Tuple[int, Dict[tuple, int]]
-_ZERO: _Integers = (1, {})
+def _combine(parts: list):
+    """sum(n * x for n, x in parts) for integers n, unreduced, zero sums
+    kept: the x all plain `int`s, or all numerator dicts or lists of
+    (key, numerator) items, as a converted form holds them."""
+    n, x = parts[0]
+    if type(x) is int:
+        out = 0
+        for n, x in parts:
+            out += n * x
+        return out
+    out = {e: n * v for e, v in (x.items() if type(x) is dict else x)}
+    for n, x in parts[1:]:
+        for e, v in (x.items() if type(x) is dict else x):
+            out[e] = out.get(e, 0) + n * v
+    return out
 
 
-def _combine(parts: List[Tuple[int, _Integers]], divisor: int = 1) -> _Integers:
-    """sum(n * p for n, p in parts) / divisor, for integers n and divisor > 0,
-    unreduced: over divisor times the lcm of the parts' denominators, zero
-    sums kept.  A part's numerators are a dict or, as a converted form holds
-    them, a list of (key, numerator) items."""
-    common = math.lcm(*(den for _, (den, _) in parts))
-    (n, (den, nums)), *rest = parts
-    factor = n * (common // den)
-    out = {e: factor * v for e, v in (nums.items() if type(nums) is dict else nums)}
-    for n, (den, nums) in rest:
-        factor = n * (common // den)
-        for e, v in (nums.items() if type(nums) is dict else nums):
-            out[e] = out.get(e, 0) + factor * v
-    return common * divisor, out
+def _nonzero(x) -> bool:
+    return any(x.values()) if type(x) is dict else bool(x)
 
 
-def _circle_mean(u: List[_Integers], d: int) -> _Integers:
-    """Mean over the unit circle of the plane polynomial sum u_b x^(d-b) y^b
-    of even degree d: the sum over even b of u_b (d-b-1)!! (b-1)!! / d!!.
-    It is the coefficient of h^(d/2) in the harmonic decomposition."""
+def _circle_mean(u: list, d: int) -> tuple:
+    """(den, n) for the mean over the unit circle, the sum over even b of
+    u_b (d-b-1)!! (b-1)!! / d!!, of sum u_b x^(d-b) y^b, d even, given as
+    u[b/2] = (den, n) for u_b = n / den, each den dividing u[0]'s: the
+    coefficient of h^(d/2) in the harmonic decomposition."""
+    top = u[0][0]
     weight = math.prod(range(1, d, 2))  # (d-b-1)!! (b-1)!! at b = 0
     parts = []
-    for b in range(0, d + 1, 2):
+    for b, (den, n) in zip(range(0, d + 1, 2), u):
         if b:
             weight = weight * (b - 1) // (d - b + 1)
-        parts.append((weight, u[b]))
-    return _combine(parts, math.prod(range(2, d + 1, 2)))
+        parts.append((weight * (top // den), n))
+    return top * math.prod(range(2, d + 1, 2)), _combine(parts)
 
 
 def solve_homological(k: int, rhs: QHPolynomial) -> HomologicalSolution:
@@ -156,87 +160,101 @@ def solve_homological(k: int, rhs: QHPolynomial) -> HomologicalSolution:
         residual=residual)
 
 
-def _solve_levels(k: int, rhs: IntegerTerms) -> IntegerTerms:
+def _solve_levels(k: int, rhs: IntegerTerms, constant: Optional[bool] = None) -> IntegerTerms:
     """The solution of the degree-k slice equation for the right-hand side
-    `rhs`, both in the graded kernel's converted form (`_integer_terms`).
-    Any common denominator will do, and the z^(k/2) term of an even k is the
-    residual's and is not read.  The solution comes back in canonical
-    monomial order, zero-free, with the gcd of its denominator and all its
-    numerators 1: `_integer_terms` of the solved polynomial, up to the order
-    of each coefficient's items.
+    `rhs`, both in the graded kernel's converted form (`_integer_terms`), over
+    any common denominator; the z^(k/2) term of an even k, the residual's, is
+    not read.  The solution is canonical: monomials in canonical order,
+    zero-free, the gcd of its denominator and all its numerators 1, as
+    `_integer_terms` of the solved polynomial up to each coefficient's order.
 
-    The solution f = sum z^l f_l satisfies R f_l + (l+1) h f_(l+1) = g_l on
-    each level l; the levels are solved from the top down.  On the
-    coefficients u_b of x^(d-b) y^b of a degree-d level, R u = v reads
-    v_b = 2(b+1) u_(b+1) - 2(d-b+1) u_(b-1): a forward recurrence over even
-    b gives the odd-indexed unknowns, a backward one over odd b the
-    even-indexed unknowns.  For even k, R has the kernel h^(d/2): the circle
-    mean of each f_l (l >= 1) is fixed to that of g_(l-1), divided by l, which
-    makes level l-1 solvable, and f_0 has circle mean 0, so the solution
-    carries no (x^2+y^2)^(k/2) component.  The equation b = d of each even
-    level is then implied; it is checked, and so is the equation b = 1 of
-    every level of degree d >= 1, which the backward recurrence used last;
+    f = sum z^l f_l satisfies R f_l + (l+1) h f_(l+1) = g_l on each level l,
+    solved from the top down.  On the coefficients u_b of x^(d-b) y^b of a
+    degree-d level, R u = v reads v_b = 2(b+1) u_(b+1) - 2(d-b+1) u_(b-1): a
+    forward recurrence over even b gives the odd-indexed unknowns, a backward
+    one over odd b the even-indexed ones.  For even k, R has the kernel
+    h^(d/2): the circle mean of each f_l (l >= 1) is fixed to that of
+    g_(l-1), divided by l, which makes level l-1 solvable, and f_0 has mean 0,
+    so the solution has no (x^2+y^2)^(k/2) component.  The equation b = d of
+    each even level is then implied and is checked, as is b = 1 of every
+    level of degree d >= 1, which the backward recurrence used last;
     StructureError is raised if either fails.
 
-    The solve is fraction-free (after Bareiss, Math. Comp. 22, 1968): a step
-    is one unreduced integer combination (`_combine`) of the right-hand
-    side's items, the level above and an unknown, and no v_b is built, so
-    parameter coefficients ride along linearly and the checks test for zero
-    sums.  A checked level is reduced once, for the next level and the
-    output: to the lcm of its denominators, divided with every numerator by
-    their gcd, zero sums dropped.
+    The denominators are structural (after Bareiss, Math. Comp. 22, 1968).
+    A level's base D is the lcm of the right-hand side's denominator and the
+    level above's, so V_b = D v_b is integral.  The forward chain holds
+    u_(b+1) = N / (D Q_(b+1)), Q_(b+1) = 2(b+1) Q_(b-1), the backward one
+    u_(b-1) = N / (D R_(b-1)), R_(b-1) = 2(d-b+1) R_(b+1), both from 1, so a
+    step is one integer multiply-add (`_combine`), with no lcm, no division
+    and no v_b built.  A checked level is put over the lcm of the chains'
+    ends and the shift's denominator and divided by its content gcd, zero
+    sums dropped.  With `constant` (None: read off `rhs`, `_is_constant`)
+    each coefficient is one plain `int`, else a dict of packed keys.
     """
     common, terms = rhs
-    top = k // 2
-    even = k % 2 == 0
-    # g[l][b] is the coefficient of x^(d-b) y^b z^l, d = k - 2l, as rhs holds it
-    g = [[_ZERO] * (k - 2 * l + 1) for l in range(top + 1)]
+    constant = _is_constant(rhs) if constant is None else constant
+    zero, top, even = (0 if constant else ()), k // 2, k % 2 == 0
+    # g[l][b] is the numerator of x^(d-b) y^b z^l over common, d = k - 2l
+    g = [[zero] * (k - 2 * l + 1) for l in range(top + 1)]
     for _, ey, ez, items in terms:
-        g[ez][ey] = common, items
-    levels = []  # (l, the level's denominator, the items of each unknown)
+        g[ez][ey] = items[0][1] if constant else items
+    levels = []  # (l, the level's denominator, the numerators of each unknown)
     up_den, up = 1, []  # f_(l+1) so reduced; zero above the top level
 
-    def v(b, sign):  # the parts of sign * v_b on level l, v = g_l - (l+1) h f_(l+1)
-        return [(sign, g[l][b])] + [(-sign * (l + 1), (up_den, up[a]))
-                                    for a in (b, b - 2) if 0 <= a < len(up)]
+    def v(b, n):  # the parts of n V_b, V_b = D (g_l - (l+1) h f_(l+1))_b
+        return [(n * cg, gl[b])] + [(n * cf, up[a]) for a in (b, b - 2) if 0 <= a < len(up)]
     for l in range(top, -1, -1):
         d = k - 2 * l
-        u = [_ZERO] * (d + 2)  # u[d + 1] = 0 closes the recurrences
-        for b in range(0, d, 2):  # u_(b+1) from u_(b-1)
-            u[b + 1] = _combine(v(b, 1) + [(2 * (d - b + 1), u[b - 1] if b else _ZERO)],
-                                2 * (b + 1))
-        # u_(b-1) from u_(b+1); on even d this starts from u_d = 0
+        base = math.lcm(common, up_den)
+        cg, cf, gl = base // common, -(l + 1) * (base // up_den), g[l]
+        # u_b = u[b] / (base chain[b]), chain[b] = Q_b or R_b; u[d + 1] = 0 closes the chains
+        u, chain = [zero] * (d + 2), [1] * (d + 2)
+        q = r = 1
+        for b in range(0, d, 2):  # u_(b+1) from u_(b-1), q = Q_(b-1); u[-1] is 0
+            u[b + 1] = _combine(v(b, q) + [(2 * (d - b + 1), u[b - 1])])
+            q = chain[b + 1] = 2 * (b + 1) * q
+        # u_(b-1) from u_(b+1), r = R_(b+1); on even d this starts from u_d = 0
         for b in range(d if d % 2 else d - 1, 0, -2):
-            u[b - 1] = _combine(v(b, -1) + [(2 * (b + 1), u[b + 1])], 2 * (d - b + 1))
-        if even:
-            if d and any(_combine(v(d, 1) + [(2, u[d - 1])])[1].values()):  # v_d = -2 u_(d-1)
-                raise StructureError(
-                    f"degree-{k} slice solve left level z^{l} inconsistent")
+            u[b - 1] = _combine(v(b, -r) + [(2 * (b + 1), u[b + 1])])
+            r = chain[b - 1] = 2 * (d - b + 1) * r
+        lden, fs = base * math.lcm(q, r), 0
+        if even:  # Q_(d-1) V_d + 2 N_(d-1) = D Q_(d-1) (v_d + 2 u_(d-1)) must vanish
+            if d and _nonzero(_combine(v(d, q) + [(2, u[d - 1])])):
+                raise StructureError(f"degree-{k} slice solve left level z^{l} inconsistent")
             # shift = mean(g_(l-1)) / l - mean(u), or -mean(u) on level 0
-            mean = _circle_mean(g[l - 1], d + 2) if l else _ZERO
-            shift = _combine([(1, mean), (-(l or 1), _circle_mean(u, d))], l or 1)
-            if any(shift[1].values()):  # add the multiple of h^(d/2) that gives f_l that mean
-                for b in range(0, d + 1, 2):
-                    u[b] = _combine([(1, u[b]), (math.comb(d // 2, b // 2), shift)])
+            gd, gm = _circle_mean([(common, n) for n in g[l - 1][::2]], d + 2) if l else (1, zero)
+            ud, um = _circle_mean([(base * chain[b], u[b]) for b in range(0, d + 1, 2)], d)
+            sd = math.lcm(gd * (l or 1), ud)
+            shift = _combine([(sd // (gd * (l or 1)), gm), (-(sd // ud), um)])
+            if _nonzero(shift):  # add the multiple of h^(d/2) that gives f_l that mean
+                lden = math.lcm(lden, sd)
+                fs = lden // sd
+        # every unknown over lden, the shift added to the even-indexed ones
+        per = lden // base
+        for b in range(d + 1):
+            parts = [(per // chain[b], u[b])]
+            if fs and b % 2 == 0:
+                parts.append((math.comb(d // 2, b // 2) * fs, shift))
+            u[b] = _combine(parts)
         # read back equation b = 1, v_1 = 4 u_2 - 2d u_0, from which the
         # backward recurrence took u_0 (u_2 is u[d + 1] = 0 when d = 1)
-        if d and any(_combine(v(1, 1) + [(-4, u[2]), (2 * d, u[0])])[1].values()):
-            raise StructureError(
-                f"degree-{k} slice solve left level z^{l} inconsistent at b = 1")
-        up_den = math.lcm(*(den for den, _ in u))
-        up = [[(e, n * f) for e, n in nums.items() if n]
-              for f, nums in ((up_den // den, nums) for den, nums in u[:d + 1])]
-        content = math.gcd(up_den, *(n for items in up for _, n in items))
-        if content > 1:
-            up_den //= content
-            up = [[(e, n // content) for e, n in items] for items in up]
+        if d and _nonzero(_combine(v(1, per) + [(-4, u[2]), (2 * d, u[0])])):
+            raise StructureError(f"degree-{k} slice solve left level z^{l} inconsistent at b = 1")
+        if constant:
+            content = math.gcd(lden, *u[:d + 1])
+            up = [n // content for n in u[:d + 1]]
+        else:
+            content = math.gcd(lden, *(n for nums in u[:d + 1] for n in nums.values()))
+            up = [[(e, n // content) for e, n in nums.items() if n] for nums in u[:d + 1]]
+        up_den = lden // content
         levels.append((l, up_den, up))
     # scaled to the lcm of the levels' denominators, the numerators keep gcd 1
     # with it, as each level's with its own; by level and slot is canonical order
     common = math.lcm(*(den for _, den, _ in levels))
-    return common, [(k - 2 * l - b, b, l, items if f == 1 else [(e, n * f) for e, n in items])
+    return common, [(k - 2 * l - b, b, l, [(0, n * f)] if constant else
+                     n if f == 1 else [(e, x * f) for e, x in n])
                     for l, den, level in reversed(levels) for f in (common // den,)
-                    for b, items in enumerate(level) if items]
+                    for b, n in enumerate(level) if n]
 
 
 def clear_cache() -> None:

@@ -253,13 +253,12 @@ def _solve_degree(known: List[IntegerTerms], s: int, params: Tuple[str, ...],
     (w2, top2), (w1, top1) = split(mul((x, ky), minus=[(y, kx)])), split(mul((x, kx), (y, ky)))
     if top2 or top1:
         raise StructureError(f"degree-{s} contracted equation has a z-power residual")
-    (big_a, top_a), (big_b, top_b) = (split(_solve_levels(s + 2, w)) for w in (w2, w1))
+    (big_a, top_a), (big_b, top_b) = (split(_solve_levels(s + 2, w, constant)) for w in (w2, w1))
     mu = at(0, 0, k, [(e, -(k + 1) * n) for e, n in top_a], 2 * big_a[0])
-    a = ParamPolynomial._from_numerators({e: (k + 1) * n for e, n in top_b}, big_b[0],
-                                         params, {})
+    a = ParamPolynomial._from_numerators(((e, (k + 1) * n) for e, n in top_b), big_b[0], params)
     rhs, top_z = split(mul((kz, one), (mu, _h_power(1)), (at(0, 0, 0, [(0, 2)]), big_b)))
-    b = ParamPolynomial._from_numerators(dict(top_z), rhs[0], params, {})
-    uz = _solve_levels(s + 2, rhs)
+    b = ParamPolynomial._from_numerators(top_z, rhs[0], params)
+    uz = _solve_levels(s + 2, rhs, constant)
     ux = _divide_by_h(mul((x, big_b), minus=[(y, big_a)]), s + 1)
     uy = _divide_by_h(mul((y, big_b), (x, big_a)), s + 1)
     if s % 2 == 0:  # add the kernel fields that zero uy[x y^s], uz[z y^s], uz[y^(s+2)]

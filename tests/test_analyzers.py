@@ -253,9 +253,9 @@ class TestKnownTermAccumulation:
         solved = []
         solve = analyzers._solve_levels
 
-        def counting(k, rhs):
+        def counting(k, rhs, *constant):
             solved.append(k)
-            return solve(k, rhs)
+            return solve(k, rhs, *constant)
 
         monkeypatch.setattr(analyzers, "_solve_levels", counting)
         seq = _obstruction_driver(family37, 6, method)
@@ -284,7 +284,8 @@ class TestKnownTermAccumulation:
         mean = homological._circle_mean
 
         def wrong(u, d):
-            return homological._combine([(1, mean(u, d)), (1, (1, {(): 1}))])
+            den, n = mean(u, d)
+            return den, n + den if type(n) is int else {**n, 0: n.get(0, 0) + den}
 
         monkeypatch.setattr(homological, "_circle_mean", wrong)
         with pytest.raises(StructureError):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import hopfzero as hz
 from hopfzero import DegreeError, Monomial3, ParamPolynomial, QHPolynomial, StructureError
 from hopfzero import homological
-from hopfzero.gradedpoly import _integer_terms
+from hopfzero.gradedpoly import _integer_terms, _is_constant
 
 from conftest import random_ppoly, random_qh_slice
 from oracle import Elimination, h_component, lie_operator_matrix, slice_rows
@@ -297,14 +297,36 @@ class TestSolve:
         assert image == rhs
 
     @settings(max_examples=80, deadline=None)
-    @given(_kernel_free_slices())
-    def test_round_trip_through_the_operator(self, case):
+    @given(_kernel_free_slices(), st.sampled_from([None, 1, -3, Fraction(2, 7)]))
+    def test_round_trip_through_the_operator(self, case, value):
         # the solve of L f is f itself, in the reduced converted form: no
-        # zero sum and no zero level kept, and the lowest denominator
+        # zero sum and no zero level kept, and the lowest denominator.  With
+        # its parameters bound to `value`, f is constant over its parameter
+        # table, and the solve takes the plain-int path, read off the input
+        # or told; the dict path gives the same on a constant input
         k, f = case
-        rhs = hz.directional_derivative(f, hz.principal_part(f.params))
-        assert as_dicts(homological._solve_levels(k, _integer_terms(rhs))) == \
-            as_dicts(_integer_terms(f))
+        if value is not None:
+            f = f.substitute_params({p: value for p in f.params})
+        rhs = _integer_terms(hz.directional_derivative(f, hz.principal_part(f.params)))
+        constant = _is_constant(rhs)
+        assert constant or value is None
+        want = as_dicts(_integer_terms(f))
+        assert as_dicts(homological._solve_levels(k, rhs)) == want
+        assert as_dicts(homological._solve_levels(k, rhs, constant)) == want
+        if constant:
+            assert as_dicts(homological._solve_levels(k, rhs, False)) == want
+
+    def test_one_item_coefficients_with_a_parameter_take_the_dict_path(self):
+        # every coefficient is one item, but not at the key 0: not constant,
+        # and the solution keeps its parameter
+        params = ("a",)
+        a = ParamPolynomial.variable("a", params)
+        rhs = QHPolynomial({(3, 1, 0): a, (0, 4, 0): a * a}, params)
+        assert not _is_constant(_integer_terms(rhs))
+        sol = hz.solve_homological(4, rhs)
+        assert all(not c.is_constant() for c in sol.solution.terms.values())
+        image = hz.directional_derivative(sol.solution, hz.principal_part(params))
+        assert image == rhs and sol.residual.is_zero()
 
     @settings(max_examples=40, deadline=None)
     @given(_integer_path_slices(), st.integers(2, 10 ** 30))
@@ -315,13 +337,25 @@ class TestSolve:
         scaled = c * den, [(*t[:3], [(e, c * n) for e, n in t[3]]) for t in terms]
         assert homological._solve_levels(k, scaled) == homological._solve_levels(k, (den, terms))
 
+    @settings(max_examples=40, deadline=None)
+    @given(_integer_path_slices(), st.integers(2, 10 ** 30), st.integers(-4, 4))
+    def test_an_unreduced_constant_right_hand_side_solves_the_same(self, case, c, value):
+        # the same on the plain-int path: the parameters bound to `value`
+        k, rhs = case
+        den, terms = _integer_terms(rhs.substitute_params({p: value for p in rhs.params}))
+        assert _is_constant((den, terms))
+        scaled = c * den, [(*t[:3], [(e, c * n) for e, n in t[3]]) for t in terms]
+        assert homological._solve_levels(k, scaled, True) == \
+            homological._solve_levels(k, (den, terms))
+
     def test_self_check_catches_a_wrong_circle_mean(self, monkeypatch):
         # a circle mean off by one leaves the next level's last equation
         # unsatisfied, and the solve refuses to return
         mean = homological._circle_mean
 
         def wrong(u, d):
-            return homological._combine([(1, mean(u, d)), (1, (1, {(): 1}))])
+            den, n = mean(u, d)
+            return den, n + den if type(n) is int else {**n, 0: n.get(0, 0) + den}
 
         monkeypatch.setattr(homological, "_circle_mean", wrong)
         with pytest.raises(StructureError):

@@ -74,6 +74,19 @@ def test_layer_times_splits_a_pass_by_layer():
     assert "python3 tools/layer_times.py WORKLOAD SEED [PASSES]" in proc.stderr
 
 
+def test_layer_times_runs_the_numeric_continuation():
+    # h2-point-N is the entries-only run at (a001, b200, c030) = (1, 2, 3)
+    proc = subprocess.run([sys.executable, str(LAYERS), "h2-point-4", "0"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines()[2:]}
+    assert proc.stdout.startswith("h2-point-4, seed 0")
+    assert rows["_solve_levels"][0] == "3" and float(rows["total"][-2]) > 0
+    proc = subprocess.run([sys.executable, str(LAYERS), "h2-point-0", "0"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2 and "h2-point-N" in proc.stderr
+
+
 def _bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", TOOL.parent / "bench_pairs.py")
     module = importlib.util.module_from_spec(spec)

@@ -5,7 +5,8 @@
 WORKLOAD is a benchmark workload (`h2-symbolic`, `nf-numeric` or
 `cli-corpus`, as in `bench/run.py`), set up from SEED, or `h2-entries-N`:
 the entries-only JACOBI_H2 sequence of the symbolic family 37 to z^N
-(`analyzers._entries_only`, the report path), which reads no seed.  One
+(`analyzers._entries_only`, the report path), or `h2-point-N`: the same
+at the numeric point (a001, b200, c030) = (1, 2, 3); those read no seed.  One
 pass runs untimed to warm the engine.  Then PASSES passes (default 1) run
 with three layers timed: the kernel (`gradedpoly._mul_integer`), the slice
 solve (`homological._solve_levels`) and the conversion to `Fraction`s
@@ -36,10 +37,18 @@ LAYERS = (("gradedpoly", "_mul_integer"), ("homological", "_solve_levels"),
           ("gradedpoly", "_from_integer_terms"))
 
 
-def entries_workload(index: int) -> Workload:
-    """The entries-only JACOBI_H2 sequence of family 37 to z^index."""
+POINT = {"a001": 1, "b200": 2, "c030": 3}
+
+
+def entries_workload(index: int, point=None) -> Workload:
+    """The entries-only JACOBI_H2 sequence of family 37 to z^index, with
+    its parameters bound to `point` when one is given."""
+    def setup(hz, seed, out_dir):
+        field = family37_field(hz)
+        return {"field": field.substitute_params(point) if point else field}
+
     return Workload(
-        setup=lambda hz, seed, out_dir: {"field": family37_field(hz)},
+        setup=setup,
         operations=lambda hz, inputs: [("entries", lambda: hz.analyzers._entries_only(
             inputs["field"], index, hz.Method.JACOBI_H2))],
         check=lambda hz, inputs, results: [])
@@ -49,8 +58,8 @@ def find_workload(name: str):
     if name in WORKLOADS:
         return WORKLOADS[name]
     prefix, _, index = name.rpartition("-")
-    if prefix == "h2-entries" and index.isdigit() and int(index) >= 1:
-        return entries_workload(int(index))
+    if prefix in ("h2-entries", "h2-point") and index.isdigit() and int(index) >= 1:
+        return entries_workload(int(index), POINT if prefix == "h2-point" else None)
     return None
 
 
@@ -81,7 +90,8 @@ def main(argv) -> int:
     workload = find_workload(argv[0]) if len(argv) in (2, 3) else None
     if workload is None:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
-        print(f"workloads: {', '.join(sorted(WORKLOADS))}, h2-entries-N", file=sys.stderr)
+        print(f"workloads: {', '.join(sorted(WORKLOADS))}, h2-entries-N, h2-point-N",
+              file=sys.stderr)
         return 2
     seed, passes = int(argv[1]), int(argv[2]) if len(argv) == 3 else 1
     samples = {name: [] for _, name in LAYERS}
