@@ -40,7 +40,7 @@ from typing import Dict, Optional, Tuple
 from .coeffring import ParamPolynomial, _Modulus
 from .errors import DegreeError, StructureError
 from .gradedpoly import (VAR_NAMES, Monomial3, QHPolynomial, _from_integer_terms,
-                         _integer_terms, _is_constant, _mul_integer)
+                         _integer_terms, _mul_integer, _scaled_coefficient)
 from .homological import _solve_levels
 from .normalform import (NormalFormResult, ResonanceData, coprime_resonance,
                          first_resonance, orbital_normal_form, principal_part,
@@ -118,8 +118,9 @@ def _continuation(field: VectorField3, max_index: int, method: Method, power: in
     returns the piece in the same form, which the next degrees read in
     derivative pairs (the kernel differentiates it as it reads it), so each
     piece is held once.  The components are converted by `_integer_terms`
-    once, and read once for whether they are constant, which the kernel and
-    the solve are told; a piece is dropped when no later degree reads it.
+    once, to `int` coefficients for a field bound to a numeric point, which
+    the kernel and the solve keep; a piece is dropped when no later degree
+    reads it.
 
     With a `modulus` the run is in the quotient ring it defines: each known
     term is reduced right after `_mul_integer`, before its entry is read and
@@ -150,7 +151,6 @@ def _continuation(field: VectorField3, max_index: int, method: Method, power: in
     converted = {seed_degree: _integer_terms(seed)}
     comp_terms = {k: [_integer_terms(c) for c in f.components]
                   for k, f in components.items()}
-    constant = all(_is_constant(c) for cs in comp_terms.values() for c in cs)
     reach = max(components, default=0)
     for degree in range(seed_degree + 1, 2 * max_index + 1):
         converted.pop(degree - reach - 1, None)  # no later degree reads it
@@ -163,16 +163,15 @@ def _continuation(field: VectorField3, max_index: int, method: Method, power: in
             minus += [(piece, c, v) for v, c in zip(VAR_NAMES, comp_terms[fdeg])]
             if use_div:
                 plus += [(c, piece, v) for v, c in zip(VAR_NAMES, comp_terms[fdeg])]
-        rhs = _mul_integer(plus, minus, None, constant)
+        rhs = _mul_integer(plus, minus)
         if modulus is not None:
             rhs = modulus.reduce(rhs)
         entry = None
         if degree % 2 == 0:  # the entry is the known term's z^(d/2) coefficient, last
-            top = degree // 2
             den, terms = rhs
-            nums = terms[-1][3] if terms and terms[-1][2] == top else ()
-            entry = ParamPolynomial._from_numerators(((e, -n) for e, n in nums), den, params)
-        solve = cache(partial(_solve_levels, degree, rhs, constant))
+            c = terms[-1][3] if terms and terms[-1][2] == degree // 2 else 0
+            entry = ParamPolynomial._from_numerators(_scaled_coefficient(c, -1), den, params)
+        solve = cache(partial(_solve_levels, degree, rhs))
         yield degree, entry, solve
         if degree < 2 * max_index and (solved := solve())[1]:
             converted[degree] = solved

@@ -171,10 +171,11 @@ class ParamPolynomial:
                          params: tuple) -> "ParamPolynomial":
         """The polynomial with coefficients `n / den` for the (key, n) of
         `nums`, distinct packed exponent keys over `params` (`_pack`) and
-        integers, `den > 0`: one `Fraction` per nonzero numerator, which
-        reduces to lowest terms, in canonical order.  A single coefficient of
-        an integer kernel's result comes back through it."""
-        terms = {_unpack(key, len(params)): n for key, n in nums if n}
+        integers, `den > 0`, or one `int`, the numerator of a constant: one
+        `Fraction` per nonzero numerator, in lowest terms and canonical order.
+        A single coefficient of an integer kernel's result comes through it."""
+        terms = {_unpack(key, len(params)): n for key, n in
+                 ([(0, nums)] if type(nums) is int else nums) if n}
         return cls._wrap({e: Fraction(terms[e], den)
                           for e in sorted(terms, key=_degree_lex, reverse=True)}, params)
 
@@ -505,11 +506,13 @@ class _Modulus:
         in the same form: one common denominator, the terms in canonical
         order, zero-free, and the gcd of the denominator and every numerator
         1.  The items are scaled to lc^S, S the largest s of the powers of p
-        they hold, and then divided by that gcd."""
+        they hold, and then divided by that gcd.  A form of `int`
+        coefficients, constants and so their own remainders, is returned."""
         den, terms = converted
         shift, d = self.shift, self.degree
-        top = max((key >> shift & _EXP_MASK for term in terms for key, _ in term[3]),
-                  default=0)
+        if not terms or type(terms[0][3]) is int:
+            return converted
+        top = max(key >> shift & _EXP_MASK for term in terms for key, _ in term[3])
         if top < d:
             return converted
         big = self._power(top)[0]

@@ -16,34 +16,31 @@ term dict that already holds the invariant.  Every product and every
 derivative (`mul`, `partial`, the divergences, directional derivatives and
 Lie brackets of `vectorfield`, the normal-form adjoint exponential and the
 known terms of the obstruction sequences) goes through one multiply-accumulate
-kernel, `_mul_integer`.  Its operands are first converted by
-`_integer_terms` to integer numerators over one common denominator, so each
-coefficient is read once.  The kernel sums an output slice in a dense list,
-one slot per monomial at its `slice_basis` position, when the call reaches no
-degree above 30 or many term pairs reach the slice, and otherwise in a dict
-keyed by slot, so it builds no monomial key and sorts only a dict's slots; a
-slot is one `int` when every operand coefficient is constant.  A product with
-a partial derivative, as in grad(a) . F, is a derivative pair: the kernel
-differentiates its left operand as it reads it (`_lowered`, the one place an
-exponent is lowered), so no partial is built; a partial alone is the pair of
-the polynomial and the constant 1 (`_ONE`).  In the converted form each
-parameter exponent vector is one `int` key, 64 bits per parameter
-(`coeffring._pack`), so the kernel multiplies two parameter monomials with
-one `int` add and checks its output once for an exponent that reached 2^63
-(`coeffring._refuse_overflow`); the monomial keys stay (ex, ey, ez).  The
-public products take no cap.  The normal form's steps
-(`normalform._integer_step`) sum the adjoint exponential in Horner form, one
-kernel call per component and level, each under that level's degree cap,
-and the kernel reads only what the cap keeps, of a differentiated operand
-too.  The kernel returns the converted form, divided by its content gcd, so
-a caller can feed it into the next product.  It is the only integer layout
-that leaves this module: the slice solve (`homological._solve_levels`) takes
-and returns it, so the obstruction driver and the normal-form degree solve
-build no `Fraction`s between degrees.  `_from_integer_terms` is the one
-place where a product's numerators become `Fraction`s again, in a
-`QHPolynomial`, each distinct key unpacked to its exponent tuple once.
-`QHPolynomial`, `Poly2` and `ParamPolynomial` print through one function,
-`coeffring._format_terms`.
+kernel, `_mul_integer`, on operands converted by `_integer_terms` to integer
+numerators over one common denominator (`IntegerTerms`): each coefficient one
+plain `int` when all are constant, as in a field bound to a numeric point,
+and otherwise a list of items (key, numerator), each parameter exponent
+vector one `int` key, 64 bits per parameter (`coeffring._pack`).  The kernel
+reads the form off each operand's first term (`_is_constant`): on `int`s
+only, each output slot is one `int`; otherwise it lifts the `int`-form
+operands to items and adds two parameter monomials' keys with one `int` add,
+checking its output once for an exponent of 2^63 (`_refuse_overflow`).  It
+sums an output slice in a dense list, one slot per monomial at its
+`slice_basis` position, or, when the call reaches a degree above 30 and few
+term pairs reach the slice, in a dict keyed by slot: no monomial key.  A
+product with a partial derivative, as in grad(a) . F, is a derivative pair:
+the kernel differentiates its left operand as it reads it (`_lowered`, the
+one place an exponent is lowered), so no partial is built; a partial alone
+is the pair of the polynomial and the constant 1 (`_ONE`).  The public
+products take no cap; the normal form's steps (`normalform._integer_step`)
+call the kernel under each Horner level's degree cap, and it reads only what
+the cap keeps.  It returns the converted form, divided by its content gcd,
+so a caller can feed it into the next product; the slice solve
+(`homological._solve_levels`) takes and returns the same form, so the
+obstruction driver and the normal-form degree solve build no `Fraction`s
+between degrees.  `_from_integer_terms` is the one place where numerators
+become `Fraction`s again, in a `QHPolynomial`.  `QHPolynomial`, `Poly2` and
+`ParamPolynomial` print through one function, `coeffring._format_terms`.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .coeffring import (ParamPolynomial, RationalLike, _format_terms, _merged, _pack,
                         _refuse_overflow, _unpack, rat)
@@ -264,12 +261,13 @@ class QHPolynomial:
         return f"QHPolynomial({self})"
 
 
-# (D, [(ex, ey, ez, [(key, numerator)])]): each parameter exponent vector
-# packed into one int key (`coeffring._pack`), every field below 2^63
-IntegerTerms = Tuple[int, List[Tuple[int, int, int, List[Tuple[int, int]]]]]
+# (D, [(ex, ey, ez, c)]): c one `int` numerator when every coefficient is
+# constant, else items [(key, numerator)], each parameter exponent vector one
+# int key (`coeffring._pack`), every field below 2^63
+IntegerTerms = Tuple[int, List[Tuple[int, int, int, Union[int, List[Tuple[int, int]]]]]]
 
 # the constant 1 in converted form: a derivative pair (a, _ONE, v) is da/dv
-_ONE: IntegerTerms = (1, [(0, 0, 0, [(0, 1)])])
+_ONE: IntegerTerms = (1, [(0, 0, 0, 1)])
 
 # the most slots per term pair that reaches it for which an output slice is
 # a dense list; a sparser slice, as in a product with x^1000, is a dict
@@ -279,24 +277,51 @@ _SLOTS_PER_PAIR = 4
 _DENSE_TOP = 30
 
 
+def _degree(term) -> int:
+    """The quasi-homogeneous degree of a converted term's monomial."""
+    return term[0] + term[1] + 2 * term[2]
+
+
 def _h_power(m: int) -> IntegerTerms:
-    """(x^2 + y^2)^m in converted form: the binomial coefficients over 1,
-    the x exponent descending, which is canonical order.  The one builder
-    of the power, for `QHPolynomial.h_power` and the normal-form degree
-    solve."""
-    return 1, [(2 * i, 2 * (m - i), 0, [(0, math.comb(m, i))]) for i in range(m, -1, -1)]
+    """(x^2 + y^2)^m in converted form, `int`s over 1, the x exponent
+    descending, which is canonical order: for `QHPolynomial.h_power` and
+    the normal-form degree solve."""
+    return 1, [(2 * i, 2 * (m - i), 0, math.comb(m, i)) for i in range(m, -1, -1)]
 
 
 def _integer_terms(f: QHPolynomial) -> IntegerTerms:
-    """`f` as integer numerators over one common denominator:
-    (D, [(ex, ey, ez, [(key, numerator)])]), D the lcm of every coefficient
-    denominator of `f`, the terms in canonical order and each coefficient's
-    items in its own, each exponent vector packed into one `int` key
-    (`coeffring._pack`, which refuses an exponent of 2^63 or more)."""
+    """`f` as (D, [(ex, ey, ez, c)]), D the lcm of every coefficient
+    denominator, the terms in canonical order: c the numerator of a constant
+    coefficient, an `int`, when every coefficient is constant, and otherwise
+    its items (key, numerator) in its own order, each exponent vector packed
+    into one `int` key (`coeffring._pack`, which refuses 2^63 or more)."""
     common = math.lcm(*{q.denominator for c in f.terms.values() for q in c.terms.values()})
+    if all(c.is_constant() for c in f.terms.values()):
+        return common, [(*m, q.numerator * (common // q.denominator))
+                        for m, c in f.terms.items() for q in c.terms.values()]
     return common, [(*m, [(_pack(p), q.numerator * (common // q.denominator))
-                           for p, q in c.terms.items()])
+                          for p, q in c.terms.items()])
                     for m, c in f.terms.items()]
+
+
+def _is_constant(converted: IntegerTerms) -> bool:
+    """Whether a converted form holds its coefficients as `int`s, read off
+    its first term alone; an empty form counts as constant."""
+    return not converted[1] or type(converted[1][0][3]) is int
+
+
+def _lifted(converted: IntegerTerms) -> IntegerTerms:
+    """A converted form with each `int` n lifted to the items [(0, n)]."""
+    if not _is_constant(converted):
+        return converted
+    return converted[0], [(ex, ey, ez, [(0, n)]) for ex, ey, ez, n in converted[1]]
+
+
+def _scaled_coefficient(c, factor: int):
+    """One coefficient of a converted form, in its form, times `factor`."""
+    if type(c) is int:
+        return c * factor
+    return c if factor == 1 else [(e, n * factor) for e, n in c]
 
 
 def _lowered(terms: list, i: int, scale: int):
@@ -313,28 +338,25 @@ def _lowered(terms: list, i: int, scale: int):
 
 def _from_integer_terms(converted: IntegerTerms, params: Tuple[str, ...]) -> QHPolynomial:
     """The polynomial of a zero-free converted form, in its monomial order,
-    one `Fraction` per numerator.  Each distinct packed key is unpacked once
-    (`coeffring._unpack`), and the keys are sorted once, into canonical term
-    order; walked in that order, they fill every coefficient in its order."""
+    one `Fraction` per numerator.  Of item lists, each distinct packed key is
+    unpacked once (`coeffring._unpack`) and the keys are sorted once, into
+    canonical order; walked in that order, they fill each coefficient."""
     den, terms = converted
-    coeffs: List[dict] = [{} for _ in terms]
-    by_key = defaultdict(list)  # key -> [(coefficient, numerator)]
-    for c, t in zip(coeffs, terms):
-        for key, n in t[3]:
-            by_key[key].append((c, n))
-    for _, exps, key in sorted(((sum(e), e, key) for key in by_key
-                                for e in (_unpack(key, len(params)),)), reverse=True):
-        for c, n in by_key[key]:
-            c[exps] = Fraction(n, den)
+    if _is_constant(converted):
+        zero = (0,) * len(params)
+        coeffs = [{zero: Fraction(t[3], den)} for t in terms]
+    else:
+        coeffs = [{} for _ in terms]
+        by_key = defaultdict(list)  # key -> [(coefficient, numerator)]
+        for c, t in zip(coeffs, terms):
+            for key, n in t[3]:
+                by_key[key].append((c, n))
+        for _, exps, key in sorted(((sum(e), e, key) for key in by_key
+                                    for e in (_unpack(key, len(params)),)), reverse=True):
+            for c, n in by_key[key]:
+                c[exps] = Fraction(n, den)
     return QHPolynomial._wrap({tuple.__new__(Monomial3, t[:3]): ParamPolynomial._wrap(c, params)
                                for t, c in zip(terms, coeffs)}, params)
-
-
-def _is_constant(converted: IntegerTerms) -> bool:
-    """Whether every coefficient is one term with all-zero exponents (key
-    `0`), as in a field bound to a numeric point, whatever its parameter
-    table."""
-    return all(len(t[3]) == 1 and not t[3][0][0] for t in converted[1])
 
 
 def _new_slice(e: int, pairs: Optional[int], constant: bool) -> tuple:
@@ -353,91 +375,82 @@ def _new_slice(e: int, pairs: Optional[int], constant: bool) -> tuple:
 
 
 def _mul_integer(plus: Sequence[tuple], minus: Sequence[tuple],
-                 max_degree: Optional[int] = None,
-                 constant: Optional[bool] = None) -> IntegerTerms:
+                 max_degree: Optional[int] = None) -> IntegerTerms:
     """sum(a * b for a, b in plus) - sum(a * b for a, b in minus) over
     operands converted by `_integer_terms`, without the monomials of degree
     above `max_degree` when a cap is given, in converted form: zero-free, the
     monomials in canonical order, and numerators and denominator divided by
     their gcd, so that a chain of products, such as the levels of the
     normal form's Horner sum, does not grow its denominators.
-    `_from_integer_terms` turns the result into a `QHPolynomial`.
 
     A pair may also be a derivative pair (a, b, v), v one of "x", "y", "z":
     it stands for (da/dv) * b, and the kernel differentiates `a` as it reads
     it (`_lowered`): it skips the terms of `a` free of v, lowers v's exponent
-    in the others and multiplies that exponent into the pair's scale.  No
-    partial is built.
+    in the others and multiplies that exponent into the pair's scale.  A
+    plain pair reads its operand with fewer terms as `a`.
 
     The sums are exact in integers over `common`, the lcm of the pairs'
-    `Da * Db`: each pair's numerator products are scaled by
-    `common // (Da * Db)` (negated for `minus`).  Each `b` is bucketed by
-    degree up to the cap less the degree of the first term `a` yields (the
-    lowest, lowered, term of `a` that holds v, in a derivative pair), past
-    which no `a` term can use it, and the terms of `a` come in ascending
-    degree, so the pairs above the cap are cut off with a `break` rather
-    than tested one by one.  A `b` bucket entry is (ey, ez, coefficient).
-
-    Each output degree e has one slice, made before any pair is summed
-    (`_new_slice`).  In a call whose top output degree is at most
-    `_DENSE_TOP`, as in the normal form's products, every slice is a dense
-    list, `slice_dimension(e)` slots long, and no pair is counted: the
-    monomial x^(e-2l-ey) y^ey z^l sits at slot l*(e+2-l) + ey, its position
-    in `slice_basis(e)`.  Otherwise the pairs that reach e are counted from
-    how many terms `a` yields at each degree and the sizes of the buckets; a
-    slice that many pairs reach is such a list, and one that few reach, as
-    in x^1000 * x, is a dict keyed by slot.  Either way a pair adds into
-    `out[off[az + bz] + ay + by]`, the slice `out` and its offsets `off`
-    fetched once per `a` term and bucket, so no monomial key is built or
-    hashed, and read in ascending degree the nonzero slots of a list are
-    already in canonical order (a dict's are sorted as `int`s).  When every
-    operand coefficient is constant (`_is_constant`), each slot holds one
-    plain `int`, with no exponent dict.  A caller that already knows
-    whether the operands are constant passes `constant`, and no operand is
-    scanned.  Otherwise a slot holds a dict from packed exponent keys to
-    sums, and each pair of coefficient items adds its keys, one `int` add;
-    the output keys are checked once (`coeffring._refuse_overflow`), so a
-    parameter exponent that reaches 2^63 raises ParameterError instead of
-    carrying into its neighbour's field.  Nothing is kept from one call to
-    the next.
+    `Da * Db`: each pair's products are scaled by `common // (Da * Db)`
+    (negated for `minus`).  Each `b` is cut into buckets, one slice of its
+    term list per degree, each found by one bisection, up to the cap less a
+    bound on the lowest degree `a` yields (its first term's, less the drop
+    of a derivative); the terms of `a` come in ascending degree, so the
+    pairs above the cap are cut off with a `break`.  Each output degree e
+    has one slice, made before any pair is summed (`_new_slice`).  In a call
+    whose top output degree, bounded by the last terms, is at most
+    `_DENSE_TOP`, every slice from the lowest bound (not below 0) is a dense
+    list, `slice_dimension(e)` slots long, the monomial x^(e-2l-ey) y^ey z^l
+    at slot l*(e+2-l) + ey, its position in `slice_basis(e)`.  Otherwise the
+    pairs that reach e are counted; a slice that many pairs reach is such a
+    list, and one that few reach, as in x^1000 * x, is a dict keyed by slot.
+    Either way a pair adds into `out[off[az + bz] + ay + by]`, so no monomial
+    key is built, and read in ascending degree the nonzero slots of a list
+    are in canonical order (a dict's are sorted as `int`s).  When every
+    operand is in `int` form (`_is_constant`), each slot and each output
+    coefficient is one `int`.  Otherwise the `int`-form operands are lifted
+    to items for the call (`_lifted`), a slot holds a dict from packed keys
+    to sums, and each pair of items adds its keys, one `int` add; the output
+    keys are checked once (`coeffring._refuse_overflow`), so a parameter
+    exponent that reaches 2^63 raises ParameterError instead of carrying
+    into its neighbour's field.
     """
     cap = math.inf if max_degree is None else max_degree
-    common = math.lcm(*(a[0] * b[0] for pairs in (plus, minus) for a, b, *_ in pairs))
-    if constant is None:
-        constant = all(_is_constant(x) for pairs in (plus, minus) for pair in pairs
-                       for x in pair[:2])
+    signed = [(1, pair) for pair in plus] + [(-1, pair) for pair in minus]
+    common = math.lcm(*(a[0] * b[0] for _, (a, b, *_) in signed))
+    constant = all(_is_constant(a) and _is_constant(b) for _, (a, b, *_) in signed)
     jobs: List[tuple] = []  # (a, the index of v or None, scale, buckets of b, drop)
-    low, top = math.inf, -1  # the lowest and the highest output degree
-    for sign, pairs in ((1, plus), (-1, minus)):
-        for (da, a_terms), (db, b_terms), *var in pairs:
-            # the lowest and highest degree `a` yields: in a derivative pair its
-            # terms that hold v (`_lowered`), one degree lower in x or y, two in z
-            v = VAR_NAMES.index(var[0]) if var else None
-            drop = 0 if v is None else 1 + (v == 2)
-            first, last = (next((t[0] + t[1] + 2 * t[2] - drop for t in ts if v is None or t[v]),
-                                None) for ts in (a_terms, reversed(a_terms)))
-            if first is None:
-                continue
-            reach = cap - first
-            buckets: List[Tuple[int, list]] = []
-            for bx, by, bz, b_items in b_terms:
-                d = bx + by + 2 * bz
-                if d > reach:
-                    break
-                if not buckets or buckets[-1][0] != d:
-                    buckets.append((d, []))
-                buckets[-1][1].append((by, bz, b_items[0][1] if constant else b_items))
-            if not buckets:
-                continue
-            jobs.append((a_terms, v, sign * (common // (da * db)), buckets, drop))
-            low = min(low, first + buckets[0][0])
-            top = max(top, min(cap, last + buckets[-1][0]))
+    low, top = math.inf, -1  # bounds on the lowest and the highest output degree
+    for sign, (a, b, *var) in signed:
+        if not constant:
+            a, b = _lifted(a), _lifted(b)
+        (da, a_terms), (db, b_terms) = a, b
+        if not var and len(a_terms) > len(b_terms):
+            a_terms, b_terms = b_terms, a_terms
+        if not a_terms:
+            continue
+        # in a derivative pair `a` yields its terms that hold v (`_lowered`),
+        # one degree lower in x or y, two in z: its ends bound their degrees
+        v = VAR_NAMES.index(var[0]) if var else None
+        drop = 0 if v is None else 1 + (v == 2)
+        first = _degree(a_terms[0]) - drop
+        buckets: List[Tuple[int, list]] = []
+        lo, end = 0, len(b_terms)
+        while lo < end and (d := _degree(b_terms[lo])) <= cap - first:
+            hi = bisect_right(b_terms, d, lo + 1, end, key=_degree)
+            buckets.append((d, b_terms[lo:hi]))
+            lo = hi
+        if not buckets:
+            continue
+        jobs.append((a_terms, v, sign * (common // (da * db)), buckets, drop))
+        low = min(low, first + buckets[0][0])
+        top = max(top, min(cap, _degree(a_terms[-1]) - drop + buckets[-1][0]))
     if top <= _DENSE_TOP:  # every slice a list, no pairs counted
-        slices = {e: _new_slice(e, None, constant) for e in range(low, top + 1)} if jobs else {}
+        slices = {e: _new_slice(e, None, constant) for e in range(max(low, 0), top + 1)} \
+            if jobs else {}
     else:
         reached: Dict[int, int] = defaultdict(int)  # output degree -> pairs that reach it
         for a_terms, v, _, buckets, drop in jobs:
-            for degree, n in Counter(t[0] + t[1] + 2 * t[2] - drop
+            for degree, n in Counter(_degree(t) - drop
                                      for t in a_terms if v is None or t[v]).items():
                 for d, bucket in buckets:
                     if degree + d > cap:
@@ -446,25 +459,25 @@ def _mul_integer(plus: Sequence[tuple], minus: Sequence[tuple],
         slices = {e: _new_slice(e, reached[e], constant) for e in sorted(reached)}
     for a_terms, v, scale, buckets, _ in jobs:
         lowest = buckets[0][0]
-        for (ax, ay, az, a_items), factor in (zip(a_terms, repeat(scale)) if v is None
-                                              else _lowered(a_terms, v, scale)):
+        for (ax, ay, az, a_c), factor in (zip(a_terms, repeat(scale)) if v is None
+                                          else _lowered(a_terms, v, scale)):
             degree = ax + ay + 2 * az
             room = cap - degree
             if room < lowest:
                 break
             if constant:
-                na = a_items[0][1] * factor
+                na = a_c * factor
             else:
-                a_items = [(e, n * factor) for e, n in a_items]
+                a_items = [(e, n * factor) for e, n in a_c]
             for d, bucket in buckets:
                 if d > room:
                     break
                 out, off = slices[degree + d]
                 if constant:
-                    for by, bz, nb in bucket:
+                    for _, by, bz, nb in bucket:
                         out[off[az + bz] + ay + by] += na * nb
                     continue
-                for by, bz, b_items in bucket:
+                for _, by, bz, b_items in bucket:
                     i = off[az + bz] + ay + by
                     if (sums := out[i]) is None:
                         sums = out[i] = {}
@@ -488,7 +501,7 @@ def _mul_integer(plus: Sequence[tuple], minus: Sequence[tuple],
             l = bisect_right(off, i) - 1
             ey = i - off[l]
             if constant:
-                terms.append((e - 2 * l - ey, ey, l, [(0, out[i] // g)]))
+                terms.append((e - 2 * l - ey, ey, l, out[i] // g))
             elif items := [(k, n // g) for k, n in out[i].items() if n]:
                 terms.append((e - 2 * l - ey, ey, l, items))
     return common // g, terms

@@ -41,7 +41,7 @@ from typing import Optional, Tuple
 from .coeffring import ParamPolynomial
 from .errors import DegreeError, StructureError
 from .gradedpoly import (IntegerTerms, Monomial3, QHPolynomial, _from_integer_terms,
-                         _integer_terms, _is_constant, slice_basis)
+                         _integer_terms, _is_constant, _scaled_coefficient, slice_basis)
 from .vectorfield import directional_derivative, principal_part
 
 
@@ -160,7 +160,7 @@ def solve_homological(k: int, rhs: QHPolynomial) -> HomologicalSolution:
         residual=residual)
 
 
-def _solve_levels(k: int, rhs: IntegerTerms, constant: Optional[bool] = None) -> IntegerTerms:
+def _solve_levels(k: int, rhs: IntegerTerms) -> IntegerTerms:
     """The solution of the degree-k slice equation for the right-hand side
     `rhs`, both in the graded kernel's converted form (`_integer_terms`), over
     any common denominator; the z^(k/2) term of an even k, the residual's, is
@@ -188,16 +188,16 @@ def _solve_levels(k: int, rhs: IntegerTerms, constant: Optional[bool] = None) ->
     step is one integer multiply-add (`_combine`), with no lcm, no division
     and no v_b built.  A checked level is put over the lcm of the chains'
     ends and the shift's denominator and divided by its content gcd, zero
-    sums dropped.  With `constant` (None: read off `rhs`, `_is_constant`)
-    each coefficient is one plain `int`, else a dict of packed keys.
+    sums dropped.  The solution is in the form of `rhs` (`_is_constant`):
+    `int` coefficients as they are, or items, summed in dicts of keys.
     """
     common, terms = rhs
-    constant = _is_constant(rhs) if constant is None else constant
+    constant = _is_constant(rhs)
     zero, top, even = (0 if constant else ()), k // 2, k % 2 == 0
     # g[l][b] is the numerator of x^(d-b) y^b z^l over common, d = k - 2l
     g = [[zero] * (k - 2 * l + 1) for l in range(top + 1)]
-    for _, ey, ez, items in terms:
-        g[ez][ey] = items[0][1] if constant else items
+    for _, ey, ez, c in terms:
+        g[ez][ey] = c
     levels = []  # (l, the level's denominator, the numerators of each unknown)
     up_den, up = 1, []  # f_(l+1) so reduced; zero above the top level
 
@@ -251,8 +251,7 @@ def _solve_levels(k: int, rhs: IntegerTerms, constant: Optional[bool] = None) ->
     # scaled to the lcm of the levels' denominators, the numerators keep gcd 1
     # with it, as each level's with its own; by level and slot is canonical order
     common = math.lcm(*(den for _, den, _ in levels))
-    return common, [(k - 2 * l - b, b, l, [(0, n * f)] if constant else
-                     n if f == 1 else [(e, x * f) for e, x in n])
+    return common, [(k - 2 * l - b, b, l, _scaled_coefficient(n, f))
                     for l, den, level in reversed(levels) for f in (common // den,)
                     for b, n in enumerate(level) if n]
 

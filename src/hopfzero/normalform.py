@@ -36,9 +36,10 @@ from typing import Dict, List, Optional, Tuple
 
 from .coeffring import ParamPolynomial, Rational
 from .errors import DegreeError, PrincipalPartError, StructureError
-from .gradedpoly import (_ONE, IntegerTerms, Monomial3, QHPolynomial, _from_integer_terms,
-                         _h_power, _integer_terms, _is_constant, _mul_integer)
-from .homological import _solve_levels
+from .gradedpoly import (_ONE, IntegerTerms, Monomial3, QHPolynomial, _degree,
+                         _from_integer_terms, _h_power, _integer_terms, _is_constant,
+                         _mul_integer, _scaled_coefficient)
+from .homological import _combine, _nonzero, _solve_levels
 from .vectorfield import (PlanarVectorField, Poly2, VectorField3, _bracket_pairs,
                           principal_part)
 
@@ -98,21 +99,17 @@ def apply_generator_step(field: VectorField3, step: GeneratorStep,
     current = [_integer_terms(c) for c in field.truncate(max_field_degree).components]
     generator = [_integer_terms(c) for c in step.generator.components]
     reparam = _integer_terms(step.reparam)
-    # a step may be symbolic on a numeric field, so all three are read
-    constant = all(map(_is_constant, current + generator + [reparam]))
-    current = _integer_step(current, generator, reparam, max_field_degree, constant)
+    current = _integer_step(current, generator, reparam, max_field_degree)
     return VectorField3(*(_from_integer_terms(c, field.params) for c in current))
 
 
 def _integer_step(current: List[IntegerTerms], generator: List[IntegerTerms],
-                  reparam: IntegerTerms, max_field_degree: int,
-                  constant: bool) -> List[IntegerTerms]:
+                  reparam: IntegerTerms, max_field_degree: int) -> List[IntegerTerms]:
     """`apply_generator_step` on the three converted components of a field
-    truncated at `max_field_degree` and a step in converted form too, every
-    coefficient of all of which is constant when `constant` says so: the
-    three converted components of the result.  A constant field's degree
-    solve gives a constant step, so `orbital_normal_form` reads the flag
-    once, on its field.
+    truncated at `max_field_degree` and a step in converted form too: the
+    three converted components of the result.  A field bound to a numeric
+    point has a degree solve and a step in `int` form, so it is stepped on
+    `int`s throughout.
 
     The time scaling is one `_mul_integer` per component; call its result
     C and the working degree N.  The exponential exp(ad_g) C =
@@ -132,9 +129,7 @@ def _integer_step(current: List[IntegerTerms], generator: List[IntegerTerms],
     bracket to raise degrees.
     """
     if reparam[1]:
-        den, terms = reparam
-        factor = den, [(0, 0, 0, [(0, den)])] + terms
-        current = [_mul_integer([(factor, c)], (), max_field_degree + w, constant)
+        current = [_mul_integer([(_ONE, c), (reparam, c)], (), max_field_degree + w)
                    for c, w in zip(current, (1, 1, 2))]
     degrees = [_degree(terms[0]) - w for (_, terms), w in zip(generator, (1, 1, 2)) if terms]
     if not degrees:
@@ -150,14 +145,9 @@ def _integer_step(current: List[IntegerTerms], generator: List[IntegerTerms],
         scaled = [(den * (j + 1), terms) for den, terms in generator]
         cap = max_field_degree - j * s
         pairs = [_bracket_pairs(scaled, field, i) for i in range(3)]
-        field = [_mul_integer(plus + [(c, _ONE)], minus, cap + w, constant)
+        field = [_mul_integer(plus + [(c, _ONE)], minus, cap + w)
                  for (plus, minus), c, w in zip(pairs, current, (1, 1, 2))]
     return field
-
-
-def _degree(term) -> int:
-    """The quasi-homogeneous degree of a converted term's monomial."""
-    return term[0] + term[1] + 2 * term[2]
 
 
 def _slices(current: List[IntegerTerms], s: int) -> List[IntegerTerms]:
@@ -182,34 +172,31 @@ def _resonant_field(s: int, a: ParamPolynomial, b: ParamPolynomial,
 
 
 def _divide_by_h(p: IntegerTerms, k: int) -> IntegerTerms:
-    """The degree-k quotient q with (x^2 + y^2) q = p, both in converted form
-    over p's denominator.  On each level z^l the numerators of y^b satisfy
-    p_b = q_b + q_(b-2), which gives q_b up to b = k - 2l and leaves two
-    equations; StructureError if they fail."""
+    """The degree-k quotient q with (x^2 + y^2) q = p, in p's converted
+    form over its denominator.  On each level z^l the numerators of y^b
+    satisfy p_b = q_b + q_(b-2), which gives q_b up to b = k - 2l and leaves
+    two equations; StructureError if they fail."""
     den, terms = p
-    nums = {(ey, ez): items for _, ey, ez, items in terms}
+    zero = 0 if _is_constant(p) else {}
+    nums = {(ey, ez): c for _, ey, ez, c in terms}
     out = []
     for l in sorted({t[2] for t in terms}):
         e = k + 2 - 2 * l
-        q: List[Dict[tuple, int]] = []
+        q: list = []  # each an int, or a dict of packed keys, zero sums kept
         for b in range(e + 1):
-            rest = dict(nums.get((b, l), ()))
-            for exps, n in q[b - 2].items() if b >= 2 else ():
-                rest[exps] = rest.get(exps, 0) - n
-            rest = {exps: n for exps, n in rest.items() if n}
+            rest = _combine([(1, nums.get((b, l), zero))] + ([(-1, q[b - 2])] if b >= 2 else []))
             if b <= e - 2:
                 q.append(rest)
-            elif rest:
+            elif _nonzero(rest):
                 raise StructureError(f"degree-{k + 2} polynomial is not a multiple of x^2 + y^2")
-        out += [(e - 2 - b, b, l, list(c.items())) for b, c in enumerate(q) if c]
+        out += [(e - 2 - b, b, l, c) for b, r in enumerate(q)
+                if (c := r if type(r) is int else [(x, n) for x, n in r.items() if n])]
     return den, out
 
 
-def _solve_degree(known: List[IntegerTerms], s: int, params: Tuple[str, ...],
-                  constant: bool):
+def _solve_degree(known: List[IntegerTerms], s: int, params: Tuple[str, ...]):
     """Solve [F0,U] - mu*F0 + a*R1 + b*R2 = known for (U, mu, a, b), on the
-    three degree-s slices of a field in converted form, every coefficient of
-    which is constant when `constant` says so.
+    three degree-s slices of a field in converted form.
 
     With L = grad(.) . F0, w1(V) = x Vx + y Vy, w2(V) = x Vy - y Vx and
     h = x^2 + y^2, every field U satisfies
@@ -231,43 +218,44 @@ def _solve_degree(known: List[IntegerTerms], s: int, params: Tuple[str, ...],
     structure theorem.
 
     Every step is in converted form: products are `_mul_integer` calls with
-    one-monomial operands, and the z^(k+1) term of a degree-(s+2) slice is
-    its last.  Returns the generator's components and mu converted, a and b.
+    one-monomial operands, in `int` form like `_ONE` and `_h_power`, and the
+    z^(k+1) term of a degree-(s+2) slice is its last.  Returns the
+    generator's components and mu converted, a and b.
     """
     k = s // 2
 
-    def at(ex, ey, ez, items, den=1):  # a one-monomial operand, or zero
-        return den, [(ex, ey, ez, list(items))] if items else []
+    def at(ex, ey, ez, c, den=1):  # a one-monomial operand, or zero
+        return den, [(ex, ey, ez, c)] if c else []
 
     def mul(*plus, minus=()):
-        return _mul_integer(plus, minus, None, constant)
+        return _mul_integer(plus, minus)
 
-    def split(f):  # f without its z^(k+1) term and that term's numerators
+    def split(f):  # f without its z^(k+1) term and that term's coefficient
         den, terms = f
         if terms and terms[-1][:3] == (0, 0, k + 1):
             return (den, terms[:-1]), terms[-1][3]
-        return f, []
+        return f, 0
 
-    one, x, y = (at(*m, [(0, 1)]) for m in ((0, 0, 0), (1, 0, 0), (0, 1, 0)))
+    x, y = at(1, 0, 0, 1), at(0, 1, 0, 1)
     kx, ky, kz = known
     (w2, top2), (w1, top1) = split(mul((x, ky), minus=[(y, kx)])), split(mul((x, kx), (y, ky)))
     if top2 or top1:
         raise StructureError(f"degree-{s} contracted equation has a z-power residual")
-    (big_a, top_a), (big_b, top_b) = (split(_solve_levels(s + 2, w, constant)) for w in (w2, w1))
-    mu = at(0, 0, k, [(e, -(k + 1) * n) for e, n in top_a], 2 * big_a[0])
-    a = ParamPolynomial._from_numerators(((e, (k + 1) * n) for e, n in top_b), big_b[0], params)
-    rhs, top_z = split(mul((kz, one), (mu, _h_power(1)), (at(0, 0, 0, [(0, 2)]), big_b)))
+    (big_a, top_a), (big_b, top_b) = (split(_solve_levels(s + 2, w)) for w in (w2, w1))
+    mu = at(0, 0, k, _scaled_coefficient(top_a, -(k + 1)), 2 * big_a[0])
+    a = ParamPolynomial._from_numerators(_scaled_coefficient(top_b, k + 1), big_b[0], params)
+    rhs, top_z = split(mul((kz, _ONE), (mu, _h_power(1)), (at(0, 0, 0, 2), big_b)))
     b = ParamPolynomial._from_numerators(top_z, rhs[0], params)
-    uz = _solve_levels(s + 2, rhs, constant)
+    uz = _solve_levels(s + 2, rhs)
     ux = _divide_by_h(mul((x, big_b), minus=[(y, big_a)]), s + 1)
     uy = _divide_by_h(mul((y, big_b), (x, big_a)), s + 1)
     if s % 2 == 0:  # add the kernel fields that zero uy[x y^s], uz[z y^s], uz[y^(s+2)]
-        t1, t2, t3 = (next((t[3] for t in f[1] if t[:3] == m), [])
+        t1, t2, t3 = (next((t[3] for t in f[1] if t[:3] == m), 0)
                       for f, m in ((uy, (1, s, 0)), (uz, (0, s, 1)), (uz, (0, s + 2, 0))))
         hk, d1, d2 = _h_power(k), uy[0], uz[0]
-        ux = mul((ux, one), (at(0, 1, 0, t1, d1), hk), minus=[(at(1, 0, 0, t2, 2 * d2), hk)])
-        uy = mul((uy, one), minus=[(at(1, 0, 0, t1, d1), hk), (at(0, 1, 0, t2, 2 * d2), hk)])
-        uz = mul((uz, one), minus=[(at(0, 0, 1, t2, d2), hk),
+        ux = mul((ux, _ONE), (at(0, 1, 0, t1, d1), hk), minus=[(at(1, 0, 0, t2, 2 * d2), hk)])
+        uy = mul((uy, _ONE), minus=[(at(1, 0, 0, t1, d1), hk), (at(0, 1, 0, t2, 2 * d2), hk)])
+        uz = mul((uz, _ONE), minus=[(at(0, 0, 1, t2, d2), hk),
                                    (at(0, 0, 0, t3, d2), _h_power(k + 1))])
     return [ux, uy, uz], mu, a, b
 
@@ -287,18 +275,17 @@ def orbital_normal_form(field: VectorField3, max_index: int) -> NormalFormResult
     params = field.params
     max_field_degree = 2 * max_index
     current = [_integer_terms(c) for c in field.truncate(max_field_degree).components]
-    constant = all(map(_is_constant, current))
     a_coeffs: Dict[int, ParamPolynomial] = {}
     b_coeffs: Dict[int, ParamPolynomial] = {}
     steps: List[GeneratorStep] = []
     normal = principal_part(params)
     for s in range(1, max_field_degree + 1):
-        u, mu, a, b = _solve_degree(_slices(current, s), s, params, constant)
+        u, mu, a, b = _solve_degree(_slices(current, s), s, params)
         if s % 2 == 0:
             a_coeffs[s // 2] = a
             b_coeffs[s // 2] = b
         if any(terms for _, terms in u) or mu[1]:
-            current = _integer_step(current, u, mu, max_field_degree, constant)
+            current = _integer_step(current, u, mu, max_field_degree)
         steps.append(GeneratorStep(
             degree=s, generator=VectorField3(*(_from_integer_terms(c, params) for c in u)),
             reparam=_from_integer_terms(mu, params)))

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .coeffring import ParamPolynomial, RationalLike, _format_terms, _merged
 from .gradedpoly import (_ONE, VAR_NAMES, IntegerTerms, QHPolynomial, _from_integer_terms,
-                         _integer_terms, _is_constant, _mul_integer)
+                         _integer_terms, _mul_integer)
 
 
 class VectorField3:
@@ -132,10 +132,8 @@ def lie_bracket(f: VectorField3, g: VectorField3) -> VectorField3:
     if f.params != g.params:
         raise ValueError("parameter tables differ")
     f_comps, g_comps = ([_integer_terms(c) for c in h.components] for h in (f, g))
-    constant = all(map(_is_constant, f_comps + g_comps))
     return VectorField3(*(_from_integer_terms(
-        _mul_integer(*_bracket_pairs(f_comps, g_comps, i), None, constant), f.params)
-        for i in range(3)))
+        _mul_integer(*_bracket_pairs(f_comps, g_comps, i)), f.params) for i in range(3)))
 
 
 def _bracket_pairs(f: List[IntegerTerms], g: List[IntegerTerms], i: int):

@@ -3,8 +3,7 @@ import random
 import pytest
 
 import hopfzero as hz
-from hopfzero.gradedpoly import (_from_integer_terms, _integer_terms, _is_constant,
-                                 _mul_integer)
+from hopfzero.gradedpoly import _from_integer_terms, _integer_terms, _mul_integer
 from hopfzero.vectorfield import _bracket_pairs
 
 FAMILY37 = """\
@@ -57,10 +56,8 @@ def capped_bracket(f, g, cap):
     the field degree `cap`, as the normal form's steps bracket, as
     polynomials."""
     f_comps, g_comps = ([_integer_terms(c) for c in h.components] for h in (f, g))
-    constant = all(map(_is_constant, f_comps + g_comps))
     caps = (None,) * 3 if cap is None else (cap + 1, cap + 1, cap + 2)
-    return [_from_integer_terms(_mul_integer(*_bracket_pairs(f_comps, g_comps, i), c, constant),
-                                f.params)
+    return [_from_integer_terms(_mul_integer(*_bracket_pairs(f_comps, g_comps, i), c), f.params)
             for i, c in enumerate(caps)]
 
 

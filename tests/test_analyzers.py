@@ -13,7 +13,7 @@ from hopfzero import (CaseTag, Method, ParamPolynomial, PrincipalPartError,
 
 from hopfzero.analyzers import _entries_only, _obstruction_driver, _resonant_shape
 from hopfzero.coeffring import _Modulus
-from hopfzero.gradedpoly import _from_integer_terms, _integer_terms, _is_constant
+from hopfzero.gradedpoly import _from_integer_terms, _integer_terms, _is_constant, _lifted
 
 from conftest import field_from_text, random_perturbed_field, random_ppoly
 from oracle import multiplier_defect_sympy, truncate_sympy
@@ -253,9 +253,9 @@ class TestKnownTermAccumulation:
         solved = []
         solve = analyzers._solve_levels
 
-        def counting(k, rhs, *constant):
+        def counting(k, rhs):
             solved.append(k)
-            return solve(k, rhs, *constant)
+            return solve(k, rhs)
 
         monkeypatch.setattr(analyzers, "_solve_levels", counting)
         seq = _obstruction_driver(family37, 6, method)
@@ -271,7 +271,7 @@ class TestKnownTermAccumulation:
     def test_matches_polynomial_products(self, method, kind, seed_power, seed,
                                          max_field_degree, extra):
         field = driver_case(random.Random(seed), kind, max_field_degree)
-        if kind == "bound":  # the kernel's constant path
+        if kind == "bound":  # `int` coefficients: the kernel's and the solve's int paths
             assert all(_is_constant(_integer_terms(c))
                        for f in field.decompose().values() for c in f.components)
         max_index = seed_power + extra
@@ -321,7 +321,8 @@ class TestQuotientRun:
                           for m in hz.slice_basis(degree).monomials}, DRIVER_PARAMS)
         f = f.scale(Fraction(rng.randint(1, 9), rng.choice((1, 4, 15))))
         den, terms = _Modulus(g, var).reduce(_integer_terms(f))
-        assert den > 0 and math.gcd(den, *(n for t in terms for _, n in t[3])) == 1
+        assert den > 0 and math.gcd(den, *(n for t in _lifted((den, terms))[1]
+                                           for _, n in t[3])) == 1
         got = _from_integer_terms((den, terms), DRIVER_PARAMS)
         want = {m: r for m, c in f.terms.items() if (r := true_remainder(c, g, var, lc))}
         assert list(got.terms) == list(want)
@@ -353,6 +354,17 @@ class TestQuotientRun:
         want = {m: r for m, c in f.terms.items() if (r := true_remainder(c, g, var, lc))}
         assert [(m, list(c.terms.items())) for m, c in got.terms.items()] == \
             [(m, list(r.terms.items())) for m, r in want.items()]
+
+    def test_a_form_of_int_coefficients_is_returned_as_it_is(self):
+        # constant coefficients are their own remainders, whatever g
+        g = ParamPolynomial.variable("a001", DRIVER_PARAMS) ** 2 - \
+            ParamPolynomial.variable("b200", DRIVER_PARAMS)
+        f = QHPolynomial({(2, 0, 0): Fraction(3, 4), (0, 1, 1): -5}, DRIVER_PARAMS)
+        converted = _integer_terms(f)
+        assert _is_constant(converted)
+        assert _Modulus(g, "a001").reduce(converted) is converted
+        empty = (1, [])
+        assert _Modulus(g, "a001").reduce(empty) is empty
 
     def test_an_exponent_that_reaches_2_63_is_refused(self):
         params = ("a", "b", "c")

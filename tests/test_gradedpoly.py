@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 import hopfzero as hz
 from hopfzero import DegreeError, Monomial3, ParamPolynomial, QHPolynomial, VectorField3
 from hopfzero.coeffring import _term_sort_key, _unpack
-from hopfzero.gradedpoly import (_DENSE_TOP, _SLOTS_PER_PAIR, _from_integer_terms,
-                                 _integer_terms, _is_constant, _mono_sort_key, _mul_integer,
-                                 _new_slice)
+from hopfzero.gradedpoly import (_DENSE_TOP, _ONE, _SLOTS_PER_PAIR, _from_integer_terms,
+                                 _h_power, _integer_terms, _is_constant, _lifted,
+                                 _mono_sort_key, _mul_integer, _new_slice)
 
 from conftest import Pairs, capped_bracket, capped_product, random_qh_slice
 from oracle import h_component
@@ -287,10 +287,9 @@ class TestCanonicalResults:
         assert _from_integer_terms(_mul_integer([(tf, tg)], [(tg, tf)], cap),
                                    f.params).terms == {}
         # the integer output is the same product, in lowest terms as a whole
-        den, terms = _mul_integer([(tf, tg)], [], cap)
-        assert math.gcd(den, *(n for *_, items in terms for _, n in items)) == 1
-        assert _from_integer_terms((den, terms), f.params) == \
-            model_product([(f, g)], [], f.params, cap)
+        got = _mul_integer([(tf, tg)], [], cap)
+        assert math.gcd(*numerators(got)) == 1
+        assert _from_integer_terms(got, f.params) == model_product([(f, g)], [], f.params, cap)
 
     def test_mul_cancels_to_exact_zero_over_coprime_denominators(self):
         f = QH({(1, 0, 0): Fraction(1, 9973), (0, 1, 0): Fraction(1, 7919)})
@@ -307,13 +306,40 @@ class TestCanonicalResults:
         denominators = [q.denominator for c in f.terms.values() for q in c.terms.values()]
         common, terms = _integer_terms(f)
         assert common == math.lcm(*denominators)
+        # every coefficient an `int` exactly when every coefficient is constant
+        constant = all(list(c.terms) == [(0,) * len(f.params)] for c in f.terms.values())
+        assert all(type(c) is int for *_, c in terms) == constant
+        assert not any(type(c) is int for *_, c in terms) or constant
         # each exponent vector is one packed int key, read back by `_unpack`
         rebuilt = [(Monomial3(ex, ey, ez),
                     [(_unpack(e, len(f.params)), Fraction(n, common)) for e, n in items])
-                   for ex, ey, ez, items in terms]
+                   for ex, ey, ez, items in _lifted((common, terms))[1]]
         assert all(type(e) is int and type(n) is int
-                   for *_, items in terms for e, n in items)
+                   for *_, items in _lifted((common, terms))[1] for e, n in items)
         assert rebuilt == [(m, list(c.terms.items())) for m, c in f.terms.items()]
+
+    def test_integer_terms_chooses_the_int_form_for_all_constant_coefficients(self):
+        # int form exactly when every coefficient is constant, whatever the
+        # parameter table; a first coefficient that is constant is not enough
+        params = ("a", "b")
+        a = ParamPolynomial.variable("a", params)
+        cases = [
+            (QH({(1, 0, 0): Fraction(1, 3), (0, 2, 0): -2}, params), True),
+            (QH({(1, 0, 0): Fraction(1, 3), (0, 2, 0): a}, params), False),
+            (QH({(1, 0, 0): a, (0, 2, 0): 2}, params), False),
+            (QH({(1, 0, 0): 1}, ()), True),
+            (QH({}, params), True),
+        ]
+        for f, constant in cases:
+            converted = _integer_terms(f)
+            assert _is_constant(converted) == constant
+            assert all((type(t[3]) is int) == constant for t in converted[1])
+            # `_from_integer_terms` round-trips either form, stored order included
+            for form in (converted, _lifted(converted)):
+                back = _from_integer_terms(form, f.params)
+                assert back == f and stored_form(back) == stored_form(f)
+                assert_canonical(back)
+        assert _integer_terms(cases[0][0]) == (3, [(1, 0, 0, 1), (0, 2, 0, -6)])
 
     @_FEW
     @given(_polys(1))
@@ -447,6 +473,18 @@ def stored_form(f):
     return [(m, list(c.terms.items())) for m, c in f.terms.items()]
 
 
+def items_sorted(converted):
+    """A converted form with each coefficient's items sorted by key."""
+    den, terms = converted
+    return den, [(*t[:3], t[3] if type(t[3]) is int else sorted(t[3])) for t in terms]
+
+
+def numerators(converted):
+    """The denominator and every numerator of a converted form, in either form."""
+    den, terms = _lifted(converted)
+    return [den] + [n for *_, items in terms for _, n in items]
+
+
 class TestCappedKernel:
     @_CAPPED
     @given(_raised(6), st.integers(0, 16))
@@ -457,12 +495,13 @@ class TestCappedKernel:
         capped = _mul_integer(plus, minus, cap)
         full = _from_integer_terms(_mul_integer(plus, minus), params).truncate(cap)
         assert stored_form(_from_integer_terms(capped, params)) == stored_form(full)
-        # the int sums of the constant path and the dict sums agree exactly
-        if all(map(_is_constant, t)):
-            assert _mul_integer(plus, minus, cap, True) == capped
-            assert _mul_integer(plus, minus, cap, False) == capped
-        else:
-            assert _mul_integer(plus, minus, cap, False) == capped
+        # the int sums of operands in int form and the dict sums of the same
+        # operands lifted to items agree exactly, all of them lifted or one
+        # (an empty operand counts as int form, so lifting it mixes nothing)
+        lifted = [_lifted(x) for x in t]
+        for u in (lifted, [lifted[0]] + t[1:], t[:5] + [lifted[5]]):
+            want = capped if all(map(_is_constant, u)) else _lifted(capped)
+            assert _mul_integer([(u[0], u[1]), (u[2], u[3])], [(u[4], u[5])], cap) == want
 
     @_CAPPED
     @given(_raised(4), st.sampled_from("xyz"), st.booleans(), st.booleans())
@@ -471,19 +510,26 @@ class TestCappedKernel:
         # the kernel differentiates `a` as it reads it: the stored form of
         # the pair on the partial, item order included, under every cap
         # through the operands' degrees and without one, in plus or in
-        # minus, on the constant path (operands bound to a point) and the
-        # general one; with `lowest_free`, the lowest term of `a` is a
-        # constant, which lacks `var`
+        # minus, on operands in int form (bound to a point) and the same
+        # lifted to items, all of them or only `a`; with `lowest_free`, the
+        # lowest term of `a` is a constant, which lacks `var`
         params = polys[0].params
         one = QHPolynomial.constant(1, params) if lowest_free else QHPolynomial.zero(params)
         a, b, c, d = (_integer_terms(p) for p in (polys[0] + one, *polys[1:]))
         da = _integer_terms(model_partial(polys[0] + one, var))
-        pairs = ([(c, d), (a, b, var)], [(c, d), (da, b)])
-        got, want = (([], p) if in_minus else (p, []) for p in pairs)
-        constant = all(map(_is_constant, (a, b, c, d)))
-        for cap in (None, *range(24)):
-            for flag in (None, False, constant):
-                assert _mul_integer(*got, cap, flag) == _mul_integer(*want, cap, flag)
+        for lift in (lambda x: x, _lifted):
+            for u in ((lift(a), lift(b), lift(c), lift(d), lift(da)),
+                      (lift(a), b, c, d, lift(da))):
+                pairs = ([(u[2], u[3]), (u[0], u[1], var)], [(u[2], u[3]), (u[4], u[1])])
+                got, want = (([], p) if in_minus else (p, []) for p in pairs)
+                # a plain pair whose `a` has more terms is read the other way
+                # round, which sums each coefficient's items in another order
+                same = (lambda r: r) if len(da[1]) <= len(b[1]) else items_sorted
+                # the result is in int form exactly when every operand of
+                # `got` is, and the partial of the constant 1 is empty
+                form = (lambda r: r) if all(map(_is_constant, u[:4])) else _lifted
+                for cap in (None, *range(24)):
+                    assert same(_mul_integer(*got, cap)) == same(form(_mul_integer(*want, cap)))
 
 
 class TestPackedExponents:
@@ -662,12 +708,13 @@ class TestDenseSlices:
     def test_cancelled_sums_are_dropped_from_either_kind(self):
         full = _integer_terms(QH({m: 1 for k in (3, 4) for m in hz.slice_basis(k).monomials}))
         x30, y25 = _integer_terms(QH({(30, 0, 0): 1})), _integer_terms(QH({(0, 25, 0): 1}))
-        for constant in (True, False):
+        for lift in (lambda x: x, _lifted):  # in int form and lifted to items
+            full, x30, y25 = map(lift, (full, x30, y25))
             # a list slice (degrees 6 to 8) and a dict slice (degree 55)
-            assert _mul_integer([(full, full), (x30, y25)], [(x30, y25)],
-                                constant=constant) == _mul_integer([(full, full)], [])
-            assert _mul_integer([(full, full), (x30, y25)], [(full, full)],
-                                constant=constant) == (1, [(30, 25, 0, [(0, 1)])])
+            assert _mul_integer([(full, full), (x30, y25)], [(x30, y25)]) == \
+                _mul_integer([(full, full)], [])
+            assert _mul_integer([(full, full), (x30, y25)], [(full, full)]) == \
+                lift((1, [(30, 25, 0, 1)]))
 
     @_CAPPED
     @given(_mixed_sums())
@@ -684,12 +731,75 @@ class TestDenseSlices:
         got = _mul_integer(converted(plus), converted(minus), cap)
         want = model_product(model(plus), model(minus), params, cap)
         assert stored_form(_from_integer_terms(got, params)) == stored_form(want)
-        den, terms = got
-        assert math.gcd(den, *(n for *_, items in terms for _, n in items)) == 1
-        # the dict sums of the general path give the same converted form
-        assert _mul_integer(converted(plus), converted(minus), cap, False) == got
-        if bound or not params:
-            assert _mul_integer(converted(plus), converted(minus), cap, True) == got
+        assert math.gcd(*numerators(got)) == 1
+        # the dict sums of the operands lifted to items give the same converted form
+        lifted = [(_lifted(a), _lifted(b), *v) for a, b, *v in converted(plus + minus)]
+        assert _mul_integer(lifted[:len(plus)], lifted[len(plus):], cap) == _lifted(got)
+
+    @_CAPPED
+    @given(_mixed_sums(), st.lists(st.booleans(), min_size=6, max_size=6))
+    def test_int_form_and_lifted_items_agree(self, case, lift):
+        # operands bound to a point are in int form; lifting any of them to
+        # items (`_lifted`) makes the call mixed, and its dict sums give the
+        # int sums' result lifted, on plus and minus, plain and derivative
+        # pairs, with and without a cap
+        plus, minus, cap, params, _ = case
+        point = {p: _POINT[p] for p in params}
+        operands = [_integer_terms(f.substitute_params(point))
+                    for a, b, _ in plus + minus for f in (a, b)]
+        assert all(map(_is_constant, operands))
+        mixed = [_lifted(x) if up else x for x, up in zip(operands, lift * 2)]
+
+        def pairs(ops):
+            out = [(ops[2 * i], ops[2 * i + 1], *([v] if v else []))
+                   for i, (_, _, v) in enumerate(plus + minus)]
+            return out[:len(plus)], out[len(plus):]
+
+        want = _mul_integer(*pairs(operands), cap)
+        got = _mul_integer(*pairs(mixed), cap)
+        assert got == (want if all(map(_is_constant, mixed)) else _lifted(want))
+
+    def test_a_derivative_of_a_constant_term_makes_no_slice_below_degree_0(self, monkeypatch):
+        # d/dz (1 + x^3 + z^2) * y: `a`'s first term, of degree 0, lacks z,
+        # so the lowest degree its first term bounds is -2; the kernel makes
+        # no slice below 0, without a cap and with one below the lowest
+        # output degree, 3
+        made = []
+
+        def spy(e, pairs, constant):
+            made.append(e)
+            return _new_slice(e, pairs, constant)
+
+        monkeypatch.setattr(hz.gradedpoly, "_new_slice", spy)
+        a = _integer_terms(QH({(0, 0, 0): 1, (3, 0, 0): 1, (0, 0, 2): 1}))
+        b = _integer_terms(QH({(0, 1, 0): 1}))
+        for lift in (lambda x: x, _lifted):
+            for cap, want in ((None, (1, [(0, 1, 1, 2)])), (2, (1, [])), (0, (1, []))):
+                made.clear()
+                assert _mul_integer([(lift(a), lift(b), "z")], [], cap) == lift(want)
+                assert made and min(made) >= 0
+            # x^3 is the only term with x: d/dx gives 3 x^2 y, of degree 3
+            made.clear()
+            assert _mul_integer([(lift(a), lift(b), "x")], []) == lift((1, [(2, 1, 0, 3)]))
+            assert made and min(made) >= 0
+
+    @_FEW
+    @given(_raised(2), _CAPS)
+    def test_a_plain_pair_is_the_same_either_way_round(self, polys, cap):
+        # the kernel reads the operand with fewer terms as `a`, so (f, g)
+        # and (g, f) give the same monomials in the same order; the items
+        # of a coefficient may be summed in another order
+        f, g = (_integer_terms(p) for p in polys)
+        one, other = _mul_integer([(f, g)], [], cap), _mul_integer([(g, f)], [], cap)
+        assert [t[:3] for t in one[1]] == [t[:3] for t in other[1]]
+        assert items_sorted(one) == items_sorted(other)
+        if _is_constant(one):
+            assert one == other
+
+    def test_the_constant_one_and_the_h_powers_are_in_int_form(self):
+        assert _ONE == (1, [(0, 0, 0, 1)])
+        assert _h_power(2) == (1, [(4, 0, 0, 1), (2, 2, 0, 2), (0, 4, 0, 1)])
+        assert all(type(t[3]) is int for m in range(6) for t in _h_power(m)[1])
 
     def test_memory_follows_the_terms_not_the_degree(self):
         # x^(2^20) squares one-term slices up to degree 2^20, and (1 + x)^256

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import hopfzero as hz
 from hopfzero import DegreeError, Monomial3, ParamPolynomial, QHPolynomial, StructureError
 from hopfzero import homological
-from hopfzero.gradedpoly import _integer_terms, _is_constant
+from hopfzero.gradedpoly import _integer_terms, _is_constant, _lifted
 
 from conftest import random_ppoly, random_qh_slice
 from oracle import Elimination, h_component, lie_operator_matrix, slice_rows
@@ -111,9 +111,17 @@ def _kernel_free_slices(draw):
 
 
 def as_dicts(converted):
-    """A converted form with each coefficient's items as a dict."""
+    """A converted form with each coefficient's items as a dict, or its
+    `int` as it is."""
     den, terms = converted
-    return den, [(*t[:3], dict(t[3])) for t in terms]
+    return den, [(*t[:3], t[3] if type(t[3]) is int else dict(t[3])) for t in terms]
+
+
+def unreduced(converted, c):
+    """A converted form with its denominator and numerators times c."""
+    den, terms = converted
+    return c * den, [(*t[:3], c * t[3] if type(t[3]) is int else [(e, c * n) for e, n in t[3]])
+                     for t in terms]
 
 
 def stored_form(f):
@@ -290,7 +298,7 @@ class TestSolve:
         # the integer entry returns the solution's converted form, reduced
         den, terms = homological._solve_levels(k, _integer_terms(rhs))
         assert as_dicts((den, terms)) == as_dicts(_integer_terms(sol.solution))
-        assert math.gcd(den, *(n for t in terms for _, n in t[3])) == 1
+        assert math.gcd(den, *(n for t in _lifted((den, terms))[1] for _, n in t[3])) == 1
         image = hz.directional_derivative(sol.solution, hz.principal_part(rhs.params))
         if sol.residual:
             image = image + QHPolynomial({(0, 0, k // 2): sol.residual}, rhs.params)
@@ -302,19 +310,17 @@ class TestSolve:
         # the solve of L f is f itself, in the reduced converted form: no
         # zero sum and no zero level kept, and the lowest denominator.  With
         # its parameters bound to `value`, f is constant over its parameter
-        # table, and the solve takes the plain-int path, read off the input
-        # or told; the dict path gives the same on a constant input
+        # table, its converted form holds `int`s and the solve takes the
+        # plain-int path; the dict path gives the same on the input lifted
+        # to items
         k, f = case
         if value is not None:
             f = f.substitute_params({p: value for p in f.params})
         rhs = _integer_terms(hz.directional_derivative(f, hz.principal_part(f.params)))
-        constant = _is_constant(rhs)
-        assert constant or value is None
-        want = as_dicts(_integer_terms(f))
-        assert as_dicts(homological._solve_levels(k, rhs)) == want
-        assert as_dicts(homological._solve_levels(k, rhs, constant)) == want
-        if constant:
-            assert as_dicts(homological._solve_levels(k, rhs, False)) == want
+        assert _is_constant(rhs) or value is None
+        want = _integer_terms(f)
+        assert as_dicts(homological._solve_levels(k, rhs)) == as_dicts(want)
+        assert as_dicts(homological._solve_levels(k, _lifted(rhs))) == as_dicts(_lifted(want))
 
     def test_one_item_coefficients_with_a_parameter_take_the_dict_path(self):
         # every coefficient is one item, but not at the key 0: not constant,
@@ -333,20 +339,21 @@ class TestSolve:
     def test_an_unreduced_right_hand_side_solves_the_same(self, case, c):
         # (c*D, [c*n ...]) is the right-hand side (D, [n ...]) unreduced
         k, rhs = case
-        den, terms = _integer_terms(rhs)
-        scaled = c * den, [(*t[:3], [(e, c * n) for e, n in t[3]]) for t in terms]
-        assert homological._solve_levels(k, scaled) == homological._solve_levels(k, (den, terms))
+        converted = _integer_terms(rhs)
+        assert homological._solve_levels(k, unreduced(converted, c)) == \
+            homological._solve_levels(k, converted)
 
     @settings(max_examples=40, deadline=None)
     @given(_integer_path_slices(), st.integers(2, 10 ** 30), st.integers(-4, 4))
     def test_an_unreduced_constant_right_hand_side_solves_the_same(self, case, c, value):
-        # the same on the plain-int path: the parameters bound to `value`
+        # the same on the plain-int path, the parameters bound to `value`,
+        # and on the dict path, that input lifted to items
         k, rhs = case
-        den, terms = _integer_terms(rhs.substitute_params({p: value for p in rhs.params}))
-        assert _is_constant((den, terms))
-        scaled = c * den, [(*t[:3], [(e, c * n) for e, n in t[3]]) for t in terms]
-        assert homological._solve_levels(k, scaled, True) == \
-            homological._solve_levels(k, (den, terms))
+        converted = _integer_terms(rhs.substitute_params({p: value for p in rhs.params}))
+        assert _is_constant(converted)
+        want = homological._solve_levels(k, converted)
+        assert homological._solve_levels(k, unreduced(converted, c)) == want
+        assert homological._solve_levels(k, _lifted(unreduced(converted, c))) == _lifted(want)
 
     def test_self_check_catches_a_wrong_circle_mean(self, monkeypatch):
         # a circle mean off by one leaves the next level's last equation

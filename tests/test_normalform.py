@@ -11,7 +11,7 @@ from hopfzero import (Method, Monomial3, ParamPolynomial, PrincipalPartError,
                       QHPolynomial, StructureError, VectorField3)
 from hopfzero import normalform
 from hopfzero.analyzers import _entries_only
-from hopfzero.gradedpoly import _from_integer_terms, _integer_terms, _is_constant
+from hopfzero.gradedpoly import _from_integer_terms, _integer_terms, _is_constant, _lifted
 from hopfzero.normalform import GeneratorStep, _divide_by_h, _solve_degree
 
 from conftest import (field_from_text, random_field_component,
@@ -171,13 +171,13 @@ class TestClassifyNormalForm:
         solved, transformed = [], []
         solve, step = normalform._solve_degree, normalform._integer_step
 
-        def counting_solve(known, s, params, constant):
+        def counting_solve(known, s, params):
             solved.append(s)
-            return solve(known, s, params, constant)
+            return solve(known, s, params)
 
-        def counting_step(current, generator, reparam, max_field_degree, constant):
+        def counting_step(current, generator, reparam, max_field_degree):
             transformed.append(max_field_degree)
-            return step(current, generator, reparam, max_field_degree, constant)
+            return step(current, generator, reparam, max_field_degree)
 
         monkeypatch.setattr(normalform, "_solve_degree", counting_solve)
         monkeypatch.setattr(normalform, "_integer_step", counting_step)
@@ -193,7 +193,7 @@ def solve_degree(known, s):
     and mu as polynomials."""
     params = known.params
     converted = [_integer_terms(c) for c in known.components]
-    u, mu, a, b = _solve_degree(converted, s, params, all(map(_is_constant, converted)))
+    u, mu, a, b = _solve_degree(converted, s, params)
     return (VectorField3(*(_from_integer_terms(c, params) for c in u)),
             _from_integer_terms(mu, params), a, b)
 
@@ -201,8 +201,8 @@ def solve_degree(known, s):
 class TestSolveDegree:
     """The degree solve meets its defining equation, checked with the generic
     Lie bracket: [F0, U] - mu F0 + a R1 + b R2 == known.  Slices without
-    parameters take the solve's constant path, those with one its general
-    path."""
+    parameters convert to `int` coefficients and take the solve's int path,
+    those with one its general path."""
 
     @staticmethod
     def check(known, s):
@@ -240,6 +240,22 @@ class TestSolveDegree:
             for extra in ({(5, 0, 0): 1}, {(0, 5, 0): 1}, {(0, 1, 2): 1}, {(2, 1, 1): 1}):
                 with pytest.raises(StructureError):
                     _divide_by_h(_integer_terms(h * q + QHPolynomial(extra, params)), 3)
+
+    def test_division_by_h_on_either_form(self):
+        # a constant p in int form gives its quotient in int form, and the
+        # same p lifted to items gives that quotient lifted; a non-multiple
+        # raises on both
+        h = QHPolynomial.h_power(1, ("p",))
+        q = QHPolynomial({(1, 2, 0): 3, (0, 1, 1): Fraction(1, 2), (0, 3, 0): -7}, ("p",))
+        p = _integer_terms(h * q)
+        assert _is_constant(p)
+        quotient = _divide_by_h(p, 3)
+        assert _is_constant(quotient) and quotient == _integer_terms(q)
+        assert _divide_by_h(_lifted(p), 3) == _lifted(quotient)
+        bad = _integer_terms(h * q + QHPolynomial({(2, 1, 1): 1}, ("p",)))
+        for form in (bad, _lifted(bad)):
+            with pytest.raises(StructureError, match="not a multiple of x\\^2 \\+ y\\^2"):
+                _divide_by_h(form, 3)
 
 
 class TestSolveDegreeMatchesElimination:
@@ -489,16 +505,26 @@ class TestLieSeries:
     @settings(max_examples=12, deadline=None)
     @given(st.integers(0, 2 ** 32), st.integers(1, 4), st.integers(1, 3))
     def test_a_bound_field_takes_constant_steps(self, seed, max_degree, max_index):
-        # `orbital_normal_form` reads whether its field is constant once and
-        # trusts that flag for every step, so each step it takes on a field
-        # bound to a point has constant generator and reparam coefficients
+        # a field bound to a point converts to `int` coefficients, and every
+        # step `orbital_normal_form` takes on it, field, generator and
+        # reparam, stays in that form, so each has constant coefficients
         rng = random.Random(seed)
         field = hz.principal_part(SERIES_PARAMS)
         for d in range(1, max_degree + 1):
             field = field + param_field_component(rng, d, SERIES_PARAMS)
         field = field.substitute_params(SERIES_POINT)
         assert all(_is_constant(_integer_terms(c)) for c in field.components)
-        nf = hz.orbital_normal_form(field, max_index)
+        step = normalform._integer_step
+
+        def int_form_step(current, generator, reparam, max_field_degree):
+            assert all(map(_is_constant, current + generator + [reparam]))
+            out = step(current, generator, reparam, max_field_degree)
+            assert all(map(_is_constant, out))
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(normalform, "_integer_step", int_form_step)
+            nf = hz.orbital_normal_form(field, max_index)
         assert len(nf.generators) == 2 * max_index
         for step in nf.generators:
             polys = (*step.generator.components, step.reparam)

@@ -87,6 +87,20 @@ def test_layer_times_runs_the_numeric_continuation():
     assert proc.returncode == 2 and "h2-point-N" in proc.stderr
 
 
+def test_layer_times_runs_the_numeric_normal_form():
+    # nf-point-N is the orbital normal form at (a001, b200, c030) = (1, 2, 3)
+    # to index N: degrees 1 to 2N, three slice solves each
+    proc = subprocess.run([sys.executable, str(LAYERS), "nf-point-2", "0"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines()[2:]}
+    assert proc.stdout.startswith("nf-point-2, seed 0")
+    assert rows["_solve_levels"][0] == "12" and float(rows["total"][-2]) > 0
+    proc = subprocess.run([sys.executable, str(LAYERS), "nf-point-0", "0"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2 and "nf-point-N" in proc.stderr
+
+
 def _bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", TOOL.parent / "bench_pairs.py")
     module = importlib.util.module_from_spec(spec)

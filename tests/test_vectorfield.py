@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 
 import hopfzero as hz
-from hopfzero import (ParamPolynomial, Poly2, QHPolynomial, VectorField3, gradedpoly,
-                      vectorfield)
+from hopfzero import ParamPolynomial, Poly2, QHPolynomial, VectorField3, gradedpoly
 
 from conftest import (Pairs, capped_bracket, capped_product, random_field_component,
                       random_ppoly)
@@ -167,9 +166,10 @@ class TestLieBracket:
                 assert sp.expand(got[comp] - expected) == 0
 
     @pytest.mark.parametrize("bound", [False, True])
-    def test_constant_operands_are_scanned_once_per_bracket(self, rng, monkeypatch, bound):
-        # the three products of a bracket share the six components; the
-        # constant check reads each of them once, and never a partial
+    def test_the_constness_check_reads_only_the_first_term(self, rng, monkeypatch, bound):
+        # the kernel reads whether an operand is in int form off its first
+        # term alone: no operand is scanned, and each of the six products
+        # of a bracket reads each operand at most once more to lift it
         f = param_field(rng, (0, 1, 2))
         g = param_field(rng, (1, 3))
         want = hz.lie_bracket(f, g)
@@ -177,23 +177,37 @@ class TestLieBracket:
             point = {"a": Fraction(2, 3), "b": Fraction(-5, 2)}
             f, g = f.substitute_params(point), g.substitute_params(point)
             want = want.substitute_params(point)
-        scans = []
+        reads = []
         is_constant = gradedpoly._is_constant
 
-        def counting(converted):
-            scans.append(converted)
-            return is_constant(converted)
+        class Recorded:
+            """A term list that records the indices read and refuses a scan."""
 
-        monkeypatch.setattr(gradedpoly, "_is_constant", counting)
-        monkeypatch.setattr(vectorfield, "_is_constant", counting)
-        got = hz.lie_bracket(f, g)
-        assert got == want
-        components = [gradedpoly._integer_terms(c) for c in f.components + g.components]
-        assert [c[1] for c in scans] == [c[1] for c in components][:len(scans)]
-        if bound:
-            assert len(scans) == 6
-        else:  # the scan stops at the first component that is not constant
-            assert not is_constant(scans[-1])
+            def __init__(self, terms):
+                self.terms, self.read = terms, []
+
+            def __len__(self):
+                return len(self.terms)
+
+            def __getitem__(self, i):
+                self.read.append(i)
+                return self.terms[i]
+
+            def __iter__(self):
+                raise AssertionError("the constness check scanned a term list")
+
+        def recording(converted):
+            reads.append(Recorded(converted[1]))
+            return is_constant((converted[0], reads[-1]))
+
+        monkeypatch.setattr(gradedpoly, "_is_constant", recording)
+        assert hz.lie_bracket(f, g) == want
+        assert reads and all(r.read in ([], [0]) for r in reads)
+        if bound:  # all in int form: per component, two checks per pair, no lift,
+            # and one as its result becomes `Fraction`s
+            assert len(reads) == 3 * (6 * 2 + 1)
+        else:
+            assert not all(is_constant((1, r.terms)) for r in reads)
 
 
 class TestPoly2:

@@ -12,6 +12,11 @@ Runs, from the checkout's `src/`:
   coefficients have denominators above 1;
 - the `planar_reduction` of the symbolic family-37 normal form at index 3,
   whose `Poly2` components print multi-term parameter coefficients;
+- the `lie_bracket` of family 37 at `seed_point(1)` with the symbolic
+  family 37, both ways round, and the steps of the symbolic normal form at
+  index 3 applied one after another by `apply_generator_step` to family 37
+  at `seed_point(1)` at field degree 6: kernel calls that mix operands of
+  constant coefficients with symbolic ones;
 - the normal form `classify` reports, for family 37 at `seed_point(1)` with
   max_index 8 (first resonant index 1) and for a field whose first resonant
   index is 5 with max_index 7; its field is written truncated at degree
@@ -201,9 +206,18 @@ def dump_lines():
     for label, field, index in runs:
         yield from normal_form_lines(f"nf {label}", hz.orbital_normal_form(field, index))
 
-    planar = hz.planar_reduction(hz.orbital_normal_form(symbolic, 3))
+    symbolic_nf = hz.orbital_normal_form(symbolic, 3)
+    planar = hz.planar_reduction(symbolic_nf)
     yield f"planar symbolic index 3 du: {describe(planar.pu)}"
     yield f"planar symbolic index 3 dv: {describe(planar.pv)}"
+
+    bound = symbolic.substitute_params(seed_point(1))
+    yield f"bracket [bound, symbolic]: {describe(hz.lie_bracket(bound, symbolic))}"
+    yield f"bracket [symbolic, bound]: {describe(hz.lie_bracket(symbolic, bound))}"
+    stepped = bound
+    for step in symbolic_nf.generators:
+        stepped = hz.apply_generator_step(stepped, step, 6)
+        yield f"symbolic step {step.degree} on bound degree 6: {describe(stepped)}"
 
     resonant_at_5, _ = hz.normalize_principal_part(
         hz.parse_system(RESONANT_AT_5).to_field())

@@ -5,8 +5,10 @@
 WORKLOAD is a benchmark workload (`h2-symbolic`, `nf-numeric` or
 `cli-corpus`, as in `bench/run.py`), set up from SEED, or `h2-entries-N`:
 the entries-only JACOBI_H2 sequence of the symbolic family 37 to z^N
-(`analyzers._entries_only`, the report path), or `h2-point-N`: the same
-at the numeric point (a001, b200, c030) = (1, 2, 3); those read no seed.  One
+(`analyzers._entries_only`, the report path), `h2-point-N`: the same
+at the numeric point (a001, b200, c030) = (1, 2, 3), or `nf-point-N`: the
+`orbital_normal_form` of family 37 at that point to index N, the deep
+numeric normal form; those read no seed.  One
 pass runs untimed to warm the engine.  Then PASSES passes (default 1) run
 with three layers timed: the kernel (`gradedpoly._mul_integer`), the slice
 solve (`homological._solve_levels`) and the conversion to `Fraction`s
@@ -18,6 +20,7 @@ less the three layers, and that total.  The engine is imported from the
 checkout's `src/`, the workloads from `bench/hzbench/`.  For example:
 
     python3 tools/layer_times.py h2-entries-14 0 5
+    python3 tools/layer_times.py nf-point-12 0 3
 """
 
 import pathlib
@@ -54,12 +57,25 @@ def entries_workload(index: int, point=None) -> Workload:
         check=lambda hz, inputs, results: [])
 
 
+def normal_form_workload(index: int) -> Workload:
+    """The orbital normal form of family 37 at `POINT` to `index`."""
+    return Workload(
+        setup=lambda hz, seed, out_dir: {"field": family37_field(hz).substitute_params(POINT)},
+        operations=lambda hz, inputs: [("normal_form", lambda: hz.orbital_normal_form(
+            inputs["field"], index))],
+        check=lambda hz, inputs, results: [])
+
+
 def find_workload(name: str):
     if name in WORKLOADS:
         return WORKLOADS[name]
     prefix, _, index = name.rpartition("-")
-    if prefix in ("h2-entries", "h2-point") and index.isdigit() and int(index) >= 1:
+    if not (index.isdigit() and int(index) >= 1):
+        return None
+    if prefix in ("h2-entries", "h2-point"):
         return entries_workload(int(index), POINT if prefix == "h2-point" else None)
+    if prefix == "nf-point":
+        return normal_form_workload(int(index))
     return None
 
 
@@ -90,8 +106,8 @@ def main(argv) -> int:
     workload = find_workload(argv[0]) if len(argv) in (2, 3) else None
     if workload is None:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
-        print(f"workloads: {', '.join(sorted(WORKLOADS))}, h2-entries-N, h2-point-N",
-              file=sys.stderr)
+        print(f"workloads: {', '.join(sorted(WORKLOADS))}, h2-entries-N, h2-point-N, "
+              "nf-point-N", file=sys.stderr)
         return 2
     seed, passes = int(argv[1]), int(argv[2]) if len(argv) == 3 else 1
     samples = {name: [] for _, name in LAYERS}
