@@ -15,9 +15,11 @@ at is 2k, and reports carry both numbers.
 The continuation runs degree by degree in the graded kernel's converted form
 (`gradedpoly.IntegerTerms`): the known term comes from the kernel
 (`_mul_integer`), goes to the slice solve (`homological._solve_levels`) and
-comes back solved in the same form (`_continuation`).  The entries are built
-as `Fraction`s; the witness is built only by the public sequence functions,
-and `classify` keeps none.
+comes back solved in the same form.  That loop, `_continuation`, returns
+the sequence; its `witness` choice decides whether the last degree is
+solved and the pieces become `Fraction`s for a witness.  The public
+sequence functions ask for one (`_obstruction_driver`); `classify` and the
+report path do not (`_entries_only`).
 
 A run may continue in a quotient ring instead, as the paper does once it
 takes a nonzero entry as a necessary condition g = 0 and goes on: the report
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cache, partial
 from typing import Dict, Optional, Tuple
 
 from .coeffring import ParamPolynomial, _Modulus
@@ -93,17 +94,18 @@ class ObstructionSequence:
 
 
 def _continuation(field: VectorField3, max_index: int, method: Method, power: int,
-                  modulus: Optional[_Modulus]):
-    """Continue the seed (x^2+y^2)^power of `method` degree by degree.
+                  modulus: Optional[_Modulus], witness: bool) -> ObstructionSequence:
+    """Continue the seed (x^2+y^2)^power of `method` degree by degree and
+    return its sequence.
 
-    Yields (degree, entry, solve) for each degree 2*power+1 .. 2*max_index:
-    entry is the z^(degree/2) residual on even degrees and None on odd ones,
-    and solve() returns the degree's piece of the continuation in the graded
-    kernel's converted form (integer numerators over one denominator), with
-    no terms when the slice solve returns zero.  The solve is memoised and
-    runs when it is first called: the continuation calls it for every degree
-    a later one reads, so the last degree is solved only for a caller that
-    asks, such as the witness's driver.
+    Each degree 2*power+1 .. 2*max_index is solved in the graded kernel's
+    converted form (integer numerators over one denominator); on even
+    degrees the entry is the known term's z^(degree/2) residual.  `witness`
+    chooses the rest.  With it the last degree is solved too, each solved
+    piece becomes `Fraction`s once (`_from_integer_terms`), and the witness
+    is the seed and the pieces concatenated, in ascending degree, which is
+    canonical order.  Without it the last degree, which no entry reads, is
+    not solved, no piece becomes `Fraction`s, and `witness` is None.
 
     The known part of the defining expression at degree d, the sum of
     grad(W_j) . F_k - W_j div(F_k) over field components F_k and solved
@@ -152,9 +154,12 @@ def _continuation(field: VectorField3, max_index: int, method: Method, power: in
     comp_terms = {k: [_integer_terms(c) for c in f.components]
                   for k, f in components.items()}
     reach = max(components, default=0)
-    for degree in range(seed_degree + 1, 2 * max_index + 1):
+    entries: Dict[int, ParamPolynomial] = {}
+    pieces = [seed]
+    last = 2 * max_index
+    for degree in range(seed_degree + 1, last + 1):
         converted.pop(degree - reach - 1, None)  # no later degree reads it
-        # the sides are swapped, so the accumulate yields -known
+        # the sides are swapped, so the accumulate gives -known
         plus, minus = [], []
         for fdeg in sorted(components):
             piece = converted.get(degree - fdeg)
@@ -166,56 +171,39 @@ def _continuation(field: VectorField3, max_index: int, method: Method, power: in
         rhs = _mul_integer(plus, minus)
         if modulus is not None:
             rhs = modulus.reduce(rhs)
-        entry = None
         if degree % 2 == 0:  # the entry is the known term's z^(d/2) coefficient, last
             den, terms = rhs
             c = terms[-1][3] if terms and terms[-1][2] == degree // 2 else 0
-            entry = ParamPolynomial._from_numerators(_scaled_coefficient(c, -1), den, params)
-        solve = cache(partial(_solve_levels, degree, rhs))
-        yield degree, entry, solve
-        if degree < 2 * max_index and (solved := solve())[1]:
+            entries[degree // 2] = ParamPolynomial._from_numerators(
+                _scaled_coefficient(c, -1), den, params)
+        if (degree < last or witness) and (solved := _solve_levels(degree, rhs))[1]:
             converted[degree] = solved
+            if witness:
+                pieces.append(_from_integer_terms(solved, params))
+    whole = QHPolynomial._wrap({m: c for piece in pieces for m, c in piece.terms.items()},
+                               params) if witness else None
+    return ObstructionSequence(method=method, entries=entries, witness=whole,
+                               max_index=max_index, params=params, seed_power=power)
 
 
 def _obstruction_driver(field: VectorField3, max_index: int, method: Method,
                         seed_power: Optional[int] = None) -> ObstructionSequence:
-    """Continue the seed (x^2+y^2)^m of `method` and collect its residuals
-    and its witness.
+    """The sequence of the seed (x^2+y^2)^m of `method`, with its witness.
 
     seed_power overrides m (default: 1, or 2 for JACOBI_H2).  The continuation
     is linear in its seed, so the h^m-seeded runs span the kernel components
     that a different normalization of the method's own witness may add.
-
-    The degrees run in `_continuation`.  Each solved piece becomes
-    `Fraction`s once (`_from_integer_terms`), and the witness is the seed
-    and the pieces concatenated, in ascending degree, which is canonical
-    order.
     """
     power = _SEED_POWER[method] if seed_power is None else seed_power
-    params = field.params
-    entries: Dict[int, ParamPolynomial] = {}
-    pieces = [QHPolynomial.h_power(power, params)]
-    for degree, entry, solve in _continuation(field, max_index, method, power, None):
-        if entry is not None:
-            entries[degree // 2] = entry
-        if (solved := solve())[1]:
-            pieces.append(_from_integer_terms(solved, params))
-    witness = QHPolynomial._wrap(
-        {m: c for piece in pieces for m, c in piece.terms.items()}, params)
-    return ObstructionSequence(method=method, entries=entries, witness=witness,
-                               max_index=max_index, params=params,
-                               seed_power=power)
+    return _continuation(field, max_index, method, power, None, witness=True)
 
 
 def _entries_only(field: VectorField3, max_index: int, method: Method,
                   constraint: Optional[Tuple[ParamPolynomial, str]] = None
                   ) -> ObstructionSequence:
-    """The sequence of `method` without its witness (`witness` None).
-
-    It reads the same `_continuation` as `_obstruction_driver` and keeps its
-    entries, equal to that driver's, term order included; no solved piece
-    becomes `Fraction`s, and the last degree, which no entry reads, is not
-    solved.  The report path reads only the entries.
+    """The sequence of `method` without its witness (`witness` None), from
+    the same `_continuation` as `_obstruction_driver`: its entries equal that
+    driver's, term order included.  The report path reads only the entries.
 
     With a `constraint` (g, p), g in the field's ring with a nonzero
     rational leading coefficient in p, the run continues in the quotient
@@ -224,13 +212,8 @@ def _entries_only(field: VectorField3, max_index: int, method: Method,
     lc(g)^e.  No full entry is computed.
     """
     modulus = None if constraint is None else _Modulus(*constraint)
-    power = _SEED_POWER[method]
-    entries = {degree // 2: entry for degree, entry, _
-               in _continuation(field, max_index, method, power, modulus)
-               if entry is not None}
-    return ObstructionSequence(method=method, entries=entries, witness=None,
-                               max_index=max_index, params=field.params,
-                               seed_power=power)
+    return _continuation(field, max_index, method, _SEED_POWER[method], modulus,
+                         witness=False)
 
 
 def first_integral_obstructions(field: VectorField3, max_index: int) -> ObstructionSequence:

@@ -166,7 +166,8 @@ def _solve_levels(k: int, rhs: IntegerTerms) -> IntegerTerms:
     any common denominator; the z^(k/2) term of an even k, the residual's, is
     not read.  The solution is canonical: monomials in canonical order,
     zero-free, the gcd of its denominator and all its numerators 1, as
-    `_integer_terms` of the solved polynomial up to each coefficient's order.
+    `_integer_terms` of the solved polynomial up to each coefficient's order
+    (lifted to items, `_lifted`, when `rhs` holds items).
 
     f = sum z^l f_l satisfies R f_l + (l+1) h f_(l+1) = g_l on each level l,
     solved from the top down.  On the coefficients u_b of x^(d-b) y^b of a

@@ -264,6 +264,30 @@ class TestKnownTermAccumulation:
         assert driver_solves == solved + [12]
         assert_same_entries(entries_only, seq)
 
+    @pytest.mark.parametrize("method, max_index, seed_power", [
+        (Method.JACOBI_H2, 1, None), (Method.JACOBI_H2, 2, None),
+        (Method.FIRST_INTEGRAL, 1, 1), (Method.FIRST_INTEGRAL, 2, 2),
+        (Method.FIRST_INTEGRAL, 3, 3)])
+    def test_empty_degree_range(self, family37, method, max_index, seed_power, monkeypatch):
+        # a max_index at most the seed power leaves no degree to continue:
+        # no entry, and the witness is the seed alone
+        power = seed_power or analyzers._SEED_POWER[method]
+        seq = _obstruction_driver(family37, max_index, method, seed_power=seed_power)
+        assert seq.entries == {} and seq.start_index == power + 1
+        assert seq.witness == QHPolynomial.h_power(power, family37.params)
+        assert hz.recombination_defect(family37, seq).is_zero()
+        if power != analyzers._SEED_POWER[method]:
+            return
+
+        def no_call(*args):
+            raise AssertionError("the continuation ran a degree")
+
+        monkeypatch.setattr(analyzers, "_mul_integer", no_call)
+        monkeypatch.setattr(analyzers, "_solve_levels", no_call)
+        entries_only = _entries_only(family37, max_index, method)
+        assert entries_only.entries == {} and entries_only.witness is None
+        assert entries_only.start_index == power + 1
+
     @pytest.mark.parametrize("kind", ["symbolic", "rational", "bound"])
     @pytest.mark.parametrize("method", list(Method))
     @settings(max_examples=6, deadline=None)

@@ -206,6 +206,16 @@ class TestCli:
             jsonschema.validate({**report, "obstructions": [{**seq, "entries": {}}]},
                                 hz.REPORT_SCHEMA)
 
+    def test_obstructions_below_the_first_entry(self, family37_file):
+        # JACOBI_H2's first entry is z^3, so a depth of 2 reports none
+        code, out = hz.run_cli(["obstructions", family37_file, "--mode", "JACOBI_H2",
+                                "--max-degree", "2", "--json"])
+        assert code == 0
+        report = json.loads(out)
+        jsonschema.validate(report, hz.REPORT_SCHEMA)
+        seq = report["obstructions"][0]
+        assert (seq["entries"], seq["start_index"]) == ({}, 3)
+
     def test_bound_values_reach_the_constraint(self, family37_file):
         # at a001 = 1 the constraint is one in b200 alone, and entry 7 is a
         # multiple of it

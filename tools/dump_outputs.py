@@ -30,6 +30,9 @@ Runs, from the checkout's `src/`:
   denominators above 1;
 - the symbolic JACOBI_H2 continuation of family 37 seeded by (x^2+y^2)^3
   (`seed_power=3`) to z^10;
+- the edges of the degree loop, entries and witness: the symbolic JACOBI_H2
+  sequence of family 37 to z^2, which continues no degree, and its
+  continuation seeded by (x^2+y^2)^3 to z^3, which continues none either;
 - the symbolic `orbital_normal_form` at index 4 and the symbolic JACOBI_H2
   sequence to z^8, entries and witness, of two fields the corpus lacks: family
   38 with a fourth parameter on z^2 in dz (`FAMILY38_Z2`), and family 37 with
@@ -234,6 +237,8 @@ def dump_lines():
     sequences += [(rational, method, 12, " at (1/3, -5/2, 7/4) to z^12", None)
                   for method in (hz.Method.JACOBI_H2, hz.Method.FIRST_INTEGRAL)]
     sequences.append((symbolic, hz.Method.JACOBI_H2, 10, " seed_power=3", 3))
+    sequences += [(symbolic, hz.Method.JACOBI_H2, 2, " to z^2", None),
+                  (symbolic, hz.Method.JACOBI_H2, 3, " seed_power=3 to z^3", 3)]
     for field, method, index, label, seed_power in sequences:
         seq = _obstruction_driver(field, index, method, seed_power=seed_power)
         for k in sorted(seq.entries):
