@@ -38,10 +38,10 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .coeffring import ParamPolynomial, _Modulus
-from .errors import DegreeError, StructureError
-from .gradedpoly import (VAR_NAMES, Monomial3, QHPolynomial, _from_integer_terms,
-                         _integer_terms, _mul_integer, _scaled_coefficient)
+from .coeffring import ParamPolynomial, _Modulus, _scaled_coefficient
+from .errors import DegreeError
+from .gradedpoly import (VAR_NAMES, Monomial3, QHPolynomial, _constant_term,
+                         _from_integer_terms, _integer_terms, _mul_integer)
 from .homological import _solve_levels
 from .normalform import (NormalFormResult, ResonanceData, coprime_resonance,
                          first_resonance, orbital_normal_form, principal_part,
@@ -115,7 +115,7 @@ def _continuation(field: VectorField3, max_index: int, method: Method, power: in
     (W_j, F_k,v, v) for (dW_j/dv) F_k,v and (F_k,v, W_j, v) for
     (dF_k,v/dv) W_j, so no divergence is taken.  On even d the entry is its
     z^(d/2) term, the last in canonical order, and the only value built as
-    `Fraction`s (one `_from_numerators`).
+    `Fraction`s (one `_constant_term`).
     `homological._solve_levels` takes the right-hand side as it is and
     returns the piece in the same form, which the next degrees read in
     derivative pairs (the kernel differentiates it as it reads it), so each
@@ -141,15 +141,6 @@ def _continuation(field: VectorField3, max_index: int, method: Method, power: in
     seed = QHPolynomial.h_power(power, params)
     use_div = _USES_DIV[method]
     components = {k: f for k, f in field.decompose().items() if k >= 1}
-
-    # the defining expression must vanish identically at the seed degree
-    f0 = principal_part(params)
-    base = directional_derivative(seed, f0)
-    if use_div:
-        base = base - seed * divergence(f0)
-    if not base.is_zero():
-        raise StructureError("seed term fails the defining identity at its own degree")
-
     converted = {seed_degree: _integer_terms(seed)}
     comp_terms = {k: [_integer_terms(c) for c in f.components]
                   for k, f in components.items()}
@@ -174,8 +165,7 @@ def _continuation(field: VectorField3, max_index: int, method: Method, power: in
         if degree % 2 == 0:  # the entry is the known term's z^(d/2) coefficient, last
             den, terms = rhs
             c = terms[-1][3] if terms and terms[-1][2] == degree // 2 else 0
-            entries[degree // 2] = ParamPolynomial._from_numerators(
-                _scaled_coefficient(c, -1), den, params)
+            entries[degree // 2] = _constant_term(_scaled_coefficient(c, -1), den, params)
         if (degree < last or witness) and (solved := _solve_levels(degree, rhs))[1]:
             converted[degree] = solved
             if witness:

@@ -14,19 +14,23 @@ operations build their results through the private `_wrap`, which trusts its
 caller to pass a term dict that already holds the invariant.
 
 The module also holds the primitives that every polynomial type of the
-package shares, each written once: `_from_numerators`, which turns the
-integer numerators of one coefficient of the graded product or the slice
-solve into `Fraction`s; `_merged`, the term merge of `QHPolynomial` and `Poly2`;
-and `_format_terms`, the printer of all three types.
+package shares, each written once: `_merged`, the term merge of
+`QHPolynomial` and `Poly2`, and `_format_terms`, the printer of all three
+types.
 
-It also owns the packed exponent layout of the graded kernel's converted
-form (`gradedpoly.IntegerTerms`), in which an exponent vector is one `int`
-key, 64 bits per parameter: `_pack`, `_unpack` and the guard of key sums,
-`_refuse_overflow`; no other module reads a key's bit fields.  Beside the
-layout it owns the quotient Q[params]/(g) of constrained runs: `_Modulus`
-reduces the converted form modulo g, and `_constant_lead` decides which
-constraints a quotient admits; `pseudo_remainder` and `congruent_mod` are
-the independent reference that `_Modulus` is checked against.
+It also owns the graded kernel's converted form (`gradedpoly.IntegerTerms`)
+below the monomial: its packed exponent layout, in which an exponent vector
+is one `int` key, 64 bits per parameter (`_pack`, `_unpack` and the guard of
+key sums, `_refuse_overflow`; no other module reads a key's bit fields), and
+the arithmetic of one coefficient, a plain `int` or (key, numerator) items:
+`_combine`, `_nonzero`, `_scaled_coefficient` and the one content reduction,
+`_reduced`, through which the slice solve's levels, the normal form's
+division by h and `_Modulus` finish; outside this module and `gradedpoly` no
+code tests a coefficient's type.  Beside them it owns the quotient
+Q[params]/(g) of constrained runs: `_Modulus` reduces the converted form
+modulo g, and `_constant_lead` decides which constraints a quotient admits;
+`pseudo_remainder` and `congruent_mod` are the independent reference that
+`_Modulus` is checked against.
 """
 
 from __future__ import annotations
@@ -94,6 +98,47 @@ def _refuse_overflow(keys: Iterable[int]) -> None:
     if seen & ones << (_EXP_BITS - 1):
         raise ParameterError("a parameter exponent reached 2^63 in a product; "
                              "exponents must stay below 2^63")
+
+
+def _combine(parts: list):
+    """sum(n * x for n, x in parts) for integers n, unreduced, zero sums
+    kept: the x all plain `int`s, or all numerator dicts or lists of
+    (key, numerator) items, as a converted form holds them."""
+    n, x = parts[0]
+    if type(x) is int:
+        out = 0
+        for n, x in parts:
+            out += n * x
+        return out
+    out = {e: n * v for e, v in (x.items() if type(x) is dict else x)}
+    for n, x in parts[1:]:
+        for e, v in (x.items() if type(x) is dict else x):
+            out[e] = out.get(e, 0) + n * v
+    return out
+
+
+def _nonzero(x) -> bool:
+    """Whether a sum of `_combine`, an `int` or a numerator dict, is nonzero."""
+    return any(x.values()) if type(x) is dict else bool(x)
+
+
+def _scaled_coefficient(c, factor: int):
+    """One coefficient of a converted form, in its form, times `factor`."""
+    if type(c) is int:
+        return c * factor
+    return c if factor == 1 else [(e, n * factor) for e, n in c]
+
+
+def _reduced(den: int, sums: list) -> Tuple[int, list]:
+    """(den // g, sums // g), g the gcd of `den` and every numerator of
+    `sums`, the sums of `_combine` over `den`, all `int`s or all numerator
+    dicts: the `int`s keep their positions and zeros, and each dict becomes
+    a zero-free list of (key, numerator) items, empty when it sums to zero."""
+    if not sums or type(sums[0]) is int:
+        g = math.gcd(den, *sums)
+        return den // g, [n // g for n in sums]
+    g = math.gcd(den, *(n for s in sums for n in s.values()))
+    return den // g, [[(e, n // g) for e, n in s.items() if n] for s in sums]
 
 
 def rat(value: RationalLike) -> Fraction:
@@ -165,19 +210,6 @@ class ParamPolynomial:
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "params", params)
         return self
-
-    @classmethod
-    def _from_numerators(cls, nums: Iterable[Tuple[int, int]], den: int,
-                         params: tuple) -> "ParamPolynomial":
-        """The polynomial with coefficients `n / den` for the (key, n) of
-        `nums`, distinct packed exponent keys over `params` (`_pack`) and
-        integers, `den > 0`, or one `int`, the numerator of a constant: one
-        `Fraction` per nonzero numerator, in lowest terms and canonical order.
-        A single coefficient of an integer kernel's result comes through it."""
-        terms = {_unpack(key, len(params)): n for key, n in
-                 ([(0, nums)] if type(nums) is int else nums) if n}
-        return cls._wrap({e: Fraction(terms[e], den)
-                          for e in sorted(terms, key=_degree_lex, reverse=True)}, params)
 
     def __setattr__(self, name, value):
         raise AttributeError("ParamPolynomial is immutable")
@@ -506,7 +538,7 @@ class _Modulus:
         in the same form: one common denominator, the terms in canonical
         order, zero-free, and the gcd of the denominator and every numerator
         1.  The items are scaled to lc^S, S the largest s of the powers of p
-        they hold, and then divided by that gcd.  A form of `int`
+        they hold, and then divided by that gcd (`_reduced`).  A form of `int`
         coefficients, constants and so their own remainders, is returned."""
         den, terms = converted
         shift, d = self.shift, self.degree
@@ -517,8 +549,8 @@ class _Modulus:
             return converted
         big = self._power(top)[0]
         lifts = [self.lc ** (big - s) for s in range(big + 1)]
-        out = []
-        for *mono, items in terms:
+        sums = []
+        for *_, items in terms:
             acc: Dict[int, int] = {}
             for key, n in items:
                 e = key >> shift & _EXP_MASK
@@ -532,9 +564,6 @@ class _Modulus:
                     key = rest + t
                     acc[key] = acc.get(key, 0) + n * m
             _refuse_overflow(acc)
-            items = [(key, n) for key, n in acc.items() if n]
-            if items:
-                out.append((*mono, items))
-        den *= lifts[0]
-        g = math.gcd(den, *(n for term in out for _, n in term[3]))
-        return den // g, [(*term[:3], [(e, n // g) for e, n in term[3]]) for term in out]
+            sums.append(acc)
+        den, sums = _reduced(den * lifts[0], sums)
+        return den, [(*term[:3], items) for term, items in zip(terms, sums) if items]

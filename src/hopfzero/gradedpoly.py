@@ -39,8 +39,11 @@ so a caller can feed it into the next product; the slice solve
 (`homological._solve_levels`) takes and returns the same form, so the
 obstruction driver and the normal-form degree solve build no `Fraction`s
 between degrees.  `_from_integer_terms` is the one place where numerators
-become `Fraction`s again, in a `QHPolynomial`.  `QHPolynomial`, `Poly2` and
-`ParamPolynomial` print through one function, `coeffring._format_terms`.
+become `Fraction`s again, in a `QHPolynomial`, or in the constant term of
+one for a single coefficient (`_constant_term`).  The arithmetic of one
+converted coefficient is `coeffring`'s (`_combine`, `_reduced`, ...).
+`QHPolynomial`, `Poly2` and `ParamPolynomial` print through one function,
+`coeffring._format_terms`.
 """
 
 from __future__ import annotations
@@ -317,13 +320,6 @@ def _lifted(converted: IntegerTerms) -> IntegerTerms:
     return converted[0], [(ex, ey, ez, [(0, n)]) for ex, ey, ez, n in converted[1]]
 
 
-def _scaled_coefficient(c, factor: int):
-    """One coefficient of a converted form, in its form, times `factor`."""
-    if type(c) is int:
-        return c * factor
-    return c if factor == 1 else [(e, n * factor) for e, n in c]
-
-
 def _lowered(terms: list, i: int, scale: int):
     """(term, e * scale) for each term of a converted form's `terms` with an
     exponent e > 0 in variable i, that exponent lowered by one: the terms of
@@ -357,6 +353,11 @@ def _from_integer_terms(converted: IntegerTerms, params: Tuple[str, ...]) -> QHP
                 c[exps] = Fraction(n, den)
     return QHPolynomial._wrap({tuple.__new__(Monomial3, t[:3]): ParamPolynomial._wrap(c, params)
                                for t, c in zip(terms, coeffs)}, params)
+
+
+def _constant_term(c, den: int, params: Tuple[str, ...]) -> ParamPolynomial:
+    """c / den as a polynomial, c one coefficient of a converted form."""
+    return _from_integer_terms((den, [(0, 0, 0, c)] if c else []), params).coefficient((0, 0, 0))
 
 
 def _new_slice(e: int, pairs: Optional[int], constant: bool) -> tuple:

@@ -17,8 +17,10 @@ blocks per z-power plus a z-lowering term (Algaba, Freire, Gamero & Garcia,
 z-power down, in O(1) coefficient operations per unknown, on integers: it
 takes the right-hand side and returns the solution in the graded kernel's
 converted form (`gradedpoly._integer_terms`).  Each unknown's denominator is
-known before its value, so each step is one integer multiply-add (`_combine`);
-each level is reduced once, and a constant coefficient is one plain `int`.
+known before its value, so each step is one integer multiply-add
+(`coeffring._combine`); each level is reduced once (`coeffring._reduced`),
+and a constant coefficient is one plain `int`.  The arithmetic of a
+coefficient is `coeffring`'s: this module never tests a coefficient's form.
 `solve_homological` converts a `QHPolynomial` right-hand side once and turns
 the solution into `Fraction`s once (`gradedpoly._from_integer_terms`); the
 obstruction driver and the normal-form degree solve pass their right-hand
@@ -38,10 +40,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .coeffring import ParamPolynomial
+from .coeffring import ParamPolynomial, _combine, _nonzero, _reduced, _scaled_coefficient
 from .errors import DegreeError, StructureError
 from .gradedpoly import (IntegerTerms, Monomial3, QHPolynomial, _from_integer_terms,
-                         _integer_terms, _is_constant, _scaled_coefficient, slice_basis)
+                         _integer_terms, _is_constant, slice_basis)
 from .vectorfield import directional_derivative, principal_part
 
 
@@ -100,27 +102,6 @@ class HomologicalSolution:
 
     solution: QHPolynomial
     residual: ParamPolynomial
-
-
-def _combine(parts: list):
-    """sum(n * x for n, x in parts) for integers n, unreduced, zero sums
-    kept: the x all plain `int`s, or all numerator dicts or lists of
-    (key, numerator) items, as a converted form holds them."""
-    n, x = parts[0]
-    if type(x) is int:
-        out = 0
-        for n, x in parts:
-            out += n * x
-        return out
-    out = {e: n * v for e, v in (x.items() if type(x) is dict else x)}
-    for n, x in parts[1:]:
-        for e, v in (x.items() if type(x) is dict else x):
-            out[e] = out.get(e, 0) + n * v
-    return out
-
-
-def _nonzero(x) -> bool:
-    return any(x.values()) if type(x) is dict else bool(x)
 
 
 def _circle_mean(u: list, d: int) -> tuple:
@@ -189,12 +170,12 @@ def _solve_levels(k: int, rhs: IntegerTerms) -> IntegerTerms:
     step is one integer multiply-add (`_combine`), with no lcm, no division
     and no v_b built.  A checked level is put over the lcm of the chains'
     ends and the shift's denominator and divided by its content gcd, zero
-    sums dropped.  The solution is in the form of `rhs` (`_is_constant`):
-    `int` coefficients as they are, or items, summed in dicts of keys.
+    sums dropped (`_reduced`).  The solution is in the form of `rhs`
+    (`_is_constant`): `int` coefficients as they are, or items, summed in
+    dicts of keys.
     """
     common, terms = rhs
-    constant = _is_constant(rhs)
-    zero, top, even = (0 if constant else ()), k // 2, k % 2 == 0
+    zero, top, even = (0 if _is_constant(rhs) else ()), k // 2, k % 2 == 0
     # g[l][b] is the numerator of x^(d-b) y^b z^l over common, d = k - 2l
     g = [[zero] * (k - 2 * l + 1) for l in range(top + 1)]
     for _, ey, ez, c in terms:
@@ -241,13 +222,7 @@ def _solve_levels(k: int, rhs: IntegerTerms) -> IntegerTerms:
         # backward recurrence took u_0 (u_2 is u[d + 1] = 0 when d = 1)
         if d and _nonzero(_combine(v(1, per) + [(-4, u[2]), (2 * d, u[0])])):
             raise StructureError(f"degree-{k} slice solve left level z^{l} inconsistent at b = 1")
-        if constant:
-            content = math.gcd(lden, *u[:d + 1])
-            up = [n // content for n in u[:d + 1]]
-        else:
-            content = math.gcd(lden, *(n for nums in u[:d + 1] for n in nums.values()))
-            up = [[(e, n // content) for e, n in nums.items() if n] for nums in u[:d + 1]]
-        up_den = lden // content
+        up_den, up = _reduced(lden, u[:d + 1])
         levels.append((l, up_den, up))
     # scaled to the lcm of the levels' denominators, the numerators keep gcd 1
     # with it, as each level's with its own; by level and slot is canonical order

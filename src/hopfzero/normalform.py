@@ -19,11 +19,13 @@ every bracket reads only the low-degree slices of its operand, and each
 level is one kernel call per component (`_integer_step`).  The field stays
 in the graded kernel's converted form (`gradedpoly.IntegerTerms`) from the
 first step to the last, and so do the degree solve, its slice solves
-(`homological._solve_levels`) and each step.  Per degree only the
-generator, mu, a and b, and the achieved slice the check reads, are built
-as `Fraction`s.  The returned field is F0 plus the checked resonant slices,
-which the per-degree check makes equal to the transformed field, so the
-converted field never becomes `Fraction`s as a whole.
+(`homological._solve_levels`) and each step; the division by h uses
+`coeffring`'s coefficient arithmetic (`_combine`, `_reduced`).  Per degree
+only the generator, mu, a and b (`gradedpoly._constant_term`), and the
+achieved slice the check reads, are built as `Fraction`s.  The returned
+field is F0 plus the checked resonant slices, which the per-degree check
+makes equal to the transformed field, so the converted field never becomes
+`Fraction`s as a whole.
 """
 
 from __future__ import annotations
@@ -34,12 +36,13 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
-from .coeffring import ParamPolynomial, Rational
+from .coeffring import (ParamPolynomial, Rational, _combine, _nonzero, _reduced,
+                        _scaled_coefficient)
 from .errors import DegreeError, PrincipalPartError, StructureError
-from .gradedpoly import (_ONE, IntegerTerms, Monomial3, QHPolynomial, _degree,
-                         _from_integer_terms, _h_power, _integer_terms, _is_constant,
-                         _mul_integer, _scaled_coefficient)
-from .homological import _combine, _nonzero, _solve_levels
+from .gradedpoly import (_ONE, IntegerTerms, Monomial3, QHPolynomial, _constant_term,
+                         _degree, _from_integer_terms, _h_power, _integer_terms,
+                         _is_constant, _mul_integer)
+from .homological import _solve_levels
 from .vectorfield import (PlanarVectorField, Poly2, VectorField3, _bracket_pairs,
                           principal_part)
 
@@ -173,13 +176,13 @@ def _resonant_field(s: int, a: ParamPolynomial, b: ParamPolynomial,
 
 def _divide_by_h(p: IntegerTerms, k: int) -> IntegerTerms:
     """The degree-k quotient q with (x^2 + y^2) q = p, in p's converted
-    form over its denominator.  On each level z^l the numerators of y^b
-    satisfy p_b = q_b + q_(b-2), which gives q_b up to b = k - 2l and leaves
-    two equations; StructureError if they fail."""
+    form, reduced by its content (`_reduced`).  On each level z^l the
+    numerators of y^b satisfy p_b = q_b + q_(b-2), which gives q_b up to
+    b = k - 2l and leaves two equations; StructureError if they fail."""
     den, terms = p
     zero = 0 if _is_constant(p) else {}
     nums = {(ey, ez): c for _, ey, ez, c in terms}
-    out = []
+    monos, sums = [], []
     for l in sorted({t[2] for t in terms}):
         e = k + 2 - 2 * l
         q: list = []  # each an int, or a dict of packed keys, zero sums kept
@@ -189,9 +192,10 @@ def _divide_by_h(p: IntegerTerms, k: int) -> IntegerTerms:
                 q.append(rest)
             elif _nonzero(rest):
                 raise StructureError(f"degree-{k + 2} polynomial is not a multiple of x^2 + y^2")
-        out += [(e - 2 - b, b, l, c) for b, r in enumerate(q)
-                if (c := r if type(r) is int else [(x, n) for x, n in r.items() if n])]
-    return den, out
+        monos += [(e - 2 - b, b, l) for b in range(len(q))]
+        sums += q
+    den, sums = _reduced(den, sums)
+    return den, [(*m, c) for m, c in zip(monos, sums) if c]
 
 
 def _solve_degree(known: List[IntegerTerms], s: int, params: Tuple[str, ...]):
@@ -243,9 +247,9 @@ def _solve_degree(known: List[IntegerTerms], s: int, params: Tuple[str, ...]):
         raise StructureError(f"degree-{s} contracted equation has a z-power residual")
     (big_a, top_a), (big_b, top_b) = (split(_solve_levels(s + 2, w)) for w in (w2, w1))
     mu = at(0, 0, k, _scaled_coefficient(top_a, -(k + 1)), 2 * big_a[0])
-    a = ParamPolynomial._from_numerators(_scaled_coefficient(top_b, k + 1), big_b[0], params)
+    a = _constant_term(_scaled_coefficient(top_b, k + 1), big_b[0], params)
     rhs, top_z = split(mul((kz, _ONE), (mu, _h_power(1)), (at(0, 0, 0, 2), big_b)))
-    b = ParamPolynomial._from_numerators(top_z, rhs[0], params)
+    b = _constant_term(top_z, rhs[0], params)
     uz = _solve_levels(s + 2, rhs)
     ux = _divide_by_h(mul((x, big_b), minus=[(y, big_a)]), s + 1)
     uy = _divide_by_h(mul((y, big_b), (x, big_a)), s + 1)
@@ -284,8 +288,7 @@ def orbital_normal_form(field: VectorField3, max_index: int) -> NormalFormResult
         if s % 2 == 0:
             a_coeffs[s // 2] = a
             b_coeffs[s // 2] = b
-        if any(terms for _, terms in u) or mu[1]:
-            current = _integer_step(current, u, mu, max_field_degree)
+        current = _integer_step(current, u, mu, max_field_degree)
         steps.append(GeneratorStep(
             degree=s, generator=VectorField3(*(_from_integer_terms(c, params) for c in u)),
             reparam=_from_integer_terms(mu, params)))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import hopfzero as hz
 from hopfzero import ParamPolynomial, ParameterError
-from hopfzero.coeffring import _Modulus, _term_sort_key
+from hopfzero.coeffring import _Modulus, _reduced, _term_sort_key
 
 from conftest import Pairs, random_ppoly
 
@@ -310,3 +310,30 @@ class TestCanonicalResults:
         assert r.degree_in("a") < d
         lc = constraint.coefficient_of_power("a", d)
         assert hz.ppoly_reduce(lc ** steps * p - r, constraint, "a").is_zero()
+
+
+class TestContentReduction:
+    """`_reduced`, the one content reduction of a converted coefficient."""
+
+    def test_ints_keep_their_zeros_and_positions(self):
+        assert _reduced(12, [0, 18, 0, -6]) == (2, [0, 3, 0, -1])
+
+    def test_dicts_become_zero_free_item_lists(self):
+        den, sums = _reduced(10, [{1: 4, 2: 0}, {}, {3: -6, 1: 0, 4: 2}])
+        assert (den, sums) == (5, [[(1, 2)], [], [(3, -3), (4, 1)]])
+
+    @pytest.mark.parametrize("sums", [[0, 0, 0], [{}, {7: 0}], []])
+    def test_an_all_zero_input_goes_over_1(self, sums):
+        den, out = _reduced(6, sums)
+        assert den == 1 and not any(out) and len(out) == len(sums)
+
+    @_FEW
+    @given(st.integers(1, 10 ** 6), st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=6),
+           st.integers(1, 50))
+    def test_the_result_has_gcd_1_and_the_same_values(self, den, nums, scale):
+        scaled = [scale * n for n in nums]
+        d, ints = _reduced(den * scale, scaled)
+        assert gcd(d, *ints) == 1
+        assert [Fraction(n, d) for n in ints] == [Fraction(n, den) for n in nums]
+        assert _reduced(den * scale, [{0: n} for n in scaled]) == \
+            (d, [[(0, n)] if n else [] for n in ints])
