@@ -290,6 +290,8 @@ def _render_text(report: Dict[str, object]) -> str:
             lines.append(f"  z^{k} (quasi-homogeneous degree {2 * int(k)}): {v}")
         for k, v in seq.get("reduced_entries", {}).items():
             lines.append(f"  reduced z^{k}: {v}")
+        if not seq.get("entries") and not seq.get("reduced_entries"):
+            lines.append(f"  no entries: the sequence starts at z^{seq['start_index']}")
     if "planar_reduction" in report:
         pr = report["planar_reduction"]
         lines.append(f"planar reduction: du = {pr['du']}")

@@ -24,8 +24,9 @@ vector one `int` key, 64 bits per parameter (`coeffring._pack`).  The kernel
 reads the form off each operand's first term (`_is_constant`): on `int`s
 only, each output slot is one `int`; otherwise it lifts the `int`-form
 operands to items and adds two parameter monomials' keys with one `int` add,
-checking its output once for an exponent of 2^63 (`_refuse_overflow`).  It
-sums an output slice in a dense list, one slot per monomial at its
+checking its output once for an exponent of 2^63 (`_refuse_overflow`) and
+putting each pair's factor on the items of `b`, not of `a` (`_mul_integer`).
+It sums an output slice in a dense list, one slot per monomial at its
 `slice_basis` position, or, when the call reaches a degree above 30 and few
 term pairs reach the slice, in a dict keyed by slot: no monomial key.  A
 product with a partial derivative, as in grad(a) . F, is a derivative pair:
@@ -410,7 +411,12 @@ def _mul_integer(plus: Sequence[tuple], minus: Sequence[tuple],
     operand is in `int` form (`_is_constant`), each slot and each output
     coefficient is one `int`.  Otherwise the `int`-form operands are lifted
     to items for the call (`_lifted`), a slot holds a dict from packed keys
-    to sums, and each pair of items adds its keys, one `int` add; the output
+    to sums, and each pair of items adds its keys, one `int` add.  The
+    pair's factor scales each item of a term of `b` as it is read, and the
+    items of `a` are read as they are: in the derivative pairs of
+    grad(W) . F, a field term's one to three items meet the tens of items
+    of each term of a solved piece, so the factor costs a multiply per item
+    of the field term, not per item of the piece.  The output
     keys are checked once (`coeffring._refuse_overflow`), so a parameter
     exponent that reaches 2^63 raises ParameterError instead of carrying
     into its neighbour's field.
@@ -468,8 +474,6 @@ def _mul_integer(plus: Sequence[tuple], minus: Sequence[tuple],
                 break
             if constant:
                 na = a_c * factor
-            else:
-                a_items = [(e, n * factor) for e, n in a_c]
             for d, bucket in buckets:
                 if d > room:
                     break
@@ -482,8 +486,9 @@ def _mul_integer(plus: Sequence[tuple], minus: Sequence[tuple],
                     i = off[az + bz] + ay + by
                     if (sums := out[i]) is None:
                         sums = out[i] = {}
-                    for ea, na in a_items:
-                        for eb, nb in b_items:
+                    for eb, nb in b_items:
+                        nb *= factor
+                        for ea, na in a_c:
                             k = ea + eb
                             sums[k] = sums.get(k, 0) + na * nb
     # zero sums leave the gcd as it is, so it is taken before they are dropped

@@ -216,6 +216,21 @@ class TestCli:
         seq = report["obstructions"][0]
         assert (seq["entries"], seq["start_index"]) == ({}, 3)
 
+    @pytest.mark.parametrize("request_", [[], ["--constraint", "a001 - b200",
+                                               "--eliminate", "a001"]])
+    def test_a_sequence_without_entries_says_where_it_starts(self, family37_file, request_):
+        # the text says why nothing follows the header, in a full run and in
+        # one in the quotient by a constraint
+        def lines(depth):
+            code, out = hz.run_cli(["obstructions", family37_file, "--mode", "JACOBI_H2",
+                                    "--max-degree", depth, *request_])
+            assert code == 0
+            return out.splitlines()
+
+        assert lines("2")[-2:] == ["obstruction sequence [JACOBI_H2]:",
+                                   "  no entries: the sequence starts at z^3"]
+        assert lines("3")[-1].startswith("  reduced z^3: " if request_ else "  z^3 ")
+
     def test_bound_values_reach_the_constraint(self, family37_file):
         # at a001 = 1 the constraint is one in b200 alone, and entry 7 is a
         # multiple of it

@@ -191,9 +191,9 @@ _FRACTIONS = st.one_of(
 
 
 @st.composite
-def _coefficient(draw, params, top=2):
+def _coefficient(draw, params, top=2, items=1):
     exponents = st.tuples(*[st.integers(0, top)] * len(params))
-    pairs = draw(st.lists(st.tuples(exponents, _FRACTIONS), min_size=1, max_size=3))
+    pairs = draw(st.lists(st.tuples(exponents, _FRACTIONS), min_size=items, max_size=3))
     return ParamPolynomial(Pairs(pairs), params)
 
 
@@ -597,13 +597,16 @@ class TestPackedExponents:
 def _mixed_sums(draw):
     """(plus, minus, cap, params, bound): one or two pairs in `plus` and up to
     one in `minus`, each a plain or a derivative pair, of operands that are
-    either full, every monomial of degrees d and d+1 for d from 0 to 4, or
-    sparse, one to three terms of degree d to d+2 for d from 15 to 28, so
-    that full products make dense slices, sparse ones dict slices up to
-    degree 60, and mixed ones either; over one table of 0 to 2 parameters,
-    symbolic or bound to a point.  `minus` may repeat a pair of `plus`,
-    whose sums then cancel.  The cap is none, below the lowest output
-    degree, or between the lowest and the highest."""
+    full, every monomial of degrees d and d+1 for d from 0 to 4, sparse,
+    one to three terms of degree d to d+2 for d from 15 to 28, or one term
+    of degree 1 to 3 with two or three drawn items, their parameter
+    exponents up to 3, so that full products make dense slices, sparse ones dict slices up to degree 60,
+    mixed ones either, and a one-term `b`, as a field term in grad(W) . F,
+    meets a full `a`'s items and the factors of its several exponents of
+    v; over one table of 0 to 2 parameters, symbolic or bound to a point.
+    `minus` may repeat a pair of `plus`, whose sums then cancel.  The cap is
+    none, below the lowest output degree, or between the lowest and the
+    highest."""
     params = draw(_PARAM_TABLES)
     bound = draw(st.booleans())
 
@@ -615,15 +618,19 @@ def _mixed_sums(draw):
         return rest - ey, ey, ez
 
     def operand():
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(("full", "sparse", "one term")))
+        if kind == "full":
             d = draw(st.integers(0, 4))
             monomials = [m for k in (d, d + 1) for m in hz.slice_basis(k).monomials]
-        else:
+        elif kind == "sparse":
             d = draw(st.integers(15, 28))
             monomials = [monomial(draw(st.integers(d, d + 2)))
                          for _ in range(draw(st.integers(1, 3)))]
-        f = QHPolynomial(Pairs([(m, draw(_coefficient(params, 1))) for m in monomials]),
-                         params)
+        else:
+            monomials = [monomial(draw(st.integers(1, 3)))]
+        top, items = (3, 2) if kind == "one term" else (1, 1)
+        f = QHPolynomial(Pairs([(m, draw(_coefficient(params, top, items)))
+                                for m in monomials]), params)
         return f.substitute_params({p: _POINT[p] for p in params}) if bound else f
 
     def pairs(count):
@@ -813,3 +820,4 @@ class TestDenseSlices:
         p, peak = _traced_peak(lambda: parsed("(1 + x)^256"))
         assert p == QH({(k, 0, 0): math.comb(256, k) for k in range(257)})
         assert peak < 2 * 2 ** 20
+

@@ -59,7 +59,8 @@ def test_layer_times_splits_a_pass_by_layer():
     proc = subprocess.run([sys.executable, str(LAYERS), "h2-entries-4", "0", "2"],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    rows = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines()[2:]}
+    # the last line, the garbage collector's, overlaps the others (see below)
+    rows = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines()[2:-1]}
     assert list(rows) == ["_mul_integer", "_solve_levels", "_from_integer_terms", "rest",
                           "total"]
     # degrees 5 to 7 are solved; the entries-only path leaves the last one
@@ -72,6 +73,19 @@ def test_layer_times_splits_a_pass_by_layer():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 2
     assert "python3 tools/layer_times.py WORKLOAD SEED [PASSES]" in proc.stderr
+
+
+def test_layer_times_prints_the_garbage_collector_apart():
+    # a symbolic pass allocates enough containers to run collections; the
+    # collector's line comes last, its seconds within the total
+    proc = subprocess.run([sys.executable, str(LAYERS), "h2-entries-8", "0", "2"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-2].startswith("total") and lines[-1].startswith("gc, within the above")
+    collections, seconds, share = lines[-1].split()[-3:]
+    assert int(collections) > 0 and 0 < float(seconds) <= float(lines[-2].split()[1])
+    assert share.endswith("%")
 
 
 def test_layer_times_runs_the_numeric_continuation():

@@ -34,9 +34,12 @@ Runs, from the checkout's `src/`:
   sequence of family 37 to z^2, which continues no degree, and its
   continuation seeded by (x^2+y^2)^3 to z^3, which continues none either;
 - the symbolic `orbital_normal_form` at index 4 and the symbolic JACOBI_H2
-  sequence to z^8, entries and witness, of two fields the corpus lacks: family
-  38 with a fourth parameter on z^2 in dz (`FAMILY38_Z2`), and family 37 with
-  its z feed raised to the parameter power 2^20 + 1 (`HIGH_POWER_FAMILY37`);
+  sequence to z^8, entries and witness, of three fields the corpus lacks:
+  family 38 with a fourth parameter on z^2 in dz (`FAMILY38_Z2`), family 37
+  with its z feed raised to the parameter power 2^20 + 1
+  (`HIGH_POWER_FAMILY37`), and family 37 with two-item coefficients on its
+  one-term components (`TWO_ITEM_FAMILY37`), so that a field term, the `b`
+  of the continuation's derivative pairs, holds more than one item;
 - the `--json` report through `run_cli` of `analyze` on family 37 with every
   parameter free at `--max-degree 12`, whose verdict is SYMBOLIC (no golden
   fixture reaches that path);
@@ -113,6 +116,14 @@ HIGH_POWER_FAMILY37 = """\
 params a001 b200 c030
 dx = -2*y + a001^1048577*z
 dy = 2*x + b200*x^2
+dz = x^2 + y^2 + c030*y^3
+"""
+
+# family 37 with two parameter monomials on the z term of dx and the x^2 term of dy
+TWO_ITEM_FAMILY37 = """\
+params a001 b200 c030
+dx = -2*y + (a001 + c030)*z
+dy = 2*x + (b200 - a001)*x^2
 dz = x^2 + y^2 + c030*y^3
 """
 
@@ -246,7 +257,8 @@ def dump_lines():
         yield f"{method.value}{label} witness: {describe(seq.witness)}"
 
     for label, text in (("family 38 + c002*z^2", FAMILY38_Z2),
-                        ("family 37 a001^1048577", HIGH_POWER_FAMILY37)):
+                        ("family 37 a001^1048577", HIGH_POWER_FAMILY37),
+                        ("two-item family 37", TWO_ITEM_FAMILY37)):
         field, _ = hz.normalize_principal_part(hz.parse_system(text).to_field())
         yield from normal_form_lines(f"nf {label}", hz.orbital_normal_form(field, 4))
         seq = _obstruction_driver(field, 8, hz.Method.JACOBI_H2)

@@ -16,13 +16,18 @@ solve (`homological._solve_levels`) and the conversion to `Fraction`s
 engine module that binds it.  None of the three calls another, so their
 times do not overlap.  One line per layer gives its calls and seconds per
 pass, the median over the passes; then come the median total of a pass
-less the three layers, and that total.  The engine is imported from the
-checkout's `src/`, the workloads from `bench/hzbench/`.  For example:
+less the three layers, and that total.  A last line gives the collections
+and seconds per pass of the cyclic garbage collector, timed through
+`gc.callbacks`; a collection runs inside a layer or the rest, so that line
+overlaps the ones above it and is not part of their sum.  The engine is
+imported from the checkout's `src/`, the workloads from `bench/hzbench/`.
+For example:
 
     python3 tools/layer_times.py h2-entries-14 0 5
     python3 tools/layer_times.py nf-point-12 0 3
 """
 
+import gc
 import pathlib
 import statistics
 import sys
@@ -102,6 +107,22 @@ def time_layers() -> dict:
     return records
 
 
+def time_collections() -> list:
+    """Time the cyclic garbage collector through `gc.callbacks` and return
+    the [collections, seconds] record the timer adds to."""
+    record, start = [0, 0.0], [0.0]
+
+    def timer(phase, info):
+        if phase == "start":
+            start[0] = perf_counter()
+        else:
+            record[0] += 1
+            record[1] += perf_counter() - start[0]
+
+    gc.callbacks.append(timer)
+    return record
+
+
 def main(argv) -> int:
     workload = find_workload(argv[0]) if len(argv) in (2, 3) else None
     if workload is None:
@@ -111,6 +132,7 @@ def main(argv) -> int:
         return 2
     seed, passes = int(argv[1]), int(argv[2]) if len(argv) == 3 else 1
     samples = {name: [] for _, name in LAYERS}
+    samples["gc"] = []
     calls = {}
     totals = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -118,6 +140,7 @@ def main(argv) -> int:
         for _, call in workload.operations(hz, inputs):
             call()
         records = time_layers()
+        records["gc"] = time_collections()
         for _ in range(passes):
             for record in records.values():
                 record[:] = [0, 0.0]
@@ -130,6 +153,7 @@ def main(argv) -> int:
                 calls[name] = n
     total = statistics.median(totals)
     layers = {name: statistics.median(s) for name, s in samples.items()}
+    collector = layers.pop("gc")
     rest = total - sum(layers.values())
     print(f"{argv[0]}, seed {seed}, median of {passes} pass(es)")
     print(f"{'layer':<22}{'calls':>8}{'seconds':>11}{'share':>8}")
@@ -137,6 +161,8 @@ def main(argv) -> int:
         print(f"{name:<22}{calls[name]:>8}{seconds:>11.4f}{seconds / total:>8.1%}")
     print(f"{'rest':<22}{'':>8}{rest:>11.4f}{rest / total:>8.1%}")
     print(f"{'total':<22}{'':>8}{total:>11.4f}{1:>8.1%}")
+    print(f"{'gc, within the above':<22}{calls['gc']:>8}{collector:>11.4f}"
+          f"{collector / total:>8.1%}")
     return 0
 
 
